@@ -12,18 +12,38 @@
 //!   [`KrylovOpts`](crate::krylov::KrylovOpts) exactly as the historical pipeline did (and
 //!   reproduces it bitwise). [`ShiftStrategy::Adaptive`] starts from the
 //!   coarse [`KrylovOpts`](crate::krylov::KrylovOpts) set and **greedily adds the worst-residual
-//!   candidate**: each round evaluates the sparse transfer residual
-//!   `‖H(jω) − Ĥ(jω)‖_F / ‖H‖_F` on a candidate grid (full-model samples
-//!   computed once through the parallel sparse sweep, ROM samples per
-//!   round) and promotes the frequency where the ROM is worst to a new
-//!   expansion point, until the tolerance or the shift budget is hit.
-//!   The pencil's symbolic analysis and the per-point candidate sets are
-//!   cached across rounds, so a greedy round costs one new shifted
-//!   factorization plus the merge/SVD/congruence of the grown basis.
+//!   candidate**: each round evaluates the transfer residual
+//!   `‖H(jω) − Ĥ(jω)‖_F / ‖H‖_F` on a candidate grid and promotes the
+//!   frequency where the ROM is worst to a new expansion point, until the
+//!   tolerance or the shift budget is hit.
 //! - [`InterfacePolicy`] (see [`crate::projector`]) decides how interface
 //!   buses are treated: folded into the block SVD bases, or preserved
 //!   **exactly** via identity columns so boundary voltages survive the
 //!   reduction verbatim.
+//!
+//! # One factorization per point
+//!
+//! A Krylov block at `s₀` starts from `X₀ = (G + s₀C)⁻¹B`, and the
+//! full-model sample the adaptive loop certifies against is
+//! `H(s₀) = L·X₀`: one shifted solve yields both. The adaptive front end
+//! is therefore **one pipelined pass over `unique(seed points ∪ candidate
+//! grid)`** ([`ReductionEngine::point_candidates`]): each point is
+//! factored exactly once on the plan's pencil, its recurrence runs at
+//! once, and the start-block solve also emits the sample. Every greedy
+//! round after that is a look-up of an already-computed candidate set
+//! plus the merge/SVD/congruence of the grown basis and a ROM-side sweep
+//! — no round factors anything, and a seed that sits on the grid (the
+//! default mid-grid seed does) shares the grid point's factorization.
+//!
+//! The cost model, at the benchmark's mesh shape (n = 10⁴, m = 2, two
+//! moments, six grid frequencies): the eager recurrence of a grid point
+//! that is never promoted costs ≈ 18 ms (moments × one panel solve +
+//! absorb) against ≈ 200 ms for each factorization it makes unnecessary
+//! (the separate reference sweep factored every grid point a first time,
+//! promotion a second), and the eager sets hold
+//! `grid × 2·m·moments × n × 8 B` = 3.8 MB — less than **one** retained
+//! factor (12.8 MB), which is why candidates, not factors, are what the
+//! pass keeps. That build went from 10 sparse factorizations to 7.
 //!
 //! Every stage inherits the determinism contract of [`crate::par`]: the
 //! greedy selection is driven by bitwise-deterministic sweeps and
@@ -31,7 +51,9 @@
 //! `BDSM_THREADS`.
 
 use crate::certify::{certify_reduced, Certificate, ResidualSweep};
-use crate::krylov::{collect_points, merge_candidate_sets, merge_candidates, ExpansionPoint};
+use crate::krylov::{
+    collect_points, merge_candidate_sets, merge_candidates, ExpansionPoint, PointCandidates,
+};
 use crate::projector::{BlockDiagProjector, InterfacePolicy};
 use crate::reduce::{
     CoreError, DenseDescriptor, ReducedModel, ReductionOpts, Result, SolverBackend,
@@ -325,7 +347,7 @@ impl<'n> ReductionEngine<'n> {
     /// shifted factorizations.
     pub fn basis(&self, plan: &Plan, points: &[ExpansionPoint]) -> Result<Matrix> {
         self.validate_points(points)?;
-        let raw = self.candidate_sets(plan, points);
+        let raw = self.point_candidates(plan, points);
         Ok(merge_candidates(
             raw,
             self.opts.krylov.deflation_tol,
@@ -342,18 +364,23 @@ impl<'n> ReductionEngine<'n> {
         Ok(())
     }
 
-    /// Per-point candidate sets through the plan's backend (the raw
-    /// material [`crate::krylov`] merges into a basis).
-    fn candidate_sets(
+    /// **Basis** stage, per-point half: every listed point is factored
+    /// exactly once on the plan's backend (pipelined over
+    /// [`crate::par`]) and runs its block recurrence; a `jω` point also
+    /// returns the full-model sample `H(jω)` its start-block solve
+    /// produced. [`basis`](Self::basis) merges these sets; the adaptive
+    /// loop runs this once over `seeds ∪ grid` and looks sets up after.
+    pub fn point_candidates(
         &self,
         plan: &Plan,
         points: &[ExpansionPoint],
-    ) -> Vec<bdsm_linalg::Result<Vec<Vec<f64>>>> {
+    ) -> Vec<bdsm_linalg::Result<PointCandidates>> {
         match (&plan.pencil, &plan.dense) {
             (Some(pencil), _) => crate::krylov::candidates_for_points_sparse(
                 pencil,
                 &plan.full.c,
                 &plan.full.b,
+                Some(&plan.full.l),
                 &self.opts.krylov,
                 points,
             ),
@@ -361,6 +388,7 @@ impl<'n> ReductionEngine<'n> {
                 &dense.g,
                 &dense.c,
                 &dense.b,
+                Some(&dense.l),
                 &self.opts.krylov,
                 points,
             ),
@@ -460,20 +488,21 @@ impl<'n> ReductionEngine<'n> {
         )
     }
 
-    /// Full-model reference sweep on a grid (one sparse complex
-    /// refactorization per frequency, fanned out over workers).
+    /// Full-model reference sweep on a caller-chosen grid (one sparse
+    /// complex refactorization per frequency, fanned out over workers) on
+    /// the plan's pencil; only a dense-backend plan, which has none, pays
+    /// a symbolic analysis here.
     fn full_sweep(&self, plan: &Plan, omegas: &[f64]) -> Result<Vec<CMatrix>> {
-        let ev = SparseTransferEvaluator::new(
-            &plan.full.g,
-            &plan.full.c,
-            plan.full.b.clone(),
-            plan.full.l.clone(),
-        )?;
+        let (b, l) = (plan.full.b.clone(), plan.full.l.clone());
+        let ev = match &plan.pencil {
+            Some(pencil) => SparseTransferEvaluator::from_pencil(pencil.clone(), b, l)?,
+            None => SparseTransferEvaluator::new(&plan.full.g, &plan.full.c, b, l)?,
+        };
         Ok(ev.eval_jomega_sweep(omegas)?)
     }
 
     /// Residuals of a ROM against precomputed full-model samples — the
-    /// cached shape the adaptive loop runs every round. Also returns the
+    /// shape the adaptive loop runs every round. Also returns the
     /// ROM's own sweep so the final round's passivity sampling is free.
     fn certify_against(
         &self,
@@ -610,10 +639,10 @@ impl<'n> ReductionEngine<'n> {
         Ok((rom, report))
     }
 
-    /// The greedy adaptive loop: grow the shift set from the coarse
-    /// initial points, one worst-residual candidate at a time, re-using
-    /// the symbolic pencil and the per-point candidate cache across
-    /// rounds.
+    /// The greedy adaptive loop: one factoring pass over
+    /// `unique(seed points ∪ candidate grid)` yields every candidate set
+    /// and every full-model sample the loop can ever need; the rounds
+    /// after it merge, project and certify without touching the pencil.
     fn run_adaptive(&self, plan: &Plan, a: &AdaptiveShiftOpts) -> Result<(Rom, EngineReport)> {
         let mut points = collect_points(&self.opts.krylov);
         if points.is_empty() {
@@ -623,20 +652,33 @@ impl<'n> ReductionEngine<'n> {
         }
         self.validate_points(&points)?;
 
-        // Per-point candidate cache, in merge order (initial points, then
-        // greedy additions). A point's candidates are a pure function of
-        // that point, so they are computed exactly once.
-        let mut cache = {
-            let _s = timing_span!("stage.krylov", points = points.len());
-            collect_ok(self.candidate_sets(plan, &points))?
+        // Seeds first, then the grid; a point listed twice (a seed on the
+        // grid, a repeated grid frequency) is the same bits and is
+        // factored once.
+        let omegas = a.candidate_omegas.iter().copied();
+        let grid: Vec<_> = omegas.map(ExpansionPoint::Jomega).collect();
+        let mut pass: Vec<ExpansionPoint> = Vec::new();
+        for &p in points.iter().chain(&grid) {
+            if !pass.iter().any(|&q| same_bits(q, p)) {
+                pass.push(p);
+            }
+        }
+        let sets = {
+            let _s = timing_span!("stage.krylov", points = pass.len());
+            let sets = self.point_candidates(plan, &pass).into_iter();
+            sets.collect::<bdsm_linalg::Result<Vec<_>>>()?
         };
-
+        let set_of = |p: ExpansionPoint| {
+            let slot = pass.iter().position(|&q| same_bits(q, p));
+            &sets[slot.expect("every seed and grid point went through the pass")]
+        };
         // The full model never changes across rounds: its candidate-grid
-        // sweep is computed once and re-used by every certification.
-        let full_sweep = {
-            let _s = timing_span!("stage.certify", grid = a.candidate_omegas.len());
-            self.full_sweep(plan, &a.candidate_omegas)?
-        };
+        // sweep is the samples the pass's start-block solves produced.
+        let sample_of = |&p| set_of(p).sample.clone().expect("a jω point has a sample");
+        let full_sweep: Vec<CMatrix> = grid.iter().map(sample_of).collect();
+        // Candidate sets of the active expansion points, in merge order
+        // (initial points, then greedy additions).
+        let mut active: Vec<_> = points.iter().map(|&p| &set_of(p).vectors[..]).collect();
 
         let mut rounds: Vec<RoundRecord> = Vec::new();
         let mut certified = false;
@@ -644,7 +686,7 @@ impl<'n> ReductionEngine<'n> {
             let global = {
                 let _s = timing_span!("stage.krylov");
                 merge_candidate_sets(
-                    &cache,
+                    &active,
                     self.opts.krylov.deflation_tol,
                     self.opts.krylov.ortho,
                 )?
@@ -697,10 +739,7 @@ impl<'n> ReductionEngine<'n> {
             };
             rounds.last_mut().expect("round pushed").added_omega = Some(w_next);
             let pt = ExpansionPoint::Jomega(w_next);
-            {
-                let _s = timing_span!("stage.krylov");
-                cache.extend(collect_ok(self.candidate_sets(plan, &[pt]))?);
-            }
+            active.push(&set_of(pt).vectors);
             points.push(pt);
         };
         // Property certificate of the final ROM: the passivity sampling
@@ -731,12 +770,13 @@ impl<'n> ReductionEngine<'n> {
     }
 }
 
-/// Collects per-point candidate results, surfacing the first failure (in
-/// point order, matching the fixed-path merge semantics).
-fn collect_ok(raw: Vec<bdsm_linalg::Result<Vec<Vec<f64>>>>) -> Result<Vec<Vec<Vec<f64>>>> {
-    let mut out = Vec::with_capacity(raw.len());
-    for r in raw {
-        out.push(r?);
+/// Same kind and same `f64` bit pattern — the identity under which the
+/// adaptive pass shares one factorization (so `0.0` and `-0.0`, whose
+/// pencils differ in a sign bit, stay two points).
+fn same_bits(a: ExpansionPoint, b: ExpansionPoint) -> bool {
+    match (a, b) {
+        (ExpansionPoint::Real(x), ExpansionPoint::Real(y))
+        | (ExpansionPoint::Jomega(x), ExpansionPoint::Jomega(y)) => x.to_bits() == y.to_bits(),
+        _ => false,
     }
-    Ok(out)
 }

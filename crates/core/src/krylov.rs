@@ -36,10 +36,31 @@
 //! (the verification oracle), while [`global_krylov_basis_sparse`] builds a
 //! [`ShiftedPencil`] once — pattern union plus fill-reducing ordering — and
 //! refactors it numerically per expansion point through a per-worker
-//! [`LuWorkspace`], which is what makes `n ≫ 10⁴` grids tractable.
+//! [`LuWorkspace`], which is what makes `n ≫ 10⁴` grids tractable. Both go
+//! through the same two recurrences, and a `jω` point's start block
+//! `X₀ = (G + jω₀C)⁻¹B` also yields the full-model sample `L·X₀`
+//! ([`PointCandidates::sample`]) the adaptive engine certifies against.
+//!
+//! # Subnormals
+//!
+//! A shifted solve on a long, weakly coupled network decays geometrically
+//! away from the ports, so its tail walks through the subnormal range
+//! before it underflows: on the 10⁴-state bench ladder 418 412 of the
+//! 640 000 candidate entries were exact zero and **124 078 subnormal**.
+//! Every `dot`, `axpy`, `block_project` and Jacobi pass that touches a
+//! subnormal operand takes a microcode assist, and that — not flops — is
+//! why the cross-point merge of that build ran at 0.30 GFLOP/s on a
+//! 14 GFLOP/s host and took 73–76 % of the reduce. Both recurrences
+//! therefore flush each block right after its shifted solve
+//! ([`flush_tiny`]: entries below `1.5e-154·‖v‖∞` become exact zero — a
+//! pure function of the vector, relative perturbation 1e-154). On that ladder the merge fell 597 → 94 ms and
+//! the one-worker reduce 0.78 → 0.25 s with the artifact's size and its
+//! 1.9e-15 transfer error unchanged; a mesh has nothing small enough to
+//! flush and reduces to the same bytes as before.
 
 use crate::par;
-use crate::transfer::ZLu;
+use crate::transfer::{output_sample, CMatrix, ZLu};
+use bdsm_linalg::vector::{flush_tiny, flush_tiny_complex};
 use bdsm_linalg::{Complex64, DenseLu, LinalgError, Matrix, Result};
 use bdsm_sparse::{CscMatrix, LuWorkspace, Scalar, ShiftedPencil, SparseLu};
 
@@ -101,6 +122,21 @@ pub enum ExpansionPoint {
     Jomega(f64),
 }
 
+/// One expansion point's share of the Basis stage: its locally
+/// orthonormal candidate columns and — because the recurrence starts from
+/// `X₀ = (G + s₀C)⁻¹B` — the full-model sample `H(s₀) = L·X₀` that the
+/// same solve yields for free.
+#[derive(Debug, Clone)]
+pub struct PointCandidates {
+    /// Candidate columns, orthonormal among themselves, in moment order.
+    pub vectors: Vec<Vec<f64>>,
+    /// `H(jω₀)` of the full model — on the sparse backend bitwise what
+    /// [`SparseTransferEvaluator::eval_with`](crate::transfer::SparseTransferEvaluator::eval_with)
+    /// returns at `jω₀`. `None` for a real point or when no output map
+    /// was supplied.
+    pub sample: Option<CMatrix>,
+}
+
 /// The expansion points of a [`KrylovOpts`], in deterministic merge order
 /// (real points first, then `jω` points, each in declaration order).
 pub fn collect_points(opts: &KrylovOpts) -> Vec<ExpansionPoint> {
@@ -134,7 +170,7 @@ pub fn global_krylov_basis(
     let n = g.nrows();
     validate_krylov_args(g.is_square() && c.shape() == (n, n), n, b, opts)?;
     let points = collect_points(opts);
-    let raw = candidates_for_points_dense(g, c, b, opts, &points);
+    let raw = candidates_for_points_dense(g, c, b, None, opts, &points);
     merge_candidates(raw, opts.deflation_tol, opts.ortho)
 }
 
@@ -149,14 +185,16 @@ enum DenseFactor {
 /// over [`crate::par`] — the staged engine's Basis-stage workhorse for
 /// [`crate::reduce::SolverBackend::Dense`]. The producer stage factors
 /// `G + s₀C` per shift; the consumer stage runs that shift's block
-/// recurrence, overlapping with later shifts' factorizations.
+/// recurrence, overlapping with later shifts' factorizations. With an
+/// output map `l`, every `jω` point also carries its sample `L·X₀`.
 pub(crate) fn candidates_for_points_dense(
     g: &Matrix,
     c: &Matrix,
     b: &Matrix,
+    l: Option<&Matrix>,
     opts: &KrylovOpts,
     points: &[ExpansionPoint],
-) -> Vec<Result<Vec<Vec<f64>>>> {
+) -> Vec<Result<PointCandidates>> {
     let n = g.nrows();
     par::pipelined_map_with(
         points,
@@ -208,6 +246,7 @@ pub(crate) fn candidates_for_points_dense(
                     };
                     jomega_point_candidates(
                         b,
+                        l,
                         opts,
                         |vs| vs.iter().map(|v| lu.solve_real(v)).collect(),
                         |vs| vs.iter().map(|v| lu.solve(v)).collect(),
@@ -241,7 +280,7 @@ pub fn global_krylov_basis_sparse(
     validate_krylov_args(g.is_square() && c.shape() == (n, n), n, b, opts)?;
     let pencil = ShiftedPencil::new(g, c)?;
     let points = collect_points(opts);
-    let raw = candidates_for_points_sparse(&pencil, c, b, opts, &points);
+    let raw = candidates_for_points_sparse(&pencil, c, b, None, opts, &points);
     merge_candidates(raw, opts.deflation_tol, opts.ortho)
 }
 
@@ -254,8 +293,10 @@ enum SparseFactor {
 
 /// Per-point candidate sets through the sparse subsystem, pipelined over
 /// [`crate::par`] with per-worker [`LuWorkspace`] scratch. Takes the
-/// [`ShiftedPencil`] from the caller so the adaptive engine amortizes the
-/// symbolic analysis across every greedy round, not just within one call.
+/// [`ShiftedPencil`] from the caller so the engine's one symbolic analysis
+/// (the Plan stage's) serves every point. With an output map `l`, every
+/// `jω` point also carries its full-model sample `L·X₀` — the adaptive
+/// engine's reference sweep, at no extra factorization or solve.
 ///
 /// The producer stage runs `ShiftedPencil::factor_*_with` — a numeric-only
 /// refactorization through the worker's reusable workspace — and the
@@ -267,9 +308,10 @@ pub(crate) fn candidates_for_points_sparse(
     pencil: &ShiftedPencil,
     c: &CscMatrix<f64>,
     b: &Matrix,
+    l: Option<&Matrix>,
     opts: &KrylovOpts,
     points: &[ExpansionPoint],
-) -> Vec<Result<Vec<Vec<f64>>>> {
+) -> Vec<Result<PointCandidates>> {
     par::pipelined_map_with(
         points,
         || (LuWorkspace::<f64>::new(), LuWorkspace::<Complex64>::new()),
@@ -304,6 +346,7 @@ pub(crate) fn candidates_for_points_sparse(
                     s.attr("omega", omega);
                     jomega_point_candidates(
                         b,
+                        l,
                         opts,
                         |vs| solve_real_block_sparse(&lu, vs),
                         |vs| solve_block_sparse(&lu, vs),
@@ -375,23 +418,25 @@ fn validate_krylov_args(shapes_ok: bool, n: usize, b: &Matrix, opts: &KrylovOpts
 /// cross-point coupling, so the result depends on the fixed point order,
 /// never on how the points were scheduled across workers.
 pub(crate) fn merge_candidates(
-    raw: Vec<Result<Vec<Vec<f64>>>>,
+    raw: Vec<Result<PointCandidates>>,
     tol: f64,
     kernel: OrthoKernel,
 ) -> Result<Matrix> {
     let mut sets = Vec::with_capacity(raw.len());
     for point in raw {
-        sets.push(point?);
+        sets.push(point?.vectors);
     }
+    let sets: Vec<&[Vec<f64>]> = sets.iter().map(Vec::as_slice).collect();
     merge_candidate_sets(&sets, tol, kernel)
 }
 
-/// Merges **borrowed** per-point candidate sets (also the adaptive
-/// engine's cross-round cache) — the same pass and set order as
-/// [`merge_candidates`], so a cached point contributes exactly the columns
-/// it would have contributed in a single fixed-shift call.
+/// Merges **borrowed** per-point candidate sets (the adaptive engine
+/// passes the active subset of its one pass, in promotion order) — the
+/// same pass and set order as [`merge_candidates`], so a looked-up point
+/// contributes exactly the columns it would have contributed in a single
+/// fixed-shift call.
 pub(crate) fn merge_candidate_sets(
-    sets: &[Vec<Vec<f64>>],
+    sets: &[&[Vec<f64>]],
     tol: f64,
     kernel: OrthoKernel,
 ) -> Result<Matrix> {
@@ -402,17 +447,18 @@ pub(crate) fn merge_candidate_sets(
 }
 
 /// The oracle merge: sequential MGS over every candidate in point order.
-fn merge_sets_mgs(sets: &[Vec<Vec<f64>>], tol: f64) -> Result<Matrix> {
+fn merge_sets_mgs(sets: &[&[Vec<f64>]], tol: f64) -> Result<Matrix> {
     let mut basis: Vec<Vec<f64>> = Vec::new();
     for (i, set) in sets.iter().enumerate() {
         let _s = bdsm_obs::timing_span!("krylov.merge", point = i);
-        for v in set {
+        for v in *set {
             let mut v = v.clone();
             if orthonormalize_against(&mut v, &basis, tol) {
                 basis.push(v);
             }
         }
     }
+    let _s = bdsm_obs::timing_span!("krylov.merge", point = sets.len());
     finish_merge(basis)
 }
 
@@ -423,7 +469,7 @@ fn merge_sets_mgs(sets: &[Vec<Vec<f64>>], tol: f64) -> Result<Matrix> {
 /// a pure function of its children, and nodes of one level fan out over
 /// [`crate::par`] — so the basis is bitwise-identical for any worker
 /// count, and column order still follows point order.
-fn merge_sets_blocked(sets: &[Vec<Vec<f64>>], tol: f64) -> Result<Matrix> {
+fn merge_sets_blocked(sets: &[&[Vec<f64>]], tol: f64) -> Result<Matrix> {
     let Some(n) = sets.iter().find_map(|s| s.first().map(Vec::len)) else {
         return finish_merge(Vec::new());
     };
@@ -460,6 +506,9 @@ fn merge_sets_blocked(sets: &[Vec<Vec<f64>>], tol: f64) -> Result<Matrix> {
         level += 1;
     }
     let root = nodes.pop().unwrap_or_else(|| Panel::empty(0));
+    // Unpacking the root into the basis matrix is merge time too (≈ 8 ms
+    // for 64 columns at n = 10⁴, visible now that the tree itself is fast).
+    let _s = bdsm_obs::timing_span!("krylov.merge", level = level);
     finish_merge(root.to_cols())
 }
 
@@ -656,7 +705,7 @@ fn real_point_candidates(
     opts: &KrylovOpts,
     solve_block: impl Fn(&[Vec<f64>]) -> Result<Vec<Vec<f64>>>,
     apply_c: impl Fn(&[f64]) -> Result<Vec<f64>>,
-) -> Result<Vec<Vec<f64>>> {
+) -> Result<PointCandidates> {
     let mut local = LocalBasis::new(opts.ortho, b.nrows());
     // Start block R = (G + s0 C)^{-1} B, all inputs in one batched solve.
     let bcols: Vec<Vec<f64>> = (0..b.ncols()).map(|j| b.col(j)).collect();
@@ -668,29 +717,38 @@ fn real_point_candidates(
             let rhs: Vec<Vec<f64>> = block.iter().map(|v| apply_c(v)).collect::<Result<_>>()?;
             block = solve_block(&rhs)?;
         }
+        block.iter_mut().for_each(|v| flush_tiny(v));
         let kept = local.absorb(block, opts.deflation_tol);
         if kept.is_empty() {
             break; // The subspace is exhausted at this point.
         }
         block = kept;
     }
-    Ok(local.into_cols())
+    Ok(PointCandidates {
+        vectors: local.into_cols(),
+        sample: None,
+    })
 }
 
 /// Computes one imaginary-axis expansion point's (`s₀ = jω₀`) candidate
 /// set, splitting each complex vector into real and imaginary directions
-/// while the complex recurrence keeps running on the raw vectors.
+/// while the complex recurrence keeps running on the raw vectors. The
+/// start block is `X₀ = (G + jω₀C)⁻¹B`, so with an output map the point's
+/// full-model sample `H(jω₀) = L·X₀` falls out of the same solve.
 fn jomega_point_candidates(
     b: &Matrix,
+    l: Option<&Matrix>,
     opts: &KrylovOpts,
     solve_start_block: impl Fn(&[Vec<f64>]) -> Result<Vec<Vec<Complex64>>>,
     solve_block: impl Fn(&[Vec<Complex64>]) -> Result<Vec<Vec<Complex64>>>,
     apply_c: impl Fn(&[Complex64]) -> Result<Vec<Complex64>>,
-) -> Result<Vec<Vec<f64>>> {
+) -> Result<PointCandidates> {
     let mut local = LocalBasis::new(opts.ortho, b.nrows());
     // Complex start block R = (G + jω₀C)^{-1} B, batched over the inputs.
     let bcols: Vec<Vec<f64>> = (0..b.ncols()).map(|j| b.col(j)).collect();
     let mut block = solve_start_block(&bcols)?;
+    // Sampled before the flush below, so it is the evaluator's H bit for bit.
+    let sample = l.map(|l| output_sample(l, block.len(), block.iter().map(Vec::as_slice)));
     for moment in 0..opts.moments_per_point {
         if moment > 0 {
             // v ← (G + jω₀C)^{-1} C v, with C real and v complex.
@@ -698,6 +756,7 @@ fn jomega_point_candidates(
                 block.iter().map(|v| apply_c(v)).collect::<Result<_>>()?;
             block = solve_block(&rhs)?;
         }
+        block.iter_mut().for_each(|v| flush_tiny_complex(v));
         let parts: Vec<Vec<f64>> = block
             .iter()
             .flat_map(|v| {
@@ -711,7 +770,10 @@ fn jomega_point_candidates(
             break;
         }
     }
-    Ok(local.into_cols())
+    Ok(PointCandidates {
+        vectors: local.into_cols(),
+        sample,
+    })
 }
 
 /// Orthogonalizes `v` against `basis` (two MGS passes) and normalizes it.

@@ -276,8 +276,9 @@ pub struct StageTimings {
     /// BFS partitioning of the bus graph.
     pub partition_us: f64,
     /// Global Krylov basis: shifted factorizations + block recurrences
-    /// (fans out per expansion point), plus the per-round merges of the
-    /// adaptive loop.
+    /// (fans out per expansion point; the adaptive strategy's single pass
+    /// over seeds ∪ grid, full-model samples included), plus the per-round
+    /// merges of the adaptive loop.
     pub krylov_us: f64,
     /// The per-point slice of `krylov_us`: `krylov.point` spans (pipelined
     /// factorizations + block recurrences). Zero when the ambient obs
@@ -293,8 +294,9 @@ pub struct StageTimings {
     /// The congruence products `VᵀGV`, `VᵀCV`, `VᵀB`, `LV` (block pairs
     /// fan out per pair), summed over adaptive rounds.
     pub project_us: f64,
-    /// Transfer-residual certification: the one-off full-model candidate
-    /// sweep plus the per-round ROM sweeps. Zero for the fixed strategy.
+    /// Certification: the per-round ROM sweeps and residuals of the
+    /// adaptive loop plus the property certificate (the full-model side of
+    /// the residuals comes out of the Krylov pass and is timed there).
     pub certify_us: f64,
     /// Greedy rounds the adaptive loop ran (zero for the fixed strategy).
     pub adaptive_rounds: usize,

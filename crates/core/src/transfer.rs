@@ -248,19 +248,10 @@ pub fn eval_transfer_factored(lu: &ZLu, b: &Matrix, l: &Matrix) -> Result<CMatri
             rhs: (b.nrows(), l.ncols()),
         });
     }
-    let mut h = CMatrix::zeros(l.nrows(), b.ncols());
-    for j in 0..b.ncols() {
-        let x = lu.solve_real(&b.col(j))?;
-        for i in 0..l.nrows() {
-            let row = l.row(i);
-            let mut acc = Complex64::ZERO;
-            for (lv, xv) in row.iter().zip(&x) {
-                acc += *xv * *lv;
-            }
-            h[(i, j)] = acc;
-        }
-    }
-    Ok(h)
+    let x: Vec<Vec<Complex64>> = (0..b.ncols())
+        .map(|j| lu.solve_real(&b.col(j)))
+        .collect::<Result<_>>()?;
+    Ok(output_sample(l, x.len(), x.iter().map(Vec::as_slice)))
 }
 
 fn check_descriptor_shapes(g: &Matrix, c: &Matrix, b: &Matrix, l: &Matrix) -> Result<()> {
@@ -346,25 +337,17 @@ impl TransferEvaluator {
         match &self.path {
             EvalPath::Dense { g, c, b, l } => eval_transfer(g, c, b, l, s),
             EvalPath::Hessenberg { h, lq, qt_cinv_b } => {
-                let (p, m) = (lq.nrows(), qt_cinv_b.ncols());
-                let mut out = CMatrix::zeros(p, m);
-                for j in 0..m {
-                    let rhs: Vec<Complex64> = qt_cinv_b
-                        .col(j)
-                        .iter()
-                        .map(|&v| Complex64::from_real(v))
-                        .collect();
-                    let z = solve_shifted_hessenberg(h, s, &rhs)?;
-                    for i in 0..p {
-                        let row = lq.row(i);
-                        let mut acc = Complex64::ZERO;
-                        for (lv, zv) in row.iter().zip(&z) {
-                            acc += *zv * *lv;
-                        }
-                        out[(i, j)] = acc;
-                    }
-                }
-                Ok(out)
+                let z: Vec<Vec<Complex64>> = (0..qt_cinv_b.ncols())
+                    .map(|j| {
+                        let rhs: Vec<Complex64> = qt_cinv_b
+                            .col(j)
+                            .iter()
+                            .map(|&v| Complex64::from_real(v))
+                            .collect();
+                        solve_shifted_hessenberg(h, s, &rhs)
+                    })
+                    .collect::<Result<_>>()?;
+                Ok(output_sample(lq, z.len(), z.iter().map(Vec::as_slice)))
             }
         }
     }
@@ -407,16 +390,28 @@ impl SparseTransferEvaluator {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::InvalidArgument`] /
-    /// [`LinalgError::ShapeMismatch`] for inconsistent descriptor shapes.
+    /// Returns [`LinalgError::NotSquare`] / [`LinalgError::ShapeMismatch`]
+    /// for an inconsistent `G`/`C` pair and
+    /// [`LinalgError::InvalidArgument`] when `B`/`L` do not match them.
     pub fn new(g: &CscMatrix<f64>, c: &CscMatrix<f64>, b: Matrix, l: Matrix) -> Result<Self> {
-        let n = g.nrows();
-        if !g.is_square() || c.shape() != (n, n) || b.nrows() != n || l.ncols() != n {
+        Self::from_pencil(ShiftedPencil::new(g, c)?, b, l)
+    }
+
+    /// Builds the evaluator over an already-analysed pencil of `G + sC` —
+    /// the staged engine's Plan owns one, so certifying against it pays no
+    /// second symbolic analysis.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::InvalidArgument`] when `B`/`L` do not match
+    /// the pencil's dimension.
+    pub fn from_pencil(pencil: ShiftedPencil, b: Matrix, l: Matrix) -> Result<Self> {
+        let n = pencil.dim();
+        if b.nrows() != n || l.ncols() != n {
             return Err(LinalgError::InvalidArgument {
                 what: "descriptor shapes inconsistent: need G,C n×n, B n×m, L p×n",
             });
         }
-        let pencil = ShiftedPencil::new(g, c)?;
         let mut b_panel = Vec::with_capacity(n * b.ncols());
         for j in 0..b.ncols() {
             b_panel.extend_from_slice(&b.col(j));
@@ -455,23 +450,11 @@ impl SparseTransferEvaluator {
     pub fn eval_with(&self, s: Complex64, ws: &mut LuWorkspace<Complex64>) -> Result<CMatrix> {
         let lu = self.pencil.factor_complex_with(s, ws)?;
         let (n, m) = (self.dim(), self.b.ncols());
-        let mut h = CMatrix::zeros(self.l.nrows(), m);
         if m == 0 {
-            return Ok(h);
+            return Ok(CMatrix::zeros(self.l.nrows(), 0));
         }
         let x = lu.solve_multi_real(&self.b_panel, m)?;
-        for j in 0..m {
-            let xj = &x[j * n..(j + 1) * n];
-            for i in 0..self.l.nrows() {
-                let row = self.l.row(i);
-                let mut acc = Complex64::ZERO;
-                for (lv, xv) in row.iter().zip(xj) {
-                    acc += *xv * *lv;
-                }
-                h[(i, j)] = acc;
-            }
-        }
-        Ok(h)
+        Ok(output_sample(&self.l, m, x.chunks(n.max(1))))
     }
 
     /// Evaluates `H(jω)` at each angular frequency — one sparse numeric
@@ -489,6 +472,28 @@ impl SparseTransferEvaluator {
         .into_iter()
         .collect()
     }
+}
+
+/// `H = L·X` for the `m` solution columns of `(G + sC) X = B` — the one
+/// accumulation order (`acc += xᵢ·lᵢ` along each output row) behind every
+/// evaluator here and the Krylov start block, so a full-model sample taken
+/// from the sparse evaluator or from the recurrence is the same bits.
+pub(crate) fn output_sample<'a>(
+    l: &Matrix,
+    m: usize,
+    cols: impl Iterator<Item = &'a [Complex64]>,
+) -> CMatrix {
+    let mut h = CMatrix::zeros(l.nrows(), m);
+    for (j, xj) in cols.enumerate() {
+        for i in 0..l.nrows() {
+            let mut acc = Complex64::ZERO;
+            for (lv, xv) in l.row(i).iter().zip(xj) {
+                acc += *xv * *lv;
+            }
+            h[(i, j)] = acc;
+        }
+    }
+    h
 }
 
 fn is_positive_diagonal(c: &Matrix) -> bool {

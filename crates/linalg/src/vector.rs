@@ -4,6 +4,8 @@
 //! [`crate::dense::Matrix`] columns and ad-hoc work buffers without forcing a
 //! particular container type.
 
+use crate::Complex64;
+
 /// Dot product `xᵀ y`.
 ///
 /// # Panics
@@ -91,6 +93,46 @@ pub fn zero(x: &mut [f64]) {
     }
 }
 
+/// Relative magnitude under which [`flush_tiny`] drops an entry:
+/// `√f64::MIN_POSITIVE` rounded up, so in a vector of unit scale neither
+/// a kept entry nor the product of two kept entries is subnormal.
+pub const TINY_REL: f64 = 1.5e-154;
+
+/// Sets every entry with `|xᵢ| < TINY_REL · ‖x‖∞` to exact zero.
+///
+/// Solutions that decay geometrically away from their source (shifted
+/// solves on a long ladder) run through the subnormal range before they
+/// underflow, and every `dot`/`axpy`/triangular pass over a subnormal
+/// operand takes a microcode assist — tens of times the cost of a normal
+/// flop. The flush is a pure function of the vector and perturbs it by
+/// `1.5e-154` relative, far below one ulp of anything computed from it.
+pub fn flush_tiny(x: &mut [f64]) {
+    let cut = TINY_REL * norm_inf(x);
+    for v in x.iter_mut() {
+        if v.abs() < cut {
+            *v = 0.0;
+        }
+    }
+}
+
+/// [`flush_tiny`] for a complex vector: real and imaginary parts are
+/// flushed one by one against the largest part of the whole vector, as
+/// the Krylov recurrence consumes them as separate real columns.
+pub fn flush_tiny_complex(x: &mut [Complex64]) {
+    let amax = x
+        .iter()
+        .fold(0.0_f64, |m, z| m.max(z.re.abs()).max(z.im.abs()));
+    let cut = TINY_REL * amax;
+    for z in x.iter_mut() {
+        if z.re.abs() < cut {
+            z.re = 0.0;
+        }
+        if z.im.abs() < cut {
+            z.im = 0.0;
+        }
+    }
+}
+
 /// Relative difference `‖x − y‖₂ / max(‖y‖₂, floor)`.
 ///
 /// Used pervasively by tests and by the accuracy experiments (Fig. 5b of the
@@ -163,6 +205,29 @@ mod tests {
         let n = normalize(&mut x, 1e-200);
         assert!(n < 1e-200);
         assert_eq!(x[0], 1e-320);
+    }
+
+    #[test]
+    fn flush_tiny_zeroes_only_what_would_go_subnormal() {
+        let mut x = vec![2.0, -1e-153, 1e-160, -1e-310, 0.0];
+        flush_tiny(&mut x);
+        assert_eq!(x, vec![2.0, -1e-153, 0.0, 0.0, 0.0]);
+        // Relative, not absolute: a uniformly small vector is untouched.
+        let mut small = vec![1e-200, -3e-200];
+        flush_tiny(&mut small);
+        assert_eq!(small, vec![1e-200, -3e-200]);
+        let mut none: Vec<f64> = Vec::new();
+        flush_tiny(&mut none);
+
+        let mut z = vec![
+            Complex64::new(1e-170, -4.0),
+            Complex64::new(1e-3, 1e-320),
+            Complex64::ZERO,
+        ];
+        flush_tiny_complex(&mut z);
+        assert_eq!(z[0], Complex64::new(0.0, -4.0));
+        assert_eq!(z[1], Complex64::new(1e-3, 0.0));
+        assert_eq!(z[2], Complex64::ZERO);
     }
 
     #[test]
