@@ -31,7 +31,7 @@
 
 use crate::mna::{Descriptor, StateKind};
 use crate::network::{CircuitError, Network, Result, GROUND};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 /// A partition of the network's buses into connected blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -176,6 +176,21 @@ pub fn partition_network_with(
     k: usize,
     strategy: PartitionStrategy,
 ) -> Result<Partition> {
+    partition_with_refiner(net, k, strategy, fm_refine)
+}
+
+/// A bisection refiner: `(adj, nodes, in_set, paid, side, size_a, lo, hi)`.
+/// Production code only ever passes [`fm_refine`]; the parameter exists so
+/// the parity tests can run the whole partitioner over a reference
+/// refinement.
+type Refiner = fn(&[Vec<usize>], &[usize], &[bool], &[bool], &mut [u8], &mut usize, usize, usize);
+
+fn partition_with_refiner(
+    net: &Network,
+    k: usize,
+    strategy: PartitionStrategy,
+    refine: Refiner,
+) -> Result<Partition> {
     let n = net.num_buses();
     if n == 0 {
         return Err(CircuitError::EmptyNetwork);
@@ -205,7 +220,7 @@ pub fn partition_network_with(
             PartitionStrategy::NestedDissection => {
                 let mut sets = Vec::with_capacity(kc);
                 let mut paid = vec![false; n];
-                nd_recurse(&adj, comp.clone(), kc, &mut paid, &mut sets);
+                nd_recurse(&adj, comp.clone(), kc, &mut paid, &mut sets, refine);
                 for mut members in sets {
                     let id = blocks.len();
                     for &u in &members {
@@ -385,6 +400,7 @@ fn nd_recurse(
     kp: usize,
     paid: &mut [bool],
     out: &mut Vec<Vec<usize>>,
+    refine: Refiner,
 ) {
     nodes.sort_unstable();
     if kp <= 1 || nodes.len() <= 1 {
@@ -404,13 +420,13 @@ fn nd_recurse(
     if comps.len() > 1 {
         let alloc = allocate_blocks(&comps, kp.max(comps.len()));
         for (comp, &kc) in comps.into_iter().zip(&alloc) {
-            nd_recurse(adj, comp, kc, paid, out);
+            nd_recurse(adj, comp, kc, paid, out, refine);
         }
         return;
     }
 
     let total = nodes.len();
-    let (a, b) = bisect(adj, &nodes, paid);
+    let (a, b) = bisect(adj, &nodes, paid, refine);
     // The cut just made is permanent: both sides stay in different blocks,
     // so every vertex adjacent across it is now paid interface.
     let mut in_a = vec![false; adj.len()];
@@ -434,8 +450,8 @@ fn nd_recurse(
     // converge to ~n/k even when individual cuts are uneven.
     let k1 = ((kp * a.len() + total / 2) / total).clamp(1, kp - 1);
     let k2 = kp - k1;
-    nd_recurse(adj, a, k1, paid, out);
-    nd_recurse(adj, b, k2, paid, out);
+    nd_recurse(adj, a, k1, paid, out, refine);
+    nd_recurse(adj, b, k2, paid, out, refine);
 }
 
 /// Connected components of the subgraph induced by `nodes` (assumed
@@ -481,7 +497,12 @@ fn components_within(adj: &[Vec<usize>], nodes: &[usize]) -> Vec<Vec<usize>> {
 /// itself (plateau and uphill moves permitted, each vertex moves once per
 /// pass, the pass rolls back to the best state it saw) and repair side
 /// connectivity best-effort.
-fn bisect(adj: &[Vec<usize>], nodes: &[usize], paid: &[bool]) -> (Vec<usize>, Vec<usize>) {
+fn bisect(
+    adj: &[Vec<usize>],
+    nodes: &[usize],
+    paid: &[bool],
+    refine: Refiner,
+) -> (Vec<usize>, Vec<usize>) {
     let n = adj.len();
     let mut in_set = vec![false; n];
     for &u in nodes {
@@ -558,7 +579,7 @@ fn bisect(adj: &[Vec<usize>], nodes: &[usize], paid: &[bool]) -> (Vec<usize>, Ve
         }
     }
 
-    fm_refine(adj, nodes, &in_set, paid, &mut side, &mut size_a, lo, hi);
+    refine(adj, nodes, &in_set, paid, &mut side, &mut size_a, lo, hi);
 
     // Connectivity repair: refinement can pinch a side into fragments; keep
     // each side's largest fragment (ties → the one with the smallest bus)
@@ -659,6 +680,11 @@ fn move_delta(
 /// vertex at most once per pass, side sizes confined to `[lo, hi]`), then
 /// rolls back to the best state seen. Passes repeat until one fails to
 /// improve. Fully deterministic: strict total order on moves, no RNG.
+///
+/// Only boundary vertices are candidates, and a flip can change boundary
+/// membership of the flipped vertex and its in-set neighbours only, so the
+/// boundary is kept as an ordered set across moves and rollbacks instead
+/// of being rediscovered from the whole node set at every step.
 #[allow(clippy::too_many_arguments)] // internal: the bisection state tuple
 fn fm_refine(
     adj: &[Vec<usize>],
@@ -670,24 +696,44 @@ fn fm_refine(
     lo: usize,
     hi: usize,
 ) {
+    let mut bnd: BTreeSet<usize> = nodes
+        .iter()
+        .copied()
+        .filter(|&u| on_boundary(adj, in_set, side, u))
+        .collect();
+    // Switches `u` to the other side and re-files it and its neighbours.
+    let flip = |u: usize, side: &mut [u8], size_a: &mut usize, bnd: &mut BTreeSet<usize>| {
+        side[u] ^= 1;
+        *size_a = if side[u] == 0 {
+            *size_a + 1
+        } else {
+            *size_a - 1
+        };
+        for &w in std::iter::once(&u).chain(&adj[u]) {
+            if !in_set[w] {
+                continue;
+            }
+            if on_boundary(adj, in_set, side, w) {
+                bnd.insert(w);
+            } else {
+                bnd.remove(&w);
+            }
+        }
+    };
     let mut moved = vec![false; adj.len()];
     for _pass in 0..16 {
         for &u in nodes {
             moved[u] = false;
         }
-        let boundary_now = nodes
-            .iter()
-            .filter(|&&u| on_boundary(adj, in_set, side, u))
-            .count();
         // Enough steps to wander across plateaus, bounded so a pass stays
-        // O(set · boundary) even on adversarial graphs.
-        let step_cap = (8 * boundary_now + 64).min(nodes.len());
+        // O(boundary²) even on adversarial graphs.
+        let step_cap = (8 * bnd.len() + 64).min(nodes.len());
         let mut history: Vec<usize> = Vec::new();
         let (mut cur, mut best, mut best_len) = (0i64, 0i64, 0usize);
         for _step in 0..step_cap {
             let mut pick: Option<(i64, usize)> = None;
-            for &u in nodes {
-                if moved[u] || !on_boundary(adj, in_set, side, u) {
+            for &u in &bnd {
+                if moved[u] {
                     continue;
                 }
                 let new_size_a = if side[u] == 0 {
@@ -704,12 +750,7 @@ fn fm_refine(
                 }
             }
             let Some((delta, u)) = pick else { break };
-            side[u] ^= 1;
-            *size_a = if side[u] == 0 {
-                *size_a + 1
-            } else {
-                *size_a - 1
-            };
+            flip(u, side, size_a, &mut bnd);
             moved[u] = true;
             history.push(u);
             cur += delta;
@@ -719,12 +760,7 @@ fn fm_refine(
             }
         }
         for &u in history[best_len..].iter().rev() {
-            side[u] ^= 1;
-            *size_a = if side[u] == 0 {
-                *size_a + 1
-            } else {
-                *size_a - 1
-            };
+            flip(u, side, size_a, &mut bnd);
         }
         if best == 0 {
             break;
@@ -781,7 +817,7 @@ fn kway_refine(adj: &[Vec<usize>], block_of_node: &mut [usize], k: usize) {
     let lo: Vec<usize> = sizes.iter().map(|&s| (s / 3).max(floor)).collect();
     let hi: Vec<usize> = sizes.iter().map(|&s| (s * 3).min(n)).collect();
 
-    let mut bnd: std::collections::BTreeSet<usize> = (0..n)
+    let mut bnd: BTreeSet<usize> = (0..n)
         .filter(|&u| kway_bnd(adj, block_of_node, u))
         .collect();
     let mut moved = vec![false; n];
@@ -1183,6 +1219,115 @@ mod tests {
             nd.interface.len(),
             bfs.interface.len()
         );
+    }
+
+    /// The refinement as it was before the boundary became a maintained
+    /// set: every step rediscovers the boundary by scanning all of `nodes`.
+    /// Kept only as the reference [`fm_refine`] must reproduce move for
+    /// move.
+    #[allow(clippy::too_many_arguments)]
+    fn fm_refine_full_scan(
+        adj: &[Vec<usize>],
+        nodes: &[usize],
+        in_set: &[bool],
+        paid: &[bool],
+        side: &mut [u8],
+        size_a: &mut usize,
+        lo: usize,
+        hi: usize,
+    ) {
+        let mut moved = vec![false; adj.len()];
+        for _pass in 0..16 {
+            for &u in nodes {
+                moved[u] = false;
+            }
+            let boundary_now = nodes
+                .iter()
+                .filter(|&&u| on_boundary(adj, in_set, side, u))
+                .count();
+            let step_cap = (8 * boundary_now + 64).min(nodes.len());
+            let mut history: Vec<usize> = Vec::new();
+            let (mut cur, mut best, mut best_len) = (0i64, 0i64, 0usize);
+            for _step in 0..step_cap {
+                let mut pick: Option<(i64, usize)> = None;
+                for &u in nodes {
+                    if moved[u] || !on_boundary(adj, in_set, side, u) {
+                        continue;
+                    }
+                    let new_size_a = if side[u] == 0 {
+                        *size_a - 1
+                    } else {
+                        *size_a + 1
+                    };
+                    if new_size_a < lo || new_size_a > hi {
+                        continue;
+                    }
+                    let cand = (move_delta(adj, in_set, paid, side, u), u);
+                    if pick.is_none_or(|p| cand < p) {
+                        pick = Some(cand);
+                    }
+                }
+                let Some((delta, u)) = pick else { break };
+                side[u] ^= 1;
+                *size_a = if side[u] == 0 {
+                    *size_a + 1
+                } else {
+                    *size_a - 1
+                };
+                moved[u] = true;
+                history.push(u);
+                cur += delta;
+                if cur < best {
+                    best = cur;
+                    best_len = history.len();
+                }
+            }
+            for &u in history[best_len..].iter().rev() {
+                side[u] ^= 1;
+                *size_a = if side[u] == 0 {
+                    *size_a + 1
+                } else {
+                    *size_a - 1
+                };
+            }
+            if best == 0 {
+                break;
+            }
+        }
+    }
+
+    /// A substation feeding `feeders` radial chains of `len` buses.
+    fn feeder(feeders: usize, len: usize) -> Network {
+        let mut net = Network::new();
+        let substation = net.add_bus("substation");
+        for f in 0..feeders {
+            let mut prev = substation;
+            for k in 0..len {
+                let bus = net.add_bus(format!("f{f}_{k}"));
+                net.add_resistor(prev, bus, 1.0).unwrap();
+                prev = bus;
+            }
+        }
+        net
+    }
+
+    #[test]
+    fn maintained_boundary_refinement_matches_full_scan_reference() {
+        let nd = PartitionStrategy::NestedDissection;
+        let nets = [
+            ("grid 60x60", grid(60, 60)),
+            ("grid 100x100", grid(100, 100)),
+            ("ladder 3000", chain(3000)),
+            ("feeder 40x30", feeder(40, 30)),
+        ];
+        for (name, net) in &nets {
+            for k in [2, 4, 7, 8, 16] {
+                let got = partition_network_with(net, k, nd).unwrap();
+                let want = partition_with_refiner(net, k, nd, fm_refine_full_scan).unwrap();
+                assert_eq!(got.block_of_node, want.block_of_node, "{name} k={k}");
+                assert_eq!(got.interface, want.interface, "{name} k={k}");
+            }
+        }
     }
 
     #[test]

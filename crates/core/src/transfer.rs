@@ -373,7 +373,7 @@ impl TransferEvaluator {
 /// Sparse full-model evaluator of `H(s) = L (G + sC)⁻¹ B`.
 ///
 /// Construction builds the shifted pencil once (pattern union of `G` and
-/// `C` plus an AMD fill-reducing ordering); every [`eval`](Self::eval) is a
+/// `C` plus a fill-reducing ordering); every [`eval`](Self::eval) is a
 /// numeric sparse complex refactorization and `m` triangular solves. This
 /// is the full-model path for grids far beyond the dense ceiling.
 pub struct SparseTransferEvaluator {

@@ -162,3 +162,70 @@ fn fine_spans_are_gated_by_level_but_timing_spans_survive_off() {
     let trace = traced_fanout(6);
     assert_eq!(trace.count("test.item"), 6);
 }
+
+/// The pencil's symbolic analysis explains itself: one `pencil.order`
+/// span directly under `stage.plan` carrying what the ordering selection
+/// measured — both symbolic factors on a mesh (which takes the
+/// dissection), minimum degree alone on a ladder (its factor has no
+/// fill-in, so the dissection never runs) — and nothing below `Spans`.
+#[test]
+fn plan_stage_records_the_ordering_selection() {
+    use bdsm_core::engine::ReductionEngine;
+    use bdsm_core::reduce::{ReductionOpts, SolverBackend};
+    use bdsm_core::synth::{rc_grid, rc_ladder_loaded};
+    use bdsm_obs::AttrValue;
+
+    let _guard = ENV_LOCK.lock().unwrap();
+    let _scope = Scope::new("1", ObsLevel::Spans);
+    let opts = ReductionOpts {
+        num_blocks: 4,
+        backend: SolverBackend::Sparse,
+        ..ReductionOpts::default()
+    };
+    let attr = |e: &bdsm_obs::SpanEvent, key: &str| -> AttrValue {
+        let found = e.attrs.iter().find(|(k, _)| *k == key);
+        found.unwrap_or_else(|| panic!("no attr {key}")).1
+    };
+    let count = |e: &bdsm_obs::SpanEvent, key: &str| match attr(e, key) {
+        AttrValue::U64(v) => v,
+        other => panic!("{key} is {other:?}"),
+    };
+    let mesh = rc_grid(40, 40, 1.0, 1e-3, 2.0);
+    let ladder = rc_ladder_loaded(500, 1.0, 1e-3, 5.0, 5);
+    for (net, kept) in [(&mesh, "nd"), (&ladder, "amd")] {
+        let engine = ReductionEngine::new(net, &opts).expect("valid options");
+        let (plan, trace) = Trace::collect(|| engine.plan());
+        plan.expect("plan stage");
+        let stage = trace.events.iter().find(|e| e.name == "stage.plan");
+        let stage = stage.expect("stage.plan span");
+        let orders: Vec<_> = trace
+            .events
+            .iter()
+            .filter(|e| e.name == "pencil.order")
+            .collect();
+        assert_eq!(orders.len(), 1, "{kept}: one analysis per plan");
+        let e = orders[0];
+        assert_eq!(e.depth, stage.depth + 1, "{kept}: child of stage.plan");
+        assert!(e.start_ns >= stage.start_ns);
+        assert!(e.start_ns + e.dur_ns <= stage.start_ns + stage.dur_ns);
+        assert_eq!(attr(e, "kept"), AttrValue::Str(kept));
+        let (edges, amd, nd) = (count(e, "edges"), count(e, "fill_amd"), count(e, "fill_nd"));
+        if kept == "nd" {
+            assert_eq!(count(e, "n"), 1600);
+            assert!(edges < nd && nd < amd, "edges {edges}, nd {nd}, amd {amd}");
+        } else {
+            assert_eq!(
+                (amd, nd),
+                (edges, 0),
+                "a fill-free factor ends the selection"
+            );
+        }
+    }
+
+    bdsm_obs::set_level(ObsLevel::Timings);
+    let engine = ReductionEngine::new(&mesh, &opts).expect("valid options");
+    let (plan, trace) = Trace::collect(|| engine.plan());
+    plan.expect("plan stage");
+    assert_eq!(trace.count("stage.plan"), 1);
+    assert_eq!(trace.count("pencil.order"), 0, "fine span below Spans");
+}

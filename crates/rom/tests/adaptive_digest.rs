@@ -3,13 +3,18 @@
 //! to the artifact the unfused engine produced (one factorisation per
 //! sweep sample plus one per promoted shift), certificate included —
 //! and to the same bytes for every `BDSM_THREADS` × `BDSM_OBS`
-//! combination. The digest was computed on the commit before the
-//! adaptive front end became a single pass over `seeds ∪ grid`.
+//! combination. The length was computed on the commit before the
+//! adaptive front end became a single pass over `seeds ∪ grid`; the
+//! digest was recomputed once when the default pencil ordering became a
+//! selection that takes the dissection on meshes (a different elimination
+//! order is different round-off). A 3 000-section ladder, where that
+//! selection keeps minimum degree, stays pinned to the bytes of the
+//! commit before it.
 //!
 //! One test per binary: it sets `BDSM_THREADS` and the obs level.
 
 use bdsm_core::engine::AdaptiveShiftOpts;
-use bdsm_core::synth::rc_grid;
+use bdsm_core::synth::{rc_grid, rc_ladder_loaded};
 use bdsm_obs::ObsLevel;
 use bdsm_rom::{Reducer, RomArtifact};
 
@@ -21,6 +26,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 #[test]
 fn mesh_artifact_digest_is_pinned_across_threads_and_obs_levels() {
+    let adaptive = AdaptiveShiftOpts {
+        candidate_omegas: AdaptiveShiftOpts::log_grid(5.0e1, 4.0e3, 6),
+        tol: 1e-6,
+        max_shifts: 4,
+    };
     let net = rc_grid(60, 60, 1.0, 1e-3, 2.0);
     let reducer = Reducer::builder()
         .blocks(4)
@@ -28,12 +38,17 @@ fn mesh_artifact_digest_is_pinned_across_threads_and_obs_levels() {
         .jomega_shifts(&[4.5e2])
         .moments(2)
         .budget(2000)
-        .adaptive(AdaptiveShiftOpts {
-            candidate_omegas: AdaptiveShiftOpts::log_grid(5.0e1, 4.0e3, 6),
-            tol: 1e-6,
-            max_shifts: 4,
-        })
+        .adaptive(adaptive.clone())
         .exact_interfaces()
+        .sparse()
+        .build()
+        .expect("valid reducer");
+    let ladder = rc_ladder_loaded(3000, 1.0, 1e-3, 5.0, 5);
+    let ladder_reducer = Reducer::builder()
+        .blocks(8)
+        .jomega_shifts(&[4.5e2])
+        .moments(2)
+        .adaptive(adaptive)
         .sparse()
         .build()
         .expect("valid reducer");
@@ -51,6 +66,15 @@ fn mesh_artifact_digest_is_pinned_across_threads_and_obs_levels() {
                 (PINNED_LEN, PINNED_FNV1A),
                 "artifact bytes moved (threads {threads}, obs {level:?})"
             );
+            let (rm, report) = ladder_reducer
+                .reduce_with_report(&ladder)
+                .expect("ladder reduction");
+            let bytes = RomArtifact::from_model(&rm, Some(&report)).to_bytes();
+            assert_eq!(
+                (bytes.len(), fnv1a(&bytes)),
+                (LADDER_LEN, LADDER_FNV1A),
+                "ladder artifact bytes moved (threads {threads}, obs {level:?})"
+            );
         }
     }
     bdsm_obs::set_level(prev_level);
@@ -61,4 +85,6 @@ fn mesh_artifact_digest_is_pinned_across_threads_and_obs_levels() {
 }
 
 const PINNED_LEN: usize = 1_229_845;
-const PINNED_FNV1A: u64 = 3_090_317_793_570_349_516;
+const PINNED_FNV1A: u64 = 18_179_882_426_616_710_802;
+const LADDER_LEN: usize = 116_564;
+const LADDER_FNV1A: u64 = 18_417_183_389_867_913_123;

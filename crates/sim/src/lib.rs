@@ -125,7 +125,7 @@ impl TransientSolver {
     }
 
     /// Builds a sparse-backend solver: `C/h + G` is assembled over the
-    /// pattern union, ordered by AMD, and factored once by the sparse LU.
+    /// pattern union, ordered for fill, and factored once by the sparse LU.
     ///
     /// # Errors
     ///

@@ -97,40 +97,6 @@ impl<T: Scalar> CscMatrix<T> {
         })
     }
 
-    /// Builds directly from validated CSC parts: `col_ptr` monotone with
-    /// `ncols + 1` entries, each column's rows strictly increasing. Used by
-    /// the shifted-pencil hot path, where the pattern is already in CSC
-    /// form and re-sorting per shift would be pure waste. Unlike
-    /// [`from_triplets`](Self::from_triplets), explicit zero values are
-    /// kept (the pattern must stay shift-independent).
-    pub(crate) fn from_sorted_parts(
-        nrows: usize,
-        ncols: usize,
-        col_ptr: Vec<usize>,
-        row_idx: Vec<usize>,
-        values: Vec<T>,
-    ) -> Self {
-        debug_assert_eq!(col_ptr.len(), ncols + 1);
-        debug_assert_eq!(row_idx.len(), values.len());
-        debug_assert_eq!(*col_ptr.last().unwrap_or(&0), row_idx.len());
-        debug_assert!((0..ncols).all(|j| {
-            col_ptr[j] <= col_ptr[j + 1]
-                && row_idx[col_ptr[j]..col_ptr[j + 1]]
-                    .windows(2)
-                    .all(|w| w[0] < w[1])
-                && row_idx[col_ptr[j]..col_ptr[j + 1]]
-                    .iter()
-                    .all(|&i| i < nrows)
-        }));
-        CscMatrix {
-            nrows,
-            ncols,
-            col_ptr,
-            row_idx,
-            values,
-        }
-    }
-
     /// Borrows the raw CSC arrays `(col_ptr, row_idx, values)` — the
     /// zero-copy handoff to the factorization kernels.
     #[inline]

@@ -10,8 +10,11 @@
 //! - [`CscMatrix`] — compressed sparse column storage with COO→CSC
 //!   conversion (duplicate summing), transpose, matvec, and permutation;
 //! - [`ordering`] — fill-reducing symmetric orderings: approximate minimum
-//!   degree ([`ordering::amd_order`]) with reverse Cuthill–McKee
-//!   ([`ordering::rcm_order`]) as the banded-profile fallback;
+//!   degree ([`ordering::amd_order`]), level-set nested dissection
+//!   ([`ordering::nd_order`]) and reverse Cuthill–McKee
+//!   ([`ordering::rcm_order`]); the default keeps whichever of the first
+//!   two has the smaller symbolic factor ([`ordering::symbolic_fill`]) on
+//!   the pattern at hand;
 //! - [`SparseLu`] — left-looking (Gilbert–Peierls) sparse LU with
 //!   threshold partial pivoting, and [`ShiftedPencil`], which computes the
 //!   pattern union and ordering of `G + sC` once and refactors numerically
@@ -39,7 +42,7 @@
 //! let g = CscMatrix::from_triplets(n, n, &triplets)?;
 //! assert_eq!(g.nnz(), 3 * n - 2);
 //!
-//! // Factor (with AMD ordering) and solve G x = b.
+//! // Factor (default fill-reducing ordering) and solve G x = b.
 //! let b = vec![1.0; n];
 //! let x = SparseLu::factor(&g)?.solve(&b)?;
 //! let r = g.matvec(&x)?;

@@ -6,8 +6,8 @@
 //! computes the reach of the column's pattern through the graph of `L`
 //! (symbolic step), eliminates the reached pivots in order (numeric step),
 //! and then pivots by threshold partial pivoting with a preference for the
-//! diagonal entry of the fill-reducing ordering — keeping the AMD/RCM
-//! quality intact unless a pivot is genuinely too small.
+//! diagonal entry of the fill-reducing ordering — keeping the ordering's
+//! fill intact unless a pivot is genuinely too small.
 //!
 //! Two numeric kernels implement the elimination ([`NumericKernel`]):
 //!
@@ -30,7 +30,7 @@
 //! per-shift symbolic work **and** no per-shift scratch allocation.
 
 use crate::csc::CscMatrix;
-use crate::ordering::{order, FillOrdering};
+use crate::ordering::{csc_pattern_adjacency, order, order_graph, FillOrdering};
 use crate::scalar::Scalar;
 use bdsm_linalg::{gemm_sub, trsv_unit_lower, Complex64, LinalgError, Result};
 
@@ -224,16 +224,16 @@ pub struct SparseLu<T: Scalar> {
 }
 
 impl<T: Scalar> SparseLu<T> {
-    /// Factors with the default AMD fill-reducing ordering and the default
-    /// (supernodal) numeric kernel.
+    /// Factors with the default fill-reducing ordering
+    /// ([`FillOrdering::MinFill`]) and the default (supernodal) numeric
+    /// kernel.
     ///
     /// # Errors
     ///
     /// - [`LinalgError::NotSquare`] for non-square input;
     /// - [`LinalgError::Singular`] when a column has no usable pivot.
     pub fn factor(a: &CscMatrix<T>) -> Result<Self> {
-        let q = order(a, FillOrdering::Amd)?;
-        Self::factor_with_ordering(a, &q)
+        Self::factor_ordered(a, FillOrdering::default())
     }
 
     /// Factors with a caller-chosen ordering kind.
@@ -1224,7 +1224,7 @@ fn is_permutation(q: &[usize], n: usize) -> bool {
 
 /// The shifted pencil `A(s) = G + sC` with shared symbolic structure.
 ///
-/// Construction computes the pattern union of `G` and `C` and an AMD
+/// Construction computes the pattern union of `G` and `C` and a
 /// fill-reducing ordering of it **once**; every
 /// [`factor_real`](Self::factor_real) / [`factor_complex`](Self::factor_complex)
 /// call is then a numeric-only refactorization at a new shift — the shape
@@ -1248,14 +1248,15 @@ pub struct ShiftedPencil {
 }
 
 impl ShiftedPencil {
-    /// Builds the pencil with the default AMD ordering.
+    /// Builds the pencil with the default ordering
+    /// ([`FillOrdering::MinFill`]).
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::NotSquare`] / [`LinalgError::ShapeMismatch`]
     /// on inconsistent shapes.
     pub fn new(g: &CscMatrix<f64>, c: &CscMatrix<f64>) -> Result<Self> {
-        Self::with_ordering(g, c, FillOrdering::Amd)
+        Self::with_ordering(g, c, FillOrdering::default())
     }
 
     /// Builds the pencil with an explicit ordering kind.
@@ -1313,17 +1314,20 @@ impl ShiftedPencil {
             }
             col_ptr.push(row_idx.len());
         }
-        // Ordering of the union pattern: the merge above already produced
-        // sorted, deduplicated CSC arrays, so wrap them directly (values
-        // are irrelevant to the ordering — any nonzero placeholder works).
-        let union_pattern = CscMatrix::from_sorted_parts(
-            n,
-            n,
-            col_ptr.clone(),
-            row_idx.clone(),
-            vec![1.0; row_idx.len()],
-        );
-        let q = order(&union_pattern, kind)?;
+        // Symbolic analysis of the union pattern. The span records what the
+        // selection measured, so a trace answers "why is this factor this
+        // size" without rerunning anything.
+        let mut span = bdsm_obs::span!("pencil.order", n = n);
+        let adj = csc_pattern_adjacency(&col_ptr, &row_idx);
+        let choice = order_graph(&adj, kind);
+        if span.is_recording() {
+            span.attr("edges", adj.iter().map(Vec::len).sum::<usize>() / 2);
+            span.attr("fill_amd", choice.fill_amd);
+            span.attr("fill_nd", choice.fill_nd);
+            span.attr("kept", choice.kept.name());
+        }
+        drop(span);
+        let q = choice.perm;
         Ok(ShiftedPencil {
             n,
             col_ptr,
@@ -1462,13 +1466,77 @@ mod tests {
         let a = test_matrix(n);
         let xref: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() + 1.0).collect();
         let b = a.matvec(&xref).unwrap();
-        for kind in [FillOrdering::Amd, FillOrdering::Rcm, FillOrdering::Natural] {
+        for kind in [
+            FillOrdering::Amd,
+            FillOrdering::Rcm,
+            FillOrdering::Natural,
+            FillOrdering::NestedDissection,
+            FillOrdering::MinFill,
+        ] {
             let lu = SparseLu::factor_ordered(&a, kind).unwrap();
             assert_eq!(lu.dim(), n);
             assert!(lu.factor_nnz() >= a.nnz());
             let x = lu.solve(&b).unwrap();
             let rel = bdsm_linalg::vector::rel_err(&x, &xref, 1e-30);
             assert!(rel < 1e-12, "{kind:?} solve error {rel}");
+        }
+    }
+
+    /// The symbolic predictor is tied to the numeric factor, not to itself:
+    /// on diagonally dominant matrices (diagonal pivots, no cancellation)
+    /// `symbolic_fill` is the stored below-diagonal count of `L`, and of
+    /// `U`, entry for entry.
+    #[test]
+    fn symbolic_fill_equals_the_stored_factor_size() {
+        use crate::ordering::{pattern_adjacency, symbolic_fill};
+        // A 23 × 17 five-point mesh and a random pattern with long chords.
+        let (rows, cols) = (23, 17);
+        let mut mesh = Vec::new();
+        for i in 0..rows {
+            for j in 0..cols {
+                let u = i * cols + j;
+                mesh.push((u, u, 4.5));
+                for v in [
+                    (j + 1 < cols).then_some(u + 1),
+                    (i + 1 < rows).then_some(u + cols),
+                ]
+                .into_iter()
+                .flatten()
+                {
+                    mesh.push((u, v, -1.0));
+                    mesh.push((v, u, -1.0));
+                }
+            }
+        }
+        let mesh = CscMatrix::from_triplets(rows * cols, rows * cols, &mesh).unwrap();
+        // `filled_matrix` has an unsymmetric pattern; symmetrize it so the
+        // factor of `A` is the factor of `A + Aᵀ` the count is defined on.
+        let f = filled_matrix(300, 3, 0xf111);
+        let mut sym: Vec<(usize, usize, f64)> = Vec::new();
+        for (i, j, v) in f.iter() {
+            if i == j {
+                sym.push((i, i, 50.0));
+            } else {
+                sym.push((i, j, 0.25 * v));
+                sym.push((j, i, 0.25 * v));
+            }
+        }
+        let sym = CscMatrix::from_triplets(300, 300, &sym).unwrap();
+        for (name, a) in [("mesh", &mesh), ("random", &sym)] {
+            let adj = pattern_adjacency(a).unwrap();
+            for kind in [
+                FillOrdering::Amd,
+                FillOrdering::NestedDissection,
+                FillOrdering::Rcm,
+                FillOrdering::Natural,
+            ] {
+                let q = order_graph(&adj, kind).perm;
+                let lu = SparseLu::factor_with_ordering(a, &q).unwrap();
+                let stored_l: usize = lu.l_cols.iter().map(Vec::len).sum();
+                let stored_u: usize = lu.u_cols.iter().map(Vec::len).sum();
+                let fill = symbolic_fill(&adj, &q);
+                assert_eq!((stored_l, stored_u), (fill, fill), "{name} {kind:?}");
+            }
         }
     }
 

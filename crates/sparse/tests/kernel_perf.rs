@@ -12,7 +12,7 @@ use bdsm_sparse::{CscMatrix, LuWorkspace, NumericKernel, ShiftedPencil};
 use std::time::Instant;
 
 /// 2D 5-point mesh Laplacian with shunt terms — the rc_grid structure,
-/// where AMD ordering produces fronts with real supernode width.
+/// where the separators of the default ordering become supernodes.
 fn mesh(rows: usize, cols: usize) -> (CscMatrix<f64>, CscMatrix<f64>) {
     let n = rows * cols;
     let idx = |r: usize, c: usize| r * cols + c;
