@@ -38,12 +38,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t0 = Instant::now();
     let rm = reducer.reduce(&net)?;
     println!(
-        "reduced {} -> {} states ({} blocks, dims {:?}) via {:?} backend in {:.2?}",
+        "reduced {} -> {} states ({} blocks, dims {:?}) in {:.2?}",
         rm.full_dim(),
         rm.reduced_dim(),
         rm.projector.num_blocks(),
         rm.projector.block_dims(),
-        rm.backend,
         t0.elapsed(),
     );
 

@@ -2,8 +2,9 @@
 //! speedup, supernodal-vs-scalar kernel shootout, frequency-sweep fan-out,
 //! a transient-at-scale scenario, adaptive-vs-fixed shift selection, and a
 //! ROM **serve** scenario (artifact save/load + batched `RomServer`
-//! queries) — emitted as `BENCH_scaling.json` for the CI artifact trail
-//! (and consumed by the `bench_gate` binary).
+//! queries) — emitted as `BENCH_scaling.json` for the CI artifact trail.
+//! A recorder, not a gate: regressions are judged by the `benchmark/`
+//! harness and exact properties by the test suites.
 //!
 //! Usage: `cargo run --release -p bdsm-bench --bin scaling [n ...]`
 //! (default sizes: 500 2000 10000 50000).
@@ -39,8 +40,8 @@
 //! exactly, dumping global + server metrics as `BENCH_metrics.json`).
 //! A standalone `cluster` record (`BENCH_cluster.json`) also runs at
 //! 10,000: the same ROM behind a 2-shard band-sharded loopback cluster
-//! vs one local `RomServer`, batched and unbatched — `bench_gate` holds
-//! its distributed-vs-local `bitwise_equal` verdict exactly.
+//! vs one local `RomServer`, batched and unbatched, with the
+//! distributed-vs-local `bitwise_equal` verdict.
 //!
 //! Every speedup field records the worker count the parallel leg actually
 //! ran with (`par::worker_count`); on a single-worker host the parallel
@@ -265,14 +266,14 @@ fn main() -> Result<(), BenchError> {
         // Krylov sweeps are the widest stage, so its worker count is the
         // honest one to attach to the speedup.
         let reduce_workers = par::worker_count(reducer.opts().krylov.jomega_points.len());
-        std::hint::black_box(reducer.reduce_timed(&net)?);
+        std::hint::black_box(reducer.reduce_traced(&net)?);
         let t_reduce_serial_us = with_serial_engine(|| {
             let t0 = Instant::now();
-            std::hint::black_box(reducer.reduce_timed(&net).expect("serial reduction"));
+            std::hint::black_box(reducer.reduce_traced(&net).expect("serial reduction"));
             t0.elapsed().as_secs_f64() * 1e6
         });
         let t0 = Instant::now();
-        let (rm, stages) = reducer.reduce_timed(&net)?;
+        let (rm, _, stages) = reducer.reduce_traced(&net)?;
         let t_reduce_us = t0.elapsed().as_secs_f64() * 1e6;
         if reduce_workers > 1 {
             println!(
@@ -371,7 +372,7 @@ fn main() -> Result<(), BenchError> {
     let transient = at_scale.then(transient_scenario).transpose()?;
     let adaptive = at_scale.then(adaptive_scenario).transpose()?;
     let serve = at_scale.then(serve_scenario).transpose()?;
-    // Standalone record (BENCH_cluster.json), gated by `bench_gate`.
+    // Standalone record (BENCH_cluster.json).
     at_scale.then(cluster_scenario).transpose()?;
     // Last: it flips the process-global obs level while it runs.
     let obs = at_scale.then(obs_scenario).transpose()?;
@@ -393,8 +394,7 @@ fn main() -> Result<(), BenchError> {
 /// Adaptive-vs-fixed shift selection at n = 10⁴: the greedy engine must
 /// buy its automation cheaply, so the record tracks the shifts it chose,
 /// the residual trajectory, and the wall-time against the 8-point fixed
-/// configuration — and `bench_gate` gates the adaptive reduce time like
-/// the fixed one.
+/// configuration.
 fn adaptive_scenario() -> Result<AdaptiveRow, BenchError> {
     const N: usize = 10_000;
     println!("--- adaptive: n = {N} ladder, greedy shifts vs fixed 8-point set ---");
@@ -416,11 +416,11 @@ fn adaptive_scenario() -> Result<AdaptiveRow, BenchError> {
 
     // Warm both paths once, then measure — the adaptive path has its own
     // cold-start surfaces (candidate-sweep evaluator, per-round ROM
-    // sweeps) that must not inflate the gated metric. The adaptive warmup
+    // sweeps) that must not inflate the timed run. The adaptive warmup
     // doubles as the certify-stage measurement: run it traced at
     // `ObsLevel::Timings` so `StageTimings` carries `stage.certify`
     // wall-clock without perturbing the untraced timed runs below.
-    std::hint::black_box(fixed.reduce_with_report(&net)?);
+    std::hint::black_box(fixed.reduce_traced(&net)?);
     let prev_level = bdsm_obs::level();
     bdsm_obs::set_level(ObsLevel::Timings);
     let warm = adaptive.reduce_traced(&net);
@@ -429,10 +429,10 @@ fn adaptive_scenario() -> Result<AdaptiveRow, BenchError> {
     let t_certify_us = stages_warm.certify_us;
     let cert = &rep_warm.certificate;
     let t0 = Instant::now();
-    let (rm_fixed, rep_fixed) = fixed.reduce_with_report(&net)?;
+    let (rm_fixed, rep_fixed, _) = fixed.reduce_traced(&net)?;
     let t_fixed_us = t0.elapsed().as_secs_f64() * 1e6;
     let t0 = Instant::now();
-    let (rm, rep) = adaptive.reduce_with_report(&net)?;
+    let (rm, rep, _) = adaptive.reduce_traced(&net)?;
     let t_adaptive_us = t0.elapsed().as_secs_f64() * 1e6;
 
     let shifts: Vec<f64> = rep
@@ -486,8 +486,8 @@ fn adaptive_scenario() -> Result<AdaptiveRow, BenchError> {
 /// interface-state counts they induce, and what each costs in
 /// exact-interface ROM dimension (one matched shift, one moment — the
 /// cheapest reduce that still pays the full per-interface-state price).
-/// The separator sizes are deterministic, so `bench_gate` holds them to
-/// the checked-in baseline exactly, plus the ≥ 25 % ND-vs-BFS bar.
+/// The separator sizes are deterministic; `partition_invariants.rs` pins
+/// them, plus the ≥ 25 % ND-vs-BFS bar.
 fn partition_scenario() -> Result<PartitionRow, BenchError> {
     const K: usize = 8;
     println!("--- partition: 100x100 RC mesh, BFS vs nested dissection at k = {K} ---");
@@ -594,8 +594,7 @@ fn transient_scenario() -> Result<TransientRow, BenchError> {
 /// headline mode (adaptive + exact interfaces), persisted as a versioned
 /// artifact, loaded back, and queried through `RomServer` — a
 /// `SERVE_FREQS`-frequency × all-port batch, cold (paying the per-shift
-/// factorizations) and cache-warm (pure triangular solves). The cold
-/// batch is the gated metric.
+/// factorizations) and cache-warm (pure triangular solves).
 fn serve_scenario() -> Result<ServeRow, BenchError> {
     println!("--- serve: 100x100 RC mesh ROM artifact, {SERVE_FREQS}-frequency batch ---");
     let net = rc_grid(100, 100, 1.0, 1e-3, 2.0);
@@ -692,10 +691,9 @@ fn serve_scenario() -> Result<ServeRow, BenchError> {
 /// distribution cost/gain. The engine fan-out is pinned to one worker,
 /// leaving shard concurrency (one connection thread per shard) as the
 /// only parallelism. Emits `BENCH_cluster.json` for the CI artifact
-/// trail; `bench_gate` holds its `bitwise_equal` verdict exactly and the
-/// batched-over-local throughput ratio to ≥ 1.0× (`null`, skipped, on
-/// single-CPU hosts where there is no concurrency to buy the wire
-/// overhead back).
+/// trail: the `bitwise_equal` verdict and the batched-over-local
+/// throughput ratio (`null` on single-CPU hosts, where there is no
+/// concurrency to buy the wire overhead back).
 fn cluster_scenario() -> Result<(), BenchError> {
     const MODEL: u64 = 1;
     const SHARDS: u32 = 2;
@@ -833,8 +831,7 @@ fn cluster_scenario() -> Result<(), BenchError> {
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     // Same convention as the parallel-speedup records: on one CPU the
     // shard threads time-slice a single core, so there is no
-    // distributed/local contrast to report — the ratio is `null` and the
-    // gate skips it.
+    // distributed/local contrast to report — the ratio is `null`.
     let batched_over_local = if host_cpus >= 2 {
         format!("{:.3}", qps_batched / qps_local)
     } else {

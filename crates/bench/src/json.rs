@@ -1,12 +1,12 @@
 //! Minimal JSON reader for the benchmark artifact trail.
 //!
-//! The dependency set has no serde, and the gate binary only needs to read
-//! back the hand-rolled `BENCH_scaling.json` records, so this is a small
-//! recursive-descent parser over the JSON grammar subset those files use
-//! (objects, arrays, numbers, strings without escapes beyond `\"` and
-//! `\\`, booleans, null). It is strict about structure — trailing garbage
-//! and malformed values are errors, not best-effort guesses — because a
-//! silently misparsed baseline would defeat the regression gate.
+//! The dependency set has no serde, and the scaling recorder only needs
+//! to read back hand-rolled JSON records (a shard's metrics snapshot), so
+//! this is a small recursive-descent parser over the JSON grammar subset
+//! those records use (objects, arrays, numbers, strings without escapes
+//! beyond `\"` and `\\`, booleans, null). It is strict about structure —
+//! trailing garbage and malformed values are errors, not best-effort
+//! guesses — because a silently misparsed record is worse than none.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -25,7 +25,7 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object; insertion order is irrelevant to the gate, so a sorted
+    /// An object; insertion order is irrelevant to its readers, so a sorted
     /// map keeps lookups simple.
     Obj(BTreeMap<String, Json>),
 }

@@ -123,7 +123,7 @@ mod tests {
         // The point of the whole exercise: evaluating the reduced transfer
         // function must be much cheaper than the full one.
         use bdsm_core::krylov::KrylovOpts;
-        use bdsm_core::reduce::{reduce_network, ReductionOpts, SolverBackend};
+        use bdsm_core::reduce::{reduce_network, ReductionOpts};
         use bdsm_core::synth::rc_ladder;
         use bdsm_core::transfer::eval_transfer;
         use bdsm_linalg::Complex64;
@@ -140,7 +140,6 @@ mod tests {
             },
             rank_tol: 1e-12,
             max_reduced_dim: None,
-            backend: SolverBackend::Sparse,
             ..ReductionOpts::default()
         };
         let rm = reduce_network(&net, &opts).unwrap();

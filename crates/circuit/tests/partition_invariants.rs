@@ -130,7 +130,8 @@ fn partitions_are_deterministic() {
 
 /// The binding separator-quality bar: nested dissection beats BFS by at
 /// least 25 % on the 100×100 mesh at k = 8 — the configuration the
-/// scaling benchmark records and `bench_gate` enforces.
+/// scaling benchmark records — and never grows past the 522 buses first
+/// recorded for it.
 #[test]
 fn nested_dissection_separators_beat_bfs_by_quarter_at_n_1e4() {
     let net = grid(100, 100);
@@ -143,5 +144,10 @@ fn nested_dissection_separators_beat_bfs_by_quarter_at_n_1e4() {
         "ND separator {} vs BFS {} — less than 25 % smaller",
         nd.interface.len(),
         bfs.interface.len(),
+    );
+    assert!(
+        nd.interface.len() <= 522,
+        "ND separator grew: {}",
+        nd.interface.len()
     );
 }

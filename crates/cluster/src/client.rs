@@ -17,7 +17,9 @@
 //! [`sweep_batch`](ClusterClient::sweep_batch) /
 //! [`port_batch`](ClusterClient::port_batch) coalesce many compatible
 //! queries into **one frame per (shard, model) per tick**, amortizing
-//! round trips — the cluster's answer to high-QPS dashboard fan-in.
+//! round trips — the cluster's answer to high-QPS dashboard fan-in. All
+//! four frequency-domain queries go through one routine
+//! (`ClusterClient::route`): a single query is a batch of one.
 
 use crate::plan::ShardPlan;
 use crate::wire::{Frame, RemoteErrorKind, Request, Response, WireError};
@@ -475,7 +477,7 @@ impl ClusterClient {
             let _permit = self.admit()?;
             match self.rpc(shard, &Request::Ping)? {
                 Response::Pong(_) => Ok(()),
-                other => Err(unexpected_reply(shard, &other)),
+                _ => Err(unexpected_reply(shard)),
             }
         })
     }
@@ -491,7 +493,7 @@ impl ClusterClient {
             let _permit = self.admit()?;
             match self.rpc(shard, &Request::Metrics)? {
                 Response::Metrics(_, json) => Ok(json),
-                other => Err(unexpected_reply(shard, &other)),
+                _ => Err(unexpected_reply(shard)),
             }
         })
     }
@@ -504,10 +506,73 @@ impl ClusterClient {
             .map(|shard| {
                 self.contained(|| match self.rpc(shard, &Request::Shutdown)? {
                     Response::ShuttingDown(_) => Ok(()),
-                    other => Err(unexpected_reply(shard, &other)),
+                    _ => Err(unexpected_reply(shard)),
                 })
             })
             .collect()
+    }
+
+    /// The one routing routine behind the four frequency-domain queries:
+    /// band-routes every query's samples, groups the resulting slices by
+    /// `(shard, model, key)` — `key` is whatever else must match for two
+    /// slices to share a frame (the port pair, for port queries) —, sends
+    /// one frame per group (shards in parallel), and scatters every reply
+    /// item back to its `(query, position)` home. Groups are visited in
+    /// ascending key order, so the first error reported is the lowest
+    /// shard's. The call is one admission unit.
+    fn route<K: Ord + Copy, T>(
+        &self,
+        queries: &[(u64, K, &[f64])],
+        request: impl Fn(u64, K, Vec<f64>) -> Request,
+        unpack: impl Fn(Response) -> Option<Vec<T>>,
+    ) -> Result<Vec<Vec<T>>, ClusterError> {
+        self.contained(|| {
+            let _permit = self.admit()?;
+            let mut groups: BTreeMap<(u32, u64, K), SliceHomes> = BTreeMap::new();
+            let mut slices_routed = 0u64;
+            for (qi, &(model, key, omegas)) in queries.iter().enumerate() {
+                let slices = self
+                    .plan
+                    .partition_sweep(model, omegas)
+                    .ok_or(ClusterError::UnknownModel(model))?;
+                for slice in slices {
+                    slices_routed += 1;
+                    let (group_omegas, homes) =
+                        groups.entry((slice.shard, model, key)).or_default();
+                    group_omegas.extend_from_slice(&slice.omegas);
+                    homes.extend(slice.indices.iter().map(|&idx| (qi, idx)));
+                }
+            }
+            // One slice per (query, shard) after band routing; every slice
+            // beyond the first in a group rode a shared frame.
+            self.metrics
+                .coalesced_queries
+                .add(slices_routed - groups.len() as u64);
+            let (work, homes): (Vec<_>, Vec<_>) = groups
+                .into_iter()
+                .map(|((shard, model, key), (omegas, homes))| {
+                    ((shard, request(model, key, omegas)), (shard, homes))
+                })
+                .unzip();
+            let replies = self.fan_out(work);
+            let mut out: Vec<Vec<Option<T>>> = queries
+                .iter()
+                .map(|(_, _, omegas)| (0..omegas.len()).map(|_| None).collect())
+                .collect();
+            for ((shard, homes), reply) in homes.into_iter().zip(replies) {
+                let items = unpack(reply?).ok_or_else(|| unexpected_reply(shard))?;
+                if items.len() != homes.len() {
+                    return Err(ClusterError::Protocol {
+                        shard,
+                        error: WireError::Corrupt("reply length does not match the request"),
+                    });
+                }
+                for ((qi, idx), item) in homes.into_iter().zip(items) {
+                    out[qi][idx] = Some(item);
+                }
+            }
+            out.into_iter().map(collect_all).collect()
+        })
     }
 
     /// The distributed [`RomServer::transfer_sweep`]: partitions the
@@ -522,36 +587,9 @@ impl ClusterClient {
     /// [`ClusterError`] on routing/transport failure or the first
     /// shard-reported error (ascending shard order).
     pub fn transfer_sweep(&self, model: u64, omegas: &[f64]) -> Result<Vec<CMatrix>, ClusterError> {
-        self.contained(|| {
-            let _span = bdsm_obs::timing_span!("cluster.route", freqs = omegas.len());
-            let _permit = self.admit()?;
-            let slices = self
-                .plan
-                .partition_sweep(model, omegas)
-                .ok_or(ClusterError::UnknownModel(model))?;
-            let work: Vec<(u32, Request)> = slices
-                .iter()
-                .map(|s| {
-                    (
-                        s.shard,
-                        Request::Sweep {
-                            model,
-                            omegas: s.omegas.clone(),
-                        },
-                    )
-                })
-                .collect();
-            let replies = self.fan_out(work);
-            let mut out: Vec<Option<CMatrix>> = (0..omegas.len()).map(|_| None).collect();
-            for (slice, reply) in slices.iter().zip(replies) {
-                let mats = match reply? {
-                    Response::Sweep(_, mats) => mats,
-                    other => return Err(unexpected_reply(slice.shard, &other)),
-                };
-                scatter(&mut out, &slice.indices, mats, slice.shard)?;
-            }
-            collect_all(out)
-        })
+        let _span = bdsm_obs::timing_span!("cluster.route", freqs = omegas.len());
+        let replies = self.route(&[(model, (), omegas)], sweep_request, sweep_reply)?;
+        Ok(only(replies))
     }
 
     /// The distributed [`RomServer::port_response`]: band-routed like a
@@ -570,38 +608,9 @@ impl ClusterClient {
         in_port: usize,
         omegas: &[f64],
     ) -> Result<Vec<Complex64>, ClusterError> {
-        self.contained(|| {
-            let _span = bdsm_obs::timing_span!("cluster.route", freqs = omegas.len());
-            let _permit = self.admit()?;
-            let slices = self
-                .plan
-                .partition_sweep(model, omegas)
-                .ok_or(ClusterError::UnknownModel(model))?;
-            let work: Vec<(u32, Request)> = slices
-                .iter()
-                .map(|s| {
-                    (
-                        s.shard,
-                        Request::Port {
-                            model,
-                            out_port: out_port as u64,
-                            in_port: in_port as u64,
-                            omegas: s.omegas.clone(),
-                        },
-                    )
-                })
-                .collect();
-            let replies = self.fan_out(work);
-            let mut out: Vec<Option<Complex64>> = (0..omegas.len()).map(|_| None).collect();
-            for (slice, reply) in slices.iter().zip(replies) {
-                let samples = match reply? {
-                    Response::Port(_, samples) => samples,
-                    other => return Err(unexpected_reply(slice.shard, &other)),
-                };
-                scatter(&mut out, &slice.indices, samples, slice.shard)?;
-            }
-            collect_all(out)
-        })
+        let _span = bdsm_obs::timing_span!("cluster.route", freqs = omegas.len());
+        let query = (model, (out_port as u64, in_port as u64), omegas);
+        Ok(only(self.route(&[query], port_request, port_reply)?))
     }
 
     /// The distributed [`RomServer::transient`]: routed whole to the
@@ -637,7 +646,7 @@ impl ClusterClient {
                 },
             )? {
                 Response::Transient(_, rows) => Ok(rows),
-                other => Err(unexpected_reply(shard, &other)),
+                _ => Err(unexpected_reply(shard)),
             }
         })
     }
@@ -657,70 +666,9 @@ impl ClusterClient {
         &self,
         queries: &[(u64, Vec<f64>)],
     ) -> Result<Vec<Vec<CMatrix>>, ClusterError> {
-        self.contained(|| {
-            let _span = bdsm_obs::timing_span!("cluster.route_batch", queries = queries.len());
-            let _permit = self.admit()?;
-            // Coalesce: (shard, model) → concatenated ω plus, per sample,
-            // its (query, position) home.
-            let mut groups: BTreeMap<(u32, u64), SliceHomes> = BTreeMap::new();
-            let mut slices_routed = 0u64;
-            for (qi, (model, omegas)) in queries.iter().enumerate() {
-                let slices = self
-                    .plan
-                    .partition_sweep(*model, omegas)
-                    .ok_or(ClusterError::UnknownModel(*model))?;
-                for slice in slices {
-                    slices_routed += 1;
-                    let entry = groups.entry((slice.shard, *model)).or_default();
-                    for (&idx, &w) in slice.indices.iter().zip(&slice.omegas) {
-                        entry.0.push(w);
-                        entry.1.push((qi, idx));
-                    }
-                }
-            }
-            // One slice per (query, shard) after band routing; every slice
-            // beyond the first in a group rode a shared frame.
-            if slices_routed > groups.len() as u64 {
-                self.metrics
-                    .coalesced_queries
-                    .add(slices_routed - groups.len() as u64);
-            }
-            let keys: Vec<(u32, u64)> = groups.keys().copied().collect();
-            let work: Vec<(u32, Request)> = keys
-                .iter()
-                .map(|&(shard, model)| {
-                    (
-                        shard,
-                        Request::Sweep {
-                            model,
-                            omegas: groups[&(shard, model)].0.clone(),
-                        },
-                    )
-                })
-                .collect();
-            let replies = self.fan_out(work);
-            let mut out: Vec<Vec<Option<CMatrix>>> = queries
-                .iter()
-                .map(|(_, omegas)| (0..omegas.len()).map(|_| None).collect())
-                .collect();
-            for (key, reply) in keys.iter().zip(replies) {
-                let mats = match reply? {
-                    Response::Sweep(_, mats) => mats,
-                    other => return Err(unexpected_reply(key.0, &other)),
-                };
-                let homes = &groups[key].1;
-                if mats.len() != homes.len() {
-                    return Err(ClusterError::Protocol {
-                        shard: key.0,
-                        error: WireError::Corrupt("sweep reply length mismatch"),
-                    });
-                }
-                for ((qi, idx), mat) in homes.iter().zip(mats) {
-                    out[*qi][*idx] = Some(mat);
-                }
-            }
-            out.into_iter().map(collect_all).collect()
-        })
+        let _span = bdsm_obs::timing_span!("cluster.route_batch", queries = queries.len());
+        let queries: Vec<_> = queries.iter().map(|(m, w)| (*m, (), &w[..])).collect();
+        self.route(&queries, sweep_request, sweep_reply)
     }
 
     /// Batched port queries with the same per-(shard, model) coalescing
@@ -734,99 +682,52 @@ impl ClusterClient {
         &self,
         queries: &[(u64, usize, usize, Vec<f64>)],
     ) -> Result<Vec<Vec<Complex64>>, ClusterError> {
-        self.contained(|| {
-            let _span = bdsm_obs::timing_span!("cluster.route_batch", queries = queries.len());
-            let _permit = self.admit()?;
-            type PortKey = (u32, u64, u64, u64);
-            let mut groups: BTreeMap<PortKey, SliceHomes> = BTreeMap::new();
-            let mut slices_routed = 0u64;
-            for (qi, (model, out_port, in_port, omegas)) in queries.iter().enumerate() {
-                let slices = self
-                    .plan
-                    .partition_sweep(*model, omegas)
-                    .ok_or(ClusterError::UnknownModel(*model))?;
-                for slice in slices {
-                    slices_routed += 1;
-                    let key = (slice.shard, *model, *out_port as u64, *in_port as u64);
-                    let entry = groups.entry(key).or_default();
-                    for (&idx, &w) in slice.indices.iter().zip(&slice.omegas) {
-                        entry.0.push(w);
-                        entry.1.push((qi, idx));
-                    }
-                }
-            }
-            if slices_routed > groups.len() as u64 {
-                self.metrics
-                    .coalesced_queries
-                    .add(slices_routed - groups.len() as u64);
-            }
-            let keys: Vec<PortKey> = groups.keys().copied().collect();
-            let work: Vec<(u32, Request)> = keys
-                .iter()
-                .map(|&(shard, model, out_port, in_port)| {
-                    (
-                        shard,
-                        Request::Port {
-                            model,
-                            out_port,
-                            in_port,
-                            omegas: groups[&(shard, model, out_port, in_port)].0.clone(),
-                        },
-                    )
-                })
-                .collect();
-            let replies = self.fan_out(work);
-            let mut out: Vec<Vec<Option<Complex64>>> = queries
-                .iter()
-                .map(|(_, _, _, omegas)| (0..omegas.len()).map(|_| None).collect())
-                .collect();
-            for (key, reply) in keys.iter().zip(replies) {
-                let samples = match reply? {
-                    Response::Port(_, samples) => samples,
-                    other => return Err(unexpected_reply(key.0, &other)),
-                };
-                let homes = &groups[key].1;
-                if samples.len() != homes.len() {
-                    return Err(ClusterError::Protocol {
-                        shard: key.0,
-                        error: WireError::Corrupt("port reply length mismatch"),
-                    });
-                }
-                for ((qi, idx), sample) in homes.iter().zip(samples) {
-                    out[*qi][*idx] = Some(sample);
-                }
-            }
-            out.into_iter().map(collect_all).collect()
-        })
+        let _span = bdsm_obs::timing_span!("cluster.route_batch", queries = queries.len());
+        let queries: Vec<_> = queries
+            .iter()
+            .map(|(m, out_port, in_port, w)| (*m, (*out_port as u64, *in_port as u64), &w[..]))
+            .collect();
+        self.route(&queries, port_request, port_reply)
     }
 }
 
-fn unexpected_reply(shard: u32, response: &Response) -> ClusterError {
-    let _ = response;
+fn sweep_request(model: u64, (): (), omegas: Vec<f64>) -> Request {
+    Request::Sweep { model, omegas }
+}
+
+fn sweep_reply(response: Response) -> Option<Vec<CMatrix>> {
+    match response {
+        Response::Sweep(_, mats) => Some(mats),
+        _ => None,
+    }
+}
+
+fn port_request(model: u64, (out_port, in_port): (u64, u64), omegas: Vec<f64>) -> Request {
+    Request::Port {
+        model,
+        out_port,
+        in_port,
+        omegas,
+    }
+}
+
+fn port_reply(response: Response) -> Option<Vec<Complex64>> {
+    match response {
+        Response::Port(_, samples) => Some(samples),
+        _ => None,
+    }
+}
+
+/// The result of a batch of one.
+fn only<T>(mut replies: Vec<Vec<T>>) -> Vec<T> {
+    replies.pop().expect("route answers every query")
+}
+
+fn unexpected_reply(shard: u32) -> ClusterError {
     ClusterError::Protocol {
         shard,
         error: WireError::Corrupt("reply kind does not match the request"),
     }
-}
-
-/// Scatters one shard's reply items back to their original request
-/// positions. Count mismatches are protocol violations, not panics.
-fn scatter<T>(
-    out: &mut [Option<T>],
-    indices: &[usize],
-    items: Vec<T>,
-    shard: u32,
-) -> Result<(), ClusterError> {
-    if items.len() != indices.len() {
-        return Err(ClusterError::Protocol {
-            shard,
-            error: WireError::Corrupt("reply length does not match the request"),
-        });
-    }
-    for (&idx, item) in indices.iter().zip(items) {
-        out[idx] = Some(item);
-    }
-    Ok(())
 }
 
 /// Every position must have been filled by exactly one shard slice —

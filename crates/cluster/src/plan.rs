@@ -13,6 +13,7 @@
 //! from its own plan, so a misconfigured or stale shard is a typed
 //! error, not silent wrong routing.
 
+use bdsm_rom::codec::{fnv1a, ByteWriter};
 use std::collections::BTreeMap;
 
 /// One shard's slice of a band-sharded model: the half-open influence
@@ -316,27 +317,27 @@ impl ShardPlan {
     /// FNV-1a digest of the canonical placement encoding — the audit
     /// stamp shards echo in every reply.
     pub fn digest(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(64);
-        bytes.extend_from_slice(&self.shards.to_le_bytes());
+        let mut w = ByteWriter::new();
+        w.u32(self.shards);
         for (&model, placement) in &self.placements {
-            bytes.extend_from_slice(&model.to_le_bytes());
+            w.u64(model);
             match placement {
                 Placement::Model(shard) => {
-                    bytes.push(0);
-                    bytes.extend_from_slice(&shard.to_le_bytes());
+                    w.u8(0);
+                    w.u32(*shard);
                 }
                 Placement::Bands(bands) => {
-                    bytes.push(1);
-                    bytes.extend_from_slice(&(bands.len() as u64).to_le_bytes());
+                    w.u8(1);
+                    w.u64(bands.len() as u64);
                     for b in bands {
-                        bytes.extend_from_slice(&b.shard.to_le_bytes());
-                        bytes.extend_from_slice(&b.lo.to_bits().to_le_bytes());
-                        bytes.extend_from_slice(&b.hi.to_bits().to_le_bytes());
+                        w.u32(b.shard);
+                        w.f64(b.lo);
+                        w.f64(b.hi);
                     }
                 }
             }
         }
-        crate::wire::fnv1a(&bytes)
+        fnv1a(&w.into_bytes())
     }
 }
 

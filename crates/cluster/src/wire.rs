@@ -1,12 +1,13 @@
 //! The cluster wire protocol: length-prefixed binary frames on std TCP.
 //!
-//! Frames reuse the artifact codec's conventions — magic bytes, a
-//! version word, little-endian integers, `f64` as IEEE bit patterns
-//! (bitwise exactness survives the wire by construction), an FNV-1a
-//! checksum, and alloc-bounded reads (a length prefix may never demand
-//! more bytes than the frame actually carries, so a hostile or corrupt
-//! length cannot trigger a huge allocation). Every malformation maps to
-//! a typed [`WireError`]; decoding never panics.
+//! Frames are written and read through the artifact format's codec
+//! ([`bdsm_rom::codec`]) — magic bytes, a version word, little-endian
+//! integers, `f64` as IEEE bit patterns (bitwise exactness survives the
+//! wire by construction), an FNV-1a checksum, and alloc-bounded reads (a
+//! length prefix may never demand more bytes than the frame actually
+//! carries, so a hostile or corrupt length cannot trigger a huge
+//! allocation). Every malformation maps to a typed [`WireError`]; decoding
+//! never panics.
 //!
 //! ```text
 //! ┌──────────┬───────────┬──────┬─────────────┬─────────┬──────────┐
@@ -21,6 +22,7 @@
 
 use bdsm_core::transfer::CMatrix;
 use bdsm_linalg::Complex64;
+use bdsm_rom::codec::{fnv1a, ByteReader, ByteWriter, CodecError};
 use std::io::{Read, Write};
 
 /// First eight bytes of every frame.
@@ -32,16 +34,6 @@ pub const VERSION: u32 = 1;
 pub const MAX_PAYLOAD: u64 = 256 * 1024 * 1024;
 /// Bytes before the payload: magic + version + kind + payload length.
 pub const HEADER_LEN: usize = 8 + 4 + 1 + 8;
-
-/// FNV-1a over a byte slice — same constants as the artifact codec.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Why a frame failed to read or decode.
 #[derive(Debug)]
@@ -128,6 +120,16 @@ impl From<std::io::Error> for WireError {
     }
 }
 
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated { while_reading } => WireError::Truncated { while_reading },
+            CodecError::Overflow { while_reading } => WireError::Corrupt(while_reading),
+            CodecError::Corrupt(what) => WireError::Corrupt(what),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Frame
 // ---------------------------------------------------------------------------
@@ -141,18 +143,41 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
+/// Validates a frame header — magic, version, payload bound — and returns
+/// the kind byte and the payload length it declares.
+fn parse_header(header: &[u8]) -> Result<(u8, usize), WireError> {
+    let mut r = ByteReader::new(header);
+    if r.bytes(MAGIC.len(), "frame header")? != MAGIC {
+        return Err(WireError::BadMagic);
+    }
+    let version = r.u32("frame header")?;
+    if version != VERSION {
+        return Err(WireError::UnsupportedVersion {
+            found: version,
+            supported: VERSION,
+        });
+    }
+    let kind = r.u8("frame header")?;
+    let len = r.u64("frame header")?;
+    if len > MAX_PAYLOAD {
+        return Err(WireError::Oversized {
+            len,
+            max: MAX_PAYLOAD,
+        });
+    }
+    Ok((kind, len as usize))
+}
+
 impl Frame {
     /// Serializes the frame to its wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len() + 8);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.push(self.kind);
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        let sum = fnv1a(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+        let mut w = ByteWriter::new();
+        w.bytes(&MAGIC);
+        w.u32(VERSION);
+        w.u8(self.kind);
+        w.u64(self.payload.len() as u64);
+        w.bytes(&self.payload);
+        w.into_checksummed()
     }
 
     /// Decodes exactly one frame from a byte buffer; trailing bytes are
@@ -162,30 +187,8 @@ impl Frame {
     ///
     /// Any [`WireError`] variant except `Io`.
     pub fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(WireError::Truncated {
-                while_reading: "frame header",
-            });
-        }
-        if bytes[..8] != MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != VERSION {
-            return Err(WireError::UnsupportedVersion {
-                found: version,
-                supported: VERSION,
-            });
-        }
-        let kind = bytes[12];
-        let len = u64::from_le_bytes(bytes[13..21].try_into().unwrap());
-        if len > MAX_PAYLOAD {
-            return Err(WireError::Oversized {
-                len,
-                max: MAX_PAYLOAD,
-            });
-        }
-        let body_end = HEADER_LEN + len as usize;
+        let (kind, len) = parse_header(bytes)?;
+        let body_end = HEADER_LEN + len;
         if bytes.len() < body_end + 8 {
             return Err(WireError::Truncated {
                 while_reading: "frame payload",
@@ -194,8 +197,9 @@ impl Frame {
         if bytes.len() > body_end + 8 {
             return Err(WireError::Corrupt("trailing bytes after frame"));
         }
-        let carried = u64::from_le_bytes(bytes[body_end..body_end + 8].try_into().unwrap());
-        let computed = fnv1a(&bytes[..body_end]);
+        let (body, sum) = bytes.split_at(body_end);
+        let carried = u64::from_le_bytes(sum.try_into().expect("8 checksum bytes"));
+        let computed = fnv1a(body);
         if carried != computed {
             return Err(WireError::ChecksumMismatch {
                 expected: computed,
@@ -204,53 +208,25 @@ impl Frame {
         }
         Ok(Frame {
             kind,
-            payload: bytes[HEADER_LEN..body_end].to_vec(),
+            payload: body[HEADER_LEN..].to_vec(),
         })
     }
 
     /// Reads one frame off a stream (blocking; honors the stream's read
-    /// timeout).
+    /// timeout). The header is validated before the payload it declares
+    /// is allocated.
     ///
     /// # Errors
     ///
     /// [`WireError::Io`] on stream failure, otherwise as
     /// [`decode`](Self::decode).
     pub fn read_from(r: &mut impl Read) -> Result<Frame, WireError> {
-        let mut header = [0u8; HEADER_LEN];
-        r.read_exact(&mut header)?;
-        if header[..8] != MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        if version != VERSION {
-            return Err(WireError::UnsupportedVersion {
-                found: version,
-                supported: VERSION,
-            });
-        }
-        let kind = header[12];
-        let len = u64::from_le_bytes(header[13..21].try_into().unwrap());
-        if len > MAX_PAYLOAD {
-            return Err(WireError::Oversized {
-                len,
-                max: MAX_PAYLOAD,
-            });
-        }
-        let mut payload = vec![0u8; len as usize];
-        r.read_exact(&mut payload)?;
-        let mut sum = [0u8; 8];
-        r.read_exact(&mut sum)?;
-        let carried = u64::from_le_bytes(sum);
-        let mut hashed = header.to_vec();
-        hashed.extend_from_slice(&payload);
-        let computed = fnv1a(&hashed);
-        if carried != computed {
-            return Err(WireError::ChecksumMismatch {
-                expected: computed,
-                found: carried,
-            });
-        }
-        Ok(Frame { kind, payload })
+        let mut bytes = vec![0u8; HEADER_LEN];
+        r.read_exact(&mut bytes)?;
+        let (_, len) = parse_header(&bytes)?;
+        bytes.resize(HEADER_LEN + len + 8, 0);
+        r.read_exact(&mut bytes[HEADER_LEN..])?;
+        Frame::decode(&bytes)
     }
 
     /// Writes the frame to a stream and flushes it.
@@ -266,160 +242,40 @@ impl Frame {
 }
 
 // ---------------------------------------------------------------------------
-// Payload reader/writer
+// Complex fields on top of the shared codec
 // ---------------------------------------------------------------------------
 
-struct PayloadWriter {
-    buf: Vec<u8>,
+fn put_complex(w: &mut ByteWriter, v: Complex64) {
+    w.f64(v.re);
+    w.f64(v.im);
 }
 
-impl PayloadWriter {
-    fn new() -> Self {
-        PayloadWriter { buf: Vec::new() }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn complex(&mut self, v: Complex64) {
-        self.f64(v.re);
-        self.f64(v.im);
-    }
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn f64s(&mut self, vs: &[f64]) {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.f64(v);
-        }
-    }
-    fn matrix(&mut self, m: &CMatrix) {
-        self.u64(m.nrows() as u64);
-        self.u64(m.ncols() as u64);
-        for i in 0..m.nrows() {
-            for j in 0..m.ncols() {
-                self.complex(m[(i, j)]);
-            }
+fn put_matrix(w: &mut ByteWriter, m: &CMatrix) {
+    w.u64(m.nrows() as u64);
+    w.u64(m.ncols() as u64);
+    for i in 0..m.nrows() {
+        for j in 0..m.ncols() {
+            put_complex(w, m[(i, j)]);
         }
     }
 }
 
-struct PayloadReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn get_complex(r: &mut ByteReader<'_>, what: &'static str) -> Result<Complex64, CodecError> {
+    Ok(Complex64 {
+        re: r.f64(what)?,
+        im: r.f64(what)?,
+    })
 }
 
-impl<'a> PayloadReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        PayloadReader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn bytes(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated {
-                while_reading: what,
-            });
+fn get_matrix(r: &mut ByteReader<'_>, what: &'static str) -> Result<CMatrix, CodecError> {
+    let (nrows, ncols) = r.dims(16, what)?;
+    let mut m = CMatrix::zeros(nrows, ncols);
+    for i in 0..nrows {
+        for j in 0..ncols {
+            m[(i, j)] = get_complex(r, what)?;
         }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
     }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
-        Ok(self.bytes(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.bytes(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.bytes(8, what)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self, what: &'static str) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    fn complex(&mut self, what: &'static str) -> Result<Complex64, WireError> {
-        let re = self.f64(what)?;
-        let im = self.f64(what)?;
-        Ok(Complex64 { re, im })
-    }
-
-    /// An element count, bounded so `n × elem_bytes` never exceeds the
-    /// bytes actually present — the alloc-safety rule from the artifact
-    /// codec.
-    fn count(&mut self, elem_bytes: usize, what: &'static str) -> Result<usize, WireError> {
-        let n = self.u64(what)?;
-        let need = n
-            .checked_mul(elem_bytes as u64)
-            .ok_or(WireError::Corrupt(what))?;
-        if need > self.remaining() as u64 {
-            return Err(WireError::Truncated {
-                while_reading: what,
-            });
-        }
-        Ok(n as usize)
-    }
-
-    fn f64s(&mut self, what: &'static str) -> Result<Vec<f64>, WireError> {
-        let n = self.count(8, what)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64(what)?);
-        }
-        Ok(out)
-    }
-
-    fn str(&mut self, what: &'static str) -> Result<String, WireError> {
-        let n = self.count(1, what)?;
-        let raw = self.bytes(n, what)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| WireError::Corrupt(what))
-    }
-
-    fn matrix(&mut self, what: &'static str) -> Result<CMatrix, WireError> {
-        let nrows = self.u64(what)? as usize;
-        let ncols = self.u64(what)?;
-        let n = nrows
-            .checked_mul(ncols as usize)
-            .ok_or(WireError::Corrupt(what))?;
-        if (n as u64).checked_mul(16).ok_or(WireError::Corrupt(what))? > self.remaining() as u64 {
-            return Err(WireError::Truncated {
-                while_reading: what,
-            });
-        }
-        let mut m = CMatrix::zeros(nrows, ncols as usize);
-        for i in 0..nrows {
-            for j in 0..ncols as usize {
-                m[(i, j)] = self.complex(what)?;
-            }
-        }
-        Ok(m)
-    }
-
-    /// Payloads are exact: leftover bytes mean a desynced or tampered
-    /// frame.
-    fn finish(self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::Corrupt("trailing payload bytes"));
-        }
-        Ok(())
-    }
+    Ok(m)
 }
 
 // ---------------------------------------------------------------------------
@@ -476,7 +332,7 @@ const KIND_SHUTDOWN: u8 = 6;
 impl Request {
     /// Encodes the request as a wire frame.
     pub fn to_frame(&self) -> Frame {
-        let mut w = PayloadWriter::new();
+        let mut w = ByteWriter::new();
         let kind = match self {
             Request::Ping => KIND_PING,
             Request::Sweep { model, omegas } => {
@@ -510,7 +366,7 @@ impl Request {
         };
         Frame {
             kind,
-            payload: w.buf,
+            payload: w.into_bytes(),
         }
     }
 
@@ -521,7 +377,7 @@ impl Request {
     /// [`WireError::UnknownKind`] for a non-request kind, otherwise
     /// truncation/corruption errors from the payload.
     pub fn from_frame(frame: &Frame) -> Result<Request, WireError> {
-        let mut r = PayloadReader::new(&frame.payload);
+        let mut r = ByteReader::new(&frame.payload);
         let req = match frame.kind {
             KIND_PING => Request::Ping,
             KIND_SWEEP => Request::Sweep {
@@ -657,7 +513,7 @@ impl Response {
 
     /// Encodes the response as a wire frame.
     pub fn to_frame(&self) -> Frame {
-        let mut w = PayloadWriter::new();
+        let mut w = ByteWriter::new();
         let stamp = self.stamp();
         w.u32(stamp.shard);
         w.u64(stamp.plan_digest);
@@ -666,14 +522,14 @@ impl Response {
             Response::Sweep(_, mats) => {
                 w.u64(mats.len() as u64);
                 for m in mats {
-                    w.matrix(m);
+                    put_matrix(&mut w, m);
                 }
                 KIND_SWEEP_REPLY
             }
             Response::Port(_, samples) => {
                 w.u64(samples.len() as u64);
                 for &s in samples {
-                    w.complex(s);
+                    put_complex(&mut w, s);
                 }
                 KIND_PORT_REPLY
             }
@@ -697,7 +553,7 @@ impl Response {
         };
         Frame {
             kind,
-            payload: w.buf,
+            payload: w.into_bytes(),
         }
     }
 
@@ -713,7 +569,7 @@ impl Response {
         if !(KIND_PONG..=KIND_SHUTTING_DOWN).contains(&frame.kind) {
             return Err(WireError::UnknownKind(frame.kind));
         }
-        let mut r = PayloadReader::new(&frame.payload);
+        let mut r = ByteReader::new(&frame.payload);
         let stamp = ReplyStamp {
             shard: r.u32("reply shard")?,
             plan_digest: r.u64("reply plan digest")?,
@@ -726,7 +582,7 @@ impl Response {
                 let n = r.count(16, "sweep reply matrices")?;
                 let mut mats = Vec::with_capacity(n);
                 for _ in 0..n {
-                    mats.push(r.matrix("sweep reply matrix")?);
+                    mats.push(get_matrix(&mut r, "sweep reply matrix")?);
                 }
                 Response::Sweep(stamp, mats)
             }
@@ -734,7 +590,7 @@ impl Response {
                 let n = r.count(16, "port reply samples")?;
                 let mut samples = Vec::with_capacity(n);
                 for _ in 0..n {
-                    samples.push(r.complex("port reply sample")?);
+                    samples.push(get_complex(&mut r, "port reply sample")?);
                 }
                 Response::Port(stamp, samples)
             }

@@ -100,7 +100,7 @@ fn loopback_cluster_replies_bitwise_equal_local_server_at_10k() {
         .sparse()
         .build()
         .expect("valid reducer");
-    let (rm, report) = reducer.reduce_with_report(&net).expect("10k reduction");
+    let (rm, report, _) = reducer.reduce_traced(&net).expect("10k reduction");
     assert_eq!(rm.full_dim(), 10_000);
     let big = RomArtifact::from_model(&rm, Some(&report));
     let (env_lo, env_hi) = big
@@ -236,6 +236,24 @@ fn loopback_cluster_replies_bitwise_equal_local_server_at_10k() {
         local_small_sweep
     );
 
+    // ---- A single query is a batch of one: the same bits, nothing
+    // coalesced, one RPC per touched shard (all three bands for a sweep or
+    // a port query, the home shard for a transient).
+    let (ref_sweep, ref_port, _) = reference.as_ref().unwrap();
+    let one_sweep = by_band
+        .sweep_batch(&[(BIG_MODEL, omegas.clone())])
+        .expect("sweep batch of one");
+    let one_port = by_band
+        .port_batch(&[(BIG_MODEL, 0, 0, omegas.clone())])
+        .expect("port batch of one");
+    assert_eq!((&one_sweep[0], &one_port[0]), (ref_sweep, ref_port));
+    let singles = by_band.metrics();
+    assert_eq!(
+        singles.coalesced_queries, 0,
+        "singles coalesced: {singles:?}"
+    );
+    assert_eq!(singles.rpcs, 3 * (3 + 3 + 1) + 3 + 3);
+
     // ---- Batched, coalesced queries reproduce the unbatched answers.
     let batch = by_band
         .sweep_batch(&[
@@ -244,7 +262,6 @@ fn loopback_cluster_replies_bitwise_equal_local_server_at_10k() {
             (BIG_MODEL, omegas.clone()),
         ])
         .expect("coalesced sweep batch");
-    let (ref_sweep, ref_port, _) = reference.as_ref().unwrap();
     assert_eq!(batch[0], ref_sweep[..20]);
     assert_eq!(batch[1], ref_sweep[20..]);
     assert_eq!(batch[2][..], ref_sweep[..]);

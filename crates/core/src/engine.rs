@@ -55,10 +55,7 @@ use crate::krylov::{
     collect_points, merge_candidate_sets, merge_candidates, ExpansionPoint, PointCandidates,
 };
 use crate::projector::{BlockDiagProjector, InterfacePolicy};
-use crate::reduce::{
-    CoreError, DenseDescriptor, ReducedModel, ReductionOpts, Result, SolverBackend,
-    SparseDescriptor, StageTimings,
-};
+use crate::reduce::{CoreError, ReducedModel, ReductionOpts, Result, SparseDescriptor};
 use crate::transfer::{transfer_rel_err, CMatrix, SparseTransferEvaluator, TransferEvaluator};
 use bdsm_circuit::{
     grouped_state_order, interface_state_indices, mna, partition_network_with, CircuitError,
@@ -142,10 +139,8 @@ pub struct Plan {
     /// Interface rows per block in local coordinates (empty lists under
     /// [`InterfacePolicy::Folded`]).
     interface_local: Vec<Vec<usize>>,
-    /// Shared symbolic analysis of `G + sC` (sparse backend).
-    pencil: Option<ShiftedPencil>,
-    /// Densified oracle model (dense backend).
-    dense: Option<DenseDescriptor>,
+    /// Shared symbolic analysis of `G + sC`.
+    pencil: ShiftedPencil,
 }
 
 /// Output of the Project stage: the block-diagonal projector plus the
@@ -212,6 +207,8 @@ pub struct EngineReport {
     /// spans when `BDSM_OBS=spans`). Empty for stage-recomposition
     /// callers that never went through [`ReductionEngine::run`].
     pub trace: Trace,
+    /// Worker cap the fan-out stages ran under (`par::max_threads`).
+    pub threads: usize,
 }
 
 /// The staged reduction engine. Construct with [`ReductionEngine::new`],
@@ -318,14 +315,9 @@ impl<'n> ReductionEngine<'n> {
                 interface_local[bi].push(s - offsets[bi]);
             }
         }
-        // The dense oracle densifies exactly once, shared by the Krylov
-        // basis and the congruence products; the sparse path instead pays
-        // its one-off symbolic pencil analysis here, shared by every shift
-        // of every adaptive round.
-        let (pencil, dense) = match self.opts.backend {
-            SolverBackend::Sparse => (Some(ShiftedPencil::new(&full.g, &full.c)?), None),
-            SolverBackend::Dense => (None, Some(full.to_dense())),
-        };
+        // The one-off symbolic pencil analysis, shared by every shift of
+        // every adaptive round.
+        let pencil = ShiftedPencil::new(&full.g, &full.c)?;
         Ok(Plan {
             partition,
             state_order: new_of_old,
@@ -334,12 +326,11 @@ impl<'n> ReductionEngine<'n> {
             full,
             interface_local,
             pencil,
-            dense,
         })
     }
 
     /// **Basis** stage: the global moment-matching basis for an explicit
-    /// set of expansion points, through the plan's backend.
+    /// set of expansion points, on the plan's pencil.
     ///
     /// # Errors
     ///
@@ -365,7 +356,7 @@ impl<'n> ReductionEngine<'n> {
     }
 
     /// **Basis** stage, per-point half: every listed point is factored
-    /// exactly once on the plan's backend (pipelined over
+    /// exactly once on the plan's pencil (pipelined over
     /// [`crate::par`]) and runs its block recurrence; a `jω` point also
     /// returns the full-model sample `H(jω)` its start-block solve
     /// produced. [`basis`](Self::basis) merges these sets; the adaptive
@@ -375,25 +366,14 @@ impl<'n> ReductionEngine<'n> {
         plan: &Plan,
         points: &[ExpansionPoint],
     ) -> Vec<bdsm_linalg::Result<PointCandidates>> {
-        match (&plan.pencil, &plan.dense) {
-            (Some(pencil), _) => crate::krylov::candidates_for_points_sparse(
-                pencil,
-                &plan.full.c,
-                &plan.full.b,
-                Some(&plan.full.l),
-                &self.opts.krylov,
-                points,
-            ),
-            (None, Some(dense)) => crate::krylov::candidates_for_points_dense(
-                &dense.g,
-                &dense.c,
-                &dense.b,
-                Some(&dense.l),
-                &self.opts.krylov,
-                points,
-            ),
-            (None, None) => unreachable!("plan always carries a backend"),
-        }
+        crate::krylov::candidates_for_points_sparse(
+            &plan.pencil,
+            &plan.full.c,
+            &plan.full.b,
+            Some(&plan.full.l),
+            &self.opts.krylov,
+            points,
+        )
     }
 
     /// **Project** stage, first half: the block-diagonal projector for a
@@ -426,22 +406,14 @@ impl<'n> ReductionEngine<'n> {
     }
 
     /// **Project** stage, second half: the congruence transforms
-    /// `VᵀGV`, `VᵀCV`, `VᵀB`, `LV` through the plan's backend.
+    /// `VᵀGV`, `VᵀCV`, `VᵀB`, `LV` on the sparse full model.
     ///
     /// # Errors
     ///
     /// Propagates shape mismatches from the projector.
     pub fn congruence(&self, plan: &Plan, projector: &BlockDiagProjector) -> Result<Rom> {
-        let (g_r, c_r) = match &plan.dense {
-            None => (
-                projector.project_square_sparse(&plan.full.g)?,
-                projector.project_square_sparse(&plan.full.c)?,
-            ),
-            Some(dense) => (
-                projector.project_square(&dense.g)?,
-                projector.project_square(&dense.c)?,
-            ),
-        };
+        let g_r = projector.project_square_sparse(&plan.full.g)?;
+        let c_r = projector.project_square_sparse(&plan.full.c)?;
         let b_r = projector.project_input(&plan.full.b)?;
         let l_r = projector.project_output(&plan.full.l)?;
         Ok(Rom {
@@ -465,39 +437,12 @@ impl<'n> ReductionEngine<'n> {
         self.certify_against(rom, omegas, &full).map(|(s, _)| s)
     }
 
-    /// **Certify** stage, full form: residual sweep against the full model
-    /// **plus** the typed property certificate (passivity sampling reuses
-    /// the ROM sweep, so certification costs one extra eigenpass, not a
-    /// second sweep).
-    ///
-    /// # Errors
-    ///
-    /// Propagates singular evaluations and eigensolver failures.
-    pub fn certify_full(&self, plan: &Plan, rom: &Rom, omegas: &[f64]) -> Result<Certificate> {
-        let full = self.full_sweep(plan, omegas)?;
-        let (sweep, rom_sweep) = self.certify_against(rom, omegas, &full)?;
-        certify_reduced(
-            &rom.g,
-            &rom.c,
-            &rom.b,
-            &rom.l,
-            omegas,
-            Some(&rom_sweep),
-            Some(&sweep),
-            &self.opts.certify,
-        )
-    }
-
     /// Full-model reference sweep on a caller-chosen grid (one sparse
     /// complex refactorization per frequency, fanned out over workers) on
-    /// the plan's pencil; only a dense-backend plan, which has none, pays
-    /// a symbolic analysis here.
+    /// the plan's pencil.
     fn full_sweep(&self, plan: &Plan, omegas: &[f64]) -> Result<Vec<CMatrix>> {
         let (b, l) = (plan.full.b.clone(), plan.full.l.clone());
-        let ev = match &plan.pencil {
-            Some(pencil) => SparseTransferEvaluator::from_pencil(pencil.clone(), b, l)?,
-            None => SparseTransferEvaluator::new(&plan.full.g, &plan.full.c, b, l)?,
-        };
+        let ev = SparseTransferEvaluator::from_pencil(plan.pencil.clone(), b, l)?;
         Ok(ev.eval_jomega_sweep(omegas)?)
     }
 
@@ -535,36 +480,27 @@ impl<'n> ReductionEngine<'n> {
         Ok((sweep, rom_sweep))
     }
 
-    /// Runs the full staged pipeline.
+    /// Runs the full staged pipeline — the one implementation behind
+    /// every reduce entry point.
+    ///
+    /// The whole pipeline executes inside a `bdsm_obs` trace session:
+    /// [`EngineReport::trace`] carries the stage spans (`BDSM_OBS=spans`
+    /// adds per-shift / per-block / per-frequency detail), and
+    /// [`StageTimings::from_report`](crate::reduce::StageTimings::from_report)
+    /// is the per-stage view of it.
     ///
     /// # Errors
     ///
     /// Any stage failure; see the stage methods.
     pub fn run(&self) -> Result<(ReducedModel, EngineReport)> {
-        self.run_timed().map(|(rm, report, _)| (rm, report))
-    }
-
-    /// [`run`](Self::run) with the per-stage wall-clock breakdown.
-    ///
-    /// The whole pipeline executes inside a `bdsm_obs` trace session, so
-    /// the returned [`StageTimings`] is a view over the span trace (also
-    /// surfaced on [`EngineReport::trace`]); `BDSM_OBS=spans` adds
-    /// per-shift / per-block / per-frequency detail to the same trace.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_timed(&self) -> Result<(ReducedModel, EngineReport, StageTimings)> {
         let (result, trace) = Trace::collect(|| self.run_staged());
         let (rm, mut report) = result?;
-        let mut stages = StageTimings::from_trace(&trace);
-        stages.threads = crate::par::max_threads();
-        stages.adaptive_rounds = report.rounds.len();
         report.trace = trace;
-        Ok((rm, report, stages))
+        report.threads = crate::par::max_threads();
+        Ok((rm, report))
     }
 
-    /// The pipeline body `run_timed` traces: Plan, then the strategy's
+    /// The pipeline body `run` traces: Plan, then the strategy's
     /// Basis → Project (→ Certify) loop, then descriptor assembly.
     fn run_staged(&self) -> Result<(ReducedModel, EngineReport)> {
         let plan = self.plan()?;
@@ -583,7 +519,6 @@ impl<'n> ReductionEngine<'n> {
             block_sizes: plan.block_sizes,
             interface_states: plan.interface_states,
             full: plan.full,
-            backend: self.opts.backend,
         };
         Ok((rm, report))
     }
@@ -634,7 +569,7 @@ impl<'n> ReductionEngine<'n> {
             rounds: Vec::new(),
             certified: false,
             certificate,
-            trace: Trace::default(),
+            ..EngineReport::default()
         };
         Ok((rom, report))
     }
@@ -764,7 +699,7 @@ impl<'n> ReductionEngine<'n> {
             rounds,
             certified,
             certificate,
-            trace: Trace::default(),
+            ..EngineReport::default()
         };
         Ok((rom, report))
     }

@@ -31,15 +31,16 @@
 //! kernels produce the same span with the same accepted/deflated column
 //! counts at default tolerances.
 //!
-//! Two shifted-solve backends implement the same recurrence:
-//! [`global_krylov_basis`] densifies and LU-factors `G + s₀C` per point
-//! (the verification oracle), while [`global_krylov_basis_sparse`] builds a
-//! [`ShiftedPencil`] once — pattern union plus fill-reducing ordering — and
-//! refactors it numerically per expansion point through a per-worker
-//! [`LuWorkspace`], which is what makes `n ≫ 10⁴` grids tractable. Both go
-//! through the same two recurrences, and a `jω` point's start block
+//! The pipeline has one shifted-solve path: [`global_krylov_basis_sparse`]
+//! (and the engine's per-point pass) builds a [`ShiftedPencil`] once —
+//! pattern union plus fill-reducing ordering — and refactors it numerically
+//! per expansion point through a per-worker [`LuWorkspace`], which is what
+//! makes `n ≫ 10⁴` grids tractable. A `jω` point's start block
 //! `X₀ = (G + jω₀C)⁻¹B` also yields the full-model sample `L·X₀`
 //! ([`PointCandidates::sample`]) the adaptive engine certifies against.
+//! [`global_krylov_basis`] is the dense **reference**: the same two
+//! recurrences over a dense LU of `G + s₀C` per point, which no pipeline
+//! stage calls and tests compare the sparse path against.
 //!
 //! # Subnormals
 //!
@@ -130,7 +131,7 @@ pub enum ExpansionPoint {
 pub struct PointCandidates {
     /// Candidate columns, orthonormal among themselves, in moment order.
     pub vectors: Vec<Vec<f64>>,
-    /// `H(jω₀)` of the full model — on the sparse backend bitwise what
+    /// `H(jω₀)` of the full model — bitwise what
     /// [`SparseTransferEvaluator::eval_with`](crate::transfer::SparseTransferEvaluator::eval_with)
     /// returns at `jω₀`. `None` for a real point or when no output map
     /// was supplied.
@@ -151,7 +152,9 @@ pub fn collect_points(opts: &KrylovOpts) -> Vec<ExpansionPoint> {
         .collect()
 }
 
-/// Builds a global orthonormal moment-matching basis for `(G, C, B)`.
+/// Builds a global orthonormal moment-matching basis for `(G, C, B)`
+/// through dense LU factorizations — the reference the sparse path is
+/// tested against, not a pipeline stage.
 ///
 /// Returns an `n × q` matrix with orthonormal columns whose span contains
 /// the union of the block Krylov subspaces of every expansion point.
@@ -170,28 +173,25 @@ pub fn global_krylov_basis(
     let n = g.nrows();
     validate_krylov_args(g.is_square() && c.shape() == (n, n), n, b, opts)?;
     let points = collect_points(opts);
-    let raw = candidates_for_points_dense(g, c, b, None, opts, &points);
+    let raw = candidates_for_points_dense(g, c, b, opts, &points);
     merge_candidates(raw, opts.deflation_tol, opts.ortho)
 }
 
 /// A shift's numeric factors, produced ahead of its recurrence by the
-/// factor-queue pipeline (dense-oracle flavour).
+/// factor-queue pipeline (dense-reference flavour).
 enum DenseFactor {
     Real(DenseLu),
     Jomega(ZLu),
 }
 
-/// Per-point candidate sets through the dense oracle kernels, pipelined
-/// over [`crate::par`] — the staged engine's Basis-stage workhorse for
-/// [`crate::reduce::SolverBackend::Dense`]. The producer stage factors
+/// Per-point candidate sets through the dense kernels, pipelined over
+/// [`crate::par`] like the sparse pass: the producer stage factors
 /// `G + s₀C` per shift; the consumer stage runs that shift's block
-/// recurrence, overlapping with later shifts' factorizations. With an
-/// output map `l`, every `jω` point also carries its sample `L·X₀`.
-pub(crate) fn candidates_for_points_dense(
+/// recurrence, overlapping with later shifts' factorizations.
+fn candidates_for_points_dense(
     g: &Matrix,
     c: &Matrix,
     b: &Matrix,
-    l: Option<&Matrix>,
     opts: &KrylovOpts,
     points: &[ExpansionPoint],
 ) -> Vec<Result<PointCandidates>> {
@@ -246,7 +246,7 @@ pub(crate) fn candidates_for_points_dense(
                     };
                     jomega_point_candidates(
                         b,
-                        l,
+                        None,
                         opts,
                         |vs| vs.iter().map(|v| lu.solve_real(v)).collect(),
                         |vs| vs.iter().map(|v| lu.solve(v)).collect(),
@@ -697,9 +697,8 @@ impl LocalBasis {
 /// Computes one real expansion point's locally-orthonormal candidate set,
 /// given the point's blocked shifted solve `(G + s₀C)⁻¹·` (multi-RHS — the
 /// whole start block and every recurrence block go through one batched
-/// triangular pass) and the `C·` product — the recurrence is
-/// backend-agnostic; only those two operators differ between the dense
-/// oracle and the sparse subsystem.
+/// triangular pass) and the `C·` product — only those two operators differ
+/// between the sparse subsystem and the dense reference.
 fn real_point_candidates(
     b: &Matrix,
     opts: &KrylovOpts,
@@ -916,8 +915,9 @@ mod tests {
 
     #[test]
     fn sparse_basis_spans_dense_basis() {
-        // Same options through both backends: the spans must coincide, so
-        // every dense basis column must be reproduced by the sparse one.
+        // Same options through the dense reference and the sparse path: the
+        // spans must coincide, so every dense basis column must be
+        // reproduced by the sparse one.
         let (g, c, b) = diag_system(14);
         let opts = KrylovOpts {
             expansion_points: vec![1.0, 50.0],

@@ -11,10 +11,10 @@
 //!   or chosen by greedy residual-driven adaptation
 //!   ([`engine::ShiftStrategy`]), and interface buses can be preserved
 //!   exactly ([`projector::InterfacePolicy`]);
-//! - [`krylov`] builds a global moment-matching basis with block Arnoldi,
-//!   through either the sparse factorization subsystem (`bdsm-sparse`,
-//!   default, with blocked multi-RHS start blocks) or the dense oracle
-//!   kernels;
+//! - [`krylov`] builds a global moment-matching basis with block Arnoldi
+//!   through the sparse factorization subsystem (`bdsm-sparse`, with
+//!   blocked multi-RHS start blocks); a dense function of the same
+//!   recurrence is kept as the reference tests compare against;
 //! - [`par`] is the threading substrate: scoped-thread fan-out over a
 //!   shared work queue (no external deps), used by the per-point Krylov
 //!   factorizations, the per-block SVDs, the block-pair congruence, and
@@ -26,11 +26,10 @@
 //!   policy) and applies congruence transforms, including a sparse-input
 //!   variant that never densifies the full model and fans out per block
 //!   pair;
-//! - [`reduce`] wires network → MNA → partition → basis → reduced model,
-//!   dispatching on [`reduce::SolverBackend`];
-//!   [`reduce::reduce_network_timed`] additionally reports per-stage wall
-//!   times, and [`reduce::reduce_network_with_report`] the adaptive
-//!   engine's audit trail;
+//! - [`reduce`] wires network → MNA → partition → basis → reduced model:
+//!   [`reduce::reduce_network`] is [`engine::ReductionEngine::run`] minus
+//!   the report, and [`reduce::StageTimings`] is the per-stage wall-time
+//!   view of that report;
 //! - [`certify`] is the trust layer of the Certify stage: typed
 //!   passivity/stability certificates of the reduced pencil (eigenvalue
 //!   margins, positive-real sampling with violation localization,
@@ -76,8 +75,8 @@ pub use krylov::{
 };
 pub use projector::{BlockDiagProjector, InterfacePolicy};
 pub use reduce::{
-    reduce_network, reduce_network_timed, reduce_network_with_report, CoreError, DenseDescriptor,
-    ReducedModel, ReductionOpts, SolverBackend, SparseDescriptor, StageTimings,
+    reduce_network, CoreError, DenseDescriptor, ReducedModel, ReductionOpts, SparseDescriptor,
+    StageTimings,
 };
 pub use transfer::{
     eval_transfer, eval_transfer_factored, transfer_rel_err, CMatrix, SparseTransferEvaluator,

@@ -6,11 +6,10 @@
 //! its `Reducer` builder validates a whole configuration before any
 //! factorization work starts, and its `RomArtifact`/`RomServer` types add
 //! persistence and concurrent serving on top of the [`ReducedModel`]
-//! produced here. The free functions below stay stable for callers that
-//! drive the engine stages directly.
+//! produced here.
 //!
-//! [`reduce_network`] is a thin wrapper over the staged
-//! [`crate::engine::ReductionEngine`], which runs the explicit
+//! [`reduce_network`] is [`ReductionEngine::run`] minus the report; the
+//! staged [`crate::engine::ReductionEngine`] runs the explicit
 //! `Plan → Basis → Project → Certify` pipeline:
 //!
 //! 1. **Plan** — MNA assembly (`bdsm_circuit::mna`), BFS partition into
@@ -26,10 +25,10 @@
 //! 4. **Certify** — transfer-residual evaluation on a `jω` grid, which is
 //!    also what drives the adaptive greedy shift selection.
 //!
-//! The shifted solves and congruence products run on a selectable
-//! [`SolverBackend`]: the sparse subsystem (`bdsm_sparse`) by default —
-//! the full model is never densified, which is what admits `n ≫ 10⁴`
-//! grids — or the original dense kernels as a verification oracle.
+//! The shifted solves and congruence products run on the sparse
+//! subsystem (`bdsm_sparse`): the full model is never densified, which is
+//! what admits `n ≫ 10⁴` grids. The dense Krylov reference tests compare
+//! against is a free function, [`crate::krylov::global_krylov_basis`].
 
 use crate::certify::CertifyOpts;
 use crate::engine::{EngineReport, ReductionEngine, ShiftStrategy};
@@ -87,19 +86,6 @@ impl From<LinalgError> for CoreError {
 /// Result alias for the reduction pipeline.
 pub type Result<T> = std::result::Result<T, CoreError>;
 
-/// Which factorization backend carries the full-model linear algebra
-/// (shifted Krylov solves and congruence products).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverBackend {
-    /// Sparse CSC + fill-reducing ordering + sparse LU (`bdsm_sparse`) —
-    /// the default, and the only route that scales past `n ≈ 10³`.
-    #[default]
-    Sparse,
-    /// Densify and use the dense kernels of `bdsm_linalg`. Kept as the
-    /// verification oracle the sparse path is cross-checked against.
-    Dense,
-}
-
 /// Options for [`reduce_network`].
 #[derive(Debug, Clone)]
 pub struct ReductionOpts {
@@ -117,8 +103,6 @@ pub struct ReductionOpts {
     /// [`InterfacePolicy::Exact`] the cap applies to the appended Krylov
     /// directions only — interface columns are mandatory.
     pub max_reduced_dim: Option<usize>,
-    /// Factorization backend for the full-model solves.
-    pub backend: SolverBackend,
     /// How expansion points are chosen — fixed (the default, reproducing
     /// the historical pipeline bitwise) or adaptive greedy selection.
     pub shift_strategy: ShiftStrategy,
@@ -148,7 +132,6 @@ impl Default for ReductionOpts {
             krylov: KrylovOpts::default(),
             rank_tol: 1e-12,
             max_reduced_dim: None,
-            backend: SolverBackend::default(),
             shift_strategy: ShiftStrategy::default(),
             interface_policy: InterfacePolicy::default(),
             partition_strategy: PartitionStrategy::default(),
@@ -240,8 +223,6 @@ pub struct ReducedModel {
     /// comparison; densify via [`SparseDescriptor::to_dense`] when a dense
     /// oracle is wanted and `n` is small).
     pub full: SparseDescriptor,
-    /// The backend that carried the full-model solves.
-    pub backend: SolverBackend,
 }
 
 impl ReducedModel {
@@ -264,14 +245,13 @@ impl ReducedModel {
     }
 }
 
-/// Wall-clock breakdown of one [`reduce_network_timed`] run, in
-/// microseconds per pipeline stage — the payload behind the scaling
-/// benchmark's per-stage artifact trail.
+/// Wall-clock breakdown of one reduction, in microseconds per pipeline
+/// stage: a view of an [`EngineReport`] ([`StageTimings::from_report`]) —
+/// the payload behind the scaling benchmark's per-stage artifact trail.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimings {
     /// MNA assembly, the block-contiguous state permutation, and the
-    /// plan's one-off backend setup (symbolic pencil analysis or oracle
-    /// densification).
+    /// plan's one-off symbolic pencil analysis.
     pub assemble_us: f64,
     /// BFS partitioning of the bus graph.
     pub partition_us: f64,
@@ -315,11 +295,11 @@ impl StageTimings {
             + self.certify_us
     }
 
-    /// The stage view of an engine span trace: same-named `stage.*`
-    /// spans sum across adaptive rounds, and assembly is the part of
-    /// `stage.plan` not spent partitioning. `adaptive_rounds` and
-    /// `threads` are not derivable from spans; the engine fills them in.
-    pub fn from_trace(trace: &bdsm_obs::Trace) -> StageTimings {
+    /// The stage view of a run's report: same-named `stage.*` spans of
+    /// [`EngineReport::trace`] sum across adaptive rounds, and assembly is
+    /// the part of `stage.plan` not spent partitioning.
+    pub fn from_report(report: &EngineReport) -> StageTimings {
+        let trace = &report.trace;
         let partition_us = trace.total_us("stage.partition");
         StageTimings {
             assemble_us: (trace.total_us("stage.plan") - partition_us).max(0.0),
@@ -330,8 +310,8 @@ impl StageTimings {
             svd_us: trace.total_us("stage.svd"),
             project_us: trace.total_us("stage.project"),
             certify_us: trace.total_us("stage.certify"),
-            adaptive_rounds: 0,
-            threads: 0,
+            adaptive_rounds: report.rounds.len(),
+            threads: report.threads,
         }
     }
 }
@@ -347,49 +327,7 @@ impl StageTimings {
 /// - [`CoreError::InvalidOptions`] for inconsistent budgets or adaptive
 ///   configuration.
 pub fn reduce_network(net: &Network, opts: &ReductionOpts) -> Result<ReducedModel> {
-    reduce_network_timed(net, opts).map(|(rm, _)| rm)
-}
-
-/// [`reduce_network`] with a per-stage wall-clock breakdown attached.
-///
-/// # Errors
-///
-/// Same as [`reduce_network`].
-pub fn reduce_network_timed(
-    net: &Network,
-    opts: &ReductionOpts,
-) -> Result<(ReducedModel, StageTimings)> {
-    let (rm, _report, stages) = reduce_network_traced(net, opts)?;
-    Ok((rm, stages))
-}
-
-/// [`reduce_network`] with the full observability bundle: the audit
-/// report — whose [`EngineReport::trace`] carries the span trace of the
-/// run, at whatever detail the ambient `bdsm_obs` level recorded — plus
-/// the [`StageTimings`] view derived from that trace.
-///
-/// # Errors
-///
-/// Same as [`reduce_network`].
-pub fn reduce_network_traced(
-    net: &Network,
-    opts: &ReductionOpts,
-) -> Result<(ReducedModel, EngineReport, StageTimings)> {
-    ReductionEngine::new(net, opts)?.run_timed()
-}
-
-/// [`reduce_network`] with the engine's audit report attached: the final
-/// shift set, the per-round residual trajectory of the adaptive loop, and
-/// whether the residual tolerance was certified.
-///
-/// # Errors
-///
-/// Same as [`reduce_network`].
-pub fn reduce_network_with_report(
-    net: &Network,
-    opts: &ReductionOpts,
-) -> Result<(ReducedModel, EngineReport)> {
-    ReductionEngine::new(net, opts)?.run()
+    Ok(ReductionEngine::new(net, opts)?.run()?.0)
 }
 
 #[cfg(test)]
@@ -411,7 +349,6 @@ mod tests {
             },
             rank_tol: 1e-12,
             max_reduced_dim: None,
-            backend: SolverBackend::Sparse,
             ..ReductionOpts::default()
         }
     }
@@ -430,29 +367,6 @@ mod tests {
         assert_eq!(rm.l.shape(), (2, q));
         assert_eq!(rm.projector.num_blocks(), 3);
         assert!(rm.projector.orthonormality_error() < 1e-12);
-    }
-
-    #[test]
-    fn dense_backend_is_consistent_with_sparse_backend() {
-        let net = rc_ladder(30, 1.0, 1e-3, 2.0);
-        let mut opts = ladder_opts(3, 1.0e3, 3);
-        let rm_sparse = reduce_network(&net, &opts).unwrap();
-        assert_eq!(rm_sparse.backend, SolverBackend::Sparse);
-        opts.backend = SolverBackend::Dense;
-        let rm_dense = reduce_network(&net, &opts).unwrap();
-        assert_eq!(rm_dense.backend, SolverBackend::Dense);
-        assert_eq!(rm_sparse.reduced_dim(), rm_dense.reduced_dim());
-        // Same reduced transfer function from both backends.
-        for &w in &[1.0e2, 5.0e2, 2.0e3] {
-            let s = Complex64::jomega(w);
-            let hs =
-                eval_transfer(&rm_sparse.g, &rm_sparse.c, &rm_sparse.b, &rm_sparse.l, s).unwrap();
-            let hd = eval_transfer(&rm_dense.g, &rm_dense.c, &rm_dense.b, &rm_dense.l, s).unwrap();
-            assert!(
-                transfer_rel_err(&hd, &hs) < 1e-9,
-                "backends disagree at ω={w}"
-            );
-        }
     }
 
     #[test]

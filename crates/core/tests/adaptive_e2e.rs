@@ -5,10 +5,10 @@
 //! This file holds a single test because it manipulates `BDSM_THREADS`;
 //! keeping it alone in its binary avoids env races with sibling tests.
 
-use bdsm_core::engine::{AdaptiveShiftOpts, ShiftStrategy};
+use bdsm_core::engine::{AdaptiveShiftOpts, ReductionEngine, ShiftStrategy};
 use bdsm_core::krylov::KrylovOpts;
 use bdsm_core::projector::InterfacePolicy;
-use bdsm_core::reduce::{reduce_network_with_report, ReductionOpts, SolverBackend};
+use bdsm_core::reduce::ReductionOpts;
 use bdsm_core::synth::rc_grid;
 use bdsm_core::transfer::{eval_transfer, transfer_rel_err, SparseTransferEvaluator, ZLu};
 use bdsm_linalg::Complex64;
@@ -36,7 +36,6 @@ fn adaptive_exact_10k_grid_is_deterministic_and_accurate() {
         },
         rank_tol: 1e-12,
         max_reduced_dim: Some(2000),
-        backend: SolverBackend::Sparse,
         shift_strategy: ShiftStrategy::Adaptive(AdaptiveShiftOpts {
             candidate_omegas: AdaptiveShiftOpts::log_grid(5.0e1, 4.0e3, 6),
             tol: 1e-6,
@@ -52,7 +51,9 @@ fn adaptive_exact_10k_grid_is_deterministic_and_accurate() {
     let mut outputs = Vec::new();
     for threads in ["1", "2", "5"] {
         std::env::set_var("BDSM_THREADS", threads);
-        let (rm, report) = reduce_network_with_report(&net, &opts).expect("adaptive reduction");
+        let (rm, report) = ReductionEngine::new(&net, &opts)
+            .and_then(|e| e.run())
+            .expect("adaptive reduction");
         assert!(
             report.certified,
             "loop did not certify under {threads} workers"

@@ -6,7 +6,7 @@
 //! verifiably block-diagonal, and the reduced dimension must be ≤ n/5.
 
 use bdsm_core::krylov::KrylovOpts;
-use bdsm_core::reduce::{reduce_network, ReducedModel, ReductionOpts, SolverBackend};
+use bdsm_core::reduce::{reduce_network, ReducedModel, ReductionOpts};
 use bdsm_core::synth::{ieee_like_feeder, rc_grid, rc_ladder, rc_ladder_loaded};
 use bdsm_core::transfer::{eval_transfer, transfer_rel_err, SparseTransferEvaluator};
 use bdsm_linalg::Complex64;
@@ -100,7 +100,6 @@ fn rc_ladder_500_states_5_blocks() {
         },
         rank_tol: 1e-12,
         max_reduced_dim: Some(100),
-        backend: SolverBackend::Sparse,
         ..ReductionOpts::default()
     };
     let rm = reduce_network(&net, &opts).expect("reduction");
@@ -124,7 +123,6 @@ fn rc_grid_500_states_5_blocks() {
         },
         rank_tol: 1e-12,
         max_reduced_dim: Some(100),
-        backend: SolverBackend::Sparse,
         ..ReductionOpts::default()
     };
     let rm = reduce_network(&net, &opts).expect("reduction");
@@ -149,7 +147,6 @@ fn feeder_with_inductors_reduces_accurately() {
         },
         rank_tol: 1e-12,
         max_reduced_dim: Some(97),
-        backend: SolverBackend::Sparse,
         ..ReductionOpts::default()
     };
     let rm = reduce_network(&net, &opts).expect("reduction");
@@ -172,7 +169,6 @@ fn reduction_ratio_is_substantial() {
         },
         rank_tol: 1e-12,
         max_reduced_dim: None,
-        backend: SolverBackend::Sparse,
         ..ReductionOpts::default()
     };
     let rm = reduce_network(&net, &opts).expect("reduction");

@@ -8,7 +8,7 @@ use bdsm_circuit::{grouped_state_order, mna, partition_network};
 use bdsm_core::engine::{AdaptiveShiftOpts, ReductionEngine, ShiftStrategy};
 use bdsm_core::krylov::{global_krylov_basis_sparse, KrylovOpts};
 use bdsm_core::projector::{BlockDiagProjector, InterfacePolicy};
-use bdsm_core::reduce::{reduce_network, reduce_network_with_report, ReductionOpts, SolverBackend};
+use bdsm_core::reduce::{reduce_network, ReductionOpts};
 use bdsm_core::synth::{ieee_like_feeder, rc_grid, rc_ladder_loaded};
 use bdsm_core::transfer::{eval_transfer, transfer_rel_err, SparseTransferEvaluator};
 use bdsm_linalg::Complex64;
@@ -27,7 +27,6 @@ fn fixed_opts(num_blocks: usize, max_dim: usize) -> ReductionOpts {
         },
         rank_tol: 1e-12,
         max_reduced_dim: Some(max_dim),
-        backend: SolverBackend::Sparse,
         ..ReductionOpts::default()
     }
 }
@@ -85,9 +84,11 @@ fn fixed_engine_reproduces_legacy_composition_bitwise() {
 /// Runs the adaptive-vs-fixed comparison on one network and asserts the
 /// satellite contract: certified ≤ 1e-6 with no more Krylov vectors.
 fn check_adaptive_converges(net: &bdsm_circuit::Network, num_blocks: usize, max_dim: usize) {
-    let (_, fixed_report) =
-        reduce_network_with_report(net, &fixed_opts(num_blocks, max_dim)).expect("fixed reduction");
-    let (rm, report) = reduce_network_with_report(net, &adaptive_opts(num_blocks, max_dim))
+    let (_, fixed_report) = ReductionEngine::new(net, &fixed_opts(num_blocks, max_dim))
+        .and_then(|e| e.run())
+        .expect("fixed reduction");
+    let (rm, report) = ReductionEngine::new(net, &adaptive_opts(num_blocks, max_dim))
+        .and_then(|e| e.run())
         .expect("adaptive reduction");
     assert!(
         report.certified,
@@ -255,7 +256,9 @@ fn adaptive_with_empty_initial_points_seeds_from_candidates() {
         tol: 1e-6,
         max_shifts: 3,
     });
-    let (rm, report) = reduce_network_with_report(&net, &opts).expect("seeded adaptive");
+    let (rm, report) = ReductionEngine::new(&net, &opts)
+        .and_then(|e| e.run())
+        .expect("seeded adaptive");
     assert!(report.certified, "rounds: {:?}", report.rounds.len());
     assert!(rm.reduced_dim() <= 64);
     assert!(rm.reduced_dim() < rm.full_dim());

@@ -18,7 +18,7 @@
 use bdsm_circuit::Network;
 use bdsm_core::engine::{AdaptiveShiftOpts, ReductionEngine, ShiftStrategy};
 use bdsm_core::krylov::{global_krylov_basis_sparse, ExpansionPoint, KrylovOpts};
-use bdsm_core::reduce::{reduce_network_with_report, ReductionOpts, SolverBackend};
+use bdsm_core::reduce::ReductionOpts;
 use bdsm_core::synth::{ieee_like_feeder, rc_grid, rc_ladder_loaded};
 use bdsm_core::transfer::{CMatrix, SparseTransferEvaluator};
 use bdsm_linalg::Complex64;
@@ -55,7 +55,6 @@ fn opts(jomega_points: &[f64]) -> ReductionOpts {
         },
         rank_tol: 1e-12,
         max_reduced_dim: Some(100),
-        backend: SolverBackend::Sparse,
         ..ReductionOpts::default()
     }
 }
@@ -169,7 +168,9 @@ fn factorisations(net: &Network, opts: &ReductionOpts, threads: &str) -> (u64, u
     scoped(threads, ObsLevel::Timings, || {
         let counter = &bdsm_obs::metrics().lu_factorizations;
         let before = counter.get();
-        let (_, report) = reduce_network_with_report(net, opts).expect("reduction");
+        let (_, report) = ReductionEngine::new(net, opts)
+            .and_then(|e| e.run())
+            .expect("reduction");
         (counter.get() - before, report.shifts.len())
     })
 }

@@ -171,7 +171,7 @@ fn fine_spans_are_gated_by_level_but_timing_spans_survive_off() {
 #[test]
 fn plan_stage_records_the_ordering_selection() {
     use bdsm_core::engine::ReductionEngine;
-    use bdsm_core::reduce::{ReductionOpts, SolverBackend};
+    use bdsm_core::reduce::ReductionOpts;
     use bdsm_core::synth::{rc_grid, rc_ladder_loaded};
     use bdsm_obs::AttrValue;
 
@@ -179,7 +179,6 @@ fn plan_stage_records_the_ordering_selection() {
     let _scope = Scope::new("1", ObsLevel::Spans);
     let opts = ReductionOpts {
         num_blocks: 4,
-        backend: SolverBackend::Sparse,
         ..ReductionOpts::default()
     };
     let attr = |e: &bdsm_obs::SpanEvent, key: &str| -> AttrValue {

@@ -5,8 +5,9 @@
 //! its inputs and results are merged in item order.
 
 use bdsm_circuit::PartitionStrategy;
+use bdsm_core::engine::ReductionEngine;
 use bdsm_core::krylov::KrylovOpts;
-use bdsm_core::reduce::{reduce_network, reduce_network_timed, ReductionOpts, SolverBackend};
+use bdsm_core::reduce::{reduce_network, ReducedModel, ReductionOpts, StageTimings};
 use bdsm_core::synth::{rc_grid, rc_ladder_loaded};
 use bdsm_core::transfer::SparseTransferEvaluator;
 use bdsm_linalg::Complex64;
@@ -29,12 +30,18 @@ fn engine_opts() -> ReductionOpts {
         },
         rank_tol: 1e-12,
         max_reduced_dim: Some(48),
-        backend: SolverBackend::Sparse,
         ..ReductionOpts::default()
     }
 }
 
-fn model_bytes(rm: &bdsm_core::ReducedModel) -> Vec<f64> {
+/// One run plus the stage view of its report.
+fn reduce_timed(net: &bdsm_circuit::Network, opts: &ReductionOpts) -> (ReducedModel, StageTimings) {
+    let (rm, report) = ReductionEngine::new(net, opts).unwrap().run().unwrap();
+    let stages = StageTimings::from_report(&report);
+    (rm, stages)
+}
+
+fn model_bytes(rm: &ReducedModel) -> Vec<f64> {
     let mut out = Vec::new();
     for m in [&rm.g, &rm.c, &rm.b, &rm.l] {
         out.extend_from_slice(m.as_slice());
@@ -54,7 +61,7 @@ fn reduced_model_is_bitwise_invariant_under_thread_count() {
     let mut outputs = Vec::new();
     for threads in ["1", "2", "5"] {
         std::env::set_var("BDSM_THREADS", threads);
-        let (rm, stages) = reduce_network_timed(&net, &opts).unwrap();
+        let (rm, stages) = reduce_timed(&net, &opts);
         assert_eq!(stages.threads, threads.parse::<usize>().unwrap());
         assert!(stages.krylov_us > 0.0 && stages.total_us() > 0.0);
         outputs.push((threads, model_bytes(&rm)));
@@ -94,14 +101,13 @@ fn full_reduce_at_1e4_is_bitwise_invariant_under_thread_count() {
         },
         rank_tol: 1e-12,
         max_reduced_dim: Some(40),
-        backend: SolverBackend::Sparse,
         ..ReductionOpts::default()
     };
     let prev = std::env::var("BDSM_THREADS").ok();
     let mut outputs = Vec::new();
     for threads in ["1", "2", "5"] {
         std::env::set_var("BDSM_THREADS", threads);
-        let (rm, stages) = reduce_network_timed(&net, &opts).unwrap();
+        let (rm, stages) = reduce_timed(&net, &opts);
         // The timed path must also see the per-point/merge split the
         // scaling bench records.
         assert!(
@@ -217,7 +223,7 @@ fn timed_reduction_matches_untimed() {
     let net = rc_ladder_loaded(200, 1.0, 1e-3, 5.0, 5);
     let opts = engine_opts();
     let rm_a = reduce_network(&net, &opts).unwrap();
-    let (rm_b, stages) = reduce_network_timed(&net, &opts).unwrap();
+    let (rm_b, stages) = reduce_timed(&net, &opts);
     assert_eq!(model_bytes(&rm_a), model_bytes(&rm_b));
     assert!(stages.assemble_us >= 0.0);
     assert!(stages.partition_us >= 0.0);

@@ -5,11 +5,13 @@
 //! Krylov solves, congruence projection, and the reference transfer
 //! evaluation all through sparse factorizations — within the ordinary test
 //! budget, at the same ≤ 1e-6 transfer accuracy. A companion test pins the
-//! sparse path against the dense oracle at ~500 states to 1e-10.
+//! pipeline against the dense Krylov reference at ~500 states to 1e-10.
 
-use bdsm_core::krylov::KrylovOpts;
-use bdsm_core::reduce::{reduce_network, ReductionOpts, SolverBackend};
-use bdsm_core::synth::rc_grid;
+use bdsm_circuit::Network;
+use bdsm_core::engine::ReductionEngine;
+use bdsm_core::krylov::{global_krylov_basis, KrylovOpts};
+use bdsm_core::reduce::{reduce_network, ReductionOpts};
+use bdsm_core::synth::{rc_grid, rc_ladder};
 use bdsm_core::transfer::{
     eval_transfer, transfer_rel_err, SparseTransferEvaluator, TransferEvaluator,
 };
@@ -39,12 +41,10 @@ fn sparse_backend_reduces_10k_state_grid() {
         },
         rank_tol: 1e-12,
         max_reduced_dim: Some(2000),
-        backend: SolverBackend::Sparse,
         ..ReductionOpts::default()
     };
     let rm = reduce_network(&net, &opts).expect("10k-state sparse reduction");
     assert_eq!(rm.full_dim(), 10_000);
-    assert_eq!(rm.backend, SolverBackend::Sparse);
     assert!(rm.projector.num_blocks() >= 8);
     assert!(
         rm.reduced_dim() * 5 <= rm.full_dim(),
@@ -76,16 +76,59 @@ fn sparse_backend_reduces_10k_state_grid() {
     );
 }
 
+/// Two agreements, each pinned at ≤ 1e-10 on every listed frequency:
+/// 1. the sparse full-model evaluator vs the dense evaluator;
+/// 2. the pipeline's ROM vs the same ROM recomposed over the dense Krylov
+///    reference (`global_krylov_basis` on the densified plan model, then
+///    the engine's projector and dense congruence products).
+fn assert_pipeline_matches_dense_reference(
+    net: &Network,
+    opts: &ReductionOpts,
+    full_dim: usize,
+    freqs: &[f64],
+) {
+    let rm = reduce_network(net, opts).expect("sparse reduction");
+    assert_eq!(rm.full_dim(), full_dim);
+    let engine = ReductionEngine::new(net, opts).expect("engine");
+    let plan = engine.plan().expect("plan");
+    let full = plan.full.to_dense();
+    let basis = global_krylov_basis(&full.g, &full.c, &full.b, &opts.krylov).expect("dense basis");
+    let v = engine.projector(&plan, &basis).expect("projector");
+    let (g, c) = (
+        v.project_square(&full.g).expect("VᵀGV"),
+        v.project_square(&full.c).expect("VᵀCV"),
+    );
+    let (b, l) = (
+        v.project_input(&full.b).expect("VᵀB"),
+        v.project_output(&full.l).expect("LV"),
+    );
+    assert_eq!(rm.reduced_dim(), g.nrows());
+
+    let sparse_ev =
+        SparseTransferEvaluator::new(&rm.full.g, &rm.full.c, rm.full.b.clone(), rm.full.l.clone())
+            .expect("sparse evaluator");
+    let dense_ev = TransferEvaluator::new(full.g, full.c, full.b, full.l).expect("dense evaluator");
+    for &w in freqs {
+        let s = Complex64::jomega(w);
+        let hs = sparse_ev.eval(s).expect("sparse sample");
+        let hd = dense_ev.eval(s).expect("dense sample");
+        let rel = transfer_rel_err(&hd, &hs);
+        assert!(rel <= 1e-10, "full-model backends disagree at ω={w}: {rel}");
+
+        let hrs = eval_transfer(&rm.g, &rm.c, &rm.b, &rm.l, s).expect("pipeline ROM sample");
+        let hrd = eval_transfer(&g, &c, &b, &l, s).expect("dense-reference ROM sample");
+        let rel_rom = transfer_rel_err(&hrd, &hrs);
+        assert!(
+            rel_rom <= 1e-10,
+            "pipeline and dense reference disagree at ω={w}: {rel_rom}"
+        );
+    }
+}
+
 #[test]
 fn sparse_and_dense_backends_agree_at_500_states() {
-    // ~500-state grid, small enough for the dense oracle. Two agreements
-    // are pinned at ≤ 1e-10:
-    // 1. the sparse full-model evaluator vs the dense evaluator, frequency
-    //    by frequency;
-    // 2. the reduced transfer functions produced by the two pipeline
-    //    backends.
-    let net = rc_grid(20, 25, 1.0, 1e-3, 2.0);
-    let mut opts = ReductionOpts {
+    // ~500-state grid, small enough to densify, at three jω shifts.
+    let grid_opts = ReductionOpts {
         num_blocks: 4,
         krylov: KrylovOpts {
             expansion_points: vec![],
@@ -96,40 +139,21 @@ fn sparse_and_dense_backends_agree_at_500_states() {
         },
         rank_tol: 1e-12,
         max_reduced_dim: Some(100),
-        backend: SolverBackend::Sparse,
         ..ReductionOpts::default()
     };
-    let rm_sparse = reduce_network(&net, &opts).expect("sparse reduction");
-    opts.backend = SolverBackend::Dense;
-    let rm_dense = reduce_network(&net, &opts).expect("dense reduction");
-    assert_eq!(rm_sparse.full_dim(), 500);
-    assert_eq!(rm_sparse.reduced_dim(), rm_dense.reduced_dim());
+    let grid = rc_grid(20, 25, 1.0, 1e-3, 2.0);
+    assert_pipeline_matches_dense_reference(&grid, &grid_opts, 500, &log_freqs(50.0, 4.0e3, 12));
 
-    let sparse_ev = SparseTransferEvaluator::new(
-        &rm_sparse.full.g,
-        &rm_sparse.full.c,
-        rm_sparse.full.b.clone(),
-        rm_sparse.full.l.clone(),
-    )
-    .expect("sparse evaluator");
-    let full = rm_sparse.full.to_dense();
-    let dense_ev = TransferEvaluator::new(full.g, full.c, full.b, full.l).expect("dense evaluator");
-
-    for &w in &log_freqs(50.0, 4.0e3, 12) {
-        let s = Complex64::jomega(w);
-        let hs = sparse_ev.eval(s).expect("sparse sample");
-        let hd = dense_ev.eval(s).expect("dense sample");
-        let rel = transfer_rel_err(&hd, &hs);
-        assert!(rel <= 1e-10, "full-model backends disagree at ω={w}: {rel}");
-
-        let hrs = eval_transfer(&rm_sparse.g, &rm_sparse.c, &rm_sparse.b, &rm_sparse.l, s)
-            .expect("sparse-backend ROM sample");
-        let hrd = eval_transfer(&rm_dense.g, &rm_dense.c, &rm_dense.b, &rm_dense.l, s)
-            .expect("dense-backend ROM sample");
-        let rel_rom = transfer_rel_err(&hrd, &hrs);
-        assert!(
-            rel_rom <= 1e-10,
-            "pipeline backends disagree at ω={w}: {rel_rom}"
-        );
-    }
+    // A 30-bus ladder at one real shift, unbudgeted.
+    let ladder_opts = ReductionOpts {
+        num_blocks: 3,
+        krylov: KrylovOpts {
+            expansion_points: vec![1.0e3],
+            moments_per_point: 3,
+            ..KrylovOpts::default()
+        },
+        ..ReductionOpts::default()
+    };
+    let ladder = rc_ladder(30, 1.0, 1e-3, 2.0);
+    assert_pipeline_matches_dense_reference(&ladder, &ladder_opts, 30, &[1.0e2, 5.0e2, 2.0e3]);
 }

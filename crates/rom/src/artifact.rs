@@ -6,14 +6,16 @@
 //! preserved boundary voltages, and build provenance (engine version,
 //! shifts chosen, residual trajectory, certification flag).
 //!
-//! The binary format is deliberately boring: a magic tag, a format
+//! The binary format is deliberately boring — a magic tag, a format
 //! version, length-prefixed sections, every `f64` stored as its IEEE-754
-//! bit pattern (`to_bits`), and a trailing FNV-1a checksum. Round-trips
+//! bit pattern (`to_bits`), and a trailing FNV-1a checksum — and is
+//! written and read through the shared [`crate::codec`]. Round-trips
 //! are **bitwise-exact** — `save` → `load` reproduces every float bit for
 //! bit, which is what lets a served artifact answer queries with exactly
 //! the numbers the freshly built model would produce. A JSON debug dump
 //! ([`RomArtifact::to_json`]) mirrors the same content human-readably.
 
+use crate::codec::{fnv1a, ByteReader, ByteWriter, CodecError};
 use crate::server::QueryError;
 use bdsm_circuit::{Partition, PartitionStrategy};
 use bdsm_core::certify::{
@@ -22,7 +24,7 @@ use bdsm_core::certify::{
 use bdsm_core::engine::EngineReport;
 use bdsm_core::krylov::ExpansionPoint;
 use bdsm_core::projector::InterfacePolicy;
-use bdsm_core::reduce::{CoreError, ReducedModel, SolverBackend};
+use bdsm_core::reduce::{CoreError, ReducedModel};
 use bdsm_linalg::{LinalgError, Matrix};
 use std::fmt;
 use std::fmt::Write as _;
@@ -60,8 +62,6 @@ pub struct Provenance {
     /// Worst candidate-grid residual per greedy round (empty for fixed
     /// shifts).
     pub residual_trajectory: Vec<f64>,
-    /// Backend that carried the full-model solves.
-    pub backend: SolverBackend,
     /// How interface buses were treated by the projector.
     pub interface_policy: InterfacePolicy,
     /// How the bus graph was partitioned into blocks.
@@ -198,6 +198,19 @@ impl From<CoreError> for RomError {
     }
 }
 
+impl From<CodecError> for RomError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            // A length whose byte size overflows claims more than any file
+            // holds: the same finding as a length past the end.
+            CodecError::Truncated { while_reading } | CodecError::Overflow { while_reading } => {
+                RomError::Truncated { while_reading }
+            }
+            CodecError::Corrupt(what) => RomError::Corrupt(what),
+        }
+    }
+}
+
 impl RomArtifact {
     /// Captures a freshly built [`ReducedModel`] (and, when available, the
     /// engine's audit report) as a persistable artifact. The reduced
@@ -213,7 +226,6 @@ impl RomArtifact {
             residual_trajectory: report
                 .map(|r| r.rounds.iter().map(|x| x.worst_residual).collect())
                 .unwrap_or_default(),
-            backend: rm.backend,
             // A `ReducedModel` does not carry its policy, so infer it
             // from the interface map (non-empty ⇔ boundaries preserved).
             // `Reducer::reduce_to_artifact` overwrites this with the
@@ -291,14 +303,14 @@ impl RomArtifact {
     }
 
     fn to_bytes_versioned(&self, version: u32) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = ByteWriter::new();
         w.bytes(&MAGIC);
         w.u32(version);
         w.str(&self.provenance.engine_version);
         w.usizes(&self.block_sizes);
         w.usizes(&self.block_dims);
         w.usizes(&self.state_order);
-        w.usizes_raw(&self.partition.pack());
+        w.u64s(&self.partition.pack());
         w.usizes(&self.interface_states);
         w.u64(self.interface_map.len() as u64);
         for &(row, col) in &self.interface_map {
@@ -306,7 +318,7 @@ impl RomArtifact {
             w.u64(col as u64);
         }
         for m in [&self.g, &self.c, &self.b, &self.l] {
-            w.matrix(m);
+            write_matrix(&mut w, m);
         }
         w.u64(self.provenance.shifts.len() as u64);
         for s in &self.provenance.shifts {
@@ -323,14 +335,10 @@ impl RomArtifact {
         }
         w.u64(self.provenance.basis_cols as u64);
         w.u8(self.provenance.certified as u8);
-        w.u64(self.provenance.residual_trajectory.len() as u64);
-        for &r in &self.provenance.residual_trajectory {
-            w.f64(r);
-        }
-        w.u8(match self.provenance.backend {
-            SolverBackend::Sparse => 0,
-            SolverBackend::Dense => 1,
-        });
+        w.f64s(&self.provenance.residual_trajectory);
+        // The v3 layout keeps the slot of the retired solver-backend tag
+        // (0 = sparse, the only pipeline there is).
+        w.u8(0);
         w.u8(match self.provenance.interface_policy {
             InterfacePolicy::Folded => 0,
             InterfacePolicy::Exact => 1,
@@ -343,7 +351,7 @@ impl RomArtifact {
         if version >= 3 {
             write_certificate(&mut w, &self.provenance.certificate);
         }
-        w.finish()
+        w.into_checksummed()
     }
 
     /// Deserializes the binary format, validating magic, version,
@@ -354,7 +362,7 @@ impl RomArtifact {
     /// [`RomError::BadMagic`], [`RomError::UnsupportedVersion`],
     /// [`RomError::Truncated`], or [`RomError::Corrupt`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, RomError> {
-        let mut r = Reader::new(bytes)?;
+        let (mut r, version) = open(bytes)?;
         let engine_version = r.str("engine version")?;
         let block_sizes = r.usizes("block sizes")?;
         let block_dims = r.usizes("block dims")?;
@@ -363,18 +371,18 @@ impl RomArtifact {
         let partition = Partition::unpack(&partition_words)
             .map_err(|_| RomError::Corrupt("partition encoding invalid"))?;
         let interface_states = r.usizes("interface states")?;
-        let n_map = r.len("interface map", 16)?;
+        let n_map = r.count(16, "interface map")?;
         let mut interface_map = Vec::with_capacity(n_map);
         for _ in 0..n_map {
             let row = r.u64("interface map")? as usize;
             let col = r.u64("interface map")? as usize;
             interface_map.push((row, col));
         }
-        let g = r.matrix("G")?;
-        let c = r.matrix("C")?;
-        let b = r.matrix("B")?;
-        let l = r.matrix("L")?;
-        let n_shifts = r.len("shifts", 9)?;
+        let g = read_matrix(&mut r, "G")?;
+        let c = read_matrix(&mut r, "C")?;
+        let b = read_matrix(&mut r, "B")?;
+        let l = read_matrix(&mut r, "L")?;
+        let n_shifts = r.count(9, "shifts")?;
         let mut shifts = Vec::with_capacity(n_shifts);
         for _ in 0..n_shifts {
             let tag = r.u8("shift tag")?;
@@ -391,16 +399,11 @@ impl RomArtifact {
             1 => true,
             _ => return Err(RomError::Corrupt("certified flag not boolean")),
         };
-        let n_resid = r.len("residual trajectory", 8)?;
-        let mut residual_trajectory = Vec::with_capacity(n_resid);
-        for _ in 0..n_resid {
-            residual_trajectory.push(r.f64("residual trajectory")?);
+        let residual_trajectory = r.f64s("residual trajectory")?;
+        // Artifacts written while a dense backend existed carry 1 here.
+        if r.u8("backend tag")? > 1 {
+            return Err(RomError::Corrupt("unknown backend tag"));
         }
-        let backend = match r.u8("backend tag")? {
-            0 => SolverBackend::Sparse,
-            1 => SolverBackend::Dense,
-            _ => return Err(RomError::Corrupt("unknown backend tag")),
-        };
         let interface_policy = match r.u8("interface policy tag")? {
             0 => InterfacePolicy::Folded,
             1 => InterfacePolicy::Exact,
@@ -412,7 +415,7 @@ impl RomArtifact {
             _ => return Err(RomError::Corrupt("unknown partition-strategy tag")),
         };
         let kept_buses = r.usizes("kept buses")?;
-        let certificate = if r.version >= 3 {
+        let certificate = if version >= 3 {
             read_certificate(&mut r)?
         } else {
             Certificate::unknown()
@@ -436,7 +439,6 @@ impl RomArtifact {
                 basis_cols,
                 certified,
                 residual_trajectory,
-                backend,
                 interface_policy,
                 partition_strategy,
                 kept_buses,
@@ -551,13 +553,12 @@ impl RomArtifact {
             out,
             "  \"provenance\": {{\"shifts\": [{}], \"basis_cols\": {}, \
              \"certified\": {}, \"residual_trajectory\": [{}], \
-             \"backend\": \"{:?}\", \"interface_policy\": \"{:?}\", \
+             \"interface_policy\": \"{:?}\", \
              \"partition_strategy\": \"{:?}\", \"kept_buses\": {:?}}},",
             shifts.join(", "),
             self.provenance.basis_cols,
             self.provenance.certified,
             resid.join(", "),
-            self.provenance.backend,
             self.provenance.interface_policy,
             self.provenance.partition_strategy,
             self.provenance.kept_buses,
@@ -615,7 +616,7 @@ fn outcome_from_tag(tag: u8) -> Result<CheckOutcome, RomError> {
 }
 
 /// The v3 certificate section, appended after the kept-bus list.
-fn write_certificate(w: &mut Writer, cert: &Certificate) {
+fn write_certificate(w: &mut ByteWriter, cert: &Certificate) {
     w.u8(match cert.status {
         CertStatus::Certified => 0,
         CertStatus::Violated => 1,
@@ -649,7 +650,7 @@ fn write_certificate(w: &mut Writer, cert: &Certificate) {
     }
 }
 
-fn read_certificate(r: &mut Reader<'_>) -> Result<Certificate, RomError> {
+fn read_certificate(r: &mut ByteReader<'_>) -> Result<Certificate, RomError> {
     let status = match r.u8("certificate status")? {
         0 => CertStatus::Certified,
         1 => CertStatus::Violated,
@@ -677,7 +678,7 @@ fn read_certificate(r: &mut Reader<'_>) -> Result<Certificate, RomError> {
         _ => return Err(RomError::Corrupt("spectral-abscissa tag not boolean")),
     };
     let stability_outcome = outcome_from_tag(r.u8("stability outcome")?)?;
-    let n_bands = r.len("error bands", 32)?;
+    let n_bands = r.count(32, "error bands")?;
     let mut error_bands = Vec::with_capacity(n_bands);
     for _ in 0..n_bands {
         error_bands.push(ErrorBand {
@@ -708,221 +709,50 @@ fn read_certificate(r: &mut Reader<'_>) -> Result<Certificate, RomError> {
     })
 }
 
-/// FNV-1a over a byte stream — the artifact's corruption tripwire (not a
-/// cryptographic seal).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+fn write_matrix(w: &mut ByteWriter, m: &Matrix) {
+    w.u64(m.nrows() as u64);
+    w.u64(m.ncols() as u64);
+    m.as_slice().iter().for_each(|&v| w.f64(v));
 }
 
-/// Little-endian section writer.
-struct Writer {
-    buf: Vec<u8>,
+fn read_matrix(r: &mut ByteReader<'_>, what: &'static str) -> Result<Matrix, RomError> {
+    let (nrows, ncols) = r.dims(8, what)?;
+    let data = (0..nrows * ncols)
+        .map(|_| r.f64(what))
+        .collect::<Result<Vec<f64>, _>>()?;
+    Matrix::from_vec(nrows, ncols, data)
+        .map_err(|_| RomError::Corrupt("matrix extents inconsistent"))
 }
 
-impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
+/// Verifies magic, version and checksum, returning a reader positioned at
+/// the first payload section (and ending before the trailing digest) plus
+/// the format version the file declares.
+fn open(buf: &[u8]) -> Result<(ByteReader<'_>, u32), RomError> {
+    let mut r = ByteReader::new(buf);
+    if r.bytes(MAGIC.len(), "magic")? != MAGIC {
+        return Err(RomError::BadMagic);
     }
-
-    fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
+    let version = r.u32("format version")?;
+    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        return Err(RomError::UnsupportedVersion {
+            found: version,
+            supported: FORMAT_VERSION,
+        });
     }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+    if buf.len() < HEADER_LEN + 8 {
+        return Err(RomError::Truncated {
+            while_reading: "checksum",
+        });
     }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    let (body, stored) = buf.split_at(buf.len() - 8);
+    if fnv1a(body).to_le_bytes() != stored {
+        return Err(RomError::Corrupt("checksum mismatch"));
     }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-
-    fn usizes(&mut self, vs: &[usize]) {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.u64(v as u64);
-        }
-    }
-
-    fn f64s(&mut self, vs: &[f64]) {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.f64(v);
-        }
-    }
-
-    fn usizes_raw(&mut self, vs: &[u64]) {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.u64(v);
-        }
-    }
-
-    fn matrix(&mut self, m: &Matrix) {
-        self.u64(m.nrows() as u64);
-        self.u64(m.ncols() as u64);
-        for &v in m.as_slice() {
-            self.f64(v);
-        }
-    }
-
-    fn finish(mut self) -> Vec<u8> {
-        let checksum = fnv1a(&self.buf);
-        self.u64(checksum);
-        self.buf
-    }
+    Ok((ByteReader::new(&body[HEADER_LEN..]), version))
 }
 
-/// Little-endian section reader over a checksum-verified payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    /// End of the checksummed payload (exclusive of the trailing digest).
-    end: usize,
-    /// Format version declared by the file (within the supported range).
-    version: u32,
-}
-
-impl<'a> Reader<'a> {
-    /// Verifies magic, version, and checksum, leaving the cursor at the
-    /// first payload section.
-    fn new(buf: &'a [u8]) -> Result<Self, RomError> {
-        if buf.len() < MAGIC.len() {
-            return Err(RomError::Truncated {
-                while_reading: "magic",
-            });
-        }
-        if buf[..MAGIC.len()] != MAGIC {
-            return Err(RomError::BadMagic);
-        }
-        if buf.len() < MAGIC.len() + 4 {
-            return Err(RomError::Truncated {
-                while_reading: "format version",
-            });
-        }
-        let version = u32::from_le_bytes(buf[MAGIC.len()..MAGIC.len() + 4].try_into().unwrap());
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
-            return Err(RomError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        if buf.len() < MAGIC.len() + 4 + 8 {
-            return Err(RomError::Truncated {
-                while_reading: "checksum",
-            });
-        }
-        let end = buf.len() - 8;
-        let stored = u64::from_le_bytes(buf[end..].try_into().unwrap());
-        if fnv1a(&buf[..end]) != stored {
-            return Err(RomError::Corrupt("checksum mismatch"));
-        }
-        Ok(Reader {
-            buf,
-            pos: MAGIC.len() + 4,
-            end,
-            version,
-        })
-    }
-
-    fn take(&mut self, n: usize, while_reading: &'static str) -> Result<&'a [u8], RomError> {
-        if self.pos + n > self.end {
-            return Err(RomError::Truncated { while_reading });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, RomError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, RomError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self, what: &'static str) -> Result<f64, RomError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    /// Reads a section length, bounding it by the bytes actually left so
-    /// a corrupt length cannot trigger a huge allocation.
-    fn len(&mut self, what: &'static str, elem_bytes: usize) -> Result<usize, RomError> {
-        let n = self.u64(what)?;
-        let remaining = (self.end - self.pos) as u64;
-        if n.saturating_mul(elem_bytes as u64) > remaining {
-            return Err(RomError::Truncated {
-                while_reading: what,
-            });
-        }
-        Ok(n as usize)
-    }
-
-    fn str(&mut self, what: &'static str) -> Result<String, RomError> {
-        let n = self.len(what, 1)?;
-        String::from_utf8(self.take(n, what)?.to_vec())
-            .map_err(|_| RomError::Corrupt("string not valid UTF-8"))
-    }
-
-    fn u64s(&mut self, what: &'static str) -> Result<Vec<u64>, RomError> {
-        let n = self.len(what, 8)?;
-        (0..n).map(|_| self.u64(what)).collect()
-    }
-
-    fn usizes(&mut self, what: &'static str) -> Result<Vec<usize>, RomError> {
-        Ok(self.u64s(what)?.into_iter().map(|v| v as usize).collect())
-    }
-
-    fn f64s(&mut self, what: &'static str) -> Result<Vec<f64>, RomError> {
-        let n = self.len(what, 8)?;
-        (0..n).map(|_| self.f64(what)).collect()
-    }
-
-    fn matrix(&mut self, what: &'static str) -> Result<Matrix, RomError> {
-        let nrows = self.u64(what)? as usize;
-        let ncols = self.u64(what)? as usize;
-        let total = nrows
-            .checked_mul(ncols)
-            .ok_or(RomError::Corrupt("matrix extent overflow"))?;
-        if total.saturating_mul(8) > self.end - self.pos {
-            return Err(RomError::Truncated {
-                while_reading: what,
-            });
-        }
-        let data: Vec<f64> = (0..total)
-            .map(|_| self.f64(what))
-            .collect::<Result<_, _>>()?;
-        Matrix::from_vec(nrows, ncols, data)
-            .map_err(|_| RomError::Corrupt("matrix extents inconsistent"))
-    }
-
-    /// The payload must be fully consumed — leftovers mean the writer and
-    /// reader disagree about the layout.
-    fn finish(self) -> Result<(), RomError> {
-        if self.pos != self.end {
-            return Err(RomError::Corrupt("trailing bytes after last section"));
-        }
-        Ok(())
-    }
-}
+/// Bytes before the first payload section: magic + format version.
+const HEADER_LEN: usize = MAGIC.len() + 4;
 
 #[cfg(test)]
 mod tests {
@@ -950,7 +780,6 @@ mod tests {
                 basis_cols: 7,
                 certified: true,
                 residual_trajectory: vec![1e-2, 3.5e-5, 9.9e-8],
-                backend: SolverBackend::Sparse,
                 interface_policy: InterfacePolicy::Exact,
                 partition_strategy: PartitionStrategy::NestedDissection,
                 kept_buses: vec![1, 2],
@@ -1058,6 +887,25 @@ mod tests {
         assert!(matches!(
             RomArtifact::from_bytes(&patched),
             Err(RomError::Corrupt("unknown certificate-status tag"))
+        ));
+    }
+
+    #[test]
+    fn retired_backend_slot_accepts_both_old_tags_only() {
+        // After the slot come the policy and strategy tags (1 + 1), the two
+        // kept buses (8 + 2·8) and, in the v2 layout, the checksum (8).
+        let a = tiny_artifact();
+        let slot = a.to_bytes_v2().len() - 8 - 24 - 2 - 1;
+        let patched = |tag: u8| {
+            let mut bytes = a.to_bytes();
+            assert_eq!(bytes[slot], 0, "the writer stamps the constant 0");
+            bytes[slot] = tag;
+            RomArtifact::from_bytes(&restamp_checksum(bytes))
+        };
+        assert_eq!(patched(1).unwrap(), a);
+        assert!(matches!(
+            patched(2),
+            Err(RomError::Corrupt("unknown backend tag"))
         ));
     }
 

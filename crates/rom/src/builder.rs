@@ -11,11 +11,11 @@
 
 use crate::artifact::{RomArtifact, RomError};
 use bdsm_circuit::{Network, PartitionStrategy};
-use bdsm_core::engine::{AdaptiveShiftOpts, EngineReport, ShiftStrategy};
+use bdsm_core::engine::{AdaptiveShiftOpts, EngineReport, ReductionEngine, ShiftStrategy};
 use bdsm_core::krylov::KrylovOpts;
 use bdsm_core::projector::InterfacePolicy;
 use bdsm_core::reduce::{
-    self, ReducedModel, ReductionOpts, Result as CoreResult, SolverBackend, StageTimings,
+    reduce_network, ReducedModel, ReductionOpts, Result as CoreResult, StageTimings,
 };
 use std::fmt;
 
@@ -117,23 +117,11 @@ impl std::error::Error for BuildError {}
 
 impl Reducer {
     /// Starts a builder with the defaults: 4 blocks, 2 moments per point,
-    /// sparse backend, fixed shifts (none yet — the build fails until
+    /// fixed shifts (none yet — the build fails until
     /// shifts are given or [`ReducerBuilder::adaptive`] is selected),
     /// folded interfaces, `1e-12` rank and deflation tolerances.
     pub fn builder() -> ReducerBuilder {
         ReducerBuilder::default()
-    }
-
-    /// Wraps already-assembled low-level [`ReductionOpts`], running the
-    /// same validation as the builder — the bridge for callers migrating
-    /// from the engine-layer literals.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ReducerBuilder::build`].
-    pub fn from_opts(opts: ReductionOpts) -> Result<Reducer, BuildError> {
-        validate(&opts)?;
-        Ok(Reducer { opts })
     }
 
     /// The validated engine options this reducer runs with.
@@ -149,33 +137,14 @@ impl Reducer {
     /// shifted factorizations); configuration errors were already caught
     /// at build time.
     pub fn reduce(&self, net: &Network) -> CoreResult<ReducedModel> {
-        reduce::reduce_network(net, &self.opts)
-    }
-
-    /// [`reduce`](Self::reduce) with the per-stage wall-clock breakdown.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`reduce`](Self::reduce).
-    pub fn reduce_timed(&self, net: &Network) -> CoreResult<(ReducedModel, StageTimings)> {
-        reduce::reduce_network_timed(net, &self.opts)
-    }
-
-    /// [`reduce`](Self::reduce) with the engine's audit report (final
-    /// shifts, residual trajectory, certification flag).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`reduce`](Self::reduce).
-    pub fn reduce_with_report(&self, net: &Network) -> CoreResult<(ReducedModel, EngineReport)> {
-        reduce::reduce_network_with_report(net, &self.opts)
+        reduce_network(net, &self.opts)
     }
 
     /// [`reduce`](Self::reduce) with the full observability bundle: the
-    /// audit report (carrying the span trace of the run on
-    /// [`EngineReport::trace`], at whatever detail the ambient
-    /// `bdsm_obs` level recorded) plus the [`StageTimings`] view derived
-    /// from that trace.
+    /// audit report (final shifts, residual trajectory, certificate, and
+    /// the span trace of the run on [`EngineReport::trace`], at whatever
+    /// detail the ambient `bdsm_obs` level recorded) plus the
+    /// [`StageTimings`] view of that report.
     ///
     /// # Errors
     ///
@@ -184,7 +153,9 @@ impl Reducer {
         &self,
         net: &Network,
     ) -> CoreResult<(ReducedModel, EngineReport, StageTimings)> {
-        reduce::reduce_network_traced(net, &self.opts)
+        let (rm, report) = ReductionEngine::new(net, &self.opts)?.run()?;
+        let stages = StageTimings::from_report(&report);
+        Ok((rm, report, stages))
     }
 
     /// Builds the network's ROM and captures it — reduced system, block
@@ -195,7 +166,7 @@ impl Reducer {
     ///
     /// Propagates engine failures as [`RomError::Core`].
     pub fn reduce_to_artifact(&self, net: &Network) -> Result<RomArtifact, RomError> {
-        let (rm, report) = self.reduce_with_report(net)?;
+        let (rm, report) = ReductionEngine::new(net, &self.opts)?.run()?;
         let mut artifact = RomArtifact::from_model(&rm, Some(&report));
         // `from_model` can only infer the policy from the interface map;
         // here the configured policy is in hand, so record it exactly
@@ -230,7 +201,6 @@ impl Default for ReducerBuilder {
                 },
                 rank_tol: 1e-12,
                 max_reduced_dim: None,
-                backend: SolverBackend::Sparse,
                 shift_strategy: ShiftStrategy::Fixed,
                 interface_policy: InterfacePolicy::Folded,
                 partition_strategy: PartitionStrategy::Bfs,
@@ -302,18 +272,10 @@ impl ReducerBuilder {
         self
     }
 
-    /// Sparse factorization backend (the default; the only route past
-    /// `n ≈ 10³`).
+    /// A no-op kept for source compatibility: every reduction runs on the
+    /// sparse factorization subsystem (there is no other backend).
     #[must_use]
-    pub fn sparse(mut self) -> Self {
-        self.opts.backend = SolverBackend::Sparse;
-        self
-    }
-
-    /// Dense oracle backend (verification only).
-    #[must_use]
-    pub fn dense(mut self) -> Self {
-        self.opts.backend = SolverBackend::Dense;
+    pub fn sparse(self) -> Self {
         self
     }
 
@@ -400,8 +362,7 @@ impl ReducerBuilder {
     }
 }
 
-/// The one validation routine behind [`ReducerBuilder::build`] and
-/// [`Reducer::from_opts`].
+/// The validation routine behind [`ReducerBuilder::build`].
 fn validate(opts: &ReductionOpts) -> Result<(), BuildError> {
     if opts.num_blocks == 0 {
         return Err(BuildError::ZeroBlocks);
@@ -592,15 +553,6 @@ mod tests {
             r.opts().partition_strategy,
             bdsm_circuit::PartitionStrategy::NestedDissection
         );
-    }
-
-    #[test]
-    fn from_opts_validates_like_the_builder() {
-        let mut opts = ReductionOpts::default();
-        opts.krylov.expansion_points.clear();
-        assert_eq!(Reducer::from_opts(opts).unwrap_err(), BuildError::NoShifts);
-        let ok = Reducer::from_opts(ReductionOpts::default()).unwrap();
-        assert_eq!(ok.opts().num_blocks, 4);
     }
 
     #[test]

@@ -38,11 +38,14 @@
 //!    [`EnvelopePolicy`], and contained: a panic anywhere inside a query
 //!    surfaces as [`RomError::Internal`], never across the API boundary.
 //!
-//! The engine-layer free functions (`bdsm_core::reduce::reduce_network*`)
-//! remain available as the low-level path underneath this API.
+//! Underneath this API sits one implementation,
+//! `bdsm_core::engine::ReductionEngine::run` (`reduce_network` is that call
+//! minus the report); [`codec`] is the binary codec the artifact format
+//! shares with the cluster wire protocol.
 
 pub mod artifact;
 pub mod builder;
+pub mod codec;
 pub mod server;
 
 pub use artifact::{Provenance, RomArtifact, RomError, FORMAT_VERSION, MAGIC};

@@ -798,7 +798,7 @@ mod tests {
             .jomega_shifts(&[5.0e2, 2.0e3])
             .build()
             .unwrap();
-        let (rm, report) = reducer.reduce_with_report(&net).unwrap();
+        let (rm, report, _) = reducer.reduce_traced(&net).unwrap();
         let artifact = RomArtifact::from_model(&rm, Some(&report));
         (rm, artifact)
     }

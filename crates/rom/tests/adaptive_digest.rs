@@ -58,7 +58,7 @@ fn mesh_artifact_digest_is_pinned_across_threads_and_obs_levels() {
         for level in [ObsLevel::Off, ObsLevel::Timings, ObsLevel::Spans] {
             std::env::set_var("BDSM_THREADS", threads);
             bdsm_obs::set_level(level);
-            let (rm, report) = reducer.reduce_with_report(&net).expect("mesh reduction");
+            let (rm, report, _) = reducer.reduce_traced(&net).expect("mesh reduction");
             assert!(report.rounds.len() > 1, "the greedy step must promote");
             let bytes = RomArtifact::from_model(&rm, Some(&report)).to_bytes();
             assert_eq!(
@@ -66,8 +66,8 @@ fn mesh_artifact_digest_is_pinned_across_threads_and_obs_levels() {
                 (PINNED_LEN, PINNED_FNV1A),
                 "artifact bytes moved (threads {threads}, obs {level:?})"
             );
-            let (rm, report) = ladder_reducer
-                .reduce_with_report(&ladder)
+            let (rm, report, _) = ladder_reducer
+                .reduce_traced(&ladder)
                 .expect("ladder reduction");
             let bytes = RomArtifact::from_model(&rm, Some(&report)).to_bytes();
             assert_eq!(

@@ -136,7 +136,7 @@ fn served_queries_match_the_inmemory_model() {
             .exact_interfaces()
             .build()
             .unwrap();
-        let (rm, report) = reducer.reduce_with_report(&net).unwrap();
+        let (rm, report, _) = reducer.reduce_traced(&net).unwrap();
         let artifact = RomArtifact::from_model(&rm, Some(&report));
         let restored = RomArtifact::from_bytes(&artifact.to_bytes()).unwrap();
         let mut server = RomServer::new();

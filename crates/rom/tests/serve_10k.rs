@@ -41,7 +41,7 @@ fn adaptive_exact_10k_artifact_roundtrips_and_serves_bitwise() {
         .expect("valid reducer");
     let prev = std::env::var("BDSM_THREADS").ok();
     std::env::set_var("BDSM_THREADS", "5");
-    let (rm, report) = reducer.reduce_with_report(&net).expect("10k reduction");
+    let (rm, report, _) = reducer.reduce_traced(&net).expect("10k reduction");
     assert_eq!(rm.full_dim(), 10_000);
     assert!(report.certified, "adaptive loop did not certify");
 
@@ -62,7 +62,7 @@ fn adaptive_exact_10k_artifact_roundtrips_and_serves_bitwise() {
     // for any worker count.
     for threads in ["1", "2"] {
         std::env::set_var("BDSM_THREADS", threads);
-        let (_, rep) = reducer.reduce_with_report(&net).expect("re-reduction");
+        let (_, rep, _) = reducer.reduce_traced(&net).expect("re-reduction");
         assert_eq!(
             rep.certificate, report.certificate,
             "certificate differs with BDSM_THREADS={threads}"

@@ -92,6 +92,28 @@ pub struct TransientSolver {
     h: f64,
 }
 
+/// The argument check both constructors share; returns the state count.
+fn check_args(
+    g_shape: (usize, usize),
+    c_shape: (usize, usize),
+    b: &Matrix,
+    l: &Matrix,
+    h: f64,
+) -> Result<usize> {
+    if !(h > 0.0 && h.is_finite()) {
+        return Err(LinalgError::InvalidArgument {
+            what: "transient: step size must be positive and finite",
+        });
+    }
+    let n = g_shape.0;
+    if g_shape != (n, n) || c_shape != (n, n) || b.nrows() != n || l.ncols() != n {
+        return Err(LinalgError::InvalidArgument {
+            what: "transient: need G,C n×n, B n×m, L p×n",
+        });
+    }
+    Ok(n)
+}
+
 impl TransientSolver {
     /// Builds a dense-backend solver with step size `h`, starting from the
     /// zero state.
@@ -102,17 +124,7 @@ impl TransientSolver {
     ///   the matrix shapes are inconsistent;
     /// - [`LinalgError::Singular`] if `C/h + G` cannot be factored.
     pub fn new(g: &Matrix, c: &Matrix, b: &Matrix, l: &Matrix, h: f64) -> Result<Self> {
-        if !(h > 0.0 && h.is_finite()) {
-            return Err(LinalgError::InvalidArgument {
-                what: "transient: step size must be positive and finite",
-            });
-        }
-        let n = g.nrows();
-        if !g.is_square() || c.shape() != (n, n) || b.nrows() != n || l.ncols() != n {
-            return Err(LinalgError::InvalidArgument {
-                what: "transient: need G,C n×n, B n×m, L p×n",
-            });
-        }
+        let n = check_args(g.shape(), c.shape(), b, l, h)?;
         let c_over_h = c.scaled(1.0 / h);
         let lhs = DenseLu::factor(&c_over_h.add(g)?)?;
         Ok(TransientSolver {
@@ -137,17 +149,7 @@ impl TransientSolver {
         l: &Matrix,
         h: f64,
     ) -> Result<Self> {
-        if !(h > 0.0 && h.is_finite()) {
-            return Err(LinalgError::InvalidArgument {
-                what: "transient: step size must be positive and finite",
-            });
-        }
-        let n = g.nrows();
-        if !g.is_square() || c.shape() != (n, n) || b.nrows() != n || l.ncols() != n {
-            return Err(LinalgError::InvalidArgument {
-                what: "transient: need G,C n×n, B n×m, L p×n",
-            });
-        }
+        let n = check_args(g.shape(), c.shape(), b, l, h)?;
         // G + (1/h)·C through the shifted pencil: the factorization reuses
         // the same symbolic machinery as the Krylov shifted solves.
         let lhs = ShiftedPencil::new(g, c)?.factor_real(1.0 / h)?;
@@ -307,7 +309,6 @@ mod tests {
             },
             rank_tol: 1e-12,
             max_reduced_dim: None,
-            backend: Default::default(),
             ..ReductionOpts::default()
         };
         let rm = reduce_network(&net, &opts).unwrap();
@@ -347,7 +348,6 @@ mod tests {
             },
             rank_tol: 1e-12,
             max_reduced_dim: None,
-            backend: Default::default(),
             interface_policy: InterfacePolicy::Exact,
             ..ReductionOpts::default()
         };

@@ -54,20 +54,18 @@
 //! | *build*    | [`circuit`]    | [`circuit::Network`], [`circuit::mna::assemble`] |
 //! | *partition*| [`circuit`]    | [`circuit::partition::partition_network_with`] ([`circuit::PartitionStrategy`]: BFS oracle or interface-aware nested dissection), [`circuit::ReductionSet`] for user-designated reduction regions |
 //! | *factor*   | [`sparse`]     | [`sparse::CscMatrix`], [`sparse::SparseLu`] (scalar/supernodal [`sparse::NumericKernel`], panel-blocked multi-RHS solves), [`sparse::ShiftedPencil`] |
-//! | *reduce*   | [`core`]       | [`core::reduce::reduce_network`] and friends — the low-level path under [`rom::Reducer`], all over the staged [`core::engine::ReductionEngine`] (`Plan → Basis → Project → Certify`; adaptive shifts via [`core::engine::ShiftStrategy`], exact boundaries via [`core::projector::InterfacePolicy`]; parallel substrate: [`core::par`]) |
+//! | *reduce*   | [`core`]       | [`core::engine::ReductionEngine::run`] — the one implementation under [`rom::Reducer`] and [`core::reduce::reduce_network`]: the staged engine (`Plan → Basis → Project → Certify`; adaptive shifts via [`core::engine::ShiftStrategy`], exact boundaries via [`core::projector::InterfacePolicy`]; parallel substrate: [`core::par`]) |
 //! | *certify*  | [`core`]       | [`core::certify::certify_reduced`] behind [`core::certify::CertifyOpts`] — semidefiniteness + positive-real passivity sampling, Lyapunov/spectral stability, per-band a posteriori error bounds; the resulting [`core::certify::Certificate`] travels in [`core::engine::EngineReport`] and artifact provenance |
 //! | *evaluate* | [`core`]       | [`core::transfer::TransferEvaluator`], [`core::transfer::SparseTransferEvaluator`], [`core::transfer::eval_transfer_factored`] |
 //! | *simulate* | [`sim`]        | [`sim::TransientSolver`] |
-//! | *distribute* | [`cluster`]  | [`cluster::ShardPlan`] placement (by model / by frequency band), [`cluster::ShardNode`] TCP shard processes over [`rom::RomServer`], [`cluster::ClusterClient`] batching/retrying router with typed [`cluster::ClusterError`]s; the [`cluster::wire`] frame codec reuses the artifact conventions (magic, version, FNV-1a checksum, alloc-bounded reads) |
+//! | *distribute* | [`cluster`]  | [`cluster::ShardPlan`] placement (by model / by frequency band), [`cluster::ShardNode`] TCP shard processes over [`rom::RomServer`], [`cluster::ClusterClient`] batching/retrying router with typed [`cluster::ClusterError`]s; [`cluster::wire`] frames go through the artifact format's codec, [`rom::codec`] (magic, version, FNV-1a checksum, alloc-bounded reads) |
 //! | *observe*  | [`obs`]        | [`obs::span!`](span!) / [`obs::timing_span!`](timing_span!) RAII span tracing (Chrome-trace export via [`obs::Trace`]), [`obs::metrics`] counter/gauge/histogram registry, [`rom::RomServer::metrics`], [`obs::faultpoint!`](faultpoint!) fault-injection sites for robustness tests; one-atomic-load no-ops until `BDSM_OBS` (or [`obs::set_level`]) turns them on |
 //! | *measure*  | [`bench`]      | [`bench::time_with_warmup`] |
 //!
-//! The free functions [`core::reduce::reduce_network`],
-//! [`core::reduce::reduce_network_timed`],
-//! [`core::reduce::reduce_network_with_report`], and
-//! [`core::reduce::reduce_network_traced`] are kept stable for
-//! callers that want raw engine access (stage recomposition, custom
-//! certification grids); new code should start from [`rom::Reducer`].
+//! [`core::reduce::reduce_network`] (the reduced model alone) and
+//! [`core::engine::ReductionEngine`] (`run` for model + report, or the
+//! stage methods for recomposition and custom certification grids) are
+//! the raw engine access; new code should start from [`rom::Reducer`].
 //!
 //! # Observability
 //!
@@ -115,10 +113,7 @@ pub mod prelude {
     pub use bdsm_core::engine::{AdaptiveShiftOpts, EngineReport, ReductionEngine, ShiftStrategy};
     pub use bdsm_core::krylov::KrylovOpts;
     pub use bdsm_core::projector::InterfacePolicy;
-    pub use bdsm_core::reduce::{
-        reduce_network, reduce_network_timed, reduce_network_traced, reduce_network_with_report,
-        ReducedModel, ReductionOpts, SolverBackend, StageTimings,
-    };
+    pub use bdsm_core::reduce::{reduce_network, ReducedModel, ReductionOpts, StageTimings};
     pub use bdsm_core::transfer::{
         eval_transfer, eval_transfer_factored, transfer_rel_err, SparseTransferEvaluator,
         TransferEvaluator,
