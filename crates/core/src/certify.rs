@@ -302,8 +302,21 @@ pub fn certify_reduced(
     }
     let g_thresh = opts.tol * g.norm_max().max(1.0);
     let c_thresh = opts.tol * c.norm_max().max(1.0);
-    let (g_sym_min_eig, _) = sym_eig_extremes(g)?;
-    let (c_min_eig, _) = sym_eig_extremes(c)?;
+    // Three independent `O(q³)` jobs: the pencil's spectral abscissa
+    // (`None` — Cholesky, two triangular solves and an eigenvalue bracket,
+    // the longest, so first) and the smallest eigenvalue of each matrix's
+    // symmetric part. Each is a pure function of `(G_r, C_r)`, so the
+    // fan-out cannot move a bit.
+    let jobs: [Option<&Matrix>; 3] = [None, Some(g), Some(c)];
+    let mut spectra = crate::par::parallel_map(&jobs, |_, job| match *job {
+        None => Ok(spectral_abscissa(g, c)),
+        Some(m) => sym_eig_extremes(m).map(|(lo, _)| Some(lo)),
+    })
+    .into_iter();
+    let mut next = || spectra.next().expect("one result per job");
+    let spectral_abscissa = next()?;
+    let g_sym_min_eig = next()?.expect("an eigenvalue job returns a value");
+    let c_min_eig = next()?.expect("an eigenvalue job returns a value");
     let matrices_pass = g_sym_min_eig >= -g_thresh && c_min_eig >= -c_thresh;
 
     // Positive-real sampling: only defined for a square transfer matrix
@@ -334,7 +347,6 @@ pub fn certify_reduced(
         CheckOutcome::Pass
     };
 
-    let spectral_abscissa = spectral_abscissa(g, c);
     let stable = match spectral_abscissa {
         Some(a) => a <= g_thresh.max(c_thresh),
         None => matrices_pass,
@@ -443,17 +455,26 @@ fn cholesky(a: &Matrix) -> Option<Matrix> {
     Some(l)
 }
 
-/// Solves `L X = B` column-wise for lower-triangular `L`.
+/// Solves `L X = B` for lower-triangular `L`, all columns at once: row
+/// `i` of `X` is row `i` of `B` minus `l[i, k]` × (finished) row `k` for
+/// `k` ascending, over `l[i, i]` — contiguous row updates, and per
+/// element the same subtractions in the same order as a column-by-column
+/// substitution, so the result is that one's, bit for bit.
 fn forward_solve_cols(l: &Matrix, b: &Matrix) -> Matrix {
     let (n, m) = b.shape();
     let mut x = b.clone();
-    for j in 0..m {
-        for i in 0..n {
-            let mut v = x[(i, j)];
-            for k in 0..i {
-                v -= l[(i, k)] * x[(k, j)];
+    for i in 0..n {
+        let (done, rest) = x.as_mut_slice().split_at_mut(i * m);
+        let xi = &mut rest[..m];
+        for (k, xk) in done.chunks_exact(m).enumerate() {
+            let lik = l[(i, k)];
+            for (v, &w) in xi.iter_mut().zip(xk) {
+                *v -= lik * w;
             }
-            x[(i, j)] = v / l[(i, i)];
+        }
+        let lii = l[(i, i)];
+        for v in xi.iter_mut() {
+            *v /= lii;
         }
     }
     x
@@ -664,6 +685,41 @@ mod tests {
         let (min_eig, scale) = hermitian_part_min_eig(&h).unwrap();
         assert!((min_eig - 1.0).abs() < 1e-12);
         assert!((scale - 2.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn row_walking_forward_solve_is_the_column_walk_bit_for_bit() {
+        // Reference: the column-by-column substitution this replaced.
+        fn column_walk(l: &Matrix, b: &Matrix) -> Matrix {
+            let (n, m) = b.shape();
+            let mut x = b.clone();
+            for j in 0..m {
+                for i in 0..n {
+                    let mut v = x[(i, j)];
+                    for k in 0..i {
+                        v -= l[(i, k)] * x[(k, j)];
+                    }
+                    x[(i, j)] = v / l[(i, i)];
+                }
+            }
+            x
+        }
+        let n = 40;
+        let a = Matrix::from_fn(n, n, |i, j| {
+            ((i * 13 + j * 7) as f64 * 0.29).sin() * ((i + j) as f64 * 0.31).cos()
+        });
+        let spd = a
+            .matmul(&a.transpose())
+            .unwrap()
+            .add(&Matrix::identity(n))
+            .unwrap();
+        let l = cholesky(&spd).expect("SPD by construction");
+        let b = Matrix::from_fn(n, n, |i, j| ((i * 5 + j * 11) as f64 * 0.17).cos() + 0.3);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&forward_solve_cols(&l, &b)),
+            bits(&column_walk(&l, &b))
+        );
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::certify::{certify_reduced, Certificate, ResidualSweep};
 use crate::krylov::{
     collect_points, merge_candidate_sets, merge_candidates, ExpansionPoint, PointCandidates,
 };
-use crate::projector::{BlockDiagProjector, InterfacePolicy};
+use crate::projector::{sparse_congruences, BlockDiagProjector, InterfacePolicy};
 use crate::reduce::{CoreError, ReducedModel, ReductionOpts, Result, SparseDescriptor};
 use crate::transfer::{transfer_rel_err, CMatrix, SparseTransferEvaluator, TransferEvaluator};
 use bdsm_circuit::{
@@ -143,12 +143,11 @@ pub struct Plan {
     pencil: ShiftedPencil,
 }
 
-/// Output of the Project stage: the block-diagonal projector plus the
-/// congruence-reduced descriptor.
+/// Output of the Project stage: the congruence-reduced descriptor. The
+/// projector that produced it stays with the caller — it is megabytes at
+/// `n = 10⁴`, and nothing downstream of the congruence reads it.
 #[derive(Debug, Clone)]
 pub struct Rom {
-    /// The block-diagonal projector that produced the reduction.
-    pub projector: BlockDiagProjector,
     /// Reduced conductance `VᵀGV`.
     pub g: Matrix,
     /// Reduced storage `VᵀCV`.
@@ -412,16 +411,12 @@ impl<'n> ReductionEngine<'n> {
     ///
     /// Propagates shape mismatches from the projector.
     pub fn congruence(&self, plan: &Plan, projector: &BlockDiagProjector) -> Result<Rom> {
-        let g_r = projector.project_square_sparse(&plan.full.g)?;
-        let c_r = projector.project_square_sparse(&plan.full.c)?;
-        let b_r = projector.project_input(&plan.full.b)?;
-        let l_r = projector.project_output(&plan.full.l)?;
+        let [g, c] = sparse_congruences(projector, [&plan.full.g, &plan.full.c])?;
         Ok(Rom {
-            projector: projector.clone(),
-            g: g_r,
-            c: c_r,
-            b: b_r,
-            l: l_r,
+            g,
+            c,
+            b: projector.project_input(&plan.full.b)?,
+            l: projector.project_output(&plan.full.l)?,
         })
     }
 
@@ -504,16 +499,16 @@ impl<'n> ReductionEngine<'n> {
     /// Basis → Project (→ Certify) loop, then descriptor assembly.
     fn run_staged(&self) -> Result<(ReducedModel, EngineReport)> {
         let plan = self.plan()?;
-        let (rom, report) = match self.opts.shift_strategy.clone() {
+        let (projector, rom, report) = match &self.opts.shift_strategy {
             ShiftStrategy::Fixed => self.run_fixed(&plan)?,
-            ShiftStrategy::Adaptive(a) => self.run_adaptive(&plan, &a)?,
+            ShiftStrategy::Adaptive(a) => self.run_adaptive(&plan, a)?,
         };
         let rm = ReducedModel {
             g: rom.g,
             c: rom.c,
             b: rom.b,
             l: rom.l,
-            projector: rom.projector,
+            projector,
             partition: plan.partition,
             state_order: plan.state_order,
             block_sizes: plan.block_sizes,
@@ -525,7 +520,7 @@ impl<'n> ReductionEngine<'n> {
 
     /// One pass of Basis → Project with the fixed [`KrylovOpts`](crate::krylov::KrylovOpts) points —
     /// the historical pipeline, stage by stage.
-    fn run_fixed(&self, plan: &Plan) -> Result<(Rom, EngineReport)> {
+    fn run_fixed(&self, plan: &Plan) -> Result<(BlockDiagProjector, Rom, EngineReport)> {
         let points = collect_points(&self.opts.krylov);
         let global = {
             let _s = timing_span!("stage.krylov", points = points.len());
@@ -571,14 +566,18 @@ impl<'n> ReductionEngine<'n> {
             certificate,
             ..EngineReport::default()
         };
-        Ok((rom, report))
+        Ok((projector, rom, report))
     }
 
     /// The greedy adaptive loop: one factoring pass over
     /// `unique(seed points ∪ candidate grid)` yields every candidate set
     /// and every full-model sample the loop can ever need; the rounds
     /// after it merge, project and certify without touching the pencil.
-    fn run_adaptive(&self, plan: &Plan, a: &AdaptiveShiftOpts) -> Result<(Rom, EngineReport)> {
+    fn run_adaptive(
+        &self,
+        plan: &Plan,
+        a: &AdaptiveShiftOpts,
+    ) -> Result<(BlockDiagProjector, Rom, EngineReport)> {
         let mut points = collect_points(&self.opts.krylov);
         if points.is_empty() {
             // Coarse seed: the geometric middle of the candidate grid.
@@ -617,7 +616,7 @@ impl<'n> ReductionEngine<'n> {
 
         let mut rounds: Vec<RoundRecord> = Vec::new();
         let mut certified = false;
-        let (rom, basis_cols, cert, rom_sweep) = loop {
+        let (projector, rom, basis_cols, cert, rom_sweep) = loop {
             let global = {
                 let _s = timing_span!("stage.krylov");
                 merge_candidate_sets(
@@ -649,10 +648,10 @@ impl<'n> ReductionEngine<'n> {
             });
             if cert.worst <= a.tol {
                 certified = true;
-                break (rom, global.ncols(), cert, rom_sweep);
+                break (projector, rom, global.ncols(), cert, rom_sweep);
             }
             if points.len() >= a.max_shifts {
-                break (rom, global.ncols(), cert, rom_sweep);
+                break (projector, rom, global.ncols(), cert, rom_sweep);
             }
             // Greedy step: the worst-residual candidate not already an
             // expansion point (first-wins tie-break keeps this — and hence
@@ -670,7 +669,7 @@ impl<'n> ReductionEngine<'n> {
                 }
             }
             let Some((w_next, _)) = pick else {
-                break (rom, global.ncols(), cert, rom_sweep); // pool exhausted
+                break (projector, rom, global.ncols(), cert, rom_sweep); // pool exhausted
             };
             rounds.last_mut().expect("round pushed").added_omega = Some(w_next);
             let pt = ExpansionPoint::Jomega(w_next);
@@ -701,7 +700,7 @@ impl<'n> ReductionEngine<'n> {
             certificate,
             ..EngineReport::default()
         };
-        Ok((rom, report))
+        Ok((projector, rom, report))
     }
 }
 

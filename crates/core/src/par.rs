@@ -408,24 +408,43 @@ mod tests {
 
     #[test]
     fn pipelined_state_spans_both_stages() {
-        // The same per-worker state value must be visible to produce and
-        // consume; outputs stay a pure function of the item regardless.
+        // One state value per worker is threaded through both stages: a
+        // counter bumped by produce and consume alike reports 1, 2, …, T on
+        // every state with no gap and no repeat, and there are no more
+        // states than workers. Which tasks land on which worker is
+        // scheduling (a worker whose first task consumes another worker's
+        // item has counted 1), so only the serial path pins the exact
+        // value per item; outputs stay a pure function of the item.
         let items: Vec<usize> = (0..64).collect();
+        let states = AtomicUsize::new(0);
         let out = pipelined_map_with(
             &items,
-            || 0usize,
-            |calls, _, &v| {
+            || (states.fetch_add(1, Ordering::Relaxed), 0usize),
+            |(id, calls), _, &v| {
                 *calls += 1;
-                v
+                (v, *id, *calls)
             },
-            |calls, _, _, p: usize| {
+            |(id, calls), _, _, p: (usize, usize, usize)| {
                 *calls += 1;
-                (p, *calls)
+                (p, *id, *calls)
             },
         );
-        for (i, &(v, calls)) in out.iter().enumerate() {
+        let states = states.into_inner();
+        assert!(states >= 1 && states <= max_threads().clamp(1, 2 * items.len()));
+        let mut reported = vec![Vec::new(); states];
+        for (i, &((v, produced_on, produce_calls), consumed_on, consume_calls)) in
+            out.iter().enumerate()
+        {
             assert_eq!(v, i);
-            assert!(calls >= 2 && calls <= 2 * items.len());
+            if states == 1 {
+                assert_eq!((produce_calls, consume_calls), (2 * i + 1, 2 * i + 2));
+            }
+            reported[produced_on].push(produce_calls);
+            reported[consumed_on].push(consume_calls);
+        }
+        for calls in &mut reported {
+            calls.sort_unstable();
+            assert!(calls.iter().copied().eq(1..=calls.len()), "{calls:?}");
         }
     }
 

@@ -7,9 +7,39 @@
 //! `span(diag(V₁,…,V_k)) ⊇ span(V_g)`, the block-diagonal projector matches
 //! at least as many moments as the global one while keeping the reduced
 //! matrices block-structured — sparsity the flat projector destroys.
+//!
+//! # The shape of a block basis, and what it costs
+//!
+//! Every block basis is `Vᵢ = [Eᵢ | Uᵢ]`: `Eᵢ` holds one identity column
+//! per exactly-preserved interface row (none under
+//! [`InterfacePolicy::Folded`]), `Uᵢ` the `kᵢ` SVD directions of the
+//! block's Krylov slice, and `Uᵢ` is **exactly zero on the interface
+//! rows** — so every row of `Vᵢ` is either a unit vector or a dense
+//! `kᵢ`-vector, never both. Two invariants keep that true and are relied
+//! on downstream:
+//!
+//! - *zero rows:* the SVD sees the slice's **interior rows only** and its
+//!   left vectors are scattered back around the interface rows. Zeroing
+//!   the interface rows in place is not enough: the QR step inside
+//!   [`Svd`] turns an exactly-zero row into round-off.
+//! - *gather:* for two preserved interface states `r`, `c` the reduced
+//!   entry `(VᵀAV)[t_r, t_c]` **is** `A[r, c]`, bit for bit (it meets two
+//!   exact ones and an exact zero on the way) — the reduced model carries
+//!   the full model's interface stamp.
+//!
+//! Per adaptive round the projector therefore costs, for a block of `nᵢ`
+//! rows and `K` global basis columns, `O(nᵢK²)` for the compression (QR
+//! of the slice; the Jacobi iterations run on a `K × K` factor) and, for
+//! the congruence of a sparse `A`, `O(nnz·k + n·k²)`: the rows of `V` are
+//! handed to the kernel as sparse vectors, a stored entry of `A` costs
+//! one sparse `axpy` with its row of `V` (one term on an identity row,
+//! `k` on an SVD row), and a column of `A` costs one rank-one update of
+//! the size of what it touched (`k × k` between SVD rows, a single copy
+//! between identity rows) — instead of a full rank-one update per stored
+//! entry (`O(nnz·k²)`).
 
-use bdsm_linalg::{LinalgError, Matrix, Result, Svd};
-use bdsm_sparse::{CscMatrix, Scalar};
+use bdsm_linalg::{vector, LinalgError, Matrix, Result, Svd};
+use bdsm_sparse::CscMatrix;
 
 /// How interface (boundary) states are treated by the projector — the
 /// paper's exact boundary treatment versus the folded approximation.
@@ -70,7 +100,7 @@ impl BlockDiagProjector {
     /// Each listed row gets a dedicated identity column placed **ahead**
     /// of the block's SVD directions, and the Krylov slice is exactly
     /// orthogonalized against those unit columns (its interface rows are
-    /// zeroed) before compression — so the interface rows of the final
+    /// left out of the compression) — so the interface rows of the final
     /// basis are exact unit vectors and the reduced state carries the
     /// interface voltages verbatim. Krylov columns whose content was
     /// (numerically) pure interface energy are deduplicated away instead
@@ -117,18 +147,18 @@ impl BlockDiagProjector {
         // absorbs whatever imbalance the rank structure introduces, and the
         // results land in block order, keeping the projector deterministic
         // for any worker count.
-        let mut slices = Vec::with_capacity(block_sizes.len());
         let mut row0 = 0;
-        for (bi, &size) in block_sizes.iter().enumerate() {
-            slices.push((
-                global.submatrix(row0, row0 + size, 0, global.ncols()),
-                &interface_local[bi],
-            ));
-            row0 += size;
-        }
-        let blocks = crate::par::parallel_map(&slices, |bi, (slice, iface)| {
-            let _s = bdsm_obs::span!("svd.block", block = bi, rows = slice.nrows());
-            compress_block_interface(slice, rank_tol, max_block_dim, iface)
+        let slices: Vec<(usize, usize)> = block_sizes
+            .iter()
+            .map(|&size| {
+                row0 += size;
+                (row0 - size, size)
+            })
+            .collect();
+        let blocks = crate::par::parallel_map(&slices, |bi, &(row0, size)| {
+            let _s = bdsm_obs::span!("svd.block", block = bi, rows = size);
+            let iface = &interface_local[bi];
+            compress_block(global, row0, size, rank_tol, max_block_dim, iface)
         })
         .into_iter()
         .collect::<Result<Vec<Matrix>>>()?;
@@ -149,110 +179,71 @@ impl BlockDiagProjector {
         &self.interface
     }
 
-    /// Congruence transform `VᵀAV` of a *sparse* matrix, accumulating one
-    /// rank-one block contribution per stored entry — `O(nnz · qᵢqⱼ)` work
-    /// and no `n × q` intermediate, which is what keeps the projection step
-    /// viable at `n ≫ 10⁴`.
+    /// Congruence transform `VᵀAV` of a *sparse* matrix in
+    /// `O(nnz·k + n·k²)` with no `n × q` intermediate, which is what keeps
+    /// the projection step viable at `n ≫ 10⁴` (see the module docs for
+    /// the `[E | U]` row structure behind that count).
     ///
     /// The work is partitioned into **block pairs** `(i, j)` — a fixed
     /// decomposition independent of the worker count — that fan out over
     /// [`crate::par`]: pair `(i, j)` owns exactly the entries of `A` in
     /// block `i`'s row band and block `j`'s column band, and writes the
-    /// disjoint output block `(VᵢᵀAᵢⱼVⱼ)`. Within a pair, entries are
-    /// consumed in CSC order (columns ascending, rows ascending inside a
-    /// column) — the same accumulation order per output entry as a serial
-    /// sweep over the whole matrix — so the result is bitwise-identical
-    /// for **any** `BDSM_THREADS`, including the historical serial code.
-    /// Structural zeros of the basis rows (the interface identity columns
-    /// of [`InterfacePolicy::Exact`]) are skipped via per-row nonzero
-    /// lists, making the exact-interface congruence `O(nnz · kᵢkⱼ)` in the
-    /// per-row Krylov ranks instead of the inflated block dimensions.
+    /// disjoint output block `VᵢᵀAᵢⱼVⱼ`. Within a pair the columns of
+    /// `Aᵢⱼ` are consumed in ascending order and each column's entries in
+    /// ascending row order, so every output entry accumulates in one fixed
+    /// order and the result is bitwise-identical for **any**
+    /// `BDSM_THREADS`. An entry between two preserved interface states
+    /// meets only unit factors and comes out as stored: the `(E, E)` part
+    /// of the result is `A`'s own, bit for bit.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `a` is not `n × n`.
     pub fn project_square_sparse(&self, a: &CscMatrix<f64>) -> Result<Matrix> {
-        let n = self.nrows();
-        if a.shape() != (n, n) {
-            return Err(LinalgError::ShapeMismatch {
-                op: "project-square-sparse",
-                lhs: (n, n),
-                rhs: a.shape(),
-            });
-        }
-        let k = self.num_blocks();
-        // Per-block row → nonzero (column, value) lists. Skipping an exact
-        // zero drops only `±0.0` additions, which cannot change any
-        // accumulator bit (a finite accumulator is unchanged by adding
-        // ±0.0, and products with a zero factor contribute exactly ±0.0),
-        // so the row lists preserve bitwise equality with the dense scan.
-        let row_nz: Vec<Vec<Vec<(usize, f64)>>> = self
-            .blocks
-            .iter()
-            .map(|blk| {
-                (0..blk.nrows())
-                    .map(|li| {
-                        (0..blk.ncols())
-                            .filter_map(|aa| {
-                                let v = blk[(li, aa)];
-                                (v != 0.0).then_some((aa, v))
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        // Diagonal pairs first: they carry most of the entries on grid
-        // matrices, and fronting them keeps the shared work queue busy.
-        let mut pairs: Vec<(usize, usize)> = (0..k).map(|i| (i, i)).collect();
-        for i in 0..k {
-            for j in 0..k {
-                if i != j {
-                    pairs.push((i, j));
-                }
-            }
-        }
-        let partials = crate::par::parallel_map(&pairs, |_, &(bi, bj)| {
-            let _s = bdsm_obs::span!("project.pair", i = bi, j = bj);
-            self.project_block_pair(a, bi, bj, &row_nz[bi], &row_nz[bj])
-        });
-        let mut out = Matrix::zeros(self.ncols(), self.ncols());
-        for (&(bi, bj), partial) in pairs.iter().zip(&partials) {
-            out.set_block(self.col_offsets[bi], self.col_offsets[bj], partial);
-        }
+        let [out] = sparse_congruences(self, [a])?;
         Ok(out)
     }
 
-    /// One block pair's congruence contribution `VᵢᵀAᵢⱼVⱼ` (`qᵢ × qⱼ`),
-    /// scanning the CSC columns of block `j`'s band and binary-searching
-    /// each column's sorted rows for block `i`'s band.
+    /// One block pair's congruence contribution `VᵢᵀAᵢⱼVⱼ` (`qᵢ × qⱼ`) as
+    /// a sum over the columns `a_c` of `Aᵢⱼ` of `(Vᵢᵀa_c) ⊗ Vⱼ[c, :]`, on
+    /// the [`row_lists`] of `V`: `y = Vᵢᵀa_c` takes one sparse `axpy` per
+    /// stored entry — a single pick where the entry sits on an identity
+    /// row, `kᵢ` terms on an SVD row — and `y ⊗ Vⱼ[c, :]` touches
+    /// `nnz(y) × nnz(Vⱼ[c, :])` output entries: one for two identity rows
+    /// (the entry of `A` times two exact ones), `kᵢkⱼ` for two SVD rows.
     fn project_block_pair(
         &self,
         a: &CscMatrix<f64>,
         bi: usize,
         bj: usize,
-        rows_i: &[Vec<(usize, f64)>],
-        rows_j: &[Vec<(usize, f64)>],
+        rows: &[Vec<(usize, f64)>],
     ) -> Matrix {
         let (r0, r1) = (self.row_offsets[bi], self.row_offsets[bi + 1]);
         let (c0, c1) = (self.row_offsets[bj], self.row_offsets[bj + 1]);
         let mut out = Matrix::zeros(self.blocks[bi].ncols(), self.blocks[bj].ncols());
-        for c in c0..c1 {
-            let rows = a.col_rows(c);
-            let vals = a.col_values(c);
-            let lo = rows.partition_point(|&r| r < r0);
-            let hi = rows.partition_point(|&r| r < r1);
-            let lj = c - c0;
-            for (&r, &v) in rows[lo..hi].iter().zip(&vals[lo..hi]) {
-                if Scalar::is_zero(v) {
-                    continue;
-                }
-                // out[aa, bb] += Vi[li, aa] · v · Vj[lj, bb].
-                for &(aa, via) in &rows_i[r - r0] {
-                    let w = via * v;
-                    for &(bb, vjb) in &rows_j[lj] {
-                        out[(aa, bb)] += w * vjb;
+        // `y` as a sparse accumulator: values, membership, touched columns.
+        let mut y = vec![0.0; out.nrows()];
+        let mut live = vec![false; out.nrows()];
+        let mut touched: Vec<usize> = Vec::new();
+        for c in (c0..c1).filter(|&c| !rows[c].is_empty()) {
+            let arows = a.col_rows(c);
+            let lo = arows.partition_point(|&r| r < r0);
+            let hi = arows.partition_point(|&r| r < r1);
+            for (&r, &v) in arows[lo..hi].iter().zip(&a.col_values(c)[lo..hi]) {
+                for &(col, x) in &rows[r] {
+                    if !live[col] {
+                        live[col] = true;
+                        touched.push(col);
+                        y[col] = 0.0;
                     }
+                    y[col] += v * x;
+                }
+            }
+            for col in touched.drain(..) {
+                live[col] = false;
+                let (yv, orow) = (y[col], out.row_mut(col));
+                for &(cj, xj) in &rows[c] {
+                    orow[cj] += yv * xj;
                 }
             }
         }
@@ -371,11 +362,23 @@ impl BlockDiagProjector {
                 rhs: b.shape(),
             });
         }
+        // B is a handful of port rows: one rank-one update per non-zero
+        // row of B (a copy where that row of V is a unit vector), no
+        // transposed copy of the block.
         let mut out = Matrix::zeros(self.ncols(), b.ncols());
         for (i, blk) in self.blocks.iter().enumerate() {
-            let slice = b.submatrix(self.row_offsets[i], self.row_offsets[i + 1], 0, b.ncols());
-            let prod = blk.transpose().matmul(&slice)?;
-            out.set_block(self.col_offsets[i], 0, &prod);
+            let (r0, c0) = (self.row_offsets[i], self.col_offsets[i]);
+            for li in 0..blk.nrows() {
+                let brow = b.row(r0 + li);
+                if brow.iter().all(|&x| x == 0.0) {
+                    continue;
+                }
+                for (a, &v) in blk.row(li).iter().enumerate() {
+                    if v != 0.0 {
+                        vector::axpy(v, brow, out.row_mut(c0 + a));
+                    }
+                }
+            }
         }
         Ok(out)
     }
@@ -394,119 +397,174 @@ impl BlockDiagProjector {
                 rhs: l.shape(),
             });
         }
+        // Likewise one `axpy` of a row of V per non-zero entry of L.
         let mut out = Matrix::zeros(l.nrows(), self.ncols());
-        for (i, blk) in self.blocks.iter().enumerate() {
-            let slice = l.submatrix(0, l.nrows(), self.row_offsets[i], self.row_offsets[i + 1]);
-            let prod = slice.matmul(blk)?;
-            out.set_block(0, self.col_offsets[i], &prod);
+        for o in 0..l.nrows() {
+            for (i, blk) in self.blocks.iter().enumerate() {
+                let (r0, c0) = (self.row_offsets[i], self.col_offsets[i]);
+                let lrow = &l.row(o)[r0..r0 + blk.nrows()];
+                let orow = &mut out.row_mut(o)[c0..c0 + blk.ncols()];
+                for (li, &v) in lrow.iter().enumerate() {
+                    if v != 0.0 {
+                        vector::axpy(v, blk.row(li), orow);
+                    }
+                }
+            }
         }
         Ok(out)
     }
 }
 
-/// Compresses one block's slice under the exact interface policy: unit
-/// columns on the interface rows first, then the SVD directions of the
-/// slice with its interface rows zeroed (exact orthogonalization against
-/// the unit columns). Columns whose energy was (numerically) pure
-/// interface content are deduplicated away — the unit columns already
-/// span them. With no interface rows this is exactly
-/// [`compress_block_slice`].
-fn compress_block_interface(
-    slice: &Matrix,
-    rank_tol: f64,
-    max_block_dim: Option<usize>,
-    iface: &[usize],
-) -> Result<Matrix> {
-    if iface.is_empty() {
-        return compress_block_slice(slice, rank_tol, max_block_dim);
-    }
-    let size = slice.nrows();
-    // Zero the interface rows of every Krylov column; drop a column when
-    // that removes (numerically) all of it — its content lives in the
-    // identity columns already — and renormalize the survivors.
-    let mut cols: Vec<Vec<f64>> = Vec::new();
-    for j in 0..slice.ncols() {
-        let mut col = slice.col(j);
-        let pre = bdsm_linalg::vector::norm2(&col);
-        for &li in iface {
-            col[li] = 0.0;
-        }
-        let post = bdsm_linalg::vector::norm2(&col);
-        if pre > 1e-150 && post > 1e-12 * pre {
-            bdsm_linalg::vector::scale(1.0 / post, &mut col);
-            cols.push(col);
+/// The rows of `V` as sparse vectors: for every full state row the
+/// non-zero `(block-local column, value)` pairs of its row of the block
+/// basis, in column order — one pair on a preserved interface row, `kᵢ`
+/// on a row of the SVD part, fewer wherever the basis is exactly zero.
+/// This is the operand of the sparse congruence; it is built once per
+/// projection and shared by every matrix projected.
+fn row_lists(proj: &BlockDiagProjector) -> Vec<Vec<(usize, f64)>> {
+    proj.blocks
+        .iter()
+        .flat_map(|blk| {
+            (0..blk.nrows()).map(|li| {
+                let row = blk.row(li).iter().enumerate();
+                row.filter_map(|(col, &v)| (v != 0.0).then_some((col, v)))
+                    .collect()
+            })
+        })
+        .collect()
+}
+
+/// Every pair of `k` blocks, diagonal pairs first: they carry most of the
+/// entries on grid matrices, and fronting them keeps the shared work
+/// queue busy.
+fn block_pairs(k: usize) -> Vec<(usize, usize)> {
+    let mut pairs: Vec<(usize, usize)> = (0..k).map(|i| (i, i)).collect();
+    for i in 0..k {
+        for j in 0..k {
+            if i != j {
+                pairs.push((i, j));
+            }
         }
     }
-    // The budget cap applies to the appended SVD directions only: identity
-    // columns are the exactness contract and are never truncated.
-    let max_extra = max_block_dim.map(|cap| cap.saturating_sub(iface.len()));
-    let extra = if cols.is_empty() || max_extra == Some(0) {
-        None
-    } else {
-        let svd = Svd::compute(&Matrix::from_cols(&cols))?;
-        let sigma_max = svd.sigma.first().copied().unwrap_or(0.0);
-        let mut rank = svd
-            .sigma
-            .iter()
-            .filter(|&&s| s > rank_tol * sigma_max)
-            .count();
-        if let Some(cap) = max_extra {
-            rank = rank.min(cap);
-        }
-        (rank > 0).then(|| svd.u.submatrix(0, size, 0, rank))
-    };
-    let extra_cols = extra.as_ref().map_or(0, Matrix::ncols);
-    let mut out = Matrix::zeros(size, iface.len() + extra_cols);
-    for (t, &li) in iface.iter().enumerate() {
-        out[(li, t)] = 1.0;
+    pairs
+}
+
+/// `VᵀAV` for several sparse `A` at once (the engine projects `G` and
+/// `C` together): one set of [`row_lists`] and one fan-out over every
+/// block pair of every matrix, so two workers are not left sharing the
+/// one heavy diagonal pair of a single matrix. See
+/// [`BlockDiagProjector::project_square_sparse`] for the contract.
+///
+/// # Errors
+///
+/// Returns [`LinalgError::ShapeMismatch`] if a matrix is not `n × n`.
+pub(crate) fn sparse_congruences<const M: usize>(
+    proj: &BlockDiagProjector,
+    mats: [&CscMatrix<f64>; M],
+) -> Result<[Matrix; M]> {
+    let n = proj.nrows();
+    if let Some(bad) = mats.iter().find(|a| a.shape() != (n, n)) {
+        return Err(LinalgError::ShapeMismatch {
+            op: "project-square-sparse",
+            lhs: (n, n),
+            rhs: bad.shape(),
+        });
     }
-    if let Some(u) = extra {
-        out.set_block(0, iface.len(), &u);
+    let rows = row_lists(proj);
+    let pairs = block_pairs(proj.num_blocks());
+    let jobs: Vec<(usize, usize, usize)> = (0..M)
+        .flat_map(|m| pairs.iter().map(move |&(bi, bj)| (m, bi, bj)))
+        .collect();
+    let partials = crate::par::parallel_map(&jobs, |_, &(m, bi, bj)| {
+        let _s = bdsm_obs::span!("project.pair", i = bi, j = bj);
+        proj.project_block_pair(mats[m], bi, bj, &rows)
+    });
+    let mut out = [(); M].map(|()| Matrix::zeros(proj.ncols(), proj.ncols()));
+    for (&(m, bi, bj), partial) in jobs.iter().zip(&partials) {
+        out[m].set_block(proj.col_offsets[bi], proj.col_offsets[bj], partial);
     }
     Ok(out)
 }
 
-/// Compresses one block's row slice of the global basis into an
-/// orthonormal block basis.
+/// Compresses rows `row0 .. row0 + size` of the global basis into one
+/// orthonormal block basis `[E | U]`: a unit column per interface row
+/// (`iface`, block-local, sorted) first, then the dominant left singular
+/// vectors of the block's **interior** rows.
 ///
-/// Krylov content decays exponentially away from the ports, so a far
-/// block's slice can be tiny down to subnormal. Normalizing each column
-/// (and dropping numerically dead ones) keeps every moment direction that
-/// reaches the block, at any magnitude, and protects the Jacobi SVD from
-/// under/overflow. A block whose slice is numerically zero keeps a single
-/// canonical unit vector so every block retains at least one reduced state.
-fn compress_block_slice(
-    slice: &Matrix,
+/// Leaving the interface rows out of the SVD is the exact
+/// orthogonalisation of the Krylov slice against the unit columns, and it
+/// is what makes `U` exactly zero there (see [`Svd`] on zero rows). Krylov
+/// content decays exponentially away from the ports, so a far block's
+/// slice can be tiny down to subnormal: each column is normalised over the
+/// interior rows — keeping every moment direction that reaches the block,
+/// at any magnitude, and protecting the SVD from under/overflow — and
+/// dropped when it is numerically dead or was (numerically) pure interface
+/// content, which the unit columns already span. `max_block_dim` caps only
+/// the SVD directions: unit columns are the exactness contract and are
+/// never truncated. A block with no interface keeps at least one
+/// direction — a canonical unit vector if its slice is numerically zero —
+/// so every block retains a reduced state.
+fn compress_block(
+    global: &Matrix,
+    row0: usize,
+    size: usize,
     rank_tol: f64,
     max_block_dim: Option<usize>,
+    iface: &[usize],
 ) -> Result<Matrix> {
-    let size = slice.nrows();
-    let mut cols: Vec<Vec<f64>> = Vec::new();
-    for j in 0..slice.ncols() {
-        let mut col = slice.col(j);
-        let norm = bdsm_linalg::vector::norm2(&col);
-        if norm > 1e-150 {
-            bdsm_linalg::vector::scale(1.0 / norm, &mut col);
-            cols.push(col);
+    let mut is_iface = vec![false; size];
+    for &li in iface {
+        is_iface[li] = true;
+    }
+    let interior: Vec<usize> = (0..size).filter(|&li| !is_iface[li]).collect();
+    let len = interior.len();
+    // `w` is the interior slice column by column (row-major `cols × len`):
+    // the column buffers the SVD factors, filled in one pass over the
+    // rows of `global`, survivors normalised and compacted in place.
+    let cols = global.ncols();
+    let mut w = vec![0.0; cols * len];
+    for (t, &li) in interior.iter().enumerate() {
+        for (j, &x) in global.row(row0 + li).iter().enumerate() {
+            w[j * len + t] = x;
         }
     }
-    if cols.is_empty() {
-        let mut e = Matrix::zeros(size, 1);
-        e[(0, 0)] = 1.0;
-        return Ok(e);
+    let mut on_iface = vec![0.0; iface.len()];
+    let mut kept = 0;
+    for j in 0..cols {
+        for (x, &li) in on_iface.iter_mut().zip(iface) {
+            *x = global[(row0 + li, j)];
+        }
+        let col = &mut w[j * len..(j + 1) * len];
+        let post = vector::norm2(col);
+        let pre = post.hypot(vector::norm2(&on_iface));
+        if pre > 1e-150 && post > 1e-12 * pre {
+            vector::scale(1.0 / post, col);
+            w.copy_within(j * len..(j + 1) * len, kept * len);
+            kept += 1;
+        }
     }
-    let svd = Svd::compute(&Matrix::from_cols(&cols))?;
-    let sigma_max = svd.sigma.first().copied().unwrap_or(0.0);
-    let mut rank = svd
-        .sigma
-        .iter()
-        .filter(|&&s| s > rank_tol * sigma_max)
-        .count()
-        .max(1);
-    if let Some(cap) = max_block_dim {
-        rank = rank.min(cap.max(1));
+    w.truncate(kept * len);
+    let floor = usize::from(iface.is_empty());
+    let cap = max_block_dim.map_or(usize::MAX, |cap| cap.saturating_sub(iface.len()).max(floor));
+    let mut out;
+    if kept.min(cap) == 0 {
+        out = Matrix::zeros(size, iface.len() + floor);
+        if floor == 1 {
+            out[(0, 0)] = 1.0;
+        }
+    } else {
+        // `w = U Σ Vᵀ`, so the slice `wᵀ` has the left vectors `svd.v`.
+        let svd = Svd::compute(&Matrix::from_vec(kept, len, w)?)?;
+        let rank = svd.rank(rank_tol).max(floor).min(cap);
+        out = Matrix::zeros(size, iface.len() + rank);
+        for (t, &li) in interior.iter().enumerate() {
+            out.row_mut(li)[iface.len()..].copy_from_slice(&svd.v.row(t)[..rank]);
+        }
     }
-    Ok(svd.u.submatrix(0, size, 0, rank))
+    for (t, &li) in iface.iter().enumerate() {
+        out[(li, t)] = 1.0;
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -516,6 +574,47 @@ mod tests {
     fn demo_basis() -> Matrix {
         // 6 states, 2 basis columns with energy in every block.
         Matrix::from_fn(6, 2, |i, j| ((i + 1) as f64 * 0.3 + j as f64).sin() + 0.5)
+    }
+
+    /// The block pairs evaluated one after another on the calling thread,
+    /// in queue order — what the fan-out must reproduce bit for bit.
+    fn serial_pairs(p: &BlockDiagProjector, a: &CscMatrix<f64>) -> Matrix {
+        let rows = row_lists(p);
+        let mut out = Matrix::zeros(p.ncols(), p.ncols());
+        for (bi, bj) in block_pairs(p.num_blocks()) {
+            let partial = p.project_block_pair(a, bi, bj, &rows);
+            out.set_block(p.col_offsets[bi], p.col_offsets[bj], &partial);
+        }
+        out
+    }
+
+    /// Sparse congruence against the dense reference (≤ 1e-13·‖A‖_max),
+    /// against its own serial pair-by-pair evaluation (bitwise), and —
+    /// between preserved interface states — against `A` itself (bitwise).
+    fn assert_congruence(p: &BlockDiagProjector, a: &Matrix, what: &str) {
+        let sparse = CscMatrix::from_dense(a, 0.0);
+        let got = p.project_square_sparse(&sparse).unwrap();
+        let want = p.project_square(a).unwrap();
+        let err = got.sub(&want).unwrap().norm_max();
+        assert!(
+            err <= 1e-13 * a.norm_max(),
+            "{what}: off the dense product by {err:e}"
+        );
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&got),
+            bits(&serial_pairs(p, &sparse)),
+            "{what}: fan-out moved bits"
+        );
+        for &(r, tr) in p.interface_map() {
+            for &(c, tc) in p.interface_map() {
+                assert_eq!(
+                    got[(tr, tc)].to_bits(),
+                    a[(r, c)].to_bits(),
+                    "{what}: interface entry ({r}, {c}) was computed, not copied"
+                );
+            }
+        }
     }
 
     #[test]
@@ -596,10 +695,7 @@ mod tests {
                 0.0
             }
         });
-        let sparse = CscMatrix::from_dense(&a, 0.0);
-        let dense_result = p.project_square(&a).unwrap();
-        let sparse_result = p.project_square_sparse(&sparse).unwrap();
-        assert!(sparse_result.sub(&dense_result).unwrap().norm_max() < 1e-13);
+        assert_congruence(&p, &a, "folded, 6 states");
         let bad = CscMatrix::from_dense(&Matrix::zeros(5, 5), 0.0);
         assert!(p.project_square_sparse(&bad).is_err());
     }
@@ -733,21 +829,18 @@ mod tests {
                 0.0
             }
         });
-        let sparse = CscMatrix::from_dense(&a, 0.0);
-        let dense_result = p.project_square(&a).unwrap();
-        let sparse_result = p.project_square_sparse(&sparse).unwrap();
-        assert!(sparse_result.sub(&dense_result).unwrap().norm_max() < 1e-13);
+        assert_congruence(&p, &a, "exact, 6 states");
     }
 
     #[test]
     fn parallel_congruence_matches_serial_accumulation_bitwise() {
-        // The block-pair fan-out's contract: contributions to each output
-        // entry accumulate in exactly the order of a serial CSC sweep over
-        // the whole matrix, so the parallel result is byte-for-byte the
-        // serial one whatever the ambient worker count. Pin it against an
-        // inline reimplementation of that serial sweep (the historical
-        // code) rather than by mutating BDSM_THREADS, which would race
-        // sibling tests reading the environment from worker threads.
+        // The block-pair fan-out's contract: a pair's result is a pure
+        // function of the pair, accumulated in one fixed order (columns
+        // ascending, rows ascending inside a column), so the parallel
+        // result is byte-for-byte the serial pair-by-pair evaluation
+        // whatever the ambient worker count. Pinned against that serial
+        // evaluation rather than by mutating BDSM_THREADS, which would
+        // race sibling tests reading the environment from worker threads.
         let vg = Matrix::from_fn(24, 4, |i, j| ((i * 3 + 2 * j) as f64 * 0.13).sin());
         let p = BlockDiagProjector::from_global_basis(&vg, &[6, 6, 6, 6], 1e-12, None).unwrap();
         let a = Matrix::from_fn(24, 24, |i, j| {
@@ -757,35 +850,81 @@ mod tests {
                 0.0
             }
         });
-        let sparse = CscMatrix::from_dense(&a, 0.0);
-        let parallel = p.project_square_sparse(&sparse).unwrap();
+        assert_congruence(&p, &a, "folded, banded");
+    }
 
-        let mut block_of_row = vec![0usize; p.nrows()];
-        for bi in 0..p.num_blocks() {
-            block_of_row[p.row_offsets[bi]..p.row_offsets[bi + 1]].fill(bi);
-        }
-        let mut serial = Matrix::zeros(p.ncols(), p.ncols());
-        for (r, c, v) in sparse.iter() {
-            if v == 0.0 {
-                continue;
+    #[test]
+    fn congruence_of_unit_and_svd_rows_matches_dense_and_copies_the_interface() {
+        let vg = Matrix::from_fn(40, 5, |i, j| ((i * 5 + 3 * j) as f64 * 0.19).sin() + 0.1);
+        let sizes = [12, 9, 19];
+        let iface = vec![vec![0, 7, 11], vec![2], vec![0, 1, 9, 18]];
+        let exact =
+            BlockDiagProjector::from_global_basis_with_interface(&vg, &sizes, 1e-12, None, &iface)
+                .unwrap();
+        assert_eq!(exact.interface_map().len(), 8);
+        let folded = BlockDiagProjector::from_global_basis(&vg, &sizes, 1e-12, None).unwrap();
+        // A symmetric band with long-range coupling: every pair is hit.
+        let band = Matrix::from_fn(40, 40, |i, j| {
+            if i.abs_diff(j) <= 3 || (i + j) % 11 == 0 {
+                ((i * j + i + j) as f64 * 0.07).cos()
+            } else {
+                0.0
             }
-            let (bi, bj) = (block_of_row[r], block_of_row[c]);
-            let (vi, vj) = (&p.blocks[bi], &p.blocks[bj]);
-            let (li, lj) = (r - p.row_offsets[bi], c - p.row_offsets[bj]);
-            let (oi, oj) = (p.col_offsets[bi], p.col_offsets[bj]);
-            for aa in 0..vi.ncols() {
-                let w = vi[(li, aa)] * v;
-                if w == 0.0 {
-                    continue;
-                }
-                for bb in 0..vj.ncols() {
-                    serial[(oi + aa, oj + bb)] += w * vj[(lj, bb)];
-                }
+        });
+        // No symmetry in values or in pattern (MNA `G` stops being
+        // symmetric once sources or inductors stamp incidence blocks), and
+        // pairs (0, 2), (2, 0), (2, 1) hold no entry at all.
+        let block_of = |i: usize| usize::from(i >= 12) + usize::from(i >= 21);
+        let lopsided = Matrix::from_fn(40, 40, |i, j| {
+            let coupled = matches!((block_of(i), block_of(j)), (0, 1) | (1, 0) | (1, 2));
+            if (block_of(i) == block_of(j) && (i + 2 * j) % 3 != 1) || (coupled && (i + j) % 4 == 0)
+            {
+                ((3 * i + 5 * j) as f64 * 0.13).sin() + 0.01 * i as f64
+            } else {
+                0.0
+            }
+        });
+        for (a, name) in [(&band, "band"), (&lopsided, "unsymmetric")] {
+            assert_congruence(&exact, a, &format!("exact, {name}"));
+            assert_congruence(&folded, a, &format!("folded, {name}"));
+        }
+    }
+
+    #[test]
+    fn exact_interface_block_has_bitwise_unit_rows() {
+        // One 40-row block, 5 interface rows, one of them among the first
+        // rows (where the QR inside the SVD pivots): every interface row
+        // of the block basis is a unit vector and `+0.0` elsewhere, and
+        // its identity column is `+0.0` on every other row.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let vg = Matrix::from_fn(40, 6, |_, _| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        });
+        let iface = vec![2, 11, 12, 27, 39];
+        let block = compress_block(&vg, 0, 40, 1e-12, None, &iface).unwrap();
+        assert_eq!(block.shape(), (40, 5 + 6));
+        for (t, &li) in iface.iter().enumerate() {
+            for j in 0..block.ncols() {
+                let want = if j == t { 1.0_f64 } else { 0.0 };
+                assert_eq!(
+                    block[(li, j)].to_bits(),
+                    want.to_bits(),
+                    "row {li}, column {j}"
+                );
+            }
+            for i in (0..40).filter(|&i| i != li) {
+                assert_eq!(
+                    block[(i, t)].to_bits(),
+                    0.0_f64.to_bits(),
+                    "unit column {t}"
+                );
             }
         }
-        assert_eq!(parallel.as_slice(), serial.as_slice());
-        let dense_ref = p.project_square(&a).unwrap();
-        assert!(parallel.sub(&dense_ref).unwrap().norm_max() < 1e-13);
+        let gram = block.transpose().matmul(&block).unwrap();
+        assert!(gram.sub(&Matrix::identity(11)).unwrap().norm_max() < 1e-13);
     }
 
     #[test]

@@ -28,24 +28,35 @@ impl SymEig {
     /// - [`LinalgError::NotConverged`] if Jacobi sweeps fail (practically
     ///   unreachable for finite symmetric inputs).
     pub fn compute(a: &Matrix) -> Result<Self> {
+        Self::compute_within(a, 50)
+    }
+
+    /// [`compute`](Self::compute) with an explicit sweep budget.
+    fn compute_within(a: &Matrix, max_sweeps: usize) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { shape: a.shape() });
         }
         let n = a.nrows();
         let mut m = symmetrize(a);
         let mut q = Matrix::identity(n);
-        let max_sweeps = 50;
-        let mut converged = n <= 1;
-        for _ in 0..max_sweeps {
+        for sweep in 0.. {
+            // Frobenius norm of the strict upper triangle.
             let mut off = 0.0_f64;
             for p in 0..n {
                 for r in (p + 1)..n {
                     off += m[(p, r)] * m[(p, r)];
                 }
             }
-            if off.sqrt() <= 1e-14 * (m.norm_fro() + 1e-300) {
-                converged = true;
+            let off = off.sqrt();
+            if off <= 1e-14 * (m.norm_fro() + 1e-300) {
                 break;
+            }
+            if sweep == max_sweeps {
+                return Err(LinalgError::NotConverged {
+                    method: "jacobi-sym-eig",
+                    iterations: max_sweeps,
+                    residual: off,
+                });
             }
             for p in 0..n {
                 for r in (p + 1)..n {
@@ -80,13 +91,6 @@ impl SymEig {
                     }
                 }
             }
-        }
-        if !converged {
-            return Err(LinalgError::NotConverged {
-                method: "jacobi-sym-eig",
-                iterations: max_sweeps,
-                residual: f64::NAN,
-            });
         }
         // Sort ascending, permute vectors to match.
         let mut order: Vec<usize> = (0..n).collect();
@@ -333,6 +337,24 @@ mod tests {
     #[test]
     fn non_square_rejected() {
         assert!(SymEig::compute(&Matrix::zeros(2, 3)).is_err());
+    }
+
+    #[test]
+    fn non_convergence_reports_the_off_diagonal_norm() {
+        // One sweep cannot diagonalise a full 6 × 6 matrix.
+        let a = Matrix::from_fn(6, 6, |i, j| ((i + j) as f64).sin());
+        match SymEig::compute_within(&a, 1) {
+            Err(LinalgError::NotConverged {
+                method: "jacobi-sym-eig",
+                iterations: 1,
+                residual,
+            }) => assert!(
+                residual > 1e-14 * a.norm_fro() && residual < a.norm_fro(),
+                "residual {residual:e} is not the remaining off-diagonal norm"
+            ),
+            other => panic!("expected NotConverged, got {other:?}"),
+        }
+        assert!(SymEig::compute(&a).is_ok());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Dense linear-algebra substrate for the BDSM reproduction.
 //!
 //! This crate carries all of the scalar-level math the reduction pipeline
-//! needs: a row-major dense [`Matrix`], real LU/QR factorizations, Jacobi
-//! SVD and symmetric eigendecomposition, Hessenberg reduction with shifted
-//! complex solves, and a self-contained [`Complex64`] type (the dependency
-//! set does not include `num-complex`).
+//! needs: a row-major dense [`Matrix`], real LU/QR factorizations, a
+//! QR-first Jacobi SVD, Jacobi symmetric eigendecomposition, Hessenberg
+//! reduction with shifted complex solves, and a self-contained
+//! [`Complex64`] type (the dependency set does not include `num-complex`).
 //!
 //! # Examples
 //!
