@@ -48,7 +48,7 @@
 //! and serial legs are the same experiment, so the speedup is emitted as
 //! `null` rather than a fabricated 1.0x.
 
-use bdsm_bench::{json, time_with_warmup};
+use bdsm_bench::time_with_warmup;
 use bdsm_circuit::{mna, partition_network_with, PartitionStrategy};
 use bdsm_cluster::{ClientConfig, ClusterClient, NodeConfig, ShardNode, ShardPlan};
 use bdsm_core::engine::AdaptiveShiftOpts;
@@ -812,14 +812,6 @@ fn cluster_scenario() -> Result<(), BenchError> {
 
     let cm = client.metrics();
     let local_evictions = local.metrics().cache.evictions;
-    let mut shard_evictions = 0u64;
-    for k in 0..SHARDS {
-        let snapshot = json::parse(&client.shard_metrics(k)?)?;
-        shard_evictions += snapshot
-            .get("cache")
-            .and_then(|c| c.num("evictions"))
-            .unwrap_or(0.0) as u64;
-    }
     for result in client.shutdown_all() {
         result?;
     }
@@ -846,7 +838,7 @@ fn cluster_scenario() -> Result<(), BenchError> {
     );
     println!(
         "  router ping floor {router_overhead_us:.1} µs; rpcs {}, coalesced {}, \
-         evictions local {local_evictions} / shards {shard_evictions}; bitwise_equal {bitwise_equal}",
+         local evictions {local_evictions}; bitwise_equal {bitwise_equal}",
         cm.rpcs, cm.coalesced_queries,
     );
 
@@ -862,7 +854,7 @@ fn cluster_scenario() -> Result<(), BenchError> {
          \"batched_over_unbatched\": {:.3},\n  \
          \"router_overhead_us\": {router_overhead_us:.1},\n  \"rpcs\": {},\n  \
          \"coalesced_queries\": {},\n  \"retries\": {},\n  \"worker_panics\": {},\n  \
-         \"local_evictions\": {local_evictions},\n  \"shard_evictions\": {shard_evictions},\n  \
+         \"local_evictions\": {local_evictions},\n  \
          \"bitwise_equal\": {bitwise_equal}\n}}\n",
         qps_batched / qps_unbatched,
         cm.rpcs,

@@ -5,8 +5,6 @@
 //! compare full-vs-reduced evaluation cost and to track regressions until a
 //! dedicated benchmark suite lands.
 
-pub mod json;
-
 use std::fmt;
 use std::time::{Duration, Instant};
 

@@ -31,7 +31,7 @@
 //! for any `BDSM_THREADS`.
 
 use crate::reduce::Result;
-use crate::transfer::{CMatrix, TransferEvaluator};
+use crate::transfer::{eval_jomega_sweep, CMatrix};
 use bdsm_linalg::{sym_eig_extremes, Matrix, SymEig};
 
 /// Knobs of the certification pass, carried on
@@ -325,8 +325,7 @@ pub fn certify_reduced(
     let (sample_omegas, sample_min_eigs, violations) = if square && !omegas.is_empty() {
         let samples = match rom_samples {
             Some(s) => s.to_vec(),
-            None => TransferEvaluator::new(g.clone(), c.clone(), b.clone(), l.clone())?
-                .eval_jomega_sweep(omegas)?,
+            None => eval_jomega_sweep(g, c, b, l, omegas)?,
         };
         let mut mins = Vec::with_capacity(samples.len());
         let mut bad = Vec::new();

@@ -56,7 +56,7 @@ use crate::krylov::{
 };
 use crate::projector::{sparse_congruences, BlockDiagProjector, InterfacePolicy};
 use crate::reduce::{CoreError, ReducedModel, ReductionOpts, Result, SparseDescriptor};
-use crate::transfer::{transfer_rel_err, CMatrix, SparseTransferEvaluator, TransferEvaluator};
+use crate::transfer::{eval_jomega_sweep, transfer_rel_err, CMatrix, SparseTransferEvaluator};
 use bdsm_circuit::{
     grouped_state_order, interface_state_indices, mna, partition_network_with, CircuitError,
     Network, Partition, ReductionSet,
@@ -450,9 +450,7 @@ impl<'n> ReductionEngine<'n> {
         omegas: &[f64],
         full: &[CMatrix],
     ) -> Result<(ResidualSweep, Vec<CMatrix>)> {
-        let rom_ev =
-            TransferEvaluator::new(rom.g.clone(), rom.c.clone(), rom.b.clone(), rom.l.clone())?;
-        let rom_sweep = rom_ev.eval_jomega_sweep(omegas)?;
+        let rom_sweep = eval_jomega_sweep(&rom.g, &rom.c, &rom.b, &rom.l, omegas)?;
         let residuals: Vec<f64> = full
             .iter()
             .zip(&rom_sweep)

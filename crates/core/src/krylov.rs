@@ -39,8 +39,9 @@
 //! `X₀ = (G + jω₀C)⁻¹B` also yields the full-model sample `L·X₀`
 //! ([`PointCandidates::sample`]) the adaptive engine certifies against.
 //! [`global_krylov_basis`] is the dense **reference**: the same two
-//! recurrences over a dense LU of `G + s₀C` per point, which no pipeline
-//! stage calls and tests compare the sparse path against.
+//! recurrences over a dense LU of `G + s₀C` per point, one point after
+//! another, which no pipeline stage calls and tests compare the sparse
+//! path against.
 //!
 //! # Subnormals
 //!
@@ -177,17 +178,8 @@ pub fn global_krylov_basis(
     merge_candidates(raw, opts.deflation_tol, opts.ortho)
 }
 
-/// A shift's numeric factors, produced ahead of its recurrence by the
-/// factor-queue pipeline (dense-reference flavour).
-enum DenseFactor {
-    Real(DenseLu),
-    Jomega(ZLu),
-}
-
-/// Per-point candidate sets through the dense kernels, pipelined over
-/// [`crate::par`] like the sparse pass: the producer stage factors
-/// `G + s₀C` per shift; the consumer stage runs that shift's block
-/// recurrence, overlapping with later shifts' factorizations.
+/// Per-point candidate sets through the dense kernels, one point after
+/// another: a dense LU of `G + s₀C`, then that point's block recurrence.
 fn candidates_for_points_dense(
     g: &Matrix,
     c: &Matrix,
@@ -196,67 +188,44 @@ fn candidates_for_points_dense(
     points: &[ExpansionPoint],
 ) -> Vec<Result<PointCandidates>> {
     let n = g.nrows();
-    par::pipelined_map_with(
-        points,
-        || (),
-        |(), i, &pt| {
-            let mut s = bdsm_obs::timing_span!("krylov.point", point = i, stage = "factor");
-            match pt {
-                ExpansionPoint::Real(s0) => {
-                    s.attr("s0", s0);
-                    let shifted = g.add(&c.scaled(s0))?;
-                    Ok(DenseFactor::Real(DenseLu::factor(&shifted)?))
-                }
-                ExpansionPoint::Jomega(omega) => {
-                    s.attr("omega", omega);
-                    Ok(DenseFactor::Jomega(ZLu::factor_shifted(
-                        g,
-                        c,
-                        Complex64::jomega(omega),
-                    )?))
-                }
+    points
+        .iter()
+        .map(|&pt| match pt {
+            ExpansionPoint::Real(s0) => {
+                let lu = DenseLu::factor(&g.add(&c.scaled(s0))?)?;
+                real_point_candidates(
+                    b,
+                    opts,
+                    |vs| vs.iter().map(|v| lu.solve(v)).collect(),
+                    |v| c.matvec(v),
+                )
             }
-        },
-        |(), i, &pt, factored: Result<DenseFactor>| {
-            let mut s = bdsm_obs::timing_span!("krylov.point", point = i, stage = "recur");
-            match (pt, factored?) {
-                (ExpansionPoint::Real(s0), DenseFactor::Real(lu)) => {
-                    s.attr("s0", s0);
-                    real_point_candidates(
-                        b,
-                        opts,
-                        |vs| vs.iter().map(|v| lu.solve(v)).collect(),
-                        |v| c.matvec(v),
-                    )
-                }
-                (ExpansionPoint::Jomega(omega), DenseFactor::Jomega(lu)) => {
-                    s.attr("omega", omega);
-                    // C is real and v complex: row-wise accumulation over dense C.
-                    let apply_c = |v: &[Complex64]| -> Result<Vec<Complex64>> {
-                        Ok((0..n)
-                            .map(|i| {
-                                let row = c.row(i);
-                                let mut acc = Complex64::ZERO;
-                                for (cij, vj) in row.iter().zip(v) {
-                                    acc += *vj * *cij;
-                                }
-                                acc
-                            })
-                            .collect())
-                    };
-                    jomega_point_candidates(
-                        b,
-                        None,
-                        opts,
-                        |vs| vs.iter().map(|v| lu.solve_real(v)).collect(),
-                        |vs| vs.iter().map(|v| lu.solve(v)).collect(),
-                        apply_c,
-                    )
-                }
-                _ => unreachable!("factor queue delivered a mismatched shift kind"),
+            ExpansionPoint::Jomega(omega) => {
+                let lu = ZLu::factor_shifted(g, c, Complex64::jomega(omega))?;
+                // C is real and v complex: row-wise accumulation over dense C.
+                let apply_c = |v: &[Complex64]| -> Result<Vec<Complex64>> {
+                    Ok((0..n)
+                        .map(|i| {
+                            let row = c.row(i);
+                            let mut acc = Complex64::ZERO;
+                            for (cij, vj) in row.iter().zip(v) {
+                                acc += *vj * *cij;
+                            }
+                            acc
+                        })
+                        .collect())
+                };
+                jomega_point_candidates(
+                    b,
+                    None,
+                    opts,
+                    |vs| vs.iter().map(|v| lu.solve_real(v)).collect(),
+                    |vs| vs.iter().map(|v| lu.solve(v)).collect(),
+                    apply_c,
+                )
             }
-        },
-    )
+        })
+        .collect()
 }
 
 /// Builds the same global moment-matching basis as [`global_krylov_basis`],

@@ -36,8 +36,9 @@
 //!   Lyapunov/spectral verification) plus per-band a posteriori error
 //!   bounds, recorded on [`engine::EngineReport::certificate`];
 //! - [`transfer`] evaluates `H(s) = L(G + sC)⁻¹B` for full and reduced
-//!   models so they can be compared frequency by frequency — dense,
-//!   Hessenberg, and sparse ([`transfer::SparseTransferEvaluator`]) paths,
+//!   models so they can be compared frequency by frequency — a dense
+//!   complex LU for ROMs ([`transfer::eval_jomega_sweep`]) and a sparse
+//!   evaluator for full models ([`transfer::SparseTransferEvaluator`]),
 //!   with `jω` sweeps fanned out per frequency;
 //! - [`synth`] generates ladder/grid/feeder test topologies.
 //!
@@ -79,8 +80,8 @@ pub use reduce::{
     StageTimings,
 };
 pub use transfer::{
-    eval_transfer, eval_transfer_factored, transfer_rel_err, CMatrix, SparseTransferEvaluator,
-    TransferEvaluator, ZLu,
+    eval_jomega_sweep, eval_transfer, eval_transfer_factored, transfer_rel_err, CMatrix,
+    SparseTransferEvaluator, ZLu,
 };
 
 /// Version of the reduction engine, recorded in ROM artifact provenance so

@@ -117,8 +117,8 @@ pub struct ReductionOpts {
     /// User-designated reduction region: when set, these buses are kept and
     /// every other bus is eliminated, overriding `num_blocks` and
     /// `partition_strategy` (the partition is derived from the kept set via
-    /// [`ReductionSet`]). Pair with [`InterfacePolicy::Exact`] to read kept
-    /// boundary voltages off the ROM verbatim.
+    /// [`bdsm_circuit::ReductionSet`]). Pair with [`InterfacePolicy::Exact`]
+    /// to read kept boundary voltages off the ROM verbatim.
     pub kept_buses: Option<Vec<usize>>,
     /// Knobs of the Certify stage's property checks (passivity/stability
     /// margins); see [`CertifyOpts`].
@@ -334,7 +334,7 @@ pub fn reduce_network(net: &Network, opts: &ReductionOpts) -> Result<ReducedMode
 mod tests {
     use super::*;
     use crate::synth::rc_ladder;
-    use crate::transfer::{eval_transfer, transfer_rel_err, TransferEvaluator};
+    use crate::transfer::{eval_transfer, transfer_rel_err};
     use bdsm_linalg::Complex64;
 
     fn ladder_opts(k: usize, s0: f64, moments: usize) -> ReductionOpts {
@@ -378,8 +378,7 @@ mod tests {
         let s = Complex64::jomega(s0 * 0.5);
         let hf = {
             let full = rm.full.to_dense();
-            let ev = TransferEvaluator::new(full.g, full.c, full.b, full.l).unwrap();
-            ev.eval(s).unwrap()
+            eval_transfer(&full.g, &full.c, &full.b, &full.l, s).unwrap()
         };
         let hr = eval_transfer(&rm.g, &rm.c, &rm.b, &rm.l, s).unwrap();
         assert!(transfer_rel_err(&hf, &hr) < 1e-8);

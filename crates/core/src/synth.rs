@@ -2,8 +2,7 @@
 //!
 //! Three families, in increasing structural richness, all built so that
 //! every bus carries a shunt capacitor (making `C` diagonal and positive,
-//! which both keeps the descriptor regular and enables the Hessenberg fast
-//! path of the transfer evaluator):
+//! which keeps the descriptor regular):
 //!
 //! - [`rc_ladder`] — the classic driver/line/load chain;
 //! - [`rc_grid`] — a 2-D mesh, the paper's structured power-grid testcase;

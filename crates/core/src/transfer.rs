@@ -1,19 +1,24 @@
 //! Frequency-domain transfer-function evaluation
 //! `H(s) = L (G + sC)⁻¹ B`, for both full and reduced descriptor models.
 //!
-//! Three paths are provided:
+//! Two evaluators, selected by the representation of the input:
 //!
 //! - a dense complex LU ([`ZLu`]) that factors `G + sC` per frequency —
-//!   always applicable, and cheap for reduced models;
-//! - a Hessenberg fast path for the common power-grid case where `C` is
-//!   diagonal and positive (every bus carries a shunt capacitor): with
-//!   `A = −C⁻¹G = QHQᵀ`, each frequency costs one `O(n²)` shifted solve
-//!   through `bdsm_linalg::solve_shifted_hessenberg` instead of `O(n³)`;
-//! - a sparse path ([`SparseTransferEvaluator`]) that analyses the
+//!   the ROM side: [`eval_transfer`] for one sample, [`eval_jomega_sweep`]
+//!   for a `jω` grid, [`eval_transfer_factored`] against a cached factor;
+//! - a sparse evaluator ([`SparseTransferEvaluator`]) that analyses the
 //!   `G + sC` pattern once and runs one sparse complex LU per frequency —
 //!   the only route that scales to full models with `n ≫ 10⁴` states.
+//!
+//! There used to be a third: a Hessenberg reduction of `−C⁻¹G` for an
+//! exactly diagonal positive `C`, `O(n²)` per frequency afterwards. It
+//! went because nothing reached it — a projected `C_r = VᵀCV` always
+//! carries round-off off-diagonals, so none of 246 instrumented ROM-side
+//! sweeps (three benchmark workloads and the test suite) took it — and
+//! where a test did hand it a full 500-state model, the one-time reduction
+//! cost more than the twelve zero-skipping LUs it replaced
+//! (`sparse_e2e` 1.94 → 1.43 s without it).
 
-use bdsm_linalg::dense::hessenberg::{hessenberg, solve_shifted_hessenberg};
 use bdsm_linalg::{Complex64, LinalgError, Matrix, Result};
 use bdsm_sparse::{CscMatrix, LuWorkspace, ShiftedPencil};
 use std::ops::{Index, IndexMut};
@@ -109,7 +114,7 @@ impl ZLu {
     /// - [`LinalgError::NotSquare`] / [`LinalgError::ShapeMismatch`] on bad
     ///   shapes.
     /// - [`LinalgError::Singular`] if a pivot vanishes (e.g. `s` hits a
-    ///   generalized eigenvalue of the pencil).
+    ///   generalized eigenvalue of the pencil) or is NaN.
     pub fn factor_shifted(g: &Matrix, c: &Matrix, s: Complex64) -> Result<Self> {
         if !g.is_square() {
             return Err(LinalgError::NotSquare { shape: g.shape() });
@@ -140,7 +145,7 @@ impl ZLu {
                     piv = i;
                 }
             }
-            if pmax == 0.0 {
+            if pmax == 0.0 || pmax.is_nan() {
                 return Err(LinalgError::Singular { at: k });
             }
             if piv != k {
@@ -267,107 +272,29 @@ fn check_descriptor_shapes(g: &Matrix, c: &Matrix, b: &Matrix, l: &Matrix) -> Re
     Ok(())
 }
 
-enum EvalPath {
-    /// `A = −C⁻¹G = QHQᵀ` precomputed; per-frequency `O(n²)` solves.
-    Hessenberg {
-        h: Matrix,
-        /// `L·Q` (`p × n`).
-        lq: Matrix,
-        /// `Qᵀ·C⁻¹·B` (`n × m`).
-        qt_cinv_b: Matrix,
-    },
-    /// Fresh complex LU per frequency over the stored descriptor.
-    Dense {
-        g: Matrix,
-        c: Matrix,
-        b: Matrix,
-        l: Matrix,
-    },
-}
-
-/// Reusable evaluator of `H(s)` for a fixed descriptor model.
+/// Evaluates `H(jω)` of a dense descriptor at each angular frequency —
+/// one [`eval_transfer`] per sample, fanned out over [`crate::par`]
+/// workers (each sample is an independent factorization, so the result is
+/// bitwise-identical for any worker count).
 ///
-/// Construction inspects `C`: when it is diagonal with strictly positive
-/// diagonal (the RC/RLC grid case), a one-time Hessenberg reduction makes
-/// every subsequent [`eval`](Self::eval) an `O(n²)` shifted solve; otherwise
-/// evaluation falls back to a dense complex LU per call.
-pub struct TransferEvaluator {
-    path: EvalPath,
-}
-
-impl TransferEvaluator {
-    /// Builds the evaluator, choosing the fastest applicable path.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors for inconsistent descriptor matrices and
-    /// propagates Hessenberg-reduction failures.
-    pub fn new(g: Matrix, c: Matrix, b: Matrix, l: Matrix) -> Result<Self> {
-        check_descriptor_shapes(&g, &c, &b, &l)?;
-        let path = if is_positive_diagonal(&c) {
-            let n = g.nrows();
-            // A = −C⁻¹G, so that G + sC = C (sI − A); row-scale by −1/cᵢ.
-            let a = Matrix::from_fn(n, n, |i, j| -g[(i, j)] / c[(i, i)]);
-            let hes = hessenberg(&a)?;
-            let cinv_b = Matrix::from_fn(n, b.ncols(), |i, j| b[(i, j)] / c[(i, i)]);
-            let lq = l.matmul(&hes.q)?;
-            let qt_cinv_b = hes.q.transpose().matmul(&cinv_b)?;
-            EvalPath::Hessenberg {
-                h: hes.h,
-                lq,
-                qt_cinv_b,
-            }
-        } else {
-            EvalPath::Dense { g, c, b, l }
-        };
-        Ok(TransferEvaluator { path })
-    }
-
-    /// `true` when the `O(n²)`-per-frequency Hessenberg path is active.
-    pub fn uses_fast_path(&self) -> bool {
-        matches!(self.path, EvalPath::Hessenberg { .. })
-    }
-
-    /// Evaluates `H(s)` (`p × m`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Singular`] if `s` is a pole of the model.
-    pub fn eval(&self, s: Complex64) -> Result<CMatrix> {
-        match &self.path {
-            EvalPath::Dense { g, c, b, l } => eval_transfer(g, c, b, l, s),
-            EvalPath::Hessenberg { h, lq, qt_cinv_b } => {
-                let z: Vec<Vec<Complex64>> = (0..qt_cinv_b.ncols())
-                    .map(|j| {
-                        let rhs: Vec<Complex64> = qt_cinv_b
-                            .col(j)
-                            .iter()
-                            .map(|&v| Complex64::from_real(v))
-                            .collect();
-                        solve_shifted_hessenberg(h, s, &rhs)
-                    })
-                    .collect::<Result<_>>()?;
-                Ok(output_sample(lq, z.len(), z.iter().map(Vec::as_slice)))
-            }
-        }
-    }
-
-    /// Evaluates `H(jω)` at each angular frequency, fanning the samples
-    /// out over [`crate::par`] workers (each sample is an independent
-    /// factorization, so the sweep is embarrassingly parallel and the
-    /// result is bitwise-identical for any worker count).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first evaluation failure (in frequency order).
-    pub fn eval_jomega_sweep(&self, omegas: &[f64]) -> Result<Vec<CMatrix>> {
-        crate::par::parallel_map(omegas, |_, &w| {
-            let _s = bdsm_obs::span!("sweep.freq", omega = w, backend = "dense");
-            self.eval(Complex64::jomega(w))
-        })
-        .into_iter()
-        .collect()
-    }
+/// # Errors
+///
+/// Returns shape errors for inconsistent descriptor matrices and
+/// propagates the first evaluation failure (in frequency order).
+pub fn eval_jomega_sweep(
+    g: &Matrix,
+    c: &Matrix,
+    b: &Matrix,
+    l: &Matrix,
+    omegas: &[f64],
+) -> Result<Vec<CMatrix>> {
+    check_descriptor_shapes(g, c, b, l)?;
+    crate::par::parallel_map(omegas, |_, &w| {
+        let _s = bdsm_obs::span!("sweep.freq", omega = w, backend = "dense");
+        eval_transfer(g, c, b, l, Complex64::jomega(w))
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Sparse full-model evaluator of `H(s) = L (G + sC)⁻¹ B`.
@@ -378,10 +305,11 @@ impl TransferEvaluator {
 /// is the full-model path for grids far beyond the dense ceiling.
 pub struct SparseTransferEvaluator {
     pencil: ShiftedPencil,
-    b: Matrix,
-    /// `B` pre-packed as a column-major panel: each frequency sample runs
-    /// one blocked multi-RHS triangular pass over all inputs at once.
+    /// `B` (`n × m`) packed as a column-major panel: each frequency sample
+    /// runs one blocked multi-RHS triangular pass over all inputs at once.
     b_panel: Vec<f64>,
+    /// Number of inputs `m`.
+    m: usize,
     l: Matrix,
 }
 
@@ -418,8 +346,8 @@ impl SparseTransferEvaluator {
         }
         Ok(SparseTransferEvaluator {
             pencil,
-            b,
             b_panel,
+            m: b.ncols(),
             l,
         })
     }
@@ -449,7 +377,7 @@ impl SparseTransferEvaluator {
     /// Returns [`LinalgError::Singular`] if `s` is a pole of the model.
     pub fn eval_with(&self, s: Complex64, ws: &mut LuWorkspace<Complex64>) -> Result<CMatrix> {
         let lu = self.pencil.factor_complex_with(s, ws)?;
-        let (n, m) = (self.dim(), self.b.ncols());
+        let (n, m) = (self.dim(), self.m);
         if m == 0 {
             return Ok(CMatrix::zeros(self.l.nrows(), 0));
         }
@@ -494,25 +422,6 @@ pub(crate) fn output_sample<'a>(
         }
     }
     h
-}
-
-fn is_positive_diagonal(c: &Matrix) -> bool {
-    if !c.is_square() {
-        return false;
-    }
-    for i in 0..c.nrows() {
-        for j in 0..c.ncols() {
-            let v = c[(i, j)];
-            if i == j {
-                if v <= 0.0 {
-                    return false;
-                }
-            } else if v != 0.0 {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 /// Relative error `‖H_full − H_red‖_F / ‖H_full‖_F` of one frequency sample.
@@ -577,48 +486,13 @@ mod tests {
     }
 
     #[test]
-    fn hessenberg_path_matches_dense_path() {
-        // Diagonal C → fast path; compare against the dense LU result.
-        let n = 12;
-        let g = Matrix::from_fn(n, n, |i, j| {
-            if i == j {
-                3.0 + 0.2 * i as f64
-            } else if i.abs_diff(j) == 1 {
-                -1.0
-            } else {
-                0.0
-            }
-        });
-        let c = Matrix::from_fn(
-            n,
-            n,
-            |i, j| if i == j { 1.0 + 0.05 * i as f64 } else { 0.0 },
-        );
-        let b = Matrix::from_fn(n, 2, |i, j| if i == j { 1.0 } else { 0.0 });
-        let l = Matrix::from_fn(2, n, |i, j| if j == n - 1 - i { 1.0 } else { 0.0 });
-        let ev = TransferEvaluator::new(g.clone(), c.clone(), b.clone(), l.clone()).unwrap();
-        assert!(ev.uses_fast_path());
-        for &w in &[0.1, 1.0, 10.0] {
-            let s = Complex64::jomega(w);
-            let fast = ev.eval(s).unwrap();
-            let dense = eval_transfer(&g, &c, &b, &l, s).unwrap();
-            let rel = transfer_rel_err(&dense, &fast);
-            assert!(rel < 1e-12, "paths disagree at ω={w}: {rel}");
-        }
-    }
-
-    #[test]
-    fn non_diagonal_c_uses_dense_path() {
-        let g = Matrix::identity(3);
-        let mut c = Matrix::identity(3);
-        c[(0, 1)] = 0.5;
-        c[(1, 0)] = 0.5;
-        let b = Matrix::from_fn(3, 1, |i, _| if i == 0 { 1.0 } else { 0.0 });
-        let l = b.transpose();
-        let ev = TransferEvaluator::new(g, c, b, l).unwrap();
-        assert!(!ev.uses_fast_path());
-        let h = ev.eval(Complex64::jomega(2.0)).unwrap();
-        assert!(h[(0, 0)].is_finite());
+    fn zlu_rejects_a_nan_pivot() {
+        let mut g = Matrix::from_rows(&[&[2.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 4.0]]);
+        g[(1, 1)] = f64::NAN;
+        assert!(matches!(
+            ZLu::factor_shifted(&g, &Matrix::identity(3), Complex64::jomega(1.0)),
+            Err(LinalgError::Singular { at: 1 })
+        ));
     }
 
     #[test]
@@ -673,8 +547,7 @@ mod tests {
     #[test]
     fn sweep_evaluates_every_frequency() {
         let (g, c, b, l) = scalar_rc();
-        let ev = TransferEvaluator::new(g, c, b, l).unwrap();
-        let hs = ev.eval_jomega_sweep(&[1.0, 2.0, 4.0]).unwrap();
+        let hs = eval_jomega_sweep(&g, &c, &b, &l, &[1.0, 2.0, 4.0]).unwrap();
         assert_eq!(hs.len(), 3);
         // |H| decreases with frequency for a one-pole lowpass.
         assert!(hs[0][(0, 0)].abs() > hs[2][(0, 0)].abs());

@@ -12,9 +12,7 @@ use bdsm_core::engine::ReductionEngine;
 use bdsm_core::krylov::{global_krylov_basis, KrylovOpts};
 use bdsm_core::reduce::{reduce_network, ReductionOpts};
 use bdsm_core::synth::{rc_grid, rc_ladder};
-use bdsm_core::transfer::{
-    eval_transfer, transfer_rel_err, SparseTransferEvaluator, TransferEvaluator,
-};
+use bdsm_core::transfer::{eval_transfer, transfer_rel_err, SparseTransferEvaluator};
 use bdsm_linalg::Complex64;
 
 /// Log-spaced angular frequencies in `[lo, hi]`.
@@ -107,11 +105,10 @@ fn assert_pipeline_matches_dense_reference(
     let sparse_ev =
         SparseTransferEvaluator::new(&rm.full.g, &rm.full.c, rm.full.b.clone(), rm.full.l.clone())
             .expect("sparse evaluator");
-    let dense_ev = TransferEvaluator::new(full.g, full.c, full.b, full.l).expect("dense evaluator");
     for &w in freqs {
         let s = Complex64::jomega(w);
         let hs = sparse_ev.eval(s).expect("sparse sample");
-        let hd = dense_ev.eval(s).expect("dense sample");
+        let hd = eval_transfer(&full.g, &full.c, &full.b, &full.l, s).expect("dense sample");
         let rel = transfer_rel_err(&hd, &hs);
         assert!(rel <= 1e-10, "full-model backends disagree at ω={w}: {rel}");
 

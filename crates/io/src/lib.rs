@@ -42,7 +42,7 @@
 //! writer emits `1` for them. Round-trip equality
 //! (`parse → write → parse`) is stated over the structural content —
 //! bus names and order, elements, sources, probes — which is exactly
-//! [`Network`]'s `PartialEq`.
+//! [`bdsm_circuit::Network`]'s `PartialEq`.
 //!
 //! # Example
 //!

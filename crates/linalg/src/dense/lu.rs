@@ -37,7 +37,9 @@ impl DenseLu {
     /// # Errors
     ///
     /// - [`LinalgError::NotSquare`] if `a` is not square.
-    /// - [`LinalgError::Singular`] if a pivot is exactly zero.
+    /// - [`LinalgError::Singular`] if a pivot is exactly zero or NaN (every
+    ///   comparison with NaN is false, so a NaN pivot would otherwise pass
+    ///   for a nonzero one and poison every solve).
     pub fn factor(a: &Matrix) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { shape: a.shape() });
@@ -57,7 +59,7 @@ impl DenseLu {
                     piv = i;
                 }
             }
-            if pmax == 0.0 {
+            if pmax == 0.0 || pmax.is_nan() {
                 return Err(LinalgError::Singular { at: k });
             }
             if piv != k {
@@ -199,6 +201,16 @@ mod tests {
         assert!(matches!(
             DenseLu::factor(&a),
             Err(LinalgError::Singular { .. })
+        ));
+    }
+
+    #[test]
+    fn nan_pivot_is_an_error_not_a_nan_solution() {
+        let mut a = Matrix::from_rows(&[&[2.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 4.0]]);
+        a[(1, 1)] = f64::NAN;
+        assert!(matches!(
+            DenseLu::factor(&a),
+            Err(LinalgError::Singular { at: 1 })
         ));
     }
 

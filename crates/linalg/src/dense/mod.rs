@@ -3,17 +3,13 @@
 pub mod blockqr;
 pub mod eig_sym;
 pub mod gemm;
-pub mod hessenberg;
 pub mod lu;
 pub mod matrix;
-pub mod qr;
 pub mod svd;
 
 pub use blockqr::{block_project, gemm_tn_acc};
 pub use eig_sym::{sym_eig_extremes, sym_min_eig, SymEig};
 pub use gemm::{gemm_acc, gemm_sub, trsv_unit_lower, GemmScalar, KernelShape, KERNEL_SHAPE};
-pub use hessenberg::{hessenberg, solve_shifted_hessenberg, Hessenberg};
 pub use lu::DenseLu;
 pub use matrix::Matrix;
-pub use qr::DenseQr;
 pub use svd::Svd;

@@ -18,7 +18,8 @@ pub enum LinalgError {
         /// Shape of the right/second operand.
         rhs: (usize, usize),
     },
-    /// A factorization encountered an (numerically) singular matrix.
+    /// A factorization met a pivot it cannot divide by: exactly zero (a
+    /// singular matrix) or NaN (a non-finite entry in the input).
     Singular {
         /// Pivot index at which singularity was detected.
         at: usize,
@@ -53,7 +54,7 @@ impl fmt::Display for LinalgError {
                 lhs.0, lhs.1, rhs.0, rhs.1
             ),
             LinalgError::Singular { at } => {
-                write!(f, "matrix is singular (zero pivot at index {at})")
+                write!(f, "matrix is singular (zero or NaN pivot at index {at})")
             }
             LinalgError::NotConverged {
                 method,

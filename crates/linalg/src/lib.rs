@@ -1,9 +1,10 @@
 //! Dense linear-algebra substrate for the BDSM reproduction.
 //!
 //! This crate carries all of the scalar-level math the reduction pipeline
-//! needs: a row-major dense [`Matrix`], real LU/QR factorizations, a
-//! QR-first Jacobi SVD, Jacobi symmetric eigendecomposition, Hessenberg
-//! reduction with shifted complex solves, and a self-contained
+//! needs: a row-major dense [`Matrix`], a real LU factorization
+//! ([`DenseLu`]), a QR-first Jacobi SVD ([`Svd`], which owns the one
+//! Householder QR), Jacobi symmetric eigendecomposition ([`SymEig`]), the
+//! cache-blocked `gemm` / block-projection kernels, and a self-contained
 //! [`Complex64`] type (the dependency set does not include `num-complex`).
 //!
 //! # Examples
@@ -33,8 +34,7 @@ pub mod vector;
 
 pub use complex::Complex64;
 pub use dense::{
-    block_project, gemm_acc, gemm_sub, gemm_tn_acc, hessenberg, solve_shifted_hessenberg,
-    sym_eig_extremes, sym_min_eig, trsv_unit_lower, DenseLu, DenseQr, GemmScalar, Hessenberg,
-    KernelShape, Matrix, Svd, SymEig, KERNEL_SHAPE,
+    block_project, gemm_acc, gemm_sub, gemm_tn_acc, sym_eig_extremes, sym_min_eig, trsv_unit_lower,
+    DenseLu, GemmScalar, KernelShape, Matrix, Svd, SymEig, KERNEL_SHAPE,
 };
 pub use error::{LinalgError, Result};

@@ -58,7 +58,7 @@ pub use metrics::{
     metrics, CacheStats, CacheStatsSnapshot, Counter, Gauge, Histogram, HistogramSnapshot, Metrics,
     MetricsSnapshot,
 };
-pub use trace::{AttrValue, SpanEvent, Trace};
+pub use trace::{push_json_string, AttrValue, SpanEvent, Trace};
 
 // ---------------------------------------------------------------------------
 // Observability level

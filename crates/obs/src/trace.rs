@@ -55,6 +55,24 @@ impl From<bool> for AttrValue {
     }
 }
 
+/// Appends `s` to `out` as a JSON string literal — quotes included, `"`,
+/// `\` and control characters escaped. The one escape loop behind every
+/// JSON writer that prints a string it did not choose itself.
+pub fn push_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
 impl AttrValue {
     /// JSON rendering of the value alone (NaN/inf degrade to `null`).
     fn push_json(&self, out: &mut String) {
@@ -69,20 +87,7 @@ impl AttrValue {
                 let _ = write!(out, "{v}");
             }
             AttrValue::F64(_) => out.push_str("null"),
-            AttrValue::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            AttrValue::Str(s) => push_json_string(out, s),
             AttrValue::Bool(v) => {
                 let _ = write!(out, "{v}");
             }

@@ -510,11 +510,9 @@ impl RomArtifact {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"format_version\": {FORMAT_VERSION},");
-        let _ = writeln!(
-            out,
-            "  \"engine_version\": \"{}\",",
-            self.provenance.engine_version
-        );
+        out.push_str("  \"engine_version\": ");
+        bdsm_obs::push_json_string(&mut out, &self.provenance.engine_version);
+        out.push_str(",\n");
         let _ = writeln!(out, "  \"full_dim\": {},", self.full_dim());
         let _ = writeln!(out, "  \"reduced_dim\": {},", self.reduced_dim());
         let _ = writeln!(out, "  \"block_sizes\": {:?},", self.block_sizes);
@@ -717,9 +715,13 @@ fn write_matrix(w: &mut ByteWriter, m: &Matrix) {
 
 fn read_matrix(r: &mut ByteReader<'_>, what: &'static str) -> Result<Matrix, RomError> {
     let (nrows, ncols) = r.dims(8, what)?;
-    let data = (0..nrows * ncols)
-        .map(|_| r.f64(what))
-        .collect::<Result<Vec<f64>, _>>()?;
+    let data: Vec<f64> = r.words(nrows * ncols, what)?.map(f64::from_bits).collect();
+    // The checksum guards against accidents, not against a producer bug,
+    // and a NaN entry would be served as `Ok(NaN)`. `&`, not `all`: without
+    // the early exit the scan vectorises (0.08 vs 0.15 ms on a q = 360 ROM).
+    if !data.iter().fold(true, |ok, v| ok & v.is_finite()) {
+        return Err(RomError::Corrupt("non-finite entry in a reduced matrix"));
+    }
     Matrix::from_vec(nrows, ncols, data)
         .map_err(|_| RomError::Corrupt("matrix extents inconsistent"))
 }
@@ -925,6 +927,34 @@ mod tests {
             RomArtifact::from_bytes(&bytes),
             Err(RomError::Corrupt("checksum mismatch"))
         ));
+    }
+
+    #[test]
+    fn non_finite_reduced_entries_are_corrupt() {
+        // Set in memory, so the checksum is valid and only the entry scan
+        // can object.
+        let matrices: [fn(&mut RomArtifact) -> &mut Matrix; 4] =
+            [|a| &mut a.g, |a| &mut a.c, |a| &mut a.b, |a| &mut a.l];
+        for matrix in matrices {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut a = tiny_artifact();
+                matrix(&mut a)[(0, 0)] = bad;
+                assert!(matches!(
+                    RomArtifact::from_bytes(&a.to_bytes()),
+                    Err(RomError::Corrupt("non-finite entry in a reduced matrix"))
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn json_dump_escapes_the_engine_version_it_read() {
+        let mut a = tiny_artifact();
+        a.provenance.engine_version = "a\"b\\c\n".into();
+        let back = RomArtifact::from_bytes(&a.to_bytes()).unwrap();
+        assert_eq!(back.provenance.engine_version, "a\"b\\c\n");
+        let j = back.to_json();
+        assert!(j.contains(r#""engine_version": "a\"b\\c\u000a","#), "{j}");
     }
 
     #[test]

@@ -212,22 +212,38 @@ impl<'a> ByteReader<'a> {
             .map_err(|_| CodecError::Corrupt("string not valid UTF-8"))
     }
 
+    /// The next `n` 64-bit words. The iterator knows its length, so a
+    /// `collect` allocates once and exactly; a `Result` collect of
+    /// per-word reads has no size hint and grows by doubling — 2 MiB of
+    /// capacity for a 1.27 MB `G_r`, held as long as the artifact is and
+    /// too big for the holes a build leaves in the heap (README,
+    /// `first_answer_ms`).
+    pub(crate) fn words(
+        &mut self,
+        n: usize,
+        what: &'static str,
+    ) -> Result<impl ExactSizeIterator<Item = u64> + 'a, CodecError> {
+        let len = self.bounded(n as u64, 8, what)? * 8;
+        let words = self.bytes(len, what)?.chunks_exact(8);
+        Ok(words.map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk"))))
+    }
+
     /// A length-prefixed list of 64-bit words.
     pub fn u64s(&mut self, what: &'static str) -> Result<Vec<u64>, CodecError> {
         let n = self.count(8, what)?;
-        (0..n).map(|_| self.u64(what)).collect()
+        Ok(self.words(n, what)?.collect())
     }
 
     /// A length-prefixed list of indices.
     pub fn usizes(&mut self, what: &'static str) -> Result<Vec<usize>, CodecError> {
         let n = self.count(8, what)?;
-        (0..n).map(|_| Ok(self.u64(what)? as usize)).collect()
+        Ok(self.words(n, what)?.map(|v| v as usize).collect())
     }
 
     /// A length-prefixed list of floats.
     pub fn f64s(&mut self, what: &'static str) -> Result<Vec<f64>, CodecError> {
         let n = self.count(8, what)?;
-        (0..n).map(|_| self.f64(what)).collect()
+        Ok(self.words(n, what)?.map(f64::from_bits).collect())
     }
 
     /// The buffer must be fully consumed — leftovers mean writer and
@@ -305,6 +321,26 @@ mod tests {
         assert_eq!(dims(1 << 31, 1 << 30), Err(overflow));
         assert_eq!(dims(5, 1), Err(TRUNCATED));
         assert_eq!(dims(2, 2), Ok((2, 2)));
+    }
+
+    #[test]
+    fn lists_decode_into_one_exact_allocation() {
+        // 1025 elements: growth by doubling would end at 2048.
+        let vs: Vec<f64> = (0..1025).map(f64::from).collect();
+        let mut w = ByteWriter::new();
+        w.f64s(&vs);
+        w.usizes(&[7; 1025]);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let back = r.f64s("x").unwrap();
+        assert_eq!((back.capacity(), &back), (1025, &vs));
+        assert_eq!(r.usizes("x").unwrap().capacity(), 1025);
+        // A bare block is bounded like a counted one.
+        let mut r = ByteReader::new(&bytes[..15]);
+        assert_eq!(r.words(2, "x").map(|_| ()), Err(TRUNCATED));
+        let overflow = CodecError::Overflow { while_reading: "x" };
+        assert_eq!(r.words(usize::MAX, "x").map(|_| ()), Err(overflow));
+        assert_eq!(r.words(1, "x").unwrap().collect::<Vec<_>>(), [1025]);
     }
 
     #[test]

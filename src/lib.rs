@@ -56,11 +56,11 @@
 //! | *factor*   | [`sparse`]     | [`sparse::CscMatrix`], [`sparse::SparseLu`] (scalar/supernodal [`sparse::NumericKernel`], panel-blocked multi-RHS solves), [`sparse::ShiftedPencil`] |
 //! | *reduce*   | [`core`]       | [`core::engine::ReductionEngine::run`] — the one implementation under [`rom::Reducer`] and [`core::reduce::reduce_network`]: the staged engine (`Plan → Basis → Project → Certify`; adaptive shifts via [`core::engine::ShiftStrategy`], exact boundaries via [`core::projector::InterfacePolicy`]; parallel substrate: [`core::par`]) |
 //! | *certify*  | [`core`]       | [`core::certify::certify_reduced`] behind [`core::certify::CertifyOpts`] — semidefiniteness + positive-real passivity sampling, Lyapunov/spectral stability, per-band a posteriori error bounds; the resulting [`core::certify::Certificate`] travels in [`core::engine::EngineReport`] and artifact provenance |
-//! | *evaluate* | [`core`]       | [`core::transfer::TransferEvaluator`], [`core::transfer::SparseTransferEvaluator`], [`core::transfer::eval_transfer_factored`] |
+//! | *evaluate* | [`core`]       | [`core::transfer::eval_transfer`] / [`core::transfer::eval_jomega_sweep`] (dense complex LU, the ROM side), [`core::transfer::SparseTransferEvaluator`] (full models), [`core::transfer::eval_transfer_factored`] (against a cached factor) |
 //! | *simulate* | [`sim`]        | [`sim::TransientSolver`] |
 //! | *distribute* | [`cluster`]  | [`cluster::ShardPlan`] placement (by model / by frequency band), [`cluster::ShardNode`] TCP shard processes over [`rom::RomServer`], [`cluster::ClusterClient`] batching/retrying router with typed [`cluster::ClusterError`]s; [`cluster::wire`] frames go through the artifact format's codec, [`rom::codec`] (magic, version, FNV-1a checksum, alloc-bounded reads) |
 //! | *observe*  | [`obs`]        | [`obs::span!`](span!) / [`obs::timing_span!`](timing_span!) RAII span tracing (Chrome-trace export via [`obs::Trace`]), [`obs::metrics`] counter/gauge/histogram registry, [`rom::RomServer::metrics`], [`obs::faultpoint!`](faultpoint!) fault-injection sites for robustness tests; one-atomic-load no-ops until `BDSM_OBS` (or [`obs::set_level`]) turns them on |
-//! | *measure*  | [`bench`]      | [`bench::time_with_warmup`] |
+//! | *measure*  | [`mod@bench`]  | [`bench::time_with_warmup`] |
 //!
 //! [`core::reduce::reduce_network`] (the reduced model alone) and
 //! [`core::engine::ReductionEngine`] (`run` for model + report, or the
@@ -116,7 +116,6 @@ pub mod prelude {
     pub use bdsm_core::reduce::{reduce_network, ReducedModel, ReductionOpts, StageTimings};
     pub use bdsm_core::transfer::{
         eval_transfer, eval_transfer_factored, transfer_rel_err, SparseTransferEvaluator,
-        TransferEvaluator,
     };
     pub use bdsm_io::{
         load_netlist, parse_netlist, save_netlist, write_netlist, NetlistError, WriteError,
