@@ -213,13 +213,12 @@ fn main() -> Result<(), BenchError> {
         println!("--- n = {n} ---");
         let net = rc_ladder_loaded(n, 1.0, 1e-3, 5.0, 5);
         let desc = mna::assemble(&net)?;
-        let (g, c) = (desc.g.to_csc(), desc.c.to_csc());
         let s = Complex64::jomega(OMEGA_MID);
-        let b0: Vec<f64> = desc.b.to_dense().col(0);
+        let b0: Vec<f64> = desc.b.col(0);
 
         // Shifted factor + solve through both numeric kernels (symbolic
         // analysis and scratch workspace amortized in both).
-        let pencil = ShiftedPencil::new(&g, &c)?;
+        let pencil = ShiftedPencil::new(&desc.g, &desc.c)?;
         let pencil_scalar = pencil.clone().with_numeric_kernel(NumericKernel::Scalar);
         let iters = if n <= DENSE_CEILING { 5 } else { 2 };
         let mut factor_nnz = 0;
@@ -246,10 +245,9 @@ fn main() -> Result<(), BenchError> {
 
         // Dense oracle, below the densification ceiling only.
         let t_dense_us = (n <= DENSE_CEILING).then(|| {
-            let gd = g.to_dense();
-            let cd = c.to_dense();
+            let dense = desc.to_dense();
             let t = time_with_warmup("dense", 1, 3, || {
-                let lu = ZLu::factor_shifted(&gd, &cd, s).expect("dense factor");
+                let lu = ZLu::factor_shifted(&dense.g, &dense.c, s).expect("dense factor");
                 std::hint::black_box(lu.solve_real(&b0).expect("dense solve"));
             });
             println!("  dense factor+solve:  {:?}/iter", t.per_iter());

@@ -3,8 +3,10 @@
 //! Three stages live here, feeding the reduction engine in `bdsm-core`:
 //!
 //! 1. [`Network`] — buses, R/L/C branches, current/voltage sources, ports;
-//! 2. [`mna::assemble`] — MNA stamping into descriptor form `(G, C, B, L)`
-//!    over a lightweight COO sparse representation;
+//! 2. [`mna::assemble`] — MNA stamping into descriptor form `(G, C, B, L)`,
+//!    `G` and `C` compressed straight into `bdsm_sparse::CscMatrix` (the
+//!    form the reduction engine factors) and renumbered by
+//!    [`Descriptor::permuted`];
 //! 3. [`partition::partition_network`] — BFS growth of `k` connected blocks
 //!    with the interface (boundary) bus set, the paper's block structure.
 //!
@@ -34,13 +36,11 @@ pub mod mna;
 pub mod network;
 pub mod partition;
 pub mod reduction;
-pub mod sparse;
 
-pub use mna::{Descriptor, StateKind};
+pub use mna::{DenseDescriptor, Descriptor, StateKind};
 pub use network::{CircuitError, Element, ElementKind, Network, Result, GROUND};
 pub use partition::{
     grouped_state_order, interface_state_indices, partition_network, partition_network_with,
     Partition, PartitionStrategy,
 };
 pub use reduction::ReductionSet;
-pub use sparse::CooMatrix;

@@ -24,9 +24,17 @@
 //! - probe at `a`: `L[output, a] = 1`.
 //!
 //! Ground terminals simply drop their stamps.
+//!
+//! Stamps go straight into the representation the reduction engine
+//! consumes: `G` and `C` are collected as `(row, col, value)` triplets in
+//! element order and compressed by [`CscMatrix::from_triplets`], which sums
+//! a position's duplicate stamps in that order; the thin maps `B` and `L`
+//! are dense. [`Descriptor::permuted`] renumbers the states afterwards —
+//! the result is bit-identical to assembling a renumbered network.
 
 use crate::network::{ElementKind, Network, Result, GROUND};
-use crate::sparse::CooMatrix;
+use bdsm_linalg::Matrix;
+use bdsm_sparse::CscMatrix;
 
 /// Where a descriptor state comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,17 +47,23 @@ pub enum StateKind {
     VsourceCurrent(usize),
 }
 
-/// Descriptor-form model `(G, C, B, L)` produced by MNA assembly.
+/// Descriptor-form model `(G, C, B, L)`: what MNA assembly produces and,
+/// once [`permuted`](Self::permuted) into block-grouped order, the full
+/// model the reduction engine reduces.
+///
+/// `G` and `C` are sparse — at `n = 10⁵` their dense counterparts would
+/// need 160 GB — while the thin input/output maps (`n × m`, `p × n` with
+/// small `m`, `p`) are dense.
 #[derive(Debug, Clone)]
 pub struct Descriptor {
     /// Conductance/incidence matrix `G` (n × n).
-    pub g: CooMatrix,
+    pub g: CscMatrix<f64>,
     /// Storage matrix `C` (n × n), symmetric PSD.
-    pub c: CooMatrix,
+    pub c: CscMatrix<f64>,
     /// Input map `B` (n × m).
-    pub b: CooMatrix,
+    pub b: Matrix,
     /// Output map `L` (p × n).
-    pub l: CooMatrix,
+    pub l: Matrix,
     /// Origin of each state, indexed by state number.
     pub states: Vec<StateKind>,
 }
@@ -68,6 +82,96 @@ impl Descriptor {
     /// Number of outputs `p`.
     pub fn num_outputs(&self) -> usize {
         self.l.nrows()
+    }
+
+    /// The same model with state `i` renumbered to `new_of_old[i]`: `G`
+    /// and `C` symmetrically, the rows of `B`, the columns of `L`, and
+    /// [`states`](Self::states). Values only move, so this is the
+    /// operation that groups states by partition block without changing
+    /// a bit of any entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `new_of_old` is not a permutation of `0..dim()`.
+    pub fn permuted(&self, new_of_old: &[usize]) -> Descriptor {
+        let n = self.dim();
+        assert_eq!(new_of_old.len(), n, "permuted: length mismatch");
+        let mut old_of_new = vec![usize::MAX; n];
+        for (old, &new) in new_of_old.iter().enumerate() {
+            assert!(
+                new < n && old_of_new[new] == usize::MAX,
+                "permuted: not a permutation"
+            );
+            old_of_new[new] = old;
+        }
+        let sym = |a: &CscMatrix<f64>| {
+            a.permute_symmetric(new_of_old)
+                .expect("a square matrix and a checked permutation")
+        };
+        let b = Matrix::from_fn(n, self.num_inputs(), |i, j| self.b[(old_of_new[i], j)]);
+        let l = Matrix::from_fn(self.num_outputs(), n, |i, j| self.l[(i, old_of_new[j])]);
+        Descriptor {
+            g: sym(&self.g),
+            c: sym(&self.c),
+            b,
+            l,
+            states: old_of_new.iter().map(|&old| self.states[old]).collect(),
+        }
+    }
+
+    /// Densifies `G` and `C` — the bridge to the dense verification
+    /// oracles. Only sensible for small models.
+    pub fn to_dense(&self) -> DenseDescriptor {
+        DenseDescriptor {
+            g: self.g.to_dense(),
+            c: self.c.to_dense(),
+            b: self.b.clone(),
+            l: self.l.clone(),
+        }
+    }
+}
+
+/// A dense descriptor model `(G, C, B, L)`: the reduced model a congruence
+/// produces, and the dense oracle form of a small [`Descriptor`].
+#[derive(Debug, Clone)]
+pub struct DenseDescriptor {
+    /// Conductance matrix.
+    pub g: Matrix,
+    /// Storage matrix.
+    pub c: Matrix,
+    /// Input map.
+    pub b: Matrix,
+    /// Output map.
+    pub l: Matrix,
+}
+
+impl DenseDescriptor {
+    /// State dimension.
+    pub fn dim(&self) -> usize {
+        self.g.nrows()
+    }
+}
+
+/// One MNA stamp `(row, col, value)`; zero values are skipped so element
+/// loops can stamp unconditionally.
+fn stamp(t: &mut Vec<(usize, usize, f64)>, row: usize, col: usize, value: f64) {
+    if value != 0.0 {
+        t.push((row, col, value));
+    }
+}
+
+/// Conductance-pattern stamp: `M[a,a] += v`, `M[b,b] += v`,
+/// `M[a,b] −= v`, `M[b,a] −= v`, ground terminals dropped.
+fn stamp_pair(t: &mut Vec<(usize, usize, f64)>, a: usize, b: usize, v: f64) {
+    if a != GROUND {
+        stamp(t, a, a, v);
+    }
+    if b != GROUND {
+        stamp(t, b, b, v);
+    }
+    if a != GROUND && b != GROUND {
+        stamp(t, a, b, -v);
+        stamp(t, b, a, -v);
     }
 }
 
@@ -95,24 +199,10 @@ pub fn assemble(net: &Network) -> Result<Descriptor> {
     states.extend(inductors.iter().map(|&e| StateKind::InductorCurrent(e)));
     states.extend((0..net.voltage_sources().len()).map(StateKind::VsourceCurrent));
 
-    let mut g = CooMatrix::new(n, n);
-    let mut c = CooMatrix::new(n, n);
-    let mut b = CooMatrix::new(n, m);
-    let mut l = CooMatrix::new(p, n);
-
-    // Conductance-pattern stamp: M[a,a] += v, M[b,b] += v, M[a,b] -= v, ...
-    let stamp_pair = |mat: &mut CooMatrix, a: usize, bn: usize, v: f64| {
-        if a != GROUND {
-            mat.push(a, a, v);
-        }
-        if bn != GROUND {
-            mat.push(bn, bn, v);
-        }
-        if a != GROUND && bn != GROUND {
-            mat.push(a, bn, -v);
-            mat.push(bn, a, -v);
-        }
-    };
+    let mut g = Vec::new();
+    let mut c = Vec::new();
+    let mut b = Matrix::zeros(n, m);
+    let mut l = Matrix::zeros(p, n);
 
     let mut next_branch_state = nb;
     for (ei, e) in net.elements().iter().enumerate() {
@@ -123,21 +213,21 @@ pub fn assemble(net: &Network) -> Result<Descriptor> {
                 let q = next_branch_state;
                 next_branch_state += 1;
                 debug_assert_eq!(states[q], StateKind::InductorCurrent(ei));
-                c.push(q, q, ind);
+                stamp(&mut c, q, q, ind);
                 if e.a != GROUND {
-                    g.push(q, e.a, -1.0);
-                    g.push(e.a, q, 1.0);
+                    stamp(&mut g, q, e.a, -1.0);
+                    stamp(&mut g, e.a, q, 1.0);
                 }
                 if e.b != GROUND {
-                    g.push(q, e.b, 1.0);
-                    g.push(e.b, q, -1.0);
+                    stamp(&mut g, q, e.b, 1.0);
+                    stamp(&mut g, e.b, q, -1.0);
                 }
             }
         }
     }
 
     for (si, src) in net.current_sources().iter().enumerate() {
-        b.push(src.node, si, 1.0);
+        b[(src.node, si)] += 1.0;
     }
     let m_offset = net.current_sources().len();
     for (si, src) in net.voltage_sources().iter().enumerate() {
@@ -145,27 +235,37 @@ pub fn assemble(net: &Network) -> Result<Descriptor> {
         next_branch_state += 1;
         debug_assert_eq!(states[q], StateKind::VsourceCurrent(si));
         if src.plus != GROUND {
-            g.push(src.plus, q, 1.0);
-            g.push(q, src.plus, -1.0);
+            stamp(&mut g, src.plus, q, 1.0);
+            stamp(&mut g, q, src.plus, -1.0);
         }
         if src.minus != GROUND {
-            g.push(src.minus, q, -1.0);
-            g.push(q, src.minus, 1.0);
+            stamp(&mut g, src.minus, q, -1.0);
+            stamp(&mut g, q, src.minus, 1.0);
         }
-        b.push(q, m_offset + si, -1.0);
+        b[(q, m_offset + si)] -= 1.0;
     }
 
     for (pi, probe) in net.probes().iter().enumerate() {
-        l.push(pi, probe.node, 1.0);
+        l[(pi, probe.node)] += 1.0;
     }
 
-    Ok(Descriptor { g, c, b, l, states })
+    let csc = |t: &[(usize, usize, f64)]| {
+        CscMatrix::from_triplets(n, n, t).expect("stamps index states, so they are in bounds")
+    };
+    Ok(Descriptor {
+        g: csc(&g),
+        c: csc(&c),
+        b,
+        l,
+        states,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::Network;
+    use crate::PartitionStrategy;
 
     /// Two-node RC: port at node 0, R to node 1, C to ground, load R to ground.
     fn rc_pair() -> (Network, Descriptor) {
@@ -194,10 +294,8 @@ mod tests {
         // C = diag(0, 3)
         assert_eq!(c[(0, 0)], 0.0);
         assert_eq!(c[(1, 1)], 3.0);
-        let b = d.b.to_dense();
-        let l = d.l.to_dense();
-        assert_eq!(b[(0, 0)], 1.0);
-        assert_eq!(l[(0, 0)], 1.0);
+        assert_eq!(d.b[(0, 0)], 1.0);
+        assert_eq!(d.l[(0, 0)], 1.0);
     }
 
     #[test]
@@ -232,11 +330,10 @@ mod tests {
         let d = assemble(&net).unwrap();
         assert_eq!(d.dim(), 2);
         let g = d.g.to_dense();
-        let b = d.b.to_dense();
         // States [v_a, i_V]: G = [[1/2, 1], [-1, 0]], B = [0, -1]ᵀ.
         // DC solve for u = 1: second row gives -v_a = -1 → v_a = 1. ✓
         let lu = bdsm_linalg::DenseLu::factor(&g).unwrap();
-        let x = lu.solve(&b.col(0)).unwrap();
+        let x = lu.solve(&d.b.col(0)).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-14);
         // Source current: v_a/R = 0.5 flows out of the source.
         assert!((x[1] + 0.5).abs() < 1e-14);
@@ -259,5 +356,101 @@ mod tests {
         assert!(c.sub(&ct).unwrap().norm_max() == 0.0);
         let eig = bdsm_linalg::SymEig::compute(&c).unwrap();
         assert!(eig.min().unwrap() >= -1e-15);
+    }
+
+    #[test]
+    fn permuted_moves_every_part_of_the_model() {
+        // States [v_a, v_b, i_L, i_V]; reverse them.
+        let mut net = Network::new();
+        let a = net.add_bus("a");
+        let b = net.add_bus("b");
+        net.add_inductor(a, b, 5.0).unwrap();
+        net.add_resistor(b, GROUND, 2.0).unwrap();
+        net.add_capacitor(a, GROUND, 3.0).unwrap();
+        net.add_voltage_source(a, GROUND).unwrap();
+        net.add_port(b).unwrap();
+        let d = assemble(&net).unwrap();
+        let order = [3, 2, 1, 0];
+        let p = d.permuted(&order);
+        let (g, gp) = (d.g.to_dense(), p.g.to_dense());
+        let (c, cp) = (d.c.to_dense(), p.c.to_dense());
+        for i in 0..4 {
+            for j in 0..4 {
+                assert_eq!(gp[(order[i], order[j])], g[(i, j)]);
+                assert_eq!(cp[(order[i], order[j])], c[(i, j)]);
+            }
+            assert_eq!(p.b.row(order[i]), d.b.row(i));
+            assert_eq!(p.l.col(order[i]), d.l.col(i));
+            assert_eq!(p.states[order[i]], d.states[i]);
+        }
+        assert_eq!((p.g.nnz(), p.c.nnz()), (d.g.nnz(), d.c.nnz()));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn permuted_rejects_a_repeated_index() {
+        let (_, d) = rc_pair();
+        d.permuted(&[1, 1]);
+    }
+
+    /// `(row, col, bits)` of every stored entry.
+    fn bits(a: &CscMatrix<f64>) -> Vec<(usize, usize, u64)> {
+        a.iter().map(|(i, j, v)| (i, j, v.to_bits())).collect()
+    }
+
+    #[test]
+    fn duplicate_stamps_sum_in_stamp_order_under_any_state_order() {
+        // A 41-bus star: the hub is joined to each bus by two resistors
+        // and a capacitor, so the hub's diagonal sums 80 `G` and 40 `C`
+        // stamps of different magnitudes — a column long enough that an
+        // unstable sort would sum them in an order set by the state
+        // numbering (the hub is numbered last, and the dissection order
+        // moves it). Assembling the renumbered network and renumbering
+        // the assembled model must agree bit for bit.
+        let mut net = Network::new();
+        let buses: Vec<usize> = (1..=40).map(|i| net.add_bus(format!("b{i}"))).collect();
+        let hub = net.add_bus("hub");
+        for (i, &bus) in buses.iter().enumerate() {
+            let x = (i + 1) as f64;
+            net.add_resistor(hub, bus, 1.0 + 0.37 * x).unwrap();
+            net.add_capacitor(hub, bus, 1e-3 / x).unwrap();
+            net.add_resistor(bus, hub, 3.3 / x).unwrap();
+            net.add_resistor(bus, GROUND, 7.0 + x).unwrap();
+        }
+        net.add_port(hub).unwrap();
+        let d = assemble(&net).unwrap();
+        for strategy in [PartitionStrategy::Bfs, PartitionStrategy::NestedDissection] {
+            let part = crate::partition_network_with(&net, 4, strategy).unwrap();
+            let (new_of_old, _) = crate::grouped_state_order(&net, &d, &part);
+            let bus = |old: usize| {
+                if old == GROUND {
+                    GROUND
+                } else {
+                    new_of_old[old]
+                }
+            };
+            let mut renumbered = Network::new();
+            let mut old_of_new = vec![0; new_of_old.len()];
+            for (old, &new) in new_of_old.iter().enumerate() {
+                old_of_new[new] = old;
+            }
+            for &old in &old_of_new {
+                renumbered.add_bus(net.bus_name(old));
+            }
+            for e in net.elements() {
+                let (a, b) = (bus(e.a), bus(e.b));
+                match e.kind {
+                    ElementKind::Resistor(r) => renumbered.add_resistor(a, b, r),
+                    ElementKind::Capacitor(c) => renumbered.add_capacitor(a, b, c),
+                    ElementKind::Inductor(l) => renumbered.add_inductor(a, b, l),
+                }
+                .unwrap();
+            }
+            renumbered.add_port(bus(hub)).unwrap();
+            let before = assemble(&renumbered).unwrap();
+            let after = d.permuted(&new_of_old);
+            assert_eq!(bits(&before.g), bits(&after.g), "{strategy:?}: G");
+            assert_eq!(bits(&before.c), bits(&after.c), "{strategy:?}: C");
+        }
     }
 }

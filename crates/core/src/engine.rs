@@ -55,11 +55,11 @@ use crate::krylov::{
     collect_points, merge_candidate_sets, merge_candidates, ExpansionPoint, PointCandidates,
 };
 use crate::projector::{sparse_congruences, BlockDiagProjector, InterfacePolicy};
-use crate::reduce::{CoreError, ReducedModel, ReductionOpts, Result, SparseDescriptor};
+use crate::reduce::{BuildError, CoreError, ReducedModel, ReductionOpts, Result};
 use crate::transfer::{eval_jomega_sweep, transfer_rel_err, CMatrix, SparseTransferEvaluator};
 use bdsm_circuit::{
     grouped_state_order, interface_state_indices, mna, partition_network_with, CircuitError,
-    Network, Partition, ReductionSet,
+    DenseDescriptor, Descriptor, Network, Partition, ReductionSet,
 };
 use bdsm_linalg::{LinalgError, Matrix};
 use bdsm_obs::{timing_span, Trace};
@@ -120,8 +120,8 @@ impl Default for AdaptiveShiftOpts {
 }
 
 /// Output of the Plan stage: everything about the reduction that does not
-/// depend on the expansion points — the partition, the permuted sparse
-/// full model, the interface-state export, and the shared symbolic
+/// depend on the expansion points — the partition, the permuted full
+/// model, the interface-state export, and the shared symbolic
 /// factorization of the shifted pencil.
 #[derive(Debug, Clone)]
 pub struct Plan {
@@ -134,35 +134,13 @@ pub struct Plan {
     /// Interface states (permuted indices, sorted) exported by
     /// `bdsm_circuit::partition` — the paper's boundary set.
     pub interface_states: Vec<usize>,
-    /// The permuted full model, kept sparse.
-    pub full: SparseDescriptor,
+    /// The permuted full model (`G`, `C` sparse).
+    pub full: Descriptor,
     /// Interface rows per block in local coordinates (empty lists under
     /// [`InterfacePolicy::Folded`]).
     interface_local: Vec<Vec<usize>>,
     /// Shared symbolic analysis of `G + sC`.
     pencil: ShiftedPencil,
-}
-
-/// Output of the Project stage: the congruence-reduced descriptor. The
-/// projector that produced it stays with the caller — it is megabytes at
-/// `n = 10⁴`, and nothing downstream of the congruence reads it.
-#[derive(Debug, Clone)]
-pub struct Rom {
-    /// Reduced conductance `VᵀGV`.
-    pub g: Matrix,
-    /// Reduced storage `VᵀCV`.
-    pub c: Matrix,
-    /// Reduced input map `VᵀB`.
-    pub b: Matrix,
-    /// Reduced output map `LV`.
-    pub l: Matrix,
-}
-
-impl Rom {
-    /// Reduced state dimension `q`.
-    pub fn reduced_dim(&self) -> usize {
-        self.g.nrows()
-    }
 }
 
 /// One greedy round of the adaptive loop, for the audit trail (and the
@@ -227,29 +205,13 @@ impl<'n> ReductionEngine<'n> {
     /// # Errors
     ///
     /// [`CoreError::Circuit`] for a portless network,
-    /// [`CoreError::InvalidOptions`] for an inconsistent adaptive
-    /// configuration.
+    /// [`CoreError::InvalidOptions`] for options that break a
+    /// [`ReductionOpts::validate`] rule.
     pub fn new(net: &'n Network, opts: &ReductionOpts) -> Result<Self> {
         if net.num_inputs() == 0 || net.num_outputs() == 0 {
             return Err(CircuitError::NoPorts.into());
         }
-        if let ShiftStrategy::Adaptive(a) = &opts.shift_strategy {
-            if a.candidate_omegas.is_empty() {
-                return Err(CoreError::InvalidOptions(
-                    "adaptive: candidate frequency grid is empty",
-                ));
-            }
-            if !(a.tol > 0.0 && a.tol.is_finite()) {
-                return Err(CoreError::InvalidOptions(
-                    "adaptive: residual tolerance must be positive and finite",
-                ));
-            }
-            if a.max_shifts == 0 {
-                return Err(CoreError::InvalidOptions(
-                    "adaptive: shift budget must be at least 1",
-                ));
-            }
-        }
+        opts.validate()?;
         Ok(ReductionEngine {
             net,
             opts: opts.clone(),
@@ -268,7 +230,9 @@ impl<'n> ReductionEngine<'n> {
     /// # Errors
     ///
     /// Propagates assembly/partitioning failures and rejects a reduced
-    /// dimension budget below the block count.
+    /// dimension budget below the block count the partition produced
+    /// (which can exceed the requested one, see
+    /// [`partition_network_with`]).
     pub fn plan(&self) -> Result<Plan> {
         let _stage = timing_span!("stage.plan");
         let desc = mna::assemble(self.net)?;
@@ -284,22 +248,15 @@ impl<'n> ReductionEngine<'n> {
             }
         };
         let (new_of_old, block_sizes) = grouped_state_order(self.net, &desc, &partition);
-        let full = SparseDescriptor {
-            g: desc.g.permute_symmetric(&new_of_old).to_csc(),
-            c: desc.c.permute_symmetric(&new_of_old).to_csc(),
-            b: desc.b.permute_rows(&new_of_old).to_dense(),
-            l: desc.l.permute_cols(&new_of_old).to_dense(),
-        };
+        let full = desc.permuted(&new_of_old);
         let interface_states = interface_state_indices(&desc, &partition, &new_of_old);
 
-        if let Some(total) = self.opts.max_reduced_dim {
-            // Every block keeps at least one state, so a budget below k is
-            // unsatisfiable; fail loudly instead of silently exceeding it.
-            if total < block_sizes.len() {
-                return Err(CoreError::InvalidOptions(
-                    "max_reduced_dim is smaller than the number of blocks",
-                ));
-            }
+        // Every block keeps at least one state, so a budget below the
+        // partition's block count is unsatisfiable; fail loudly instead of
+        // silently exceeding it.
+        let blocks = block_sizes.len();
+        if let Some(budget) = self.opts.max_reduced_dim.filter(|&b| b < blocks) {
+            return Err(BuildError::BudgetBelowBlocks { budget, blocks }.into());
         }
         // Per-block local interface rows, only materialized when the exact
         // policy will consume them.
@@ -410,9 +367,13 @@ impl<'n> ReductionEngine<'n> {
     /// # Errors
     ///
     /// Propagates shape mismatches from the projector.
-    pub fn congruence(&self, plan: &Plan, projector: &BlockDiagProjector) -> Result<Rom> {
+    pub fn congruence(
+        &self,
+        plan: &Plan,
+        projector: &BlockDiagProjector,
+    ) -> Result<DenseDescriptor> {
         let [g, c] = sparse_congruences(projector, [&plan.full.g, &plan.full.c])?;
-        Ok(Rom {
+        Ok(DenseDescriptor {
             g,
             c,
             b: projector.project_input(&plan.full.b)?,
@@ -427,7 +388,12 @@ impl<'n> ReductionEngine<'n> {
     /// # Errors
     ///
     /// Propagates singular evaluations (a grid point hitting a pole).
-    pub fn certify(&self, plan: &Plan, rom: &Rom, omegas: &[f64]) -> Result<ResidualSweep> {
+    pub fn certify(
+        &self,
+        plan: &Plan,
+        rom: &DenseDescriptor,
+        omegas: &[f64],
+    ) -> Result<ResidualSweep> {
         let full = self.full_sweep(plan, omegas)?;
         self.certify_against(rom, omegas, &full).map(|(s, _)| s)
     }
@@ -446,7 +412,7 @@ impl<'n> ReductionEngine<'n> {
     /// ROM's own sweep so the final round's passivity sampling is free.
     fn certify_against(
         &self,
-        rom: &Rom,
+        rom: &DenseDescriptor,
         omegas: &[f64],
         full: &[CMatrix],
     ) -> Result<(ResidualSweep, Vec<CMatrix>)> {
@@ -518,7 +484,10 @@ impl<'n> ReductionEngine<'n> {
 
     /// One pass of Basis → Project with the fixed [`KrylovOpts`](crate::krylov::KrylovOpts) points —
     /// the historical pipeline, stage by stage.
-    fn run_fixed(&self, plan: &Plan) -> Result<(BlockDiagProjector, Rom, EngineReport)> {
+    fn run_fixed(
+        &self,
+        plan: &Plan,
+    ) -> Result<(BlockDiagProjector, DenseDescriptor, EngineReport)> {
         let points = collect_points(&self.opts.krylov);
         let global = {
             let _s = timing_span!("stage.krylov", points = points.len());
@@ -575,7 +544,7 @@ impl<'n> ReductionEngine<'n> {
         &self,
         plan: &Plan,
         a: &AdaptiveShiftOpts,
-    ) -> Result<(BlockDiagProjector, Rom, EngineReport)> {
+    ) -> Result<(BlockDiagProjector, DenseDescriptor, EngineReport)> {
         let mut points = collect_points(&self.opts.krylov);
         if points.is_empty() {
             // Coarse seed: the geometric middle of the candidate grid.
@@ -639,7 +608,7 @@ impl<'n> ReductionEngine<'n> {
             rounds.push(RoundRecord {
                 points: points.len(),
                 basis_cols: global.ncols(),
-                reduced_dim: rom.reduced_dim(),
+                reduced_dim: rom.dim(),
                 worst_residual: cert.worst,
                 worst_omega: cert.worst_omega,
                 added_omega: None,

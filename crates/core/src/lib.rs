@@ -64,20 +64,20 @@ pub mod reduce;
 pub mod synth;
 pub mod transfer;
 
+pub use bdsm_circuit::DenseDescriptor;
 pub use certify::{
     certify_reduced, CertStatus, Certificate, CertifyOpts, CheckOutcome, ErrorBand,
     PassivityCertificate, ResidualSweep, StabilityCertificate,
 };
 pub use engine::{
-    AdaptiveShiftOpts, EngineReport, Plan, ReductionEngine, Rom, RoundRecord, ShiftStrategy,
+    AdaptiveShiftOpts, EngineReport, Plan, ReductionEngine, RoundRecord, ShiftStrategy,
 };
 pub use krylov::{
     collect_points, global_krylov_basis, global_krylov_basis_sparse, ExpansionPoint, KrylovOpts,
 };
 pub use projector::{BlockDiagProjector, InterfacePolicy};
 pub use reduce::{
-    reduce_network, CoreError, DenseDescriptor, ReducedModel, ReductionOpts, SparseDescriptor,
-    StageTimings,
+    reduce_network, BuildError, CoreError, ReducedModel, ReductionOpts, StageTimings,
 };
 pub use transfer::{
     eval_jomega_sweep, eval_transfer, eval_transfer_factored, transfer_rel_err, CMatrix,

@@ -34,9 +34,8 @@ use crate::certify::CertifyOpts;
 use crate::engine::{EngineReport, ReductionEngine, ShiftStrategy};
 use crate::krylov::KrylovOpts;
 use crate::projector::{BlockDiagProjector, InterfacePolicy};
-use bdsm_circuit::{CircuitError, Network, Partition, PartitionStrategy};
+use bdsm_circuit::{CircuitError, Descriptor, Network, Partition, PartitionStrategy};
 use bdsm_linalg::{LinalgError, Matrix};
-use bdsm_sparse::CscMatrix;
 use std::fmt;
 
 /// Errors from the reduction pipeline.
@@ -47,8 +46,9 @@ pub enum CoreError {
     Circuit(CircuitError),
     /// Numerical failure in the linear-algebra kernels.
     Linalg(LinalgError),
-    /// Inconsistent [`ReductionOpts`].
-    InvalidOptions(&'static str),
+    /// Inconsistent [`ReductionOpts`]: the verdict of
+    /// [`ReductionOpts::validate`].
+    InvalidOptions(BuildError),
 }
 
 impl fmt::Display for CoreError {
@@ -66,7 +66,7 @@ impl std::error::Error for CoreError {
         match self {
             CoreError::Circuit(e) => Some(e),
             CoreError::Linalg(e) => Some(e),
-            CoreError::InvalidOptions(_) => None,
+            CoreError::InvalidOptions(e) => Some(e),
         }
     }
 }
@@ -82,6 +82,85 @@ impl From<LinalgError> for CoreError {
         CoreError::Linalg(e)
     }
 }
+
+impl From<BuildError> for CoreError {
+    fn from(e: BuildError) -> Self {
+        CoreError::InvalidOptions(e)
+    }
+}
+
+/// What is wrong with a [`ReductionOpts`] — the one rule set
+/// ([`ReductionOpts::validate`]) that both `ReductionEngine::new` and the
+/// `bdsm-rom` builder apply, so an inconsistent configuration fails before
+/// any factorization work starts.
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub enum BuildError {
+    /// The partition must have at least one block.
+    ZeroBlocks,
+    /// At least one block moment must be matched per expansion point.
+    ZeroMoments,
+    /// The fixed shift strategy needs at least one expansion point (the
+    /// adaptive strategy seeds itself from its candidate grid).
+    NoShifts,
+    /// An expansion point is NaN or infinite.
+    NonFiniteShift {
+        /// The offending value.
+        value: f64,
+    },
+    /// A tolerance that must be positive and finite is not.
+    InvalidTolerance {
+        /// Which tolerance.
+        what: &'static str,
+    },
+    /// The reduced-dimension budget cannot hold one state per block.
+    BudgetBelowBlocks {
+        /// The requested budget.
+        budget: usize,
+        /// The block count: the requested one, or the partition's when
+        /// it produced more.
+        blocks: usize,
+    },
+    /// An inconsistency in the adaptive greedy configuration.
+    Adaptive {
+        /// What is wrong.
+        what: &'static str,
+    },
+    /// The kept-bus list of [`ReductionOpts::kept_buses`] is empty.
+    /// (Out-of-range indices are network-dependent, so they surface at
+    /// reduce time as a circuit-layer error instead.)
+    EmptyReductionSet,
+}
+
+impl fmt::Display for BuildError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BuildError::ZeroBlocks => write!(f, "need at least one partition block"),
+            BuildError::ZeroMoments => write!(f, "need at least one moment per expansion point"),
+            BuildError::NoShifts => write!(
+                f,
+                "the fixed strategy needs at least one expansion point \
+                 (real or jω); use the adaptive strategy to let the engine choose"
+            ),
+            BuildError::NonFiniteShift { value } => {
+                write!(f, "expansion point {value} is not finite")
+            }
+            BuildError::InvalidTolerance { what } => {
+                write!(f, "{what} must be positive and finite")
+            }
+            BuildError::BudgetBelowBlocks { budget, blocks } => write!(
+                f,
+                "budget {budget} cannot hold one state for each of {blocks} blocks"
+            ),
+            BuildError::Adaptive { what } => write!(f, "adaptive {what}"),
+            BuildError::EmptyReductionSet => {
+                write!(f, "keep_buses needs at least one bus to keep")
+            }
+        }
+    }
+}
+
+impl std::error::Error for BuildError {}
 
 /// Result alias for the reduction pipeline.
 pub type Result<T> = std::result::Result<T, CoreError>;
@@ -125,6 +204,85 @@ pub struct ReductionOpts {
     pub certify: CertifyOpts,
 }
 
+impl ReductionOpts {
+    /// Checks the options on their own, before any network is seen.
+    ///
+    /// # Errors
+    ///
+    /// The first [`BuildError`] rule the options break; see each variant.
+    pub fn validate(&self) -> std::result::Result<(), BuildError> {
+        if self.num_blocks == 0 {
+            return Err(BuildError::ZeroBlocks);
+        }
+        if self.krylov.moments_per_point == 0 {
+            return Err(BuildError::ZeroMoments);
+        }
+        for &s in self
+            .krylov
+            .expansion_points
+            .iter()
+            .chain(&self.krylov.jomega_points)
+        {
+            if !s.is_finite() {
+                return Err(BuildError::NonFiniteShift { value: s });
+            }
+        }
+        if !(self.rank_tol > 0.0 && self.rank_tol.is_finite()) {
+            return Err(BuildError::InvalidTolerance { what: "rank_tol" });
+        }
+        if !(self.krylov.deflation_tol > 0.0 && self.krylov.deflation_tol.is_finite()) {
+            return Err(BuildError::InvalidTolerance {
+                what: "deflation_tol",
+            });
+        }
+        if let Some(budget) = self.max_reduced_dim {
+            if budget < self.num_blocks {
+                return Err(BuildError::BudgetBelowBlocks {
+                    budget,
+                    blocks: self.num_blocks,
+                });
+            }
+        }
+        if let Some(kept) = &self.kept_buses {
+            if kept.is_empty() {
+                return Err(BuildError::EmptyReductionSet);
+            }
+        }
+        let have_points =
+            !(self.krylov.expansion_points.is_empty() && self.krylov.jomega_points.is_empty());
+        match &self.shift_strategy {
+            ShiftStrategy::Fixed => {
+                if !have_points {
+                    return Err(BuildError::NoShifts);
+                }
+            }
+            ShiftStrategy::Adaptive(a) => {
+                if a.candidate_omegas.is_empty() {
+                    return Err(BuildError::Adaptive {
+                        what: "candidate frequency grid is empty",
+                    });
+                }
+                if a.candidate_omegas.iter().any(|w| !w.is_finite()) {
+                    return Err(BuildError::Adaptive {
+                        what: "candidate frequency grid contains a non-finite value",
+                    });
+                }
+                if !(a.tol > 0.0 && a.tol.is_finite()) {
+                    return Err(BuildError::Adaptive {
+                        what: "residual tolerance must be positive and finite",
+                    });
+                }
+                if a.max_shifts == 0 {
+                    return Err(BuildError::Adaptive {
+                        what: "shift budget must be at least 1",
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 impl Default for ReductionOpts {
     fn default() -> Self {
         ReductionOpts {
@@ -137,61 +295,6 @@ impl Default for ReductionOpts {
             partition_strategy: PartitionStrategy::default(),
             kept_buses: None,
             certify: CertifyOpts::default(),
-        }
-    }
-}
-
-/// A dense descriptor model `(G, C, B, L)` in block-grouped state order.
-#[derive(Debug, Clone)]
-pub struct DenseDescriptor {
-    /// Conductance matrix.
-    pub g: Matrix,
-    /// Storage matrix.
-    pub c: Matrix,
-    /// Input map.
-    pub b: Matrix,
-    /// Output map.
-    pub l: Matrix,
-}
-
-impl DenseDescriptor {
-    /// State dimension.
-    pub fn dim(&self) -> usize {
-        self.g.nrows()
-    }
-}
-
-/// A sparse descriptor model `(G, C, B, L)` in block-grouped state order.
-///
-/// `G` and `C` stay in CSC form — at `n = 10⁵` their dense counterparts
-/// would need 160 GB — while the thin input/output maps (`n × m`, `p × n`
-/// with small `m`, `p`) remain dense.
-#[derive(Debug, Clone)]
-pub struct SparseDescriptor {
-    /// Conductance matrix.
-    pub g: CscMatrix<f64>,
-    /// Storage matrix.
-    pub c: CscMatrix<f64>,
-    /// Input map.
-    pub b: Matrix,
-    /// Output map.
-    pub l: Matrix,
-}
-
-impl SparseDescriptor {
-    /// State dimension.
-    pub fn dim(&self) -> usize {
-        self.g.nrows()
-    }
-
-    /// Densifies `G` and `C` — the bridge to the dense verification
-    /// oracle. Only sensible for small models.
-    pub fn to_dense(&self) -> DenseDescriptor {
-        DenseDescriptor {
-            g: self.g.to_dense(),
-            c: self.c.to_dense(),
-            b: self.b.clone(),
-            l: self.l.clone(),
         }
     }
 }
@@ -220,9 +323,9 @@ pub struct ReducedModel {
     /// set exported by the partitioner, regardless of policy.
     pub interface_states: Vec<usize>,
     /// The permuted full model, kept sparse (for validation and
-    /// comparison; densify via [`SparseDescriptor::to_dense`] when a dense
+    /// comparison; densify via [`Descriptor::to_dense`] when a dense
     /// oracle is wanted and `n` is small).
-    pub full: SparseDescriptor,
+    pub full: Descriptor,
 }
 
 impl ReducedModel {
@@ -324,8 +427,9 @@ impl StageTimings {
 ///   partition request is invalid;
 /// - [`CoreError::Linalg`] if a factorization fails (e.g. a singular
 ///   `G + s₀C` at an expansion point);
-/// - [`CoreError::InvalidOptions`] for inconsistent budgets or adaptive
-///   configuration.
+/// - [`CoreError::InvalidOptions`] for options that break a
+///   [`ReductionOpts::validate`] rule, or a budget below the block count
+///   the partition produced.
 pub fn reduce_network(net: &Network, opts: &ReductionOpts) -> Result<ReducedModel> {
     Ok(ReductionEngine::new(net, opts)?.run()?.0)
 }
@@ -333,6 +437,7 @@ pub fn reduce_network(net: &Network, opts: &ReductionOpts) -> Result<ReducedMode
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::AdaptiveShiftOpts;
     use crate::synth::rc_ladder;
     use crate::transfer::{eval_transfer, transfer_rel_err};
     use bdsm_linalg::Complex64;
@@ -392,14 +497,8 @@ mod tests {
         let desc = bdsm_circuit::mna::assemble(&net).unwrap();
         let rm = reduce_network(&net, &ladder_opts(2, 1.0e3, 2)).unwrap();
         let s = Complex64::jomega(500.0);
-        let h_orig = eval_transfer(
-            &desc.g.to_dense(),
-            &desc.c.to_dense(),
-            &desc.b.to_dense(),
-            &desc.l.to_dense(),
-            s,
-        )
-        .unwrap();
+        let orig = desc.to_dense();
+        let h_orig = eval_transfer(&orig.g, &orig.c, &orig.b, &orig.l, s).unwrap();
         let full = rm.full.to_dense();
         let h_perm = eval_transfer(&full.g, &full.c, &full.b, &full.l, s).unwrap();
         assert!(transfer_rel_err(&h_orig, &h_perm) < 1e-13);
@@ -425,6 +524,55 @@ mod tests {
             reduce_network(&net, &opts),
             Err(CoreError::InvalidOptions(_))
         ));
+    }
+
+    #[test]
+    fn invalid_options_fail_before_any_factorisation() {
+        // A NaN rank tolerance used to reduce this grid to 5 states
+        // (`s > NaN·σ₀` keeps nothing) where `1e-12` keeps 80.
+        let net = crate::synth::rc_grid(20, 25, 1.0, 1e-3, 2.0);
+        let base = || ladder_opts(4, 1.0e3, 2);
+        let mut nan_rank = base();
+        nan_rank.rank_tol = f64::NAN;
+        let mut nan_deflation = base();
+        nan_deflation.krylov.deflation_tol = f64::NAN;
+        let mut infinite_candidate = base();
+        infinite_candidate.shift_strategy = ShiftStrategy::Adaptive(AdaptiveShiftOpts {
+            candidate_omegas: vec![1.0e2, f64::INFINITY],
+            ..AdaptiveShiftOpts::default()
+        });
+        let mut zero_budget = base();
+        zero_budget.max_reduced_dim = Some(0);
+        let cases = [
+            (nan_rank, BuildError::InvalidTolerance { what: "rank_tol" }),
+            (
+                nan_deflation,
+                BuildError::InvalidTolerance {
+                    what: "deflation_tol",
+                },
+            ),
+            (
+                infinite_candidate,
+                BuildError::Adaptive {
+                    what: "candidate frequency grid contains a non-finite value",
+                },
+            ),
+            (
+                zero_budget,
+                BuildError::BudgetBelowBlocks {
+                    budget: 0,
+                    blocks: 4,
+                },
+            ),
+        ];
+        for (opts, verdict) in cases {
+            assert_eq!(opts.validate(), Err(verdict.clone()));
+            // `ReductionEngine::new` assembles and factors nothing, so the
+            // verdict arrives before the first factorisation.
+            let err = ReductionEngine::new(&net, &opts).unwrap_err();
+            assert_eq!(err, CoreError::InvalidOptions(verdict));
+            assert_eq!(reduce_network(&net, &opts).unwrap_err(), err);
+        }
     }
 
     #[test]

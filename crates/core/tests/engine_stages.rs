@@ -58,10 +58,8 @@ fn fixed_engine_reproduces_legacy_composition_bitwise() {
     let desc = mna::assemble(&net).unwrap();
     let part = partition_network(&net, 4).unwrap();
     let (order, sizes) = grouped_state_order(&net, &desc, &part);
-    let g = desc.g.permute_symmetric(&order).to_csc();
-    let c = desc.c.permute_symmetric(&order).to_csc();
-    let b = desc.b.permute_rows(&order).to_dense();
-    let l = desc.l.permute_cols(&order).to_dense();
+    let full = desc.permuted(&order);
+    let (g, c, b, l) = (full.g, full.c, full.b, full.l);
     let global = global_krylov_basis_sparse(&g, &c, &b, &opts.krylov).unwrap();
     let proj =
         BlockDiagProjector::from_global_basis(&global, &sizes, 1e-12, Some(60 / sizes.len()))

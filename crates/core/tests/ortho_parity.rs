@@ -98,8 +98,8 @@ fn assert_parity(qb: &Matrix, qm: &Matrix, span_tol: f64, label: &str) {
 /// checks the full parity contract.
 fn sparse_parity_on(net: &bdsm_circuit::Network, moments: usize, span_tol: f64, label: &str) {
     let desc = mna::assemble(net).unwrap();
-    let (g, c) = (desc.g.to_csc(), desc.c.to_csc());
-    let b = desc.b.to_dense();
+    let (g, c) = (desc.g, desc.c);
+    let b = desc.b;
     let qb = global_krylov_basis_sparse(&g, &c, &b, &opts(OrthoKernel::Blocked, moments)).unwrap();
     let qm = global_krylov_basis_sparse(&g, &c, &b, &opts(OrthoKernel::Mgs, moments)).unwrap();
     assert!(qb.ncols() > 0, "{label}: empty basis");
@@ -146,7 +146,7 @@ fn blocked_matches_mgs_through_dense_oracle() {
     let net = rc_ladder_loaded(90, 1.0, 1e-3, 5.0, 4);
     let desc = mna::assemble(&net).unwrap();
     let (g, c) = (desc.g.to_dense(), desc.c.to_dense());
-    let b = desc.b.to_dense();
+    let b = desc.b;
     let qb = global_krylov_basis(&g, &c, &b, &opts(OrthoKernel::Blocked, 2)).unwrap();
     let qm = global_krylov_basis(&g, &c, &b, &opts(OrthoKernel::Mgs, 2)).unwrap();
     assert_parity(&qb, &qm, 1e-8, "dense ladder");
@@ -161,8 +161,8 @@ fn blocked_matches_mgs_deflation_under_exhaustion() {
     // still agree on the span.
     let net = rc_ladder_loaded(36, 1.0, 1e-3, 5.0, 4);
     let desc = mna::assemble(&net).unwrap();
-    let (g, c) = (desc.g.to_csc(), desc.c.to_csc());
-    let b = desc.b.to_dense();
+    let (g, c) = (desc.g, desc.c);
+    let b = desc.b;
     let moments = 12;
     let raw_cols = (2 + 2 * 3) * moments * b.ncols();
     let qb = global_krylov_basis_sparse(&g, &c, &b, &opts(OrthoKernel::Blocked, moments)).unwrap();

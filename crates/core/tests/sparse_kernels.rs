@@ -49,7 +49,7 @@ fn test_networks() -> Vec<(&'static str, Network)> {
 fn sparse_real_shift_solves_match_dense_lu() {
     for (name, net) in test_networks() {
         let d = mna::assemble(&net).unwrap();
-        let (g, c) = (d.g.to_csc(), d.c.to_csc());
+        let (g, c) = (d.g, d.c);
         let n = g.nrows();
         let pencil = ShiftedPencil::new(&g, &c).unwrap();
         let mut r = rng(0xabcd ^ n as u64);
@@ -68,7 +68,7 @@ fn sparse_real_shift_solves_match_dense_lu() {
 fn sparse_complex_shift_solves_match_zlu() {
     for (name, net) in test_networks() {
         let d = mna::assemble(&net).unwrap();
-        let (g, c) = (d.g.to_csc(), d.c.to_csc());
+        let (g, c) = (d.g, d.c);
         let n = g.nrows();
         let pencil = ShiftedPencil::new(&g, &c).unwrap();
         let mut r = rng(0x1234 ^ n as u64);
@@ -99,13 +99,13 @@ fn sparse_complex_shift_solves_match_zlu() {
 fn solution_invariant_under_ordering_choice() {
     for (name, net) in test_networks() {
         let d = mna::assemble(&net).unwrap();
-        let g = d.g.to_csc();
+        let g = d.g;
         let n = g.nrows();
         // G alone can be singular at DC for feeders (inductor branch rows),
         // so factor G + 100·C, which is regular for every test topology.
         let assembled = {
             let mut t: Vec<(usize, usize, f64)> = g.iter().collect();
-            t.extend(d.c.to_csc().iter().map(|(i, j, v)| (i, j, 100.0 * v)));
+            t.extend(d.c.iter().map(|(i, j, v)| (i, j, 100.0 * v)));
             CscMatrix::from_triplets(n, n, &t).unwrap()
         };
         let mut r = rng(0x77 ^ n as u64);
@@ -145,7 +145,7 @@ fn default_ordered_pencil_agrees_with_rcm_ordered_pencil() {
     ];
     for (name, net) in nets {
         let d = mna::assemble(&net).unwrap();
-        let (g, c) = (d.g.to_csc(), d.c.to_csc());
+        let (g, c) = (d.g, d.c);
         let n = g.nrows();
         let default = ShiftedPencil::new(&g, &c).unwrap();
         let rcm = ShiftedPencil::with_ordering(&g, &c, FillOrdering::Rcm).unwrap();
@@ -187,7 +187,7 @@ fn default_ordered_pencil_agrees_with_rcm_ordered_pencil() {
 fn symmetric_permutation_round_trips() {
     let net = rc_grid(8, 8, 1.0, 1e-3, 2.0);
     let d = mna::assemble(&net).unwrap();
-    let g = d.g.to_csc();
+    let g = d.g;
     let n = g.nrows();
     // A deterministic shuffle and its inverse.
     let mut perm: Vec<usize> = (0..n).collect();
@@ -233,7 +233,7 @@ fn supernodal_kernel_matches_scalar_on_mna_real_shifts() {
     let mut ws_super = LuWorkspace::<f64>::new();
     for (name, net) in test_networks() {
         let d = mna::assemble(&net).unwrap();
-        let (g, c) = (d.g.to_csc(), d.c.to_csc());
+        let (g, c) = (d.g, d.c);
         let n = g.nrows();
         let scalar = ShiftedPencil::new(&g, &c)
             .unwrap()
@@ -265,7 +265,7 @@ fn supernodal_kernel_matches_scalar_on_mna_complex_shifts() {
     let mut ws = LuWorkspace::<Complex64>::new();
     for (name, net) in test_networks() {
         let d = mna::assemble(&net).unwrap();
-        let (g, c) = (d.g.to_csc(), d.c.to_csc());
+        let (g, c) = (d.g, d.c);
         let n = g.nrows();
         let scalar = ShiftedPencil::new(&g, &c)
             .unwrap()
@@ -322,7 +322,7 @@ fn both_kernels_report_singular_and_recover() {
     net.add_capacitor(a, b, 1e-3).unwrap();
     net.add_port(a).unwrap();
     let d = mna::assemble(&net).unwrap();
-    let (g, c) = (d.g.to_csc(), d.c.to_csc());
+    let (g, c) = (d.g, d.c);
     for kernel in [NumericKernel::Scalar, NumericKernel::Supernodal] {
         let pencil = ShiftedPencil::new(&g, &c)
             .unwrap()
@@ -352,13 +352,13 @@ fn singular_mna_matrix_fails_loudly() {
     net.add_capacitor(a, b, 1e-3).unwrap();
     net.add_port(a).unwrap();
     let d = mna::assemble(&net).unwrap();
-    let g = d.g.to_csc();
+    let g = d.g;
     assert!(matches!(
         SparseLu::factor(&g),
         Err(LinalgError::Singular { .. })
     ));
     // With the capacitor mass added (s > 0) the pencil becomes regular.
-    let pencil = ShiftedPencil::new(&g, &d.c.to_csc()).unwrap();
+    let pencil = ShiftedPencil::new(&g, &d.c).unwrap();
     assert!(pencil.factor_real(0.0).is_err());
     assert!(pencil.factor_real(10.0).is_ok());
 }

@@ -17,7 +17,12 @@ use bdsm_core::projector::InterfacePolicy;
 use bdsm_core::reduce::{
     reduce_network, ReducedModel, ReductionOpts, Result as CoreResult, StageTimings,
 };
-use std::fmt;
+
+/// Typed configuration errors surfaced by [`ReducerBuilder::build`]: the
+/// rule set of [`ReductionOpts::validate`], which the engine applies again
+/// (as `CoreError::InvalidOptions`) to options that never went through a
+/// builder.
+pub use bdsm_core::reduce::BuildError;
 
 /// A validated reduction configuration: the typed, high-level entry point
 /// of the BDSM pipeline. Construct with [`Reducer::builder`].
@@ -40,80 +45,6 @@ use std::fmt;
 pub struct Reducer {
     opts: ReductionOpts,
 }
-
-/// Typed configuration errors surfaced by [`ReducerBuilder::build`] —
-/// everything that used to reach callers as an engine-level
-/// `InvalidOptions` (or a panic in example code) is caught here, before
-/// any factorization work starts.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum BuildError {
-    /// The partition must have at least one block.
-    ZeroBlocks,
-    /// At least one block moment must be matched per expansion point.
-    ZeroMoments,
-    /// The fixed shift strategy needs at least one expansion point (the
-    /// adaptive strategy seeds itself from its candidate grid).
-    NoShifts,
-    /// An expansion point is NaN or infinite.
-    NonFiniteShift {
-        /// The offending value.
-        value: f64,
-    },
-    /// A tolerance that must be positive and finite is not.
-    InvalidTolerance {
-        /// Which tolerance.
-        what: &'static str,
-    },
-    /// The reduced-dimension budget cannot hold one state per block.
-    BudgetBelowBlocks {
-        /// The requested budget.
-        budget: usize,
-        /// The requested block count.
-        blocks: usize,
-    },
-    /// An inconsistency in the adaptive greedy configuration.
-    Adaptive {
-        /// What is wrong.
-        what: &'static str,
-    },
-    /// [`ReducerBuilder::keep_buses`] was given an empty bus list.
-    /// (Out-of-range indices are network-dependent, so they surface at
-    /// reduce time as a circuit-layer error instead.)
-    EmptyReductionSet,
-}
-
-impl fmt::Display for BuildError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BuildError::ZeroBlocks => write!(f, "reducer: need at least one partition block"),
-            BuildError::ZeroMoments => {
-                write!(f, "reducer: need at least one moment per expansion point")
-            }
-            BuildError::NoShifts => write!(
-                f,
-                "reducer: fixed strategy needs at least one expansion point \
-                 (real or jω); use adaptive() to let the engine choose"
-            ),
-            BuildError::NonFiniteShift { value } => {
-                write!(f, "reducer: expansion point {value} is not finite")
-            }
-            BuildError::InvalidTolerance { what } => {
-                write!(f, "reducer: {what} must be positive and finite")
-            }
-            BuildError::BudgetBelowBlocks { budget, blocks } => write!(
-                f,
-                "reducer: budget {budget} cannot hold one state for each of {blocks} blocks"
-            ),
-            BuildError::Adaptive { what } => write!(f, "reducer: adaptive {what}"),
-            BuildError::EmptyReductionSet => {
-                write!(f, "reducer: keep_buses needs at least one bus to keep")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BuildError {}
 
 impl Reducer {
     /// Starts a builder with the defaults: 4 blocks, 2 moments per point,
@@ -357,82 +288,9 @@ impl ReducerBuilder {
     ///
     /// Any [`BuildError`] variant; see each for the rule it enforces.
     pub fn build(self) -> Result<Reducer, BuildError> {
-        validate(&self.opts)?;
+        self.opts.validate()?;
         Ok(Reducer { opts: self.opts })
     }
-}
-
-/// The validation routine behind [`ReducerBuilder::build`].
-fn validate(opts: &ReductionOpts) -> Result<(), BuildError> {
-    if opts.num_blocks == 0 {
-        return Err(BuildError::ZeroBlocks);
-    }
-    if opts.krylov.moments_per_point == 0 {
-        return Err(BuildError::ZeroMoments);
-    }
-    for &s in opts
-        .krylov
-        .expansion_points
-        .iter()
-        .chain(&opts.krylov.jomega_points)
-    {
-        if !s.is_finite() {
-            return Err(BuildError::NonFiniteShift { value: s });
-        }
-    }
-    if !(opts.rank_tol > 0.0 && opts.rank_tol.is_finite()) {
-        return Err(BuildError::InvalidTolerance { what: "rank_tol" });
-    }
-    if !(opts.krylov.deflation_tol > 0.0 && opts.krylov.deflation_tol.is_finite()) {
-        return Err(BuildError::InvalidTolerance {
-            what: "deflation_tol",
-        });
-    }
-    if let Some(budget) = opts.max_reduced_dim {
-        if budget < opts.num_blocks {
-            return Err(BuildError::BudgetBelowBlocks {
-                budget,
-                blocks: opts.num_blocks,
-            });
-        }
-    }
-    if let Some(kept) = &opts.kept_buses {
-        if kept.is_empty() {
-            return Err(BuildError::EmptyReductionSet);
-        }
-    }
-    let have_points =
-        !(opts.krylov.expansion_points.is_empty() && opts.krylov.jomega_points.is_empty());
-    match &opts.shift_strategy {
-        ShiftStrategy::Fixed => {
-            if !have_points {
-                return Err(BuildError::NoShifts);
-            }
-        }
-        ShiftStrategy::Adaptive(a) => {
-            if a.candidate_omegas.is_empty() {
-                return Err(BuildError::Adaptive {
-                    what: "candidate frequency grid is empty",
-                });
-            }
-            if a.candidate_omegas.iter().any(|w| !w.is_finite()) {
-                return Err(BuildError::Adaptive {
-                    what: "candidate frequency grid contains a non-finite value",
-                });
-            }
-            if !(a.tol > 0.0 && a.tol.is_finite()) {
-                return Err(BuildError::Adaptive {
-                    what: "residual tolerance must be positive and finite",
-                });
-            }
-            if a.max_shifts == 0 {
-                return Err(BuildError::Adaptive {
-                    what: "shift budget must be at least 1",
-                });
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

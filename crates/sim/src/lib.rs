@@ -383,8 +383,8 @@ mod tests {
         // to solver roundoff, step for step.
         let net = rc_ladder(25, 1.0, 1e-3, 2.0);
         let desc = bdsm_circuit::mna::assemble(&net).unwrap();
-        let (g, c) = (desc.g.to_csc(), desc.c.to_csc());
-        let (b, l) = (desc.b.to_dense(), desc.l.to_dense());
+        let (g, c) = (desc.g, desc.c);
+        let (b, l) = (desc.b, desc.l);
         let h = 1e-3;
         let mut dense = TransientSolver::new(&g.to_dense(), &c.to_dense(), &b, &l, h).unwrap();
         let mut sparse = TransientSolver::new_sparse(&g, &c, &b, &l, h).unwrap();

@@ -3,8 +3,8 @@
 //! CSC is the native layout of left-looking LU: the factorization walks
 //! columns of `A` and appends columns of `L` and `U`, and triangular solves
 //! stream through columns with unit stride. Construction goes through
-//! triplets (the MNA stamp format) with duplicate summing, so the circuit
-//! layer's COO matrices convert losslessly.
+//! triplets with duplicate summing — the MNA stamp table itself, which
+//! `bdsm_circuit::mna::assemble` compresses straight into this type.
 
 use crate::scalar::Scalar;
 use bdsm_linalg::{Complex64, LinalgError, Matrix, Result};
@@ -25,6 +25,10 @@ pub struct CscMatrix<T: Scalar> {
 
 impl<T: Scalar> CscMatrix<T> {
     /// Builds from triplets, summing duplicates and dropping exact zeros.
+    ///
+    /// The duplicates of a position are summed in the order they appear in
+    /// `triplets` (the column sort is stable), so the bits of a sum depend
+    /// only on the stamp order — never on how rows or columns are numbered.
     ///
     /// # Errors
     ///
@@ -72,7 +76,7 @@ impl<T: Scalar> CscMatrix<T> {
                     .copied()
                     .zip(vals[counts[j]..counts[j + 1]].iter().copied()),
             );
-            scratch.sort_unstable_by_key(|&(r, _)| r);
+            scratch.sort_by_key(|&(r, _)| r);
             let mut k = 0;
             while k < scratch.len() {
                 let (r, mut acc) = scratch[k];

@@ -1,14 +1,15 @@
 //! Sparse factorization subsystem for the BDSM reproduction.
 //!
-//! Everything upstream of this crate assembles MNA descriptors as sparse
-//! stamp tables, but until now every factorization densified first — an
-//! `O(n²)` memory and `O(n³)` time wall around a thousand states. This
-//! crate removes that wall with three layers, all dependency-free and
-//! generic over real (`f64`) and complex ([`bdsm_linalg::Complex64`])
-//! scalars:
+//! MNA assembly (`bdsm_circuit::mna`) stamps `G` and `C` straight into
+//! [`CscMatrix`], and every shifted solve of the pipeline factors that
+//! storage without densifying — a dense factorization is an `O(n²)`
+//! memory and `O(n³)` time wall around a thousand states. Three layers,
+//! all dependency-free and generic over real (`f64`) and complex
+//! ([`bdsm_linalg::Complex64`]) scalars:
 //!
-//! - [`CscMatrix`] — compressed sparse column storage with COO→CSC
-//!   conversion (duplicate summing), transpose, matvec, and permutation;
+//! - [`CscMatrix`] — compressed sparse column storage built from triplets
+//!   (duplicates summed in triplet order), transpose, matvec, and
+//!   symmetric permutation;
 //! - [`ordering`] — fill-reducing symmetric orderings: approximate minimum
 //!   degree ([`ordering::amd_order`]), level-set nested dissection
 //!   ([`ordering::nd_order`]) and reverse Cuthill–McKee
