@@ -52,16 +52,15 @@ use bdsm_bench::time_with_warmup;
 use bdsm_circuit::{mna, partition_network_with, PartitionStrategy};
 use bdsm_cluster::{ClientConfig, ClusterClient, NodeConfig, ShardNode, ShardPlan};
 use bdsm_core::engine::AdaptiveShiftOpts;
-use bdsm_core::reduce::StageTimings;
 use bdsm_core::synth::{rc_grid, rc_ladder_loaded};
 use bdsm_core::transfer::{eval_transfer, SparseTransferEvaluator, ZLu};
 use bdsm_core::{par, ReducedModel};
 use bdsm_linalg::{Complex64, KERNEL_SHAPE};
+use bdsm_obs::json::Object;
 use bdsm_obs::ObsLevel;
 use bdsm_rom::{Reducer, RomArtifact, RomServer};
 use bdsm_sim::TransientSolver;
 use bdsm_sparse::{LuWorkspace, NumericKernel, ShiftedPencil};
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 const OMEGA_MID: f64 = 4.5e2;
@@ -76,92 +75,6 @@ const TRANSIENT_H: f64 = 1e-4;
 const SERVE_FREQS: usize = 64;
 
 type BenchError = Box<dyn std::error::Error>;
-
-struct Row {
-    n: usize,
-    nnz: usize,
-    factor_nnz: usize,
-    t_sparse_us: f64,
-    t_scalar_us: f64,
-    t_dense_us: Option<f64>,
-    t_reduce_us: f64,
-    t_reduce_serial_us: f64,
-    reduce_workers: usize,
-    stages: StageTimings,
-    t_sweep_us: f64,
-    t_sweep_serial_us: f64,
-    sweep_workers: usize,
-    t_rom_eval_us: f64,
-    reduced_dim: usize,
-}
-
-struct TransientRow {
-    n: usize,
-    reduced_dim: usize,
-    t_full_us: f64,
-    t_rom_us: f64,
-    max_rel_output_err: f64,
-}
-
-struct AdaptiveRow {
-    n: usize,
-    t_adaptive_us: f64,
-    t_fixed_us: f64,
-    rounds: usize,
-    shifts: Vec<f64>,
-    residual_trajectory: Vec<f64>,
-    worst_residual: f64,
-    certified: bool,
-    reduced_dim: usize,
-    reduced_dim_fixed: usize,
-    basis_cols: usize,
-    basis_cols_fixed: usize,
-    t_certify_us: f64,
-    cert_status: String,
-    cert_samples: usize,
-    cert_bands: usize,
-}
-
-struct PartitionRow {
-    n: usize,
-    blocks: usize,
-    t_bfs_us: f64,
-    t_nd_us: f64,
-    bfs_interface_buses: usize,
-    nd_interface_buses: usize,
-    bfs_interface_states: usize,
-    nd_interface_states: usize,
-    bfs_exact_rom_dim: usize,
-    nd_exact_rom_dim: usize,
-}
-
-struct ServeRow {
-    n: usize,
-    reduced_dim: usize,
-    artifact_bytes: usize,
-    t_build_us: f64,
-    t_save_us: f64,
-    t_load_us: f64,
-    port_pairs: usize,
-    t_serve_batch_us: f64,
-    t_serve_warm_us: f64,
-    queries_per_sec: f64,
-    queries_per_sec_warm: f64,
-}
-
-struct ObsRow {
-    n: usize,
-    span_count: usize,
-    top_spans: Vec<(&'static str, f64)>,
-    stage_krylov_us: f64,
-    krylov_span_coverage: f64,
-    cache_hits: u64,
-    cache_misses: u64,
-    hit_rate: f64,
-    latency_p50_us: f64,
-    latency_p95_us: f64,
-    latency_p99_us: f64,
-}
 
 /// Runs `f` with the fan-out pinned to one worker, restoring the previous
 /// `BDSM_THREADS` afterwards — the serial baseline the parallel engine is
@@ -346,23 +259,50 @@ fn main() -> Result<(), BenchError> {
             println!("  sparse speedup vs dense: {:.1}x", td / t_sparse_us);
         }
 
-        rows.push(Row {
-            n,
-            nnz: pencil.nnz(),
-            factor_nnz,
-            t_sparse_us,
-            t_scalar_us,
-            t_dense_us,
-            t_reduce_us,
-            t_reduce_serial_us,
-            reduce_workers,
-            stages,
-            t_sweep_us,
-            t_sweep_serial_us,
-            sweep_workers,
-            t_rom_eval_us,
-            reduced_dim: rm.reduced_dim(),
-        });
+        // With one worker the "parallel" and "serial" legs ran the same
+        // code path — a speedup there would be fiction, so emit null.
+        let speedup =
+            |workers: usize, serial: f64, parallel: f64| (workers > 1).then(|| serial / parallel);
+        rows.push(
+            Object::new()
+                .field("n", n)
+                .field("nnz", pencil.nnz())
+                .field("factor_nnz", factor_nnz)
+                .field("t_sparse_factor_solve_us", t_sparse_us)
+                .field("t_factor_scalar_us", t_scalar_us)
+                .field("t_dense_factor_solve_us", t_dense_us)
+                .field("sparse_speedup", t_dense_us.map(|v| v / t_sparse_us))
+                .field("t_reduce_us", t_reduce_us)
+                .field("t_reduce_serial_us", t_reduce_serial_us)
+                .field("reduce_workers", reduce_workers)
+                .field(
+                    "reduce_parallel_speedup",
+                    speedup(reduce_workers, t_reduce_serial_us, t_reduce_us),
+                )
+                .field("stage_assemble_us", stages.assemble_us)
+                .field("stage_partition_us", stages.partition_us)
+                .field("stage_krylov_us", stages.krylov_us)
+                .field("krylov_point_us", stages.krylov_point_us)
+                .field("krylov_merge_us", stages.krylov_merge_us)
+                .field("stage_svd_us", stages.svd_us)
+                .field("stage_project_us", stages.project_us)
+                .field("stage_certify_us", stages.certify_us)
+                .field("t_sweep_us", t_sweep_us)
+                .field("t_sweep_serial_us", t_sweep_serial_us)
+                .field("sweep_workers", sweep_workers)
+                .field(
+                    "sweep_parallel_speedup",
+                    speedup(sweep_workers, t_sweep_serial_us, t_sweep_us),
+                )
+                .field("sweep_frequencies", SWEEP_FREQS.len())
+                .field("t_rom_eval_us", t_rom_eval_us)
+                .field("reduced_dim", rm.reduced_dim())
+                .field("mem_sparse_bytes", 16 * factor_nnz)
+                .field(
+                    "mem_dense_bytes",
+                    16usize.saturating_mul(n).saturating_mul(n),
+                ),
+        );
     }
 
     let at_scale = sizes.contains(&10_000);
@@ -375,16 +315,19 @@ fn main() -> Result<(), BenchError> {
     // Last: it flips the process-global obs level while it runs.
     let obs = at_scale.then(obs_scenario).transpose()?;
 
-    let json = render_json(
-        threads,
-        &rows,
-        partition.as_ref(),
-        transient.as_ref(),
-        serve.as_ref(),
-        adaptive.as_ref(),
-        obs.as_ref(),
-    );
-    std::fs::write("BENCH_scaling.json", &json)?;
+    let record = Object::new()
+        .field("bench", "scaling")
+        .field("topology", "rc_ladder_loaded")
+        .field("omega", OMEGA_MID)
+        .field("threads", threads)
+        .field("kernel_fused_rank1", KERNEL_SHAPE.fused_rank1)
+        .field("results", &rows)
+        .field("partition", partition)
+        .field("transient", transient)
+        .field("serve", serve)
+        .field("adaptive", adaptive)
+        .field("obs", obs);
+    std::fs::write("BENCH_scaling.json", record.finish())?;
     println!("wrote BENCH_scaling.json ({} sizes)", rows.len());
     Ok(())
 }
@@ -393,7 +336,7 @@ fn main() -> Result<(), BenchError> {
 /// buy its automation cheaply, so the record tracks the shifts it chose,
 /// the residual trajectory, and the wall-time against the 8-point fixed
 /// configuration.
-fn adaptive_scenario() -> Result<AdaptiveRow, BenchError> {
+fn adaptive_scenario() -> Result<Object, BenchError> {
     const N: usize = 10_000;
     println!("--- adaptive: n = {N} ladder, greedy shifts vs fixed 8-point set ---");
     let net = rc_ladder_loaded(N, 1.0, 1e-3, 5.0, 5);
@@ -459,24 +402,25 @@ fn adaptive_scenario() -> Result<AdaptiveRow, BenchError> {
         cert.passivity.sample_omegas.len(),
         cert.error_bands.len(),
     );
-    Ok(AdaptiveRow {
-        n: N,
-        t_adaptive_us,
-        t_fixed_us,
-        rounds: rep.rounds.len(),
-        shifts,
-        residual_trajectory,
-        worst_residual,
-        certified: rep.certified,
-        reduced_dim: rm.reduced_dim(),
-        reduced_dim_fixed: rm_fixed.reduced_dim(),
-        basis_cols: rep.basis_cols,
-        basis_cols_fixed: rep_fixed.basis_cols,
-        t_certify_us,
-        cert_status: format!("{:?}", cert.status).to_lowercase(),
-        cert_samples: cert.passivity.sample_omegas.len(),
-        cert_bands: cert.error_bands.len(),
-    })
+    Ok(Object::new()
+        .field("topology", "rc_ladder_loaded")
+        .field("n", N)
+        .field("t_adaptive_reduce_us", t_adaptive_us)
+        .field("t_fixed_reduce_us", t_fixed_us)
+        .field("adaptive_overhead", t_adaptive_us / t_fixed_us)
+        .field("rounds", rep.rounds.len())
+        .field("certified", rep.certified)
+        .field("worst_residual", worst_residual)
+        .field("shifts_chosen", shifts)
+        .field("residual_trajectory", residual_trajectory)
+        .field("reduced_dim", rm.reduced_dim())
+        .field("reduced_dim_fixed", rm_fixed.reduced_dim())
+        .field("basis_cols", rep.basis_cols)
+        .field("basis_cols_fixed", rep_fixed.basis_cols)
+        .field("t_certify_us", t_certify_us)
+        .field("cert_status", cert.status)
+        .field("cert_samples", cert.passivity.sample_omegas.len())
+        .field("cert_bands", cert.error_bands.len()))
 }
 
 /// Partitioner shootout at scale: BFS vs nested dissection on the
@@ -486,7 +430,7 @@ fn adaptive_scenario() -> Result<AdaptiveRow, BenchError> {
 /// cheapest reduce that still pays the full per-interface-state price).
 /// The separator sizes are deterministic; `partition_invariants.rs` pins
 /// them, plus the ≥ 25 % ND-vs-BFS bar.
-fn partition_scenario() -> Result<PartitionRow, BenchError> {
+fn partition_scenario() -> Result<Object, BenchError> {
     const K: usize = 8;
     println!("--- partition: 100x100 RC mesh, BFS vs nested dissection at k = {K} ---");
     let net = rc_grid(100, 100, 1.0, 1e-3, 2.0);
@@ -496,13 +440,13 @@ fn partition_scenario() -> Result<PartitionRow, BenchError> {
     let t0 = Instant::now();
     let nd = partition_network_with(&net, K, PartitionStrategy::NestedDissection)?;
     let t_nd_us = t0.elapsed().as_secs_f64() * 1e6;
+    let separator_ratio = nd.interface.len() as f64 / bfs.interface.len() as f64;
     println!(
-        "  separators: BFS {} buses ({:.1} ms), ND {} buses ({:.1} ms) — ratio {:.3}",
+        "  separators: BFS {} buses ({:.1} ms), ND {} buses ({:.1} ms) — ratio {separator_ratio:.3}",
         bfs.interface.len(),
         t_bfs_us / 1e3,
         nd.interface.len(),
         t_nd_us / 1e3,
-        nd.interface.len() as f64 / bfs.interface.len() as f64,
     );
 
     let exact_rom = |strategy: PartitionStrategy| -> Result<(usize, usize), BenchError> {
@@ -526,24 +470,25 @@ fn partition_scenario() -> Result<PartitionRow, BenchError> {
         "  exact-interface ROM: BFS {bfs_interface_states} interface states -> dim {bfs_exact_rom_dim}, \
          ND {nd_interface_states} -> dim {nd_exact_rom_dim}"
     );
-    Ok(PartitionRow {
-        n: net.num_buses(),
-        blocks: K,
-        t_bfs_us,
-        t_nd_us,
-        bfs_interface_buses: bfs.interface.len(),
-        nd_interface_buses: nd.interface.len(),
-        bfs_interface_states,
-        nd_interface_states,
-        bfs_exact_rom_dim,
-        nd_exact_rom_dim,
-    })
+    Ok(Object::new()
+        .field("topology", "rc_grid")
+        .field("n", net.num_buses())
+        .field("blocks", K)
+        .field("t_bfs_partition_us", t_bfs_us)
+        .field("t_nd_partition_us", t_nd_us)
+        .field("bfs_interface_buses", bfs.interface.len())
+        .field("nd_interface_buses", nd.interface.len())
+        .field("nd_over_bfs_separator", separator_ratio)
+        .field("bfs_interface_states", bfs_interface_states)
+        .field("nd_interface_states", nd_interface_states)
+        .field("bfs_exact_rom_dim", bfs_exact_rom_dim)
+        .field("nd_exact_rom_dim", nd_exact_rom_dim))
 }
 
 /// Transient at scale: full vs reduced backward-Euler step response on a
 /// 100×100 RC mesh (10⁴ states) — the time-domain counterpart of the
 /// frequency-domain rows, closing the bench suite's coverage gap.
-fn transient_scenario() -> Result<TransientRow, BenchError> {
+fn transient_scenario() -> Result<Object, BenchError> {
     println!("--- transient: 100x100 RC mesh, {TRANSIENT_STEPS} steps of h = {TRANSIENT_H} ---");
     let net = rc_grid(100, 100, 1.0, 1e-3, 2.0);
     let reducer = Reducer::builder()
@@ -579,13 +524,16 @@ fn transient_scenario() -> Result<TransientRow, BenchError> {
         t_full_us / t_rom_us,
         max_rel_output_err
     );
-    Ok(TransientRow {
-        n: rm.full_dim(),
-        reduced_dim: rm.reduced_dim(),
-        t_full_us,
-        t_rom_us,
-        max_rel_output_err,
-    })
+    Ok(Object::new()
+        .field("topology", "rc_grid")
+        .field("n", rm.full_dim())
+        .field("steps", TRANSIENT_STEPS)
+        .field("h", TRANSIENT_H)
+        .field("reduced_dim", rm.reduced_dim())
+        .field("t_full_transient_us", t_full_us)
+        .field("t_rom_transient_us", t_rom_us)
+        .field("transient_speedup", t_full_us / t_rom_us)
+        .field("max_rel_output_err", max_rel_output_err))
 }
 
 /// The ROM serve lifecycle at scale: a 10⁴-state mesh reduced in the
@@ -593,7 +541,7 @@ fn transient_scenario() -> Result<TransientRow, BenchError> {
 /// artifact, loaded back, and queried through `RomServer` — a
 /// `SERVE_FREQS`-frequency × all-port batch, cold (paying the per-shift
 /// factorizations) and cache-warm (pure triangular solves).
-fn serve_scenario() -> Result<ServeRow, BenchError> {
+fn serve_scenario() -> Result<Object, BenchError> {
     println!("--- serve: 100x100 RC mesh ROM artifact, {SERVE_FREQS}-frequency batch ---");
     let net = rc_grid(100, 100, 1.0, 1e-3, 2.0);
     let reducer = Reducer::builder()
@@ -666,19 +614,20 @@ fn serve_scenario() -> Result<ServeRow, BenchError> {
         t_serve_warm_us / 1e3,
         queries_per_sec_warm,
     );
-    Ok(ServeRow {
-        n,
-        reduced_dim,
-        artifact_bytes,
-        t_build_us,
-        t_save_us,
-        t_load_us,
-        port_pairs,
-        t_serve_batch_us,
-        t_serve_warm_us,
-        queries_per_sec,
-        queries_per_sec_warm,
-    })
+    Ok(Object::new()
+        .field("topology", "rc_grid")
+        .field("n", n)
+        .field("reduced_dim", reduced_dim)
+        .field("artifact_bytes", artifact_bytes)
+        .field("t_artifact_build_us", t_build_us)
+        .field("t_artifact_save_us", t_save_us)
+        .field("t_artifact_load_us", t_load_us)
+        .field("sweep_frequencies", SERVE_FREQS)
+        .field("port_pairs", port_pairs)
+        .field("t_serve_batch_us", t_serve_batch_us)
+        .field("t_serve_warm_us", t_serve_warm_us)
+        .field("queries_per_sec", queries_per_sec)
+        .field("queries_per_sec_warm", queries_per_sec_warm))
 }
 
 /// Distributed serving at scale: the 10⁴ serve-configuration ROM behind
@@ -822,11 +771,7 @@ fn cluster_scenario() -> Result<(), BenchError> {
     // Same convention as the parallel-speedup records: on one CPU the
     // shard threads time-slice a single core, so there is no
     // distributed/local contrast to report — the ratio is `null`.
-    let batched_over_local = if host_cpus >= 2 {
-        format!("{:.3}", qps_batched / qps_local)
-    } else {
-        "null".to_string()
-    };
+    let batched_over_local = (host_cpus >= 2).then(|| qps_batched / qps_local);
     println!(
         "  {QUERIES} x {SERVE_FREQS}-freq sweeps: local {:.1} ms ({qps_local:.0} q/s), \
          cluster unbatched {:.1} ms ({qps_unbatched:.0} q/s), batched {:.1} ms ({qps_batched:.0} q/s)",
@@ -840,27 +785,33 @@ fn cluster_scenario() -> Result<(), BenchError> {
         cm.rpcs, cm.coalesced_queries,
     );
 
-    let json_text = format!(
-        "{{\n  \"bench\": \"cluster\",\n  \"topology\": \"rc_grid\",\n  \"n\": {n},\n  \
-         \"reduced_dim\": {reduced_dim},\n  \"placement\": \"by_band\",\n  \
-         \"shards\": {SHARDS},\n  \"host_cpus\": {host_cpus},\n  \"queries\": {QUERIES},\n  \
-         \"sweep_frequencies\": {SERVE_FREQS},\n  \"cache_capacity\": {CACHE_CAP},\n  \
-         \"t_local_us\": {t_local_us:.1},\n  \"t_cluster_unbatched_us\": {t_unbatched_us:.1},\n  \
-         \"t_cluster_batched_us\": {t_batched_us:.1},\n  \"qps_local\": {qps_local:.1},\n  \
-         \"qps_unbatched\": {qps_unbatched:.1},\n  \"qps_batched\": {qps_batched:.1},\n  \
-         \"batched_over_local\": {batched_over_local},\n  \
-         \"batched_over_unbatched\": {:.3},\n  \
-         \"router_overhead_us\": {router_overhead_us:.1},\n  \"rpcs\": {},\n  \
-         \"coalesced_queries\": {},\n  \"retries\": {},\n  \"worker_panics\": {},\n  \
-         \"local_evictions\": {local_evictions},\n  \
-         \"bitwise_equal\": {bitwise_equal}\n}}\n",
-        qps_batched / qps_unbatched,
-        cm.rpcs,
-        cm.coalesced_queries,
-        cm.retries,
-        cm.worker_panics,
-    );
-    std::fs::write("BENCH_cluster.json", json_text)?;
+    let record = Object::new()
+        .field("bench", "cluster")
+        .field("topology", "rc_grid")
+        .field("n", n)
+        .field("reduced_dim", reduced_dim)
+        .field("placement", "by_band")
+        .field("shards", SHARDS)
+        .field("host_cpus", host_cpus)
+        .field("queries", QUERIES)
+        .field("sweep_frequencies", SERVE_FREQS)
+        .field("cache_capacity", CACHE_CAP)
+        .field("t_local_us", t_local_us)
+        .field("t_cluster_unbatched_us", t_unbatched_us)
+        .field("t_cluster_batched_us", t_batched_us)
+        .field("qps_local", qps_local)
+        .field("qps_unbatched", qps_unbatched)
+        .field("qps_batched", qps_batched)
+        .field("batched_over_local", batched_over_local)
+        .field("batched_over_unbatched", qps_batched / qps_unbatched)
+        .field("router_overhead_us", router_overhead_us)
+        .field("rpcs", cm.rpcs)
+        .field("coalesced_queries", cm.coalesced_queries)
+        .field("retries", cm.retries)
+        .field("worker_panics", cm.worker_panics)
+        .field("local_evictions", local_evictions)
+        .field("bitwise_equal", bitwise_equal);
+    std::fs::write("BENCH_cluster.json", record.finish())?;
     println!("wrote BENCH_cluster.json ({SHARDS} shards, by-band placement)");
     Ok(())
 }
@@ -873,7 +824,7 @@ fn cluster_scenario() -> Result<(), BenchError> {
 /// within 5 %, and the `RomServer` cache counters must balance exactly —
 /// then saves the Chrome trace (`BENCH_trace_10k.json`) and the global +
 /// server metrics dump (`BENCH_metrics.json`) for the CI artifact trail.
-fn obs_scenario() -> Result<ObsRow, BenchError> {
+fn obs_scenario() -> Result<Object, BenchError> {
     const N: usize = 10_000;
     println!("--- obs: n = {N} ladder reduce + serve under BDSM_OBS=spans, one worker ---");
     let prev_level = bdsm_obs::level();
@@ -884,7 +835,7 @@ fn obs_scenario() -> Result<ObsRow, BenchError> {
     row
 }
 
-fn obs_scenario_body(n: usize) -> Result<ObsRow, BenchError> {
+fn obs_scenario_body(n: usize) -> Result<Object, BenchError> {
     let net = rc_ladder_loaded(n, 1.0, 1e-3, 5.0, 5);
     let reducer = reducer_for(n)?;
     let (rm, report, stages) = reducer.reduce_traced(&net)?;
@@ -946,29 +897,29 @@ fn obs_scenario_body(n: usize) -> Result<ObsRow, BenchError> {
     );
 
     let global = bdsm_obs::metrics().snapshot();
-    std::fs::write(
-        "BENCH_metrics.json",
-        format!(
-            "{{\n  \"global\": {},\n  \"server\": {}\n}}\n",
-            global.to_json(),
-            m.to_json()
-        ),
-    )?;
+    let record = Object::new().field("global", &global).field("server", &m);
+    std::fs::write("BENCH_metrics.json", record.finish())?;
     println!("  wrote BENCH_metrics.json (global counters + server cache/latency)");
 
-    Ok(ObsRow {
-        n,
-        span_count: trace.len(),
-        top_spans: trace.top_level_totals_us(),
-        stage_krylov_us: stages.krylov_us,
-        krylov_span_coverage: coverage,
-        cache_hits: m.cache.hits,
-        cache_misses: m.cache.misses,
-        hit_rate: m.hit_rate(),
-        latency_p50_us: m.latency_us.p50_us,
-        latency_p95_us: m.latency_us.p95_us,
-        latency_p99_us: m.latency_us.p99_us,
-    })
+    let top_spans: Vec<Object> = trace
+        .top_level_totals_us()
+        .into_iter()
+        .map(|(name, us)| Object::new().field("name", name).field("total_us", us))
+        .collect();
+    Ok(Object::new()
+        .field("topology", "rc_ladder_loaded")
+        .field("n", n)
+        .field("level", "spans")
+        .field("span_count", trace.len())
+        .field("top_spans", top_spans)
+        .field("stage_krylov_us", stages.krylov_us)
+        .field("krylov_span_coverage", coverage)
+        .field("cache_hits", m.cache.hits)
+        .field("cache_misses", m.cache.misses)
+        .field("cache_hit_rate", m.hit_rate())
+        .field("latency_p50_us", m.latency_us.p50_us)
+        .field("latency_p95_us", m.latency_us.p95_us)
+        .field("latency_p99_us", m.latency_us.p99_us))
 }
 
 fn run_transient(
@@ -982,227 +933,4 @@ fn run_transient(
         .run_constant(&u, TRANSIENT_STEPS)
         .expect("transient run");
     (t0.elapsed().as_secs_f64() * 1e6, ys)
-}
-
-fn render_f64_array(vals: &[f64]) -> String {
-    let items: Vec<String> = vals.iter().map(|v| format!("{v:.6e}")).collect();
-    format!("[{}]", items.join(", "))
-}
-
-/// Hand-rolled JSON (the dependency set has no serde): one record per size
-/// plus the optional transient, serve, and adaptive records.
-fn render_json(
-    threads: usize,
-    rows: &[Row],
-    partition: Option<&PartitionRow>,
-    transient: Option<&TransientRow>,
-    serve: Option<&ServeRow>,
-    adaptive: Option<&AdaptiveRow>,
-    obs: Option<&ObsRow>,
-) -> String {
-    let mut out = format!(
-        "{{\n  \"bench\": \"scaling\",\n  \"topology\": \"rc_ladder_loaded\",\n  \"omega\": {OMEGA_MID:.1},\n  \"threads\": {threads},\n  \"kernel_fused_rank1\": {},\n  \"results\": [\n",
-        KERNEL_SHAPE.fused_rank1
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let dense = r
-            .t_dense_us
-            .map_or("null".to_string(), |v| format!("{v:.1}"));
-        let speedup = r
-            .t_dense_us
-            .map_or("null".to_string(), |v| format!("{:.2}", v / r.t_sparse_us));
-        let mem_sparse = 16 * r.factor_nnz;
-        let mem_dense = 16usize.saturating_mul(r.n).saturating_mul(r.n);
-        // With one worker the "parallel" and "serial" legs ran the same
-        // code path — a speedup there would be fiction, so emit null.
-        let reduce_speedup = if r.reduce_workers > 1 {
-            format!("{:.2}", r.t_reduce_serial_us / r.t_reduce_us)
-        } else {
-            "null".to_string()
-        };
-        let sweep_speedup = if r.sweep_workers > 1 {
-            format!("{:.2}", r.t_sweep_serial_us / r.t_sweep_us)
-        } else {
-            "null".to_string()
-        };
-        writeln!(
-            out,
-            "    {{\"n\": {}, \"nnz\": {}, \"factor_nnz\": {}, \
-             \"t_sparse_factor_solve_us\": {:.1}, \"t_factor_scalar_us\": {:.1}, \
-             \"t_dense_factor_solve_us\": {}, \"sparse_speedup\": {}, \
-             \"t_reduce_us\": {:.1}, \"t_reduce_serial_us\": {:.1}, \
-             \"reduce_workers\": {}, \"reduce_parallel_speedup\": {}, \
-             \"stage_assemble_us\": {:.1}, \"stage_partition_us\": {:.1}, \
-             \"stage_krylov_us\": {:.1}, \"krylov_point_us\": {:.1}, \
-             \"krylov_merge_us\": {:.1}, \"stage_svd_us\": {:.1}, \
-             \"stage_project_us\": {:.1}, \"stage_certify_us\": {:.1}, \
-             \"t_sweep_us\": {:.1}, \"t_sweep_serial_us\": {:.1}, \
-             \"sweep_workers\": {}, \"sweep_parallel_speedup\": {}, \"sweep_frequencies\": {}, \
-             \"t_rom_eval_us\": {:.1}, \"reduced_dim\": {}, \
-             \"mem_sparse_bytes\": {}, \"mem_dense_bytes\": {}}}{}",
-            r.n,
-            r.nnz,
-            r.factor_nnz,
-            r.t_sparse_us,
-            r.t_scalar_us,
-            dense,
-            speedup,
-            r.t_reduce_us,
-            r.t_reduce_serial_us,
-            r.reduce_workers,
-            reduce_speedup,
-            r.stages.assemble_us,
-            r.stages.partition_us,
-            r.stages.krylov_us,
-            r.stages.krylov_point_us,
-            r.stages.krylov_merge_us,
-            r.stages.svd_us,
-            r.stages.project_us,
-            r.stages.certify_us,
-            r.t_sweep_us,
-            r.t_sweep_serial_us,
-            r.sweep_workers,
-            sweep_speedup,
-            SWEEP_FREQS.len(),
-            r.t_rom_eval_us,
-            r.reduced_dim,
-            mem_sparse,
-            mem_dense,
-            if i + 1 < rows.len() { "," } else { "" },
-        )
-        .expect("string write");
-    }
-    out.push_str("  ],\n");
-    match partition {
-        Some(p) => writeln!(
-            out,
-            "  \"partition\": {{\"topology\": \"rc_grid\", \"n\": {}, \"blocks\": {}, \
-             \"t_bfs_partition_us\": {:.1}, \"t_nd_partition_us\": {:.1}, \
-             \"bfs_interface_buses\": {}, \"nd_interface_buses\": {}, \
-             \"nd_over_bfs_separator\": {:.4}, \
-             \"bfs_interface_states\": {}, \"nd_interface_states\": {}, \
-             \"bfs_exact_rom_dim\": {}, \"nd_exact_rom_dim\": {}}},",
-            p.n,
-            p.blocks,
-            p.t_bfs_us,
-            p.t_nd_us,
-            p.bfs_interface_buses,
-            p.nd_interface_buses,
-            p.nd_interface_buses as f64 / p.bfs_interface_buses as f64,
-            p.bfs_interface_states,
-            p.nd_interface_states,
-            p.bfs_exact_rom_dim,
-            p.nd_exact_rom_dim,
-        )
-        .expect("string write"),
-        None => out.push_str("  \"partition\": null,\n"),
-    }
-    match transient {
-        Some(t) => writeln!(
-            out,
-            "  \"transient\": {{\"topology\": \"rc_grid\", \"n\": {}, \"steps\": {}, \
-             \"h\": {:e}, \"reduced_dim\": {}, \"t_full_transient_us\": {:.1}, \
-             \"t_rom_transient_us\": {:.1}, \"transient_speedup\": {:.2}, \
-             \"max_rel_output_err\": {:.3e}}},",
-            t.n,
-            TRANSIENT_STEPS,
-            TRANSIENT_H,
-            t.reduced_dim,
-            t.t_full_us,
-            t.t_rom_us,
-            t.t_full_us / t.t_rom_us,
-            t.max_rel_output_err,
-        )
-        .expect("string write"),
-        None => out.push_str("  \"transient\": null,\n"),
-    }
-    match serve {
-        Some(s) => writeln!(
-            out,
-            "  \"serve\": {{\"topology\": \"rc_grid\", \"n\": {}, \"reduced_dim\": {}, \
-             \"artifact_bytes\": {}, \"t_artifact_build_us\": {:.1}, \
-             \"t_artifact_save_us\": {:.1}, \"t_artifact_load_us\": {:.1}, \
-             \"sweep_frequencies\": {}, \"port_pairs\": {}, \
-             \"t_serve_batch_us\": {:.1}, \"t_serve_warm_us\": {:.1}, \
-             \"queries_per_sec\": {:.1}, \"queries_per_sec_warm\": {:.1}}},",
-            s.n,
-            s.reduced_dim,
-            s.artifact_bytes,
-            s.t_build_us,
-            s.t_save_us,
-            s.t_load_us,
-            SERVE_FREQS,
-            s.port_pairs,
-            s.t_serve_batch_us,
-            s.t_serve_warm_us,
-            s.queries_per_sec,
-            s.queries_per_sec_warm,
-        )
-        .expect("string write"),
-        None => out.push_str("  \"serve\": null,\n"),
-    }
-    match adaptive {
-        Some(a) => writeln!(
-            out,
-            "  \"adaptive\": {{\"topology\": \"rc_ladder_loaded\", \"n\": {}, \
-             \"t_adaptive_reduce_us\": {:.1}, \"t_fixed_reduce_us\": {:.1}, \
-             \"adaptive_overhead\": {:.2}, \"rounds\": {}, \"certified\": {}, \
-             \"worst_residual\": {:.3e}, \"shifts_chosen\": {}, \
-             \"residual_trajectory\": {}, \"reduced_dim\": {}, \
-             \"reduced_dim_fixed\": {}, \"basis_cols\": {}, \"basis_cols_fixed\": {}, \
-             \"t_certify_us\": {:.1}, \"cert_status\": \"{}\", \
-             \"cert_samples\": {}, \"cert_bands\": {}}},",
-            a.n,
-            a.t_adaptive_us,
-            a.t_fixed_us,
-            a.t_adaptive_us / a.t_fixed_us,
-            a.rounds,
-            a.certified,
-            a.worst_residual,
-            render_f64_array(&a.shifts),
-            render_f64_array(&a.residual_trajectory),
-            a.reduced_dim,
-            a.reduced_dim_fixed,
-            a.basis_cols,
-            a.basis_cols_fixed,
-            a.t_certify_us,
-            a.cert_status,
-            a.cert_samples,
-            a.cert_bands,
-        )
-        .expect("string write"),
-        None => out.push_str("  \"adaptive\": null,\n"),
-    }
-    match obs {
-        Some(o) => {
-            let spans: Vec<String> = o
-                .top_spans
-                .iter()
-                .map(|(name, us)| format!("{{\"name\": \"{name}\", \"total_us\": {us:.1}}}"))
-                .collect();
-            writeln!(
-                out,
-                "  \"obs\": {{\"topology\": \"rc_ladder_loaded\", \"n\": {}, \"level\": \"spans\", \
-                 \"span_count\": {}, \"top_spans\": [{}], \
-                 \"stage_krylov_us\": {:.1}, \"krylov_span_coverage\": {:.4}, \
-                 \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.4}, \
-                 \"latency_p50_us\": {:.1}, \"latency_p95_us\": {:.1}, \"latency_p99_us\": {:.1}}}",
-                o.n,
-                o.span_count,
-                spans.join(", "),
-                o.stage_krylov_us,
-                o.krylov_span_coverage,
-                o.cache_hits,
-                o.cache_misses,
-                o.hit_rate,
-                o.latency_p50_us,
-                o.latency_p95_us,
-                o.latency_p99_us,
-            )
-            .expect("string write")
-        }
-        None => out.push_str("  \"obs\": null\n"),
-    }
-    out.push_str("}\n");
-    out
 }

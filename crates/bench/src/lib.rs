@@ -74,30 +74,6 @@ pub fn time_with_warmup(name: &str, warmup: u32, iters: u32, mut f: impl FnMut()
     }
 }
 
-/// Times `f` over `iters` iterations with a single warmup run.
-///
-/// # Panics
-///
-/// Panics if `iters == 0`.
-pub fn time(name: &str, iters: u32, f: impl FnMut()) -> Timing {
-    time_with_warmup(name, 1, iters, f)
-}
-
-/// Formats a set of timings as an aligned report, one line per entry.
-pub fn format_report(timings: &[Timing]) -> String {
-    let width = timings.iter().map(|t| t.name.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for t in timings {
-        out.push_str(&format!(
-            "{:width$}  {:>12?}/iter  ({} iters)\n",
-            t.name,
-            t.per_iter(),
-            t.iters,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,10 +119,10 @@ mod tests {
         let rm = reduce_network(&net, &opts).unwrap();
         let full = rm.full.to_dense();
         let s = Complex64::jomega(500.0);
-        let t_full = time("full-eval", 3, || {
+        let t_full = time_with_warmup("full-eval", 1, 3, || {
             std::hint::black_box(eval_transfer(&full.g, &full.c, &full.b, &full.l, s).unwrap());
         });
-        let t_red = time("reduced-eval", 3, || {
+        let t_red = time_with_warmup("reduced-eval", 1, 3, || {
             std::hint::black_box(eval_transfer(&rm.g, &rm.c, &rm.b, &rm.l, s).unwrap());
         });
         // n = 120 vs q ≈ 24: the dense O(n³) gap must show clearly.
@@ -159,17 +135,8 @@ mod tests {
     }
 
     #[test]
-    fn report_formats_all_entries() {
-        let t1 = time("a", 1, || {});
-        let t2 = time("longer-name", 1, || {});
-        let rep = format_report(&[t1, t2]);
-        assert!(rep.contains("a ") && rep.contains("longer-name"));
-        assert_eq!(rep.lines().count(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one iteration")]
     fn zero_iters_rejected() {
-        time("nope", 0, || {});
+        time_with_warmup("nope", 1, 0, || {});
     }
 }

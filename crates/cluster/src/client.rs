@@ -25,6 +25,7 @@ use crate::plan::ShardPlan;
 use crate::wire::{Frame, RemoteErrorKind, Request, Response, WireError};
 use bdsm_core::transfer::CMatrix;
 use bdsm_linalg::Complex64;
+use bdsm_obs::json::Object;
 use bdsm_obs::Counter;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpStream};
@@ -194,21 +195,18 @@ pub struct ClusterMetricsSnapshot {
 }
 
 impl ClusterMetricsSnapshot {
-    /// JSON object fragment (no trailing newline).
+    /// JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"rpcs\": {}, \"coalesced_queries\": {}, \"retries\": {}, \"reconnects\": {}, \
-             \"overloaded\": {}, \"remote_errors\": {}, \"unavailable\": {}, \
-             \"worker_panics\": {}}}",
-            self.rpcs,
-            self.coalesced_queries,
-            self.retries,
-            self.reconnects,
-            self.overloaded,
-            self.remote_errors,
-            self.unavailable,
-            self.worker_panics
-        )
+        Object::new()
+            .field("rpcs", self.rpcs)
+            .field("coalesced_queries", self.coalesced_queries)
+            .field("retries", self.retries)
+            .field("reconnects", self.reconnects)
+            .field("overloaded", self.overloaded)
+            .field("remote_errors", self.remote_errors)
+            .field("unavailable", self.unavailable)
+            .field("worker_panics", self.worker_panics)
+            .finish()
     }
 }
 

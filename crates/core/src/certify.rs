@@ -33,6 +33,7 @@
 use crate::reduce::Result;
 use crate::transfer::{eval_jomega_sweep, CMatrix};
 use bdsm_linalg::{sym_eig_extremes, Matrix, SymEig};
+use bdsm_obs::json::{self, Json, Object};
 
 /// Knobs of the certification pass, carried on
 /// [`ReductionOpts`](crate::reduce::ReductionOpts).
@@ -217,59 +218,75 @@ impl Certificate {
 
     /// JSON object (no trailing newline) — the debug/CI dump shape.
     pub fn to_json(&self) -> String {
+        json::to_string(self)
+    }
+}
+
+impl Json for Certificate {
+    fn write_json(&self, out: &mut String) {
         let p = &self.passivity;
         let s = &self.stability;
-        let bands: Vec<String> = self
+        let bands: Vec<Object> = self
             .error_bands
             .iter()
             .map(|b| {
-                format!(
-                    "{{\"omega_lo\": {:e}, \"omega_hi\": {:e}, \"worst_residual\": {:e}, \"samples\": {}}}",
-                    b.omega_lo, b.omega_hi, b.worst_residual, b.samples
-                )
+                Object::new()
+                    .field("omega_lo", b.omega_lo)
+                    .field("omega_hi", b.omega_hi)
+                    .field("worst_residual", b.worst_residual)
+                    .field("samples", b.samples)
             })
             .collect();
-        let envelope = match self.frequency_envelope() {
-            Some((lo, hi)) => format!("{{\"omega_lo\": {lo:e}, \"omega_hi\": {hi:e}}}"),
-            None => "null".into(),
+        let envelope = self
+            .frequency_envelope()
+            .map(|(lo, hi)| Object::new().field("omega_lo", lo).field("omega_hi", hi));
+        Object::new()
+            .field("status", self.status)
+            .field(
+                "passivity",
+                Object::new()
+                    .field("outcome", p.outcome)
+                    .field("tol", p.tol)
+                    .field("g_sym_min_eig", p.g_sym_min_eig)
+                    .field("c_min_eig", p.c_min_eig)
+                    .field("samples", p.sample_omegas.len())
+                    .field("violations", p.violations.len()),
+            )
+            .field(
+                "stability",
+                Object::new()
+                    .field("outcome", s.outcome)
+                    .field("lyapunov_margin_g", s.lyapunov_margin_g)
+                    .field("lyapunov_margin_c", s.lyapunov_margin_c)
+                    .field("spectral_abscissa", s.spectral_abscissa),
+            )
+            .field("error_bands", bands)
+            .field("envelope", envelope)
+            .write_json(out);
+    }
+}
+
+/// Prints as `"certified"`, `"violated"` or `"unknown"`.
+impl Json for CertStatus {
+    fn write_json(&self, out: &mut String) {
+        let name = match self {
+            CertStatus::Certified => "certified",
+            CertStatus::Violated => "violated",
+            CertStatus::Unknown => "unknown",
         };
-        format!(
-            "{{\"status\": \"{}\", \"passivity\": {{\"outcome\": \"{}\", \"tol\": {:e}, \
-             \"g_sym_min_eig\": {:e}, \"c_min_eig\": {:e}, \"samples\": {}, \"violations\": {}}}, \
-             \"stability\": {{\"outcome\": \"{}\", \"lyapunov_margin_g\": {:e}, \
-             \"lyapunov_margin_c\": {:e}, \"spectral_abscissa\": {}}}, \
-             \"error_bands\": [{}], \"envelope\": {}}}",
-            status_str(self.status),
-            outcome_str(p.outcome),
-            p.tol,
-            p.g_sym_min_eig,
-            p.c_min_eig,
-            p.sample_omegas.len(),
-            p.violations.len(),
-            outcome_str(s.outcome),
-            s.lyapunov_margin_g,
-            s.lyapunov_margin_c,
-            s.spectral_abscissa
-                .map_or("null".into(), |a| format!("{a:e}")),
-            bands.join(", "),
-            envelope,
-        )
+        name.write_json(out);
     }
 }
 
-fn status_str(s: CertStatus) -> &'static str {
-    match s {
-        CertStatus::Certified => "certified",
-        CertStatus::Violated => "violated",
-        CertStatus::Unknown => "unknown",
-    }
-}
-
-fn outcome_str(o: CheckOutcome) -> &'static str {
-    match o {
-        CheckOutcome::Pass => "pass",
-        CheckOutcome::Fail => "fail",
-        CheckOutcome::Skipped => "skipped",
+/// Prints as `"pass"`, `"fail"` or `"skipped"`.
+impl Json for CheckOutcome {
+    fn write_json(&self, out: &mut String) {
+        let name = match self {
+            CheckOutcome::Pass => "pass",
+            CheckOutcome::Fail => "fail",
+            CheckOutcome::Skipped => "skipped",
+        };
+        name.write_json(out);
     }
 }
 

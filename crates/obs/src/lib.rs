@@ -1,6 +1,6 @@
 //! Zero-cost observability for the BDSM pipeline.
 //!
-//! Three pieces, all dependency-free:
+//! Four pieces, all dependency-free:
 //!
 //! * **Hierarchical span tracing** — RAII spans ([`span!`] /
 //!   [`timing_span!`]) record monotonic start/duration plus key/value
@@ -13,6 +13,11 @@
 //! * **Metrics registry** — process-global [`Counter`]s and [`Gauge`]s
 //!   ([`metrics()`]) plus embeddable [`CacheStats`] and fixed-bucket
 //!   latency [`Histogram`]s, snapshot to JSON via [`MetricsSnapshot`].
+//! * **The one JSON emitter** — [`json`]: a value trait, an object
+//!   builder that places the commas, one string escape and one float
+//!   rule (shortest round-trip `{:e}`, non-finite → `null`). Every JSON
+//!   writer in the workspace — span trace, metrics, certificate, artifact
+//!   dump, the `scaling` records — goes through it.
 //! * **Fault injection** — named [`faultpoint!`] sites robustness tests
 //!   arm ([`fault::arm`]) to panic on demand, proving typed-error
 //!   recovery paths; free (one relaxed atomic load) while disarmed.
@@ -51,6 +56,7 @@ use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::time::Instant;
 
 pub mod fault;
+pub mod json;
 mod metrics;
 mod trace;
 
@@ -58,7 +64,7 @@ pub use metrics::{
     metrics, CacheStats, CacheStatsSnapshot, Counter, Gauge, Histogram, HistogramSnapshot, Metrics,
     MetricsSnapshot,
 };
-pub use trace::{push_json_string, AttrValue, SpanEvent, Trace};
+pub use trace::{AttrValue, SpanEvent, Trace};
 
 // ---------------------------------------------------------------------------
 // Observability level

@@ -1,7 +1,7 @@
 //! Metrics: atomic counters/gauges, fixed-bucket latency histograms,
 //! cache statistics, and the process-global registry.
 
-use std::fmt::Write as _;
+use crate::json::{self, Json, Object};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -172,22 +172,22 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// JSON object fragment (no trailing newline).
+    /// JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"count\": {}, \"sum_us\": {}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"buckets_us\": [",
-            self.count, self.sum_us, self.p50_us, self.p95_us, self.p99_us
-        );
-        for (i, (bound, count)) in self.buckets.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "[{bound}, {count}]");
-        }
-        out.push_str("]}");
-        out
+        json::to_string(self)
+    }
+}
+
+impl Json for HistogramSnapshot {
+    fn write_json(&self, out: &mut String) {
+        Object::new()
+            .field("count", self.count)
+            .field("sum_us", self.sum_us)
+            .field("p50_us", self.p50_us)
+            .field("p95_us", self.p95_us)
+            .field("p99_us", self.p99_us)
+            .field("buckets_us", &self.buckets)
+            .write_json(out);
     }
 }
 
@@ -340,24 +340,20 @@ impl MetricsSnapshot {
             .map(|(_, v)| *v)
     }
 
-    /// JSON object fragment: `{"counters": {...}, "gauges": {...}}`.
+    /// JSON object: `{"counters": {...}, "gauges": {...}}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{name}\": {v}");
-        }
-        out.push_str("}, \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{name}\": {v}");
-        }
-        out.push_str("}}");
-        out
+        json::to_string(self)
+    }
+}
+
+impl Json for MetricsSnapshot {
+    fn write_json(&self, out: &mut String) {
+        let object =
+            |pairs: &[(&str, u64)]| pairs.iter().fold(Object::new(), |o, (k, v)| o.field(k, v));
+        Object::new()
+            .field("counters", object(&self.counters))
+            .field("gauges", object(&self.gauges))
+            .write_json(out);
     }
 }
 
@@ -400,7 +396,7 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.count, 100);
         assert_eq!(snap.p50_us, 10.0);
-        assert!(snap.to_json().contains("\"p95_us\": 1000"));
+        assert!(snap.to_json().contains("\"p95_us\": 1e3"));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Finished traces: span events, Chrome trace-event export, text tree.
 
+use crate::json::{self, Json, Object};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -55,45 +56,19 @@ impl From<bool> for AttrValue {
     }
 }
 
-/// Appends `s` to `out` as a JSON string literal — quotes included, `"`,
-/// `\` and control characters escaped. The one escape loop behind every
-/// JSON writer that prints a string it did not choose itself.
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+impl Json for AttrValue {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            AttrValue::U64(v) => v.write_json(out),
+            AttrValue::I64(v) => v.write_json(out),
+            AttrValue::F64(v) => v.write_json(out),
+            AttrValue::Str(s) => s.write_json(out),
+            AttrValue::Bool(v) => v.write_json(out),
         }
     }
-    out.push('"');
 }
 
 impl AttrValue {
-    /// JSON rendering of the value alone (NaN/inf degrade to `null`).
-    fn push_json(&self, out: &mut String) {
-        match self {
-            AttrValue::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            AttrValue::I64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            AttrValue::F64(v) if v.is_finite() => {
-                let _ = write!(out, "{v}");
-            }
-            AttrValue::F64(_) => out.push_str("null"),
-            AttrValue::Str(s) => push_json_string(out, s),
-            AttrValue::Bool(v) => {
-                let _ = write!(out, "{v}");
-            }
-        }
-    }
-
     fn render(&self) -> String {
         match self {
             AttrValue::U64(v) => format!("{v}"),
@@ -207,41 +182,34 @@ impl Trace {
     /// Chrome trace-event JSON (the array form): load in
     /// `chrome://tracing` or <https://ui.perfetto.dev>.
     ///
-    /// Each span becomes a complete (`"ph":"X"`) event with `ts`/`dur`
+    /// Each span becomes a complete (`"ph": "X"`) event with `ts`/`dur`
     /// in microseconds, `pid` 0, and the logical worker id as `tid`;
     /// attributes ride in `args`.
     pub fn to_chrome_json(&self) -> String {
         let mut sorted: Vec<&SpanEvent> = self.events.iter().collect();
         sorted.sort_by_key(|e| (e.tid, e.start_ns, std::cmp::Reverse(e.dur_ns)));
-        let mut out = String::with_capacity(64 + self.events.len() * 96);
-        out.push_str("[\n");
-        for (i, e) in sorted.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"bdsm\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}",
-                e.name,
-                e.tid,
-                e.start_ns as f64 / 1_000.0,
-                e.dur_ns as f64 / 1_000.0,
-            );
-            if !e.attrs.is_empty() {
-                out.push_str(",\"args\":{");
-                for (j, (k, v)) in e.attrs.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{k}\":");
-                    v.push_json(&mut out);
+        let events: Vec<Object> = sorted
+            .into_iter()
+            .map(|e| {
+                let event = Object::new()
+                    .field("name", e.name)
+                    .field("cat", "bdsm")
+                    .field("ph", "X")
+                    .field("pid", 0u32)
+                    .field("tid", e.tid)
+                    .field("ts", e.start_ns as f64 / 1_000.0)
+                    .field("dur", e.dur_ns as f64 / 1_000.0);
+                if e.attrs.is_empty() {
+                    return event;
                 }
-                out.push('}');
-            }
-            out.push('}');
-        }
-        out.push_str("\n]\n");
-        out
+                let args = e
+                    .attrs
+                    .iter()
+                    .fold(Object::new(), |o, (k, v)| o.field(k, v));
+                event.field("args", args)
+            })
+            .collect();
+        json::to_string(&events)
     }
 
     /// Write [`Trace::to_chrome_json`] to a file.
@@ -346,20 +314,20 @@ mod tests {
     #[test]
     fn chrome_json_shape() {
         let json = sample().to_chrome_json();
-        assert!(json.starts_with("[\n"));
-        assert!(json.trim_end().ends_with(']'));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ts\":0.000"));
-        assert!(json.contains("\"dur\":10.000"));
+        assert!(json.starts_with("[{"));
+        assert!(json.ends_with("}]"));
+        assert!(json.contains("\"ph\": \"X\""));
+        assert!(json.contains("\"ts\": 0e0"));
+        assert!(json.contains("\"dur\": 1e1"));
         // String attr escaping.
-        assert!(json.contains("\"label\":\"x\\\"y\""));
-        assert!(json.contains("\"ok\":true"));
+        assert!(json.contains("\"label\": \"x\\\"y\""));
+        assert!(json.contains("\"ok\": true"));
         // Events sorted by (tid, start): worker event last.
-        let worker_pos = json.find("\"tid\":1").unwrap();
+        let worker_pos = json.find("\"tid\": 1").unwrap();
         let stage_pos = json.rfind("stage.b").unwrap();
         assert!(worker_pos > stage_pos);
         // Every event object present.
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 5);
+        assert_eq!(json.matches("\"ph\": \"X\"").count(), 5);
     }
 
     #[test]

@@ -26,8 +26,8 @@ use bdsm_core::krylov::ExpansionPoint;
 use bdsm_core::projector::InterfacePolicy;
 use bdsm_core::reduce::{CoreError, ReducedModel};
 use bdsm_linalg::{LinalgError, Matrix};
+use bdsm_obs::json::Object;
 use std::fmt;
-use std::fmt::Write as _;
 use std::path::Path;
 
 /// Leading magic of every artifact file.
@@ -504,71 +504,52 @@ impl RomArtifact {
         Self::from_bytes(&std::fs::read(path)?)
     }
 
-    /// Human-readable JSON mirror of the artifact (floats printed with 17
-    /// significant digits — enough to reconstruct every bit — but the
-    /// binary format remains the round-trip authority).
+    /// Human-readable JSON mirror of the artifact, from the one emitter
+    /// in `bdsm_obs::json`: every float prints as its shortest round-trip
+    /// `{:e}` spelling, which parses back to exactly the stored bits, but
+    /// the binary format remains the round-trip authority.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"format_version\": {FORMAT_VERSION},");
-        out.push_str("  \"engine_version\": ");
-        bdsm_obs::push_json_string(&mut out, &self.provenance.engine_version);
-        out.push_str(",\n");
-        let _ = writeln!(out, "  \"full_dim\": {},", self.full_dim());
-        let _ = writeln!(out, "  \"reduced_dim\": {},", self.reduced_dim());
-        let _ = writeln!(out, "  \"block_sizes\": {:?},", self.block_sizes);
-        let _ = writeln!(out, "  \"block_dims\": {:?},", self.block_dims);
-        let _ = writeln!(out, "  \"interface_states\": {:?},", self.interface_states);
-        let map: Vec<String> = self
-            .interface_map
-            .iter()
-            .map(|&(r, c)| format!("[{r}, {c}]"))
-            .collect();
-        let _ = writeln!(out, "  \"interface_map\": [{}],", map.join(", "));
-        for (name, m) in [
-            ("g", &self.g),
-            ("c", &self.c),
-            ("b", &self.b),
-            ("l", &self.l),
-        ] {
-            let _ = writeln!(out, "  \"{name}\": {},", json_matrix(m));
-        }
-        let shifts: Vec<String> = self
+        let matrix = |m: &Matrix| {
+            let rows: Vec<&[f64]> = (0..m.nrows()).map(|i| m.row(i)).collect();
+            Object::new()
+                .field("nrows", m.nrows())
+                .field("ncols", m.ncols())
+                .field("rows", rows)
+        };
+        let shifts: Vec<Object> = self
             .provenance
             .shifts
             .iter()
             .map(|s| match *s {
-                ExpansionPoint::Real(v) => format!("{{\"real\": {v:.17e}}}"),
-                ExpansionPoint::Jomega(v) => format!("{{\"jomega\": {v:.17e}}}"),
+                ExpansionPoint::Real(v) => Object::new().field("real", v),
+                ExpansionPoint::Jomega(v) => Object::new().field("jomega", v),
             })
             .collect();
-        let resid: Vec<String> = self
-            .provenance
-            .residual_trajectory
-            .iter()
-            .map(|r| format!("{r:.17e}"))
-            .collect();
-        let _ = writeln!(
-            out,
-            "  \"provenance\": {{\"shifts\": [{}], \"basis_cols\": {}, \
-             \"certified\": {}, \"residual_trajectory\": [{}], \
-             \"interface_policy\": \"{:?}\", \
-             \"partition_strategy\": \"{:?}\", \"kept_buses\": {:?}}},",
-            shifts.join(", "),
-            self.provenance.basis_cols,
-            self.provenance.certified,
-            resid.join(", "),
-            self.provenance.interface_policy,
-            self.provenance.partition_strategy,
-            self.provenance.kept_buses,
-        );
-        let _ = writeln!(
-            out,
-            "  \"certificate\": {}",
-            self.provenance.certificate.to_json()
-        );
-        out.push('}');
-        out.push('\n');
-        out
+        let p = &self.provenance;
+        let provenance = Object::new()
+            .field("shifts", shifts)
+            .field("basis_cols", p.basis_cols)
+            .field("certified", p.certified)
+            .field("residual_trajectory", &p.residual_trajectory)
+            .field("interface_policy", format!("{:?}", p.interface_policy))
+            .field("partition_strategy", format!("{:?}", p.partition_strategy))
+            .field("kept_buses", &p.kept_buses);
+        Object::new()
+            .field("format_version", FORMAT_VERSION)
+            .field("engine_version", &p.engine_version)
+            .field("full_dim", self.full_dim())
+            .field("reduced_dim", self.reduced_dim())
+            .field("block_sizes", &self.block_sizes)
+            .field("block_dims", &self.block_dims)
+            .field("interface_states", &self.interface_states)
+            .field("interface_map", &self.interface_map)
+            .field("g", matrix(&self.g))
+            .field("c", matrix(&self.c))
+            .field("b", matrix(&self.b))
+            .field("l", matrix(&self.l))
+            .field("provenance", provenance)
+            .field("certificate", &p.certificate)
+            .finish()
     }
 
     /// Writes the JSON debug dump next to (or instead of) the binary.
@@ -579,21 +560,6 @@ impl RomArtifact {
     pub fn save_json(&self, path: impl AsRef<Path>) -> Result<(), RomError> {
         Ok(std::fs::write(path, self.to_json())?)
     }
-}
-
-fn json_matrix(m: &Matrix) -> String {
-    let rows: Vec<String> = (0..m.nrows())
-        .map(|i| {
-            let cells: Vec<String> = m.row(i).iter().map(|v| format!("{v:.17e}")).collect();
-            format!("[{}]", cells.join(", "))
-        })
-        .collect();
-    format!(
-        "{{\"nrows\": {}, \"ncols\": {}, \"rows\": [{}]}}",
-        m.nrows(),
-        m.ncols(),
-        rows.join(", ")
-    )
 }
 
 fn outcome_tag(o: CheckOutcome) -> u8 {
@@ -972,6 +938,39 @@ mod tests {
             "\"kept_buses\": [1, 2]",
         ] {
             assert!(j.contains(needle), "JSON dump missing {needle}:\n{j}");
+        }
+    }
+
+    /// The entries of matrix `name` in a JSON dump, row by row.
+    fn dumped_entries(json: &str, name: &str) -> Vec<f64> {
+        let start = json.find(&format!("\"{name}\": {{\"nrows\"")).unwrap();
+        let rows = start + json[start..].find("\"rows\": [").unwrap() + "\"rows\": [".len();
+        let end = rows + json[rows..].find("]}").unwrap();
+        json[rows..end]
+            .split(['[', ']', ',', ' '])
+            .filter(|t| !t.is_empty())
+            .map(|t| t.parse().unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn json_dump_reproduces_every_matrix_bit() {
+        let mut odd = tiny_artifact();
+        odd.g[(0, 0)] = -0.0;
+        odd.c[(0, 0)] = f64::from_bits(1); // the smallest subnormal
+        for a in [tiny_artifact(), odd] {
+            let j = a.to_json();
+            for (name, m) in [("g", &a.g), ("c", &a.c), ("b", &a.b), ("l", &a.l)] {
+                let want: Vec<u64> = (0..m.nrows())
+                    .flat_map(|i| m.row(i))
+                    .map(|v| v.to_bits())
+                    .collect();
+                let got: Vec<u64> = dumped_entries(&j, name)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(got, want, "matrix {name} in {j}");
+            }
         }
     }
 

@@ -34,6 +34,7 @@ use crate::artifact::{RomArtifact, RomError};
 use bdsm_core::par;
 use bdsm_core::transfer::{eval_transfer_factored, CMatrix, ZLu};
 use bdsm_linalg::Complex64;
+use bdsm_obs::json::{self, Json, Object};
 use bdsm_obs::{CacheStats, CacheStatsSnapshot, Counter, Histogram, HistogramSnapshot, ObsLevel};
 use bdsm_sim::TransientSolver;
 use std::collections::HashMap;
@@ -220,23 +221,29 @@ impl ServerMetricsSnapshot {
         self.cache.hit_rate()
     }
 
-    /// JSON object fragment (no trailing newline).
+    /// JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"cache\": {{\"hits\": {}, \"misses\": {}, \"inserts\": {}, \"evictions\": {}, \
-             \"hit_rate\": {}}}, \
-             \"envelope\": {{\"refusals\": {}, \"flags\": {}}}, \"panics_recovered\": {}, \
-             \"latency\": {}}}",
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.inserts,
-            self.cache.evictions,
-            self.hit_rate(),
-            self.envelope_refusals,
-            self.envelope_flags,
-            self.panics_recovered,
-            self.latency_us.to_json()
-        )
+        json::to_string(self)
+    }
+}
+
+impl Json for ServerMetricsSnapshot {
+    fn write_json(&self, out: &mut String) {
+        let cache = Object::new()
+            .field("hits", self.cache.hits)
+            .field("misses", self.cache.misses)
+            .field("inserts", self.cache.inserts)
+            .field("evictions", self.cache.evictions)
+            .field("hit_rate", self.hit_rate());
+        let envelope = Object::new()
+            .field("refusals", self.envelope_refusals)
+            .field("flags", self.envelope_flags);
+        Object::new()
+            .field("cache", cache)
+            .field("envelope", envelope)
+            .field("panics_recovered", self.panics_recovered)
+            .field("latency", &self.latency_us)
+            .write_json(out);
     }
 }
 
