@@ -48,12 +48,13 @@ impl DenseLu {
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
         let mut sign = 1.0;
+        let data = lu.as_mut_slice();
         for k in 0..n {
-            // Partial pivoting: largest magnitude in column k at/below row k.
+            // Partial pivoting: first largest magnitude in column k at/below row k.
             let mut piv = k;
-            let mut pmax = lu[(k, k)].abs();
+            let mut pmax = data[k * n + k].abs();
             for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
+                let v = data[i * n + k].abs();
                 if v > pmax {
                     pmax = v;
                     piv = i;
@@ -65,20 +66,19 @@ impl DenseLu {
             if piv != k {
                 perm.swap(k, piv);
                 sign = -sign;
-                for j in 0..n {
-                    let t = lu[(k, j)];
-                    lu[(k, j)] = lu[(piv, j)];
-                    lu[(piv, j)] = t;
-                }
+                let (upper, lower) = data.split_at_mut(piv * n);
+                upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
             }
-            let inv_piv = 1.0 / lu[(k, k)];
-            for i in (k + 1)..n {
-                let lik = lu[(i, k)] * inv_piv;
-                lu[(i, k)] = lik;
+            // Rows above k + 1 are final; the pivot row is the last of them.
+            let (done, rows) = data.split_at_mut((k + 1) * n);
+            let u = &done[k * n..];
+            let inv_piv = 1.0 / u[k];
+            for row in rows.chunks_exact_mut(n) {
+                let lik = row[k] * inv_piv;
+                row[k] = lik;
                 if lik != 0.0 {
-                    for j in (k + 1)..n {
-                        let u = lu[(k, j)];
-                        lu[(i, j)] -= lik * u;
+                    for (x, &u) in row[k + 1..].iter_mut().zip(&u[k + 1..]) {
+                        *x -= lik * u;
                     }
                 }
             }
