@@ -26,14 +26,15 @@
 //! A Krylov block at `s₀` starts from `X₀ = (G + s₀C)⁻¹B`, and the
 //! full-model sample the adaptive loop certifies against is
 //! `H(s₀) = L·X₀`: one shifted solve yields both. The adaptive front end
-//! is therefore **one pipelined pass over `unique(seed points ∪ candidate
+//! is therefore **one per-point pass over `unique(seed points ∪ candidate
 //! grid)`** ([`ReductionEngine::point_candidates`]): each point is
 //! factored exactly once on the plan's pencil, its recurrence runs at
-//! once, and the start-block solve also emits the sample. Every greedy
-//! round after that is a look-up of an already-computed candidate set
-//! plus the merge/SVD/congruence of the grown basis and a ROM-side sweep
-//! — no round factors anything, and a seed that sits on the grid (the
-//! default mid-grid seed does) shares the grid point's factorization.
+//! once on the same worker, and the start-block solve also emits the
+//! sample. Every greedy round after that is a look-up of an
+//! already-computed candidate set plus the merge/SVD/congruence of the
+//! grown basis and a ROM-side sweep — no round factors anything, and a
+//! seed that sits on the grid (the default mid-grid seed does) shares the
+//! grid point's factorization.
 //!
 //! The cost model, at the benchmark's mesh shape (n = 10⁴, m = 2, two
 //! moments, six grid frequencies): the eager recurrence of a grid point
@@ -312,8 +313,8 @@ impl<'n> ReductionEngine<'n> {
     }
 
     /// **Basis** stage, per-point half: every listed point is factored
-    /// exactly once on the plan's pencil (pipelined over
-    /// [`crate::par`]) and runs its block recurrence; a `jω` point also
+    /// exactly once on the plan's pencil (one [`crate::par`] item per
+    /// point) and runs its block recurrence; a `jω` point also
     /// returns the full-model sample `H(jω)` its start-block solve
     /// produced. [`basis`](Self::basis) merges these sets; the adaptive
     /// loop runs this once over `seeds ∪ grid` and looks sets up after.

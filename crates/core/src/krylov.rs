@@ -13,11 +13,11 @@
 //! Expansion points are mutually independent until their subspaces are
 //! unioned, so the expensive work — one shifted factorization plus the
 //! block recurrence per point — fans out over [`crate::par`] workers, each
-//! point deflating only against its **own** candidates. The factorization
-//! and the recurrence are further *pipelined* through
-//! [`crate::par::pipelined_map_with`]: workers refactorize upcoming shifts
-//! while earlier shifts' recurrences are still accumulating basis blocks,
-//! so a host with more cores than shifts stays busy.
+//! point deflating only against its **own** candidates. One
+//! [`crate::par::parallel_map_with`] item per point factors that point's
+//! shift on the worker's reusable workspace and then runs its recurrence:
+//! the recurrence needs its own factor and nothing else, so a per-point
+//! map is all the parallelism this stage has.
 //!
 //! The per-point candidate sets are then merged into one orthonormal
 //! global basis. The default [`OrthoKernel::Blocked`] kernel does this
@@ -253,26 +253,20 @@ pub fn global_krylov_basis_sparse(
     merge_candidates(raw, opts.deflation_tol, opts.ortho)
 }
 
-/// A shift's numeric factors from the sparse subsystem, produced on a
-/// worker by the factor-queue pipeline while other shifts recur.
-enum SparseFactor {
-    Real(SparseLu<f64>),
-    Jomega(SparseLu<Complex64>),
-}
-
-/// Per-point candidate sets through the sparse subsystem, pipelined over
-/// [`crate::par`] with per-worker [`LuWorkspace`] scratch. Takes the
-/// [`ShiftedPencil`] from the caller so the engine's one symbolic analysis
-/// (the Plan stage's) serves every point. With an output map `l`, every
-/// `jω` point also carries its full-model sample `L·X₀` — the adaptive
-/// engine's reference sweep, at no extra factorization or solve.
+/// Per-point candidate sets through the sparse subsystem, one
+/// [`crate::par::parallel_map_with`] item per expansion point with
+/// per-worker [`LuWorkspace`] scratch. Takes the [`ShiftedPencil`] from the
+/// caller so the engine's one symbolic analysis (the Plan stage's) serves
+/// every point. With an output map `l`, every `jω` point also carries its
+/// full-model sample `L·X₀` — the adaptive engine's reference sweep, at no
+/// extra factorization or solve.
 ///
-/// The producer stage runs `ShiftedPencil::factor_*_with` — a numeric-only
-/// refactorization through the worker's reusable workspace — and the
-/// consumer stage runs the shift's block recurrence, so per-shift
-/// refactorization overlaps basis accumulation (the factor queue). Both
-/// stages are pure functions of their expansion point, so results are
-/// bitwise-independent of the worker schedule.
+/// An item runs `ShiftedPencil::factor_*_with` — a numeric-only
+/// refactorization through the worker's reusable workspace — and then the
+/// shift's block recurrence, each under its own `krylov.point` span
+/// (`stage = "factor"`, then `stage = "recur"`). Both are pure functions of
+/// the expansion point, so results are bitwise-independent of the worker
+/// schedule.
 pub(crate) fn candidates_for_points_sparse(
     pencil: &ShiftedPencil,
     c: &CscMatrix<f64>,
@@ -281,48 +275,46 @@ pub(crate) fn candidates_for_points_sparse(
     opts: &KrylovOpts,
     points: &[ExpansionPoint],
 ) -> Vec<Result<PointCandidates>> {
-    par::pipelined_map_with(
+    par::parallel_map_with(
         points,
         || (LuWorkspace::<f64>::new(), LuWorkspace::<Complex64>::new()),
-        |(ws_re, ws_cx), i, &pt| {
-            let mut s = bdsm_obs::timing_span!("krylov.point", point = i, stage = "factor");
-            match pt {
-                ExpansionPoint::Real(s0) => {
+        |(ws_re, ws_cx), i, &pt| match pt {
+            ExpansionPoint::Real(s0) => {
+                let lu = {
+                    let mut s = bdsm_obs::timing_span!("krylov.point", point = i, stage = "factor");
                     s.attr("s0", s0);
-                    Ok(SparseFactor::Real(pencil.factor_real_with(s0, ws_re)?))
-                }
-                ExpansionPoint::Jomega(omega) => {
-                    s.attr("omega", omega);
-                    Ok(SparseFactor::Jomega(
-                        pencil.factor_complex_with(Complex64::jomega(omega), ws_cx)?,
-                    ))
-                }
+                    pencil.factor_real_with(s0, ws_re)?
+                };
+                let mut s = bdsm_obs::timing_span!("krylov.point", point = i, stage = "recur");
+                s.attr("s0", s0);
+                let out = real_point_candidates(
+                    b,
+                    opts,
+                    |vs| solve_block_sparse(&lu, vs),
+                    |v| c.matvec(v),
+                );
+                // Freed inside the span, on the worker that allocated it.
+                drop(lu);
+                out
             }
-        },
-        |_, i, &pt, factored: Result<SparseFactor>| {
-            let mut s = bdsm_obs::timing_span!("krylov.point", point = i, stage = "recur");
-            match (pt, factored?) {
-                (ExpansionPoint::Real(s0), SparseFactor::Real(lu)) => {
-                    s.attr("s0", s0);
-                    real_point_candidates(
-                        b,
-                        opts,
-                        |vs| solve_block_sparse(&lu, vs),
-                        |v| c.matvec(v),
-                    )
-                }
-                (ExpansionPoint::Jomega(omega), SparseFactor::Jomega(lu)) => {
+            ExpansionPoint::Jomega(omega) => {
+                let lu = {
+                    let mut s = bdsm_obs::timing_span!("krylov.point", point = i, stage = "factor");
                     s.attr("omega", omega);
-                    jomega_point_candidates(
-                        b,
-                        l,
-                        opts,
-                        |vs| solve_real_block_sparse(&lu, vs),
-                        |vs| solve_block_sparse(&lu, vs),
-                        |v| c.matvec_complex(v),
-                    )
-                }
-                _ => unreachable!("factor queue delivered a mismatched shift kind"),
+                    pencil.factor_complex_with(Complex64::jomega(omega), ws_cx)?
+                };
+                let mut s = bdsm_obs::timing_span!("krylov.point", point = i, stage = "recur");
+                s.attr("omega", omega);
+                let out = jomega_point_candidates(
+                    b,
+                    l,
+                    opts,
+                    |vs| solve_real_block_sparse(&lu, vs),
+                    |vs| solve_block_sparse(&lu, vs),
+                    |v| c.matvec_complex(v),
+                );
+                drop(lu);
+                out
             }
         },
     )

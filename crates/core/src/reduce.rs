@@ -363,7 +363,7 @@ pub struct StageTimings {
     /// over seeds ∪ grid, full-model samples included), plus the per-round
     /// merges of the adaptive loop.
     pub krylov_us: f64,
-    /// The per-point slice of `krylov_us`: `krylov.point` spans (pipelined
+    /// The per-point slice of `krylov_us`: `krylov.point` spans (shifted
     /// factorizations + block recurrences). Zero when the ambient obs
     /// level was below `Timings` during the run.
     pub krylov_point_us: f64,

@@ -228,3 +228,70 @@ fn plan_stage_records_the_ordering_selection() {
     assert_eq!(trace.count("stage.plan"), 1);
     assert_eq!(trace.count("pencil.order"), 0, "fine span below Spans");
 }
+
+/// The Krylov per-point pass the benchmark's `core.krylov_point_ms` reads:
+/// every point of `unique(seeds ∪ grid)` records exactly one
+/// `krylov.point` span with `stage = "factor"` and one with
+/// `stage = "recur"`, both on the worker that ran the point, the
+/// recurrence starting after its factorization ended.
+#[test]
+fn each_krylov_point_factors_then_recurs_on_one_worker() {
+    use bdsm_core::engine::{AdaptiveShiftOpts, ReductionEngine, ShiftStrategy};
+    use bdsm_core::krylov::KrylovOpts;
+    use bdsm_core::reduce::ReductionOpts;
+    use bdsm_core::synth::rc_grid;
+    use bdsm_obs::AttrValue;
+
+    let _guard = ENV_LOCK.lock().unwrap();
+    let _scope = Scope::new("3", ObsLevel::Spans);
+    // One off-grid seed plus a five-point grid: a pass of six points.
+    let grid = AdaptiveShiftOpts::log_grid(1e1, 1e4, 5);
+    let pass = 1 + grid.len();
+    let opts = ReductionOpts {
+        num_blocks: 3,
+        krylov: KrylovOpts {
+            expansion_points: vec![],
+            jomega_points: vec![3.3e2],
+            moments_per_point: 2,
+            ..KrylovOpts::default()
+        },
+        shift_strategy: ShiftStrategy::Adaptive(AdaptiveShiftOpts {
+            candidate_omegas: grid,
+            tol: 1e-6,
+            max_shifts: 4,
+        }),
+        ..ReductionOpts::default()
+    };
+    let net = rc_grid(16, 16, 1.0, 1e-3, 2.0);
+    let engine = ReductionEngine::new(&net, &opts).expect("valid options");
+    let (run, trace) = Trace::collect(|| engine.run());
+    run.expect("adaptive reduce");
+
+    let attr = |e: &bdsm_obs::SpanEvent, key: &str| -> AttrValue {
+        let found = e.attrs.iter().find(|(k, _)| *k == key);
+        found.unwrap_or_else(|| panic!("no attr {key}")).1
+    };
+    let spans: Vec<_> = trace
+        .events
+        .iter()
+        .filter(|e| e.name == "krylov.point")
+        .collect();
+    assert_eq!(spans.len(), 2 * pass, "two krylov.point spans per point");
+    for point in 0..pass as u64 {
+        let stage = |name: &'static str| {
+            let found: Vec<_> = spans
+                .iter()
+                .filter(|e| attr(e, "point") == AttrValue::U64(point))
+                .filter(|e| attr(e, "stage") == AttrValue::Str(name))
+                .collect();
+            assert_eq!(found.len(), 1, "point {point}: one {name} span");
+            found[0]
+        };
+        let (factor, recur) = (stage("factor"), stage("recur"));
+        assert_eq!(factor.tid, recur.tid, "point {point}: one worker");
+        assert!(
+            recur.start_ns >= factor.start_ns + factor.dur_ns,
+            "point {point}: the recurrence starts after its factor ends"
+        );
+    }
+}

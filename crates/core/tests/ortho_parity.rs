@@ -141,8 +141,9 @@ fn blocked_matches_mgs_on_feeder() {
 
 #[test]
 fn blocked_matches_mgs_through_dense_oracle() {
-    // The dense pipeline shares the merge but runs its own factor queue —
-    // cover it on a size where densification is cheap.
+    // The dense reference shares the merge but factors its points one
+    // after another with a dense LU — cover it on a size where
+    // densification is cheap.
     let net = rc_ladder_loaded(90, 1.0, 1e-3, 5.0, 4);
     let desc = mna::assemble(&net).unwrap();
     let (g, c) = (desc.g.to_dense(), desc.c.to_dense());

@@ -79,11 +79,11 @@ fn reduced_model_is_bitwise_invariant_under_thread_count() {
     }
 }
 
-/// The tentpole bar at scale: a full 10⁴-state reduce — pipelined shift
-/// factorizations feeding the panel-blocked merge tree — must stay
-/// bitwise-identical across worker counts. The merge tree's shape is a
-/// function of the expansion-point count alone and every produce/consume
-/// stage is a pure function of its point, so `BDSM_THREADS` ∈ {1, 2, 5}
+/// The tentpole bar at scale: a full 10⁴-state reduce — per-point shift
+/// factorizations and recurrences feeding the panel-blocked merge tree —
+/// must stay bitwise-identical across worker counts. The merge tree's
+/// shape is a function of the expansion-point count alone and every
+/// per-point item is a pure function of its point, so `BDSM_THREADS` ∈ {1, 2, 5}
 /// may only change wall-clock. Options stay lean (one moment, three
 /// points) to keep the debug-build cost of three 10⁴ reductions sane.
 #[test]

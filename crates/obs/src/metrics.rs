@@ -275,9 +275,6 @@ pub struct Metrics {
     pub factor_nnz: Gauge,
     /// Basis column count of the most recent reduction merge.
     pub basis_columns: Gauge,
-    /// Peak ready-queue occupancy of the most recent pipelined fan-out
-    /// (the factor queue): produced-but-not-yet-consumed items.
-    pub factor_queue_peak: Gauge,
 }
 
 static METRICS: Metrics = Metrics {
@@ -287,7 +284,6 @@ static METRICS: Metrics = Metrics {
     ortho_panel_merges: Counter::new(),
     factor_nnz: Gauge::new(),
     basis_columns: Gauge::new(),
-    factor_queue_peak: Gauge::new(),
 };
 
 /// The process-global [`Metrics`] registry.
@@ -307,7 +303,6 @@ impl Metrics {
             gauges: vec![
                 ("factor_nnz", self.factor_nnz.get()),
                 ("basis_columns", self.basis_columns.get()),
-                ("factor_queue_peak", self.factor_queue_peak.get()),
             ],
         }
     }
@@ -320,7 +315,6 @@ impl Metrics {
         self.ortho_panel_merges.reset();
         self.factor_nnz.reset();
         self.basis_columns.reset();
-        self.factor_queue_peak.reset();
     }
 }
 
@@ -442,7 +436,6 @@ mod tests {
             ortho_panel_merges: Counter::new(),
             factor_nnz: Gauge::new(),
             basis_columns: Gauge::new(),
-            factor_queue_peak: Gauge::new(),
         };
         m.lu_factorizations.add(3);
         m.factor_nnz.set(12345);

@@ -196,13 +196,6 @@ impl ReducerBuilder {
         self
     }
 
-    /// Removes the reduced-dimension budget (the default).
-    #[must_use]
-    pub fn unbudgeted(mut self) -> Self {
-        self.opts.max_reduced_dim = None;
-        self
-    }
-
     /// A no-op kept for source compatibility: every reduction runs on the
     /// sparse factorization subsystem (there is no other backend).
     #[must_use]
@@ -217,14 +210,6 @@ impl ReducerBuilder {
     #[must_use]
     pub fn adaptive(mut self, opts: AdaptiveShiftOpts) -> Self {
         self.opts.shift_strategy = ShiftStrategy::Adaptive(opts);
-        self
-    }
-
-    /// Fixed expansion points (the default): the configured shifts are
-    /// used verbatim.
-    #[must_use]
-    pub fn fixed_shifts(mut self) -> Self {
-        self.opts.shift_strategy = ShiftStrategy::Fixed;
         self
     }
 

@@ -959,24 +959,24 @@ fn factor_columns<T: Scalar>(
         }
 
         // Pivot: largest magnitude among unpivoted rows, but keep the
-        // ordering's diagonal when it is within PIVOT_THRESHOLD of it.
-        let mut best = usize::MAX;
-        let mut best_mag = 0.0f64;
-        for &r in &ws.pattern {
-            if st.pinv[r] == usize::MAX {
-                let mag = ws.x[r].abs_sq();
-                if mag > best_mag {
-                    best_mag = mag;
-                    best = r;
-                }
-            }
+        // ordering's diagonal when it is within PIVOT_THRESHOLD of it. The
+        // magnitude is |x|²; only when every candidate's |x|² underflows
+        // (|x| ≲ 1.5e-162) is it max(|re|, |im|), so a column of tiny
+        // entries is not mistaken for a zero one. The column is singular
+        // when every candidate is exactly zero or NaN.
+        let (mut best, mut best_mag) = largest_unpivoted(&ws.pattern, &st.pinv, &ws.x, T::abs_sq);
+        let mut mag: fn(T) -> f64 = T::abs_sq;
+        let mut threshold = PIVOT_THRESHOLD * PIVOT_THRESHOLD;
+        if best == usize::MAX {
+            (best, best_mag) = largest_unpivoted(&ws.pattern, &st.pinv, &ws.x, T::norm_inf);
+            (mag, threshold) = (T::norm_inf, PIVOT_THRESHOLD);
         }
-        if best == usize::MAX || best_mag == 0.0 {
+        if best == usize::MAX {
             return Err(LinalgError::Singular { at: j });
         }
         let diag_ok = ws.mark[aj] == stamp
             && st.pinv[aj] == usize::MAX
-            && ws.x[aj].abs_sq() >= PIVOT_THRESHOLD * PIVOT_THRESHOLD * best_mag;
+            && mag(ws.x[aj]) >= threshold * best_mag;
         let piv_row = if diag_ok { aj } else { best };
         let piv_val = ws.x[piv_row];
 
@@ -1009,6 +1009,27 @@ fn factor_columns<T: Scalar>(
         st.l_cols.push(l_col);
     }
     Ok(())
+}
+
+/// The first unpivoted row of `pattern` with the largest `mag` of its
+/// value in `x`, and that magnitude; `(usize::MAX, 0.0)` when every
+/// candidate's `mag` is zero or NaN.
+fn largest_unpivoted<T: Scalar>(
+    pattern: &[usize],
+    pinv: &[usize],
+    x: &[T],
+    mag: impl Fn(T) -> f64,
+) -> (usize, f64) {
+    let (mut best, mut best_mag) = (usize::MAX, 0.0f64);
+    for &r in pattern {
+        if pinv[r] == usize::MAX {
+            let m = mag(x[r]);
+            if m > best_mag {
+                (best, best_mag) = (r, m);
+            }
+        }
+    }
+    (best, best_mag)
 }
 
 /// Oracle elimination: one scattered axpy per reached pivot.

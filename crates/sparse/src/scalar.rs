@@ -39,6 +39,10 @@ pub trait Scalar:
     /// square root of a full `abs`).
     fn abs_sq(self) -> f64;
 
+    /// `max(|re|, |im|)` — the pivot metric when every candidate's
+    /// [`abs_sq`](Self::abs_sq) underflows (`|z| ≲ 1.5e-162`).
+    fn norm_inf(self) -> f64;
+
     /// Scales by a real factor.
     fn scale(self, k: f64) -> Self;
 
@@ -64,6 +68,11 @@ impl Scalar for f64 {
     }
 
     #[inline]
+    fn norm_inf(self) -> f64 {
+        self.abs()
+    }
+
+    #[inline]
     fn scale(self, k: f64) -> f64 {
         self * k
     }
@@ -84,6 +93,11 @@ impl Scalar for Complex64 {
     }
 
     #[inline]
+    fn norm_inf(self) -> f64 {
+        self.re.abs().max(self.im.abs())
+    }
+
+    #[inline]
     fn scale(self, k: f64) -> Complex64 {
         Complex64::scale(self, k)
     }
@@ -97,6 +111,7 @@ mod tests {
     fn real_scalar_contract() {
         assert_eq!(f64::from_real(2.5), 2.5);
         assert_eq!((-3.0f64).abs_sq(), 9.0);
+        assert_eq!((-3.0f64).norm_inf(), 3.0);
         assert!(f64::ZERO.is_zero());
         assert!(!f64::ONE.is_zero());
         assert_eq!(2.0f64.scale(1.5), 3.0);
@@ -106,6 +121,7 @@ mod tests {
     fn complex_scalar_contract() {
         let z = Complex64::new(3.0, 4.0);
         assert_eq!(Scalar::abs_sq(z), 25.0);
+        assert_eq!(Scalar::norm_inf(Complex64::new(3.0, -4.0)), 4.0);
         assert_eq!(Complex64::from_real(1.0), Complex64::ONE);
         assert!(Scalar::is_zero(Complex64::ZERO));
         assert_eq!(Scalar::scale(z, 2.0), Complex64::new(6.0, 8.0));
