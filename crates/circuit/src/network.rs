@@ -39,6 +39,12 @@ pub enum CircuitError {
         /// The offending value.
         value: f64,
     },
+    /// A resistance so small (a subnormal value such as `1e-310` Ω) that
+    /// its conductance `1/R`, the value MNA stamps, is not finite.
+    InfiniteConductance {
+        /// The offending resistance in ohms.
+        ohms: f64,
+    },
     /// The network has no buses.
     EmptyNetwork,
     /// The operation needs at least one input and one output port.
@@ -74,6 +80,9 @@ impl fmt::Display for CircuitError {
             }
             CircuitError::NonPositiveValue { what, value } => {
                 write!(f, "{what} value must be positive, got {value}")
+            }
+            CircuitError::InfiniteConductance { ohms } => {
+                write!(f, "resistance {ohms:e} ohm has no finite conductance 1/R")
             }
             CircuitError::EmptyNetwork => write!(f, "network has no buses"),
             CircuitError::NoPorts => {
@@ -213,6 +222,9 @@ impl Network {
         if !(value > 0.0 && value.is_finite()) {
             return Err(CircuitError::NonPositiveValue { what, value });
         }
+        if matches!(kind, ElementKind::Resistor(_)) && !(1.0 / value).is_finite() {
+            return Err(CircuitError::InfiniteConductance { ohms: value });
+        }
         self.elements.push(Element { a, b, kind });
         Ok(self.elements.len() - 1)
     }
@@ -221,7 +233,9 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns [`CircuitError`] on invalid nodes or a non-positive value.
+    /// Returns [`CircuitError`] on invalid nodes, a non-positive value, or
+    /// a resistance whose conductance `1/R` is not finite
+    /// ([`CircuitError::InfiniteConductance`]).
     pub fn add_resistor(&mut self, a: usize, b: usize, ohms: f64) -> Result<usize> {
         self.add_element(a, b, ElementKind::Resistor(ohms))
     }
@@ -407,6 +421,12 @@ mod tests {
             net.add_voltage_source(a, a),
             Err(CircuitError::SelfLoop { .. })
         ));
+        // A subnormal resistance has no finite conductance; a tiny one does.
+        let err = net.add_resistor(a, GROUND, 1e-310).unwrap_err();
+        assert_eq!(err, CircuitError::InfiniteConductance { ohms: 1e-310 });
+        assert!(err.to_string().contains("1e-310"), "{err}");
+        assert!(net.elements().is_empty());
+        net.add_resistor(a, GROUND, 1e-300).unwrap();
     }
 
     #[test]

@@ -11,20 +11,29 @@
 //!   cannot generate energy), plus positive-real sampling of the reduced
 //!   transfer function — the smallest eigenvalue of the Hermitian part of
 //!   `H(jω)` per grid frequency, with violating frequencies localized.
-//! - **Stability** ([`StabilityCertificate`]): the Lyapunov sufficient
-//!   condition (`V = xᵀC_r x` decays when `sym(G_r) ⪰ 0`, `C_r ⪰ 0`) and,
-//!   when `C_r` admits a Cholesky factorization, the exact spectral
-//!   abscissa of the reduced pencil `(−G_r, C_r)`.
+//! - **Stability** ([`Certificate::stability`]): decided by the same two
+//!   margins. When `sym(G_r) ⪰ 0` and `C_r ⪰ 0`, `V = xᵀC_r x` does not
+//!   grow along `C_r ẋ = −G_r x` (Lyapunov). The pencil's spectral
+//!   abscissa would decide nothing more: when `C_r = LLᵀ` is positive
+//!   definite, the pencil `(−G_r, C_r)` of a symmetric `G_r` has the
+//!   eigenvalues `−eig(L⁻¹ G_r L⁻ᵀ)`, and by Sylvester's law of inertia
+//!   that congruence has the inertia of `G_r`, so the sign of the
+//!   abscissa is the sign of `−λ_min(G_r)`. For a non-symmetric `G_r`
+//!   (RLC) the same construction on `sym(G_r)` only bounds the abscissa.
+//!   Each margin is also judged in its own units (conductance for `G_r`,
+//!   capacitance for `C_r`); the abscissa is a rate in 1/s and has a
+//!   threshold in neither.
 //! - **A posteriori error bands** ([`ErrorBand`]): the residual sweep
 //!   folded into per-log-frequency-band worst-case bounds.
 //!
 //! Congruence reduction preserves semidefiniteness exactly in exact
 //! arithmetic — these checks certify that *floating-point* reduction did
 //! not break it, which is precisely the guarantee a stranger consuming the
-//! artifact needs. Eigenvalue margins on large reduced pencils go through
-//! [`bdsm_linalg::sym_eig_extremes`] (tridiagonalize + Sturm bisection);
-//! the small per-frequency Hermitian samples go through the full
-//! [`SymEig`] Jacobi decomposition via the real `2p×2p` embedding.
+//! artifact needs. Every check allows a relative roundoff of [`TOL`]. The
+//! two margins go through [`bdsm_linalg::sym_min_eig`] (tridiagonalize +
+//! Sturm bisection); the small per-frequency Hermitian samples go through
+//! the full [`SymEig`] Jacobi decomposition via the real `2p×2p`
+//! embedding.
 //!
 //! Everything here is deterministic: fixed bisection schedules, no
 //! data-dependent thread interaction — certificates are bitwise-identical
@@ -32,23 +41,13 @@
 
 use crate::reduce::Result;
 use crate::transfer::{eval_jomega_sweep, CMatrix};
-use bdsm_linalg::{sym_eig_extremes, Matrix, SymEig};
+use bdsm_linalg::{sym_min_eig, Matrix, SymEig};
 use bdsm_obs::json::{self, Json, Object};
 
-/// Knobs of the certification pass, carried on
-/// [`ReductionOpts`](crate::reduce::ReductionOpts).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CertifyOpts {
-    /// Relative eigenvalue tolerance: a margin `λ_min ≥ −tol·max(1, ‖A‖)`
-    /// still counts as semidefinite (roundoff allowance).
-    pub tol: f64,
-}
-
-impl Default for CertifyOpts {
-    fn default() -> Self {
-        CertifyOpts { tol: 1e-8 }
-    }
-}
+/// Relative eigenvalue tolerance of every check: a smallest eigenvalue
+/// `λ_min ≥ −TOL·max(1, ‖A‖_max)` still counts as semidefinite (roundoff
+/// allowance).
+pub const TOL: f64 = 1e-8;
 
 /// Per-frequency relative transfer residuals of a ROM against the full
 /// model — the quantitative half of the Certify stage (previously named
@@ -91,7 +90,9 @@ pub enum CertStatus {
 /// positive-real sampling of the reduced transfer function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PassivityCertificate {
-    /// The relative eigenvalue tolerance the margins were judged against.
+    /// The relative eigenvalue tolerance the margins were judged against
+    /// ([`TOL`] for every certificate this build writes; `0` when
+    /// unknown).
     pub tol: f64,
     /// Smallest eigenvalue of `sym(G_r)`.
     pub g_sym_min_eig: f64,
@@ -105,21 +106,6 @@ pub struct PassivityCertificate {
     /// Indices into the samples where positive-realness is violated —
     /// the localization a debugging consumer needs.
     pub violations: Vec<usize>,
-    /// The verdict.
-    pub outcome: CheckOutcome,
-}
-
-/// Stability evidence for the reduced pencil `(−G_r, C_r)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StabilityCertificate {
-    /// Lyapunov margin from `sym(G_r)`: `V = xᵀC_r x` decays when ≥ 0.
-    pub lyapunov_margin_g: f64,
-    /// Lyapunov margin from `C_r`.
-    pub lyapunov_margin_c: f64,
-    /// Exact spectral abscissa `max Re λ` of the pencil, when `C_r`
-    /// admitted a Cholesky factorization (`None` when singular /
-    /// indefinite — the Lyapunov condition then carries the verdict).
-    pub spectral_abscissa: Option<f64>,
     /// The verdict.
     pub outcome: CheckOutcome,
 }
@@ -144,8 +130,10 @@ pub struct ErrorBand {
 pub struct Certificate {
     /// Passivity evidence.
     pub passivity: PassivityCertificate,
-    /// Stability evidence.
-    pub stability: StabilityCertificate,
+    /// Stability of the pencil `(−G_r, C_r)`: [`CheckOutcome::Pass`]
+    /// exactly when both semidefiniteness margins of [`Self::passivity`]
+    /// pass (see the module docs for why they decide it).
+    pub stability: CheckOutcome,
     /// Per-band a posteriori error bounds (empty when no full-model
     /// residual sweep was available, e.g. the fixed shift path).
     pub error_bands: Vec<ErrorBand>,
@@ -174,12 +162,7 @@ impl Certificate {
                 violations: Vec::new(),
                 outcome: CheckOutcome::Skipped,
             },
-            stability: StabilityCertificate {
-                lyapunov_margin_g: 0.0,
-                lyapunov_margin_c: 0.0,
-                spectral_abscissa: None,
-                outcome: CheckOutcome::Skipped,
-            },
+            stability: CheckOutcome::Skipped,
             error_bands: Vec::new(),
             status: CertStatus::Unknown,
         }
@@ -225,7 +208,6 @@ impl Certificate {
 impl Json for Certificate {
     fn write_json(&self, out: &mut String) {
         let p = &self.passivity;
-        let s = &self.stability;
         let bands: Vec<Object> = self
             .error_bands
             .iter()
@@ -252,14 +234,7 @@ impl Json for Certificate {
                     .field("samples", p.sample_omegas.len())
                     .field("violations", p.violations.len()),
             )
-            .field(
-                "stability",
-                Object::new()
-                    .field("outcome", s.outcome)
-                    .field("lyapunov_margin_g", s.lyapunov_margin_g)
-                    .field("lyapunov_margin_c", s.lyapunov_margin_c)
-                    .field("spectral_abscissa", s.spectral_abscissa),
-            )
+            .field("stability", self.stability)
             .field("error_bands", bands)
             .field("envelope", envelope)
             .write_json(out);
@@ -311,30 +286,19 @@ pub fn certify_reduced(
     omegas: &[f64],
     rom_samples: Option<&[CMatrix]>,
     residuals: Option<&ResidualSweep>,
-    opts: &CertifyOpts,
 ) -> Result<Certificate> {
     let q = g.nrows();
     if q == 0 {
         return Ok(Certificate::unknown());
     }
-    let g_thresh = opts.tol * g.norm_max().max(1.0);
-    let c_thresh = opts.tol * c.norm_max().max(1.0);
-    // Three independent `O(q³)` jobs: the pencil's spectral abscissa
-    // (`None` — Cholesky, two triangular solves and an eigenvalue bracket,
-    // the longest, so first) and the smallest eigenvalue of each matrix's
-    // symmetric part. Each is a pure function of `(G_r, C_r)`, so the
-    // fan-out cannot move a bit.
-    let jobs: [Option<&Matrix>; 3] = [None, Some(g), Some(c)];
-    let mut spectra = crate::par::parallel_map(&jobs, |_, job| match *job {
-        None => Ok(spectral_abscissa(g, c)),
-        Some(m) => sym_eig_extremes(m).map(|(lo, _)| Some(lo)),
-    })
-    .into_iter();
-    let mut next = || spectra.next().expect("one result per job");
-    let spectral_abscissa = next()?;
-    let g_sym_min_eig = next()?.expect("an eigenvalue job returns a value");
-    let c_min_eig = next()?.expect("an eigenvalue job returns a value");
-    let matrices_pass = g_sym_min_eig >= -g_thresh && c_min_eig >= -c_thresh;
+    // Two independent `O(q³)` jobs, the smallest eigenvalue of each
+    // matrix's symmetric part. Each is a pure function of its matrix, so
+    // the fan-out cannot move a bit.
+    let mut mins = crate::par::parallel_map(&[g, c], |_, m| sym_min_eig(m)).into_iter();
+    let g_sym_min_eig = mins.next().expect("one result per job")?;
+    let c_min_eig = mins.next().expect("one result per job")?;
+    let margins_pass =
+        g_sym_min_eig >= -TOL * g.norm_max().max(1.0) && c_min_eig >= -TOL * c.norm_max().max(1.0);
 
     // Positive-real sampling: only defined for a square transfer matrix
     // (inputs and outputs must pair up for `uᴴ H u` to be a power).
@@ -348,7 +312,7 @@ pub fn certify_reduced(
         let mut bad = Vec::new();
         for (k, h) in samples.iter().enumerate() {
             let (min_eig, scale) = hermitian_part_min_eig(h)?;
-            if min_eig < -opts.tol * scale.max(1.0) {
+            if min_eig < -TOL * scale.max(1.0) {
                 bad.push(k);
             }
             mins.push(min_eig);
@@ -357,17 +321,12 @@ pub fn certify_reduced(
     } else {
         (Vec::new(), Vec::new(), Vec::new())
     };
-    let passivity_outcome = if !matrices_pass || !violations.is_empty() {
+    let passivity_outcome = if !margins_pass || !violations.is_empty() {
         CheckOutcome::Fail
     } else {
         CheckOutcome::Pass
     };
-
-    let stable = match spectral_abscissa {
-        Some(a) => a <= g_thresh.max(c_thresh),
-        None => matrices_pass,
-    };
-    let stability_outcome = if stable {
+    let stability = if margins_pass {
         CheckOutcome::Pass
     } else {
         CheckOutcome::Fail
@@ -377,15 +336,14 @@ pub fn certify_reduced(
         .map(|r| error_bands(&r.omegas, &r.residuals, 6))
         .unwrap_or_default();
 
-    let status =
-        if passivity_outcome == CheckOutcome::Fail || stability_outcome == CheckOutcome::Fail {
-            CertStatus::Violated
-        } else {
-            CertStatus::Certified
-        };
+    let status = if passivity_outcome == CheckOutcome::Fail || stability == CheckOutcome::Fail {
+        CertStatus::Violated
+    } else {
+        CertStatus::Certified
+    };
     Ok(Certificate {
         passivity: PassivityCertificate {
-            tol: opts.tol,
+            tol: TOL,
             g_sym_min_eig,
             c_min_eig,
             sample_omegas,
@@ -393,12 +351,7 @@ pub fn certify_reduced(
             violations,
             outcome: passivity_outcome,
         },
-        stability: StabilityCertificate {
-            lyapunov_margin_g: g_sym_min_eig,
-            lyapunov_margin_c: c_min_eig,
-            spectral_abscissa,
-            outcome: stability_outcome,
-        },
+        stability,
         error_bands,
         status,
     })
@@ -426,74 +379,6 @@ fn hermitian_part_min_eig(h: &CMatrix) -> Result<(f64, f64)> {
     }
     let eig = SymEig::compute(&e)?;
     Ok((eig.min().unwrap_or(0.0), scale))
-}
-
-/// Exact spectral abscissa `max Re λ` of the pencil `−G x = λ C x`, via the
-/// symmetric-definite reduction `S = L⁻¹ sym(G) L⁻ᵀ` over the Cholesky
-/// factor `C = LLᵀ`: the pencil eigenvalues are `−eig(S)`, so the abscissa
-/// is `−λ_min(S)`. Returns `None` when `C` is not positive definite
-/// (Cholesky breakdown) — the Lyapunov condition then decides stability.
-fn spectral_abscissa(g: &Matrix, c: &Matrix) -> Option<f64> {
-    let n = c.nrows();
-    let l = cholesky(c)?;
-    // X = L⁻¹ sym(G): forward-substitute each column of sym(G).
-    let sym_g = Matrix::from_fn(n, n, |i, j| 0.5 * (g[(i, j)] + g[(j, i)]));
-    let x = forward_solve_cols(&l, &sym_g);
-    // S = X L⁻ᵀ = (L⁻¹ Xᵀ)ᵀ — X is `L⁻¹ sym(G)`, so S is symmetric.
-    let s = forward_solve_cols(&l, &x.transpose()).transpose();
-    let (lo, _) = sym_eig_extremes(&s).ok()?;
-    Some(-lo)
-}
-
-/// Unpivoted Cholesky `A = LLᵀ` of the symmetrized input; `None` on a
-/// non-positive pivot (not positive definite).
-fn cholesky(a: &Matrix) -> Option<Matrix> {
-    let n = a.nrows();
-    let mut l = Matrix::zeros(n, n);
-    for j in 0..n {
-        let mut d = 0.5 * (a[(j, j)] + a[(j, j)]);
-        for k in 0..j {
-            d -= l[(j, k)] * l[(j, k)];
-        }
-        if d.is_nan() || d <= 0.0 {
-            return None;
-        }
-        let dj = d.sqrt();
-        l[(j, j)] = dj;
-        for i in (j + 1)..n {
-            let mut v = 0.5 * (a[(i, j)] + a[(j, i)]);
-            for k in 0..j {
-                v -= l[(i, k)] * l[(j, k)];
-            }
-            l[(i, j)] = v / dj;
-        }
-    }
-    Some(l)
-}
-
-/// Solves `L X = B` for lower-triangular `L`, all columns at once: row
-/// `i` of `X` is row `i` of `B` minus `l[i, k]` × (finished) row `k` for
-/// `k` ascending, over `l[i, i]` — contiguous row updates, and per
-/// element the same subtractions in the same order as a column-by-column
-/// substitution, so the result is that one's, bit for bit.
-fn forward_solve_cols(l: &Matrix, b: &Matrix) -> Matrix {
-    let (n, m) = b.shape();
-    let mut x = b.clone();
-    for i in 0..n {
-        let (done, rest) = x.as_mut_slice().split_at_mut(i * m);
-        let xi = &mut rest[..m];
-        for (k, xk) in done.chunks_exact(m).enumerate() {
-            let lik = l[(i, k)];
-            for (v, &w) in xi.iter_mut().zip(xk) {
-                *v -= lik * w;
-            }
-        }
-        let lii = l[(i, i)];
-        for v in xi.iter_mut() {
-            *v /= lii;
-        }
-    }
-    x
 }
 
 /// Folds a residual sweep into at most `max_bands` log-frequency bands,
@@ -570,17 +455,7 @@ mod tests {
     }
 
     fn certify_plain(g: &Matrix, c: &Matrix, b: &Matrix, l: &Matrix) -> Certificate {
-        certify_reduced(
-            g,
-            c,
-            b,
-            l,
-            &[1.0, 10.0, 100.0],
-            None,
-            None,
-            &CertifyOpts::default(),
-        )
-        .unwrap()
+        certify_reduced(g, c, b, l, &[1.0, 10.0, 100.0], None, None).unwrap()
     }
 
     #[test]
@@ -593,14 +468,12 @@ mod tests {
         let cert = certify_plain(&g, &c, &b, &l);
         assert_eq!(cert.status, CertStatus::Certified);
         assert_eq!(cert.passivity.outcome, CheckOutcome::Pass);
-        assert_eq!(cert.stability.outcome, CheckOutcome::Pass);
+        assert_eq!(cert.stability, CheckOutcome::Pass);
         assert!(cert.passivity.g_sym_min_eig > 0.0);
         assert!(cert.passivity.c_min_eig > 0.0);
         assert!(cert.passivity.violations.is_empty());
         assert_eq!(cert.passivity.sample_min_eigs.len(), 3);
         assert!(cert.passivity.sample_min_eigs.iter().all(|&m| m >= 0.0));
-        let a = cert.stability.spectral_abscissa.expect("C is SPD");
-        assert!(a < 0.0, "RC pencil abscissa {a} not negative");
         assert_eq!(cert.frequency_envelope(), Some((1.0, 100.0)));
         assert!(cert.to_json().contains("\"status\": \"certified\""));
     }
@@ -617,8 +490,7 @@ mod tests {
         assert_eq!(cert.status, CertStatus::Violated);
         assert_eq!(cert.passivity.outcome, CheckOutcome::Fail);
         assert!(cert.passivity.g_sym_min_eig < 0.0);
-        assert_eq!(cert.stability.outcome, CheckOutcome::Fail);
-        assert!(cert.stability.spectral_abscissa.unwrap() > 0.0);
+        assert_eq!(cert.stability, CheckOutcome::Fail);
         // The driving-point H(jω) of an active one-port goes non-positive-
         // real somewhere on the grid — the violation list localizes it.
         assert!(
@@ -629,11 +501,11 @@ mod tests {
     }
 
     #[test]
-    fn singular_c_skips_spectral_but_lyapunov_decides() {
+    fn singular_c_still_certifies_from_the_margins() {
         let n = 4;
         let g = spd(n, 3.0);
         let mut c = spd(n, 2.5);
-        // Zero out a row/col: C ⪰ 0 but singular — Cholesky must refuse.
+        // Zero out a row/col: C ⪰ 0 but singular — no Cholesky factor.
         for k in 0..n {
             c[(0, k)] = 0.0;
             c[(k, 0)] = 0.0;
@@ -641,8 +513,7 @@ mod tests {
         let b = Matrix::from_fn(n, 1, |i, _| if i == 0 { 1.0 } else { 0.0 });
         let l = b.transpose();
         let cert = certify_plain(&g, &c, &b, &l);
-        assert_eq!(cert.stability.spectral_abscissa, None);
-        assert_eq!(cert.stability.outcome, CheckOutcome::Pass);
+        assert_eq!(cert.stability, CheckOutcome::Pass);
         assert_eq!(cert.status, CertStatus::Certified);
     }
 
@@ -703,39 +574,81 @@ mod tests {
         assert!((scale - 2.0).abs() < 1e-15);
     }
 
+    /// `Q diag(d) Qᵀ`, with `Q` the eigenvectors of a random symmetric
+    /// matrix.
+    fn with_spectrum(rand: &mut impl FnMut() -> f64, d: &[f64]) -> Matrix {
+        let n = d.len();
+        let r = Matrix::from_fn(n, n, |_, _| rand());
+        let q = SymEig::compute(&r.add(&r.transpose()).unwrap())
+            .unwrap()
+            .vectors;
+        Matrix::from_fn(n, n, |i, j| {
+            (0..n).map(|k| q[(i, k)] * d[k] * q[(j, k)]).sum()
+        })
+    }
+
+    /// Eigenvalue oracle: `λ_min(L⁻¹ sym(G) L⁻ᵀ)` over the Cholesky factor
+    /// `C = LLᵀ`. Its negative is the spectral abscissa of `(−G, C)` for a
+    /// symmetric `G`, and an upper bound on it otherwise.
+    fn congruent_min_eig(g: &Matrix, c: &Matrix) -> f64 {
+        let n = c.nrows();
+        let mut l = Matrix::zeros(n, n);
+        for j in 0..n {
+            for i in j..n {
+                let v = c[(i, j)] - (0..j).map(|k| l[(i, k)] * l[(j, k)]).sum::<f64>();
+                l[(i, j)] = if i == j { v.sqrt() } else { v / l[(j, j)] };
+            }
+        }
+        let l_inv = bdsm_linalg::DenseLu::factor(&l).unwrap().inverse().unwrap();
+        let sym_g = Matrix::from_fn(n, n, |i, j| 0.5 * (g[(i, j)] + g[(j, i)]));
+        let s = l_inv.matmul(&sym_g).unwrap().matmul(&l_inv.transpose());
+        SymEig::compute(&s.unwrap()).unwrap().min().unwrap()
+    }
+
     #[test]
-    fn row_walking_forward_solve_is_the_column_walk_bit_for_bit() {
-        // Reference: the column-by-column substitution this replaced.
-        fn column_walk(l: &Matrix, b: &Matrix) -> Matrix {
-            let (n, m) = b.shape();
-            let mut x = b.clone();
-            for j in 0..m {
-                for i in 0..n {
-                    let mut v = x[(i, j)];
-                    for k in 0..i {
-                        v -= l[(i, k)] * x[(k, j)];
+    fn margin_verdict_matches_the_congruent_pencil_oracle() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut rand = move || {
+            state = state.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(1);
+            (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        let n = 24;
+        let b = Matrix::zeros(n, 1);
+        for trial in 0..10 {
+            // C: SPD, eigenvalues log-spread over 1e-4 … 1.
+            let spread = |k: usize| 10f64.powf(-4.0 * k as f64 / (n - 1) as f64);
+            let c = with_spectrum(&mut rand, &(0..n).map(spread).collect::<Vec<_>>());
+            // sym(G): smallest eigenvalue ±1e-2, the rest in [1e-2, 1].
+            let lambda_min = if trial % 2 == 0 { 1e-2 } else { -1e-2 };
+            let mut eigs = vec![lambda_min];
+            eigs.extend((1..n).map(|_| 10f64.powf(-(rand() + 1.0))));
+            let mut g = with_spectrum(&mut rand, &eigs);
+            if trial >= 8 {
+                // RLC-shaped: the second half of the states couples to the
+                // first through a skew block `[[0, E], [−Eᵀ, 0]]`.
+                for i in 0..n / 2 {
+                    for j in n / 2..n {
+                        let e = rand();
+                        g[(i, j)] += e;
+                        g[(j, i)] -= e;
                     }
-                    x[(i, j)] = v / l[(i, i)];
                 }
             }
-            x
+            let cert = certify_reduced(&g, &c, &b, &b.transpose(), &[], None, None).unwrap();
+            let oracle = congruent_min_eig(&g, &c);
+            assert!(
+                oracle.abs() >= 0.99e-2,
+                "trial {trial}: oracle {oracle} near 0"
+            );
+            let margin = cert.passivity.g_sym_min_eig;
+            assert!(
+                (margin - lambda_min).abs() < 1e-12,
+                "trial {trial}: {margin}"
+            );
+            let stable = cert.stability == CheckOutcome::Pass;
+            assert_eq!(stable, oracle > 0.0, "trial {trial}: oracle {oracle}");
+            assert_eq!(cert.status == CertStatus::Certified, stable);
         }
-        let n = 40;
-        let a = Matrix::from_fn(n, n, |i, j| {
-            ((i * 13 + j * 7) as f64 * 0.29).sin() * ((i + j) as f64 * 0.31).cos()
-        });
-        let spd = a
-            .matmul(&a.transpose())
-            .unwrap()
-            .add(&Matrix::identity(n))
-            .unwrap();
-        let l = cholesky(&spd).expect("SPD by construction");
-        let b = Matrix::from_fn(n, n, |i, j| ((i * 5 + j * 11) as f64 * 0.17).cos() + 0.3);
-        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&forward_solve_cols(&l, &b)),
-            bits(&column_walk(&l, &b))
-        );
     }
 
     #[test]
@@ -749,7 +662,6 @@ mod tests {
             &[1.0e2, 1.0e3, 4.0e3],
             None,
             None,
-            &CertifyOpts::default(),
         )
         .unwrap();
         assert_eq!(cert.min_transient_step(), Some(1.0 / 4.0e3));

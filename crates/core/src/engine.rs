@@ -515,16 +515,7 @@ impl<'n> ReductionEngine<'n> {
                     ExpansionPoint::Real(_) => None,
                 })
                 .collect();
-            certify_reduced(
-                &rom.g,
-                &rom.c,
-                &rom.b,
-                &rom.l,
-                &omegas,
-                None,
-                None,
-                &self.opts.certify,
-            )?
+            certify_reduced(&rom.g, &rom.c, &rom.b, &rom.l, &omegas, None, None)?
         };
         let report = EngineReport {
             shifts: points,
@@ -657,7 +648,6 @@ impl<'n> ReductionEngine<'n> {
                 &a.candidate_omegas,
                 Some(&rom_sweep),
                 Some(&cert),
-                &self.opts.certify,
             )?
         };
         let report = EngineReport {

@@ -32,9 +32,9 @@
 //!   view of that report;
 //! - [`certify`] is the trust layer of the Certify stage: typed
 //!   passivity/stability certificates of the reduced pencil (eigenvalue
-//!   margins, positive-real sampling with violation localization,
-//!   Lyapunov/spectral verification) plus per-band a posteriori error
-//!   bounds, recorded on [`engine::EngineReport::certificate`];
+//!   margins, positive-real sampling with violation localization, and
+//!   stability decided by the same margins) plus per-band a posteriori
+//!   error bounds, recorded on [`engine::EngineReport::certificate`];
 //! - [`transfer`] evaluates `H(s) = L(G + sC)⁻¹B` for full and reduced
 //!   models so they can be compared frequency by frequency — a dense
 //!   complex LU for ROMs ([`transfer::eval_jomega_sweep`]) and a sparse
@@ -66,8 +66,8 @@ pub mod transfer;
 
 pub use bdsm_circuit::DenseDescriptor;
 pub use certify::{
-    certify_reduced, CertStatus, Certificate, CertifyOpts, CheckOutcome, ErrorBand,
-    PassivityCertificate, ResidualSweep, StabilityCertificate,
+    certify_reduced, CertStatus, Certificate, CheckOutcome, ErrorBand, PassivityCertificate,
+    ResidualSweep,
 };
 pub use engine::{
     AdaptiveShiftOpts, EngineReport, Plan, ReductionEngine, RoundRecord, ShiftStrategy,

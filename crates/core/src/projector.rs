@@ -364,7 +364,8 @@ impl BlockDiagProjector {
         }
         // B is a handful of port rows: one rank-one update per non-zero
         // row of B (a copy where that row of V is a unit vector), no
-        // transposed copy of the block.
+        // transposed copy of the block. A skipped zero term would add `±0`
+        // to an accumulator that starts at `+0.0`, which never changes it.
         let mut out = Matrix::zeros(self.ncols(), b.ncols());
         for (i, blk) in self.blocks.iter().enumerate() {
             let (r0, c0) = (self.row_offsets[i], self.col_offsets[i]);
@@ -383,7 +384,9 @@ impl BlockDiagProjector {
         Ok(out)
     }
 
-    /// Output projection `LV` (`p × q`).
+    /// Output projection `LV` (`p × q`), computed as `(VᵀLᵀ)ᵀ` by
+    /// [`project_input`](Self::project_input), so `L = Bᵀ` gives
+    /// `L_r = B_rᵀ` bit for bit.
     ///
     /// # Errors
     ///
@@ -397,21 +400,7 @@ impl BlockDiagProjector {
                 rhs: l.shape(),
             });
         }
-        // Likewise one `axpy` of a row of V per non-zero entry of L.
-        let mut out = Matrix::zeros(l.nrows(), self.ncols());
-        for o in 0..l.nrows() {
-            for (i, blk) in self.blocks.iter().enumerate() {
-                let (r0, c0) = (self.row_offsets[i], self.col_offsets[i]);
-                let lrow = &l.row(o)[r0..r0 + blk.nrows()];
-                let orow = &mut out.row_mut(o)[c0..c0 + blk.ncols()];
-                for (li, &v) in lrow.iter().enumerate() {
-                    if v != 0.0 {
-                        vector::axpy(v, blk.row(li), orow);
-                    }
-                }
-            }
-        }
-        Ok(out)
+        Ok(self.project_input(&l.transpose())?.transpose())
     }
 }
 

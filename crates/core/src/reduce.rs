@@ -30,7 +30,6 @@
 //! what admits `n ≫ 10⁴` grids. The dense Krylov reference tests compare
 //! against is a free function, [`crate::krylov::global_krylov_basis`].
 
-use crate::certify::CertifyOpts;
 use crate::engine::{EngineReport, ReductionEngine, ShiftStrategy};
 use crate::krylov::KrylovOpts;
 use crate::projector::{BlockDiagProjector, InterfacePolicy};
@@ -199,9 +198,6 @@ pub struct ReductionOpts {
     /// [`bdsm_circuit::ReductionSet`]). Pair with [`InterfacePolicy::Exact`]
     /// to read kept boundary voltages off the ROM verbatim.
     pub kept_buses: Option<Vec<usize>>,
-    /// Knobs of the Certify stage's property checks (passivity/stability
-    /// margins); see [`CertifyOpts`].
-    pub certify: CertifyOpts,
 }
 
 impl ReductionOpts {
@@ -294,7 +290,6 @@ impl Default for ReductionOpts {
             interface_policy: InterfacePolicy::default(),
             partition_strategy: PartitionStrategy::default(),
             kept_buses: None,
-            certify: CertifyOpts::default(),
         }
     }
 }

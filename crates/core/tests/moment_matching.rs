@@ -8,11 +8,12 @@
 //! `L = Bᵀ` matches `2·moments` of them; the first one past that must
 //! *not* match, so the test cannot pass vacuously.
 
-use bdsm_circuit::Network;
+use bdsm_circuit::{Network, PartitionStrategy};
+use bdsm_core::engine::{AdaptiveShiftOpts, ShiftStrategy};
 use bdsm_core::krylov::{collect_points, ExpansionPoint, KrylovOpts};
 use bdsm_core::projector::InterfacePolicy;
 use bdsm_core::reduce::{reduce_network, ReductionOpts};
-use bdsm_core::synth::{rc_grid, rc_ladder};
+use bdsm_core::synth::{rc_grid, rc_ladder, rc_ladder_loaded};
 use bdsm_core::transfer::ZLu;
 use bdsm_linalg::{Complex64, DenseLu, Matrix};
 
@@ -120,4 +121,64 @@ fn grid_matches_twice_its_moments_at_every_jomega_point() {
         ..KrylovOpts::default()
     };
     assert_moments_match(&rc_grid(20, 25, 1.0, 1e-3, 2.0), 4, krylov);
+}
+
+/// The entries of `m`, row by row, as bit patterns.
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// PRIMA's passivity argument needs `L_r = B_rᵀ` wherever `L = Bᵀ`; the
+/// input and output projections share one loop, so it holds bit for bit.
+#[test]
+fn reduced_output_map_is_the_input_map_transposed_bit_for_bit() {
+    let adaptive = ShiftStrategy::Adaptive(AdaptiveShiftOpts {
+        candidate_omegas: AdaptiveShiftOpts::log_grid(5.0e1, 4.0e3, 6),
+        tol: 1e-6,
+        max_shifts: 4,
+    });
+    let jomega = KrylovOpts {
+        expansion_points: vec![],
+        jomega_points: vec![4.5e2],
+        moments_per_point: 2,
+        ..KrylovOpts::default()
+    };
+    let mesh = (
+        rc_grid(40, 40, 1.0, 1e-3, 2.0),
+        ReductionOpts {
+            krylov: jomega.clone(),
+            shift_strategy: adaptive,
+            interface_policy: InterfacePolicy::Exact,
+            partition_strategy: PartitionStrategy::NestedDissection,
+            ..ReductionOpts::default()
+        },
+    );
+    let ladder = (
+        rc_ladder_loaded(2000, 1.0, 1e-3, 5.0, 5),
+        ReductionOpts {
+            num_blocks: 8,
+            krylov: KrylovOpts {
+                jomega_points: vec![4.5e2, 2.0e3],
+                ..jomega.clone()
+            },
+            interface_policy: InterfacePolicy::Folded,
+            ..ReductionOpts::default()
+        },
+    );
+    let mut kept: Vec<usize> = (0..25).collect();
+    kept.push(12 * 25 + 13);
+    let region = (
+        rc_grid(20, 25, 1.0, 1e-3, 2.0),
+        ReductionOpts {
+            krylov: jomega,
+            interface_policy: InterfacePolicy::Exact,
+            kept_buses: Some(kept),
+            ..ReductionOpts::default()
+        },
+    );
+    for (name, (net, opts)) in [("mesh", mesh), ("ladder", ladder), ("keep_buses", region)] {
+        let rm = reduce_network(&net, &opts).expect("reduction");
+        assert_eq!(bits(&rm.full.l), bits(&rm.full.b.transpose()), "{name}");
+        assert_eq!(bits(&rm.l), bits(&rm.b.transpose()), "{name}: L_r ≠ B_rᵀ");
+    }
 }

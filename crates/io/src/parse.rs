@@ -433,6 +433,14 @@ mod tests {
             err.kind,
             NetlistErrorKind::Circuit(bdsm_circuit::CircuitError::NonPositiveValue { .. })
         ));
+
+        let err = parse_netlist("R1 a 0 1\nR2 a b 1e-310").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.to_string().contains("1e-310"), "{err}");
+        assert!(matches!(
+            err.kind,
+            NetlistErrorKind::Circuit(bdsm_circuit::CircuitError::InfiniteConductance { .. })
+        ));
     }
 
     #[test]

@@ -18,9 +18,7 @@
 use crate::codec::{fnv1a, ByteReader, ByteWriter, CodecError};
 use crate::server::QueryError;
 use bdsm_circuit::{Partition, PartitionStrategy};
-use bdsm_core::certify::{
-    CertStatus, Certificate, CheckOutcome, ErrorBand, PassivityCertificate, StabilityCertificate,
-};
+use bdsm_core::certify::{CertStatus, Certificate, CheckOutcome, ErrorBand, PassivityCertificate};
 use bdsm_core::engine::EngineReport;
 use bdsm_core::krylov::ExpansionPoint;
 use bdsm_core::projector::InterfacePolicy;
@@ -594,17 +592,14 @@ fn write_certificate(w: &mut ByteWriter, cert: &Certificate) {
     w.f64s(&p.sample_min_eigs);
     w.usizes(&p.violations);
     w.u8(outcome_tag(p.outcome));
-    let s = &cert.stability;
-    w.f64(s.lyapunov_margin_g);
-    w.f64(s.lyapunov_margin_c);
-    match s.spectral_abscissa {
-        Some(a) => {
-            w.u8(1);
-            w.f64(a);
-        }
-        None => w.u8(0),
-    }
-    w.u8(outcome_tag(s.outcome));
+    // The retired slots of the v3 stability section: its two margins,
+    // which are the passivity margins, and the spectral-abscissa tag
+    // (0 = absent; files from builds that computed the abscissa carry 1
+    // and its value).
+    w.f64(p.g_sym_min_eig);
+    w.f64(p.c_min_eig);
+    w.u8(0);
+    w.u8(outcome_tag(cert.stability));
     w.u64(cert.error_bands.len() as u64);
     for b in &cert.error_bands {
         w.f64(b.omega_lo);
@@ -634,14 +629,17 @@ fn read_certificate(r: &mut ByteReader<'_>) -> Result<Certificate, RomError> {
         return Err(RomError::Corrupt("passivity violation index out of range"));
     }
     let passivity_outcome = outcome_from_tag(r.u8("passivity outcome")?)?;
-    let lyapunov_margin_g = r.f64("stability g margin")?;
-    let lyapunov_margin_c = r.f64("stability c margin")?;
-    let spectral_abscissa = match r.u8("spectral abscissa tag")? {
-        0 => None,
-        1 => Some(r.f64("spectral abscissa")?),
+    // The retired slots `write_certificate` describes.
+    r.f64("stability g margin")?;
+    r.f64("stability c margin")?;
+    match r.u8("spectral-abscissa tag")? {
+        0 => {}
+        1 => {
+            r.f64("spectral abscissa")?;
+        }
         _ => return Err(RomError::Corrupt("spectral-abscissa tag not boolean")),
-    };
-    let stability_outcome = outcome_from_tag(r.u8("stability outcome")?)?;
+    }
+    let stability = outcome_from_tag(r.u8("stability outcome")?)?;
     let n_bands = r.count(32, "error bands")?;
     let mut error_bands = Vec::with_capacity(n_bands);
     for _ in 0..n_bands {
@@ -662,12 +660,7 @@ fn read_certificate(r: &mut ByteReader<'_>) -> Result<Certificate, RomError> {
             violations,
             outcome: passivity_outcome,
         },
-        stability: StabilityCertificate {
-            lyapunov_margin_g,
-            lyapunov_margin_c,
-            spectral_abscissa,
-            outcome: stability_outcome,
-        },
+        stability,
         error_bands,
         status,
     })
@@ -767,12 +760,7 @@ mod tests {
                 violations: vec![2],
                 outcome: CheckOutcome::Pass,
             },
-            stability: StabilityCertificate {
-                lyapunov_margin_g: 0.125,
-                lyapunov_margin_c: 1e-3,
-                spectral_abscissa: Some(-42.5),
-                outcome: CheckOutcome::Pass,
-            },
+            stability: CheckOutcome::Pass,
             error_bands: vec![ErrorBand {
                 omega_lo: 1.0e2,
                 omega_hi: 2.0e3,
@@ -877,6 +865,35 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn retired_abscissa_slot_accepts_both_old_tags_only() {
+        // After the tag come the stability outcome (1), the band count
+        // (8), one band (4·8) and the checksum (8).
+        let a = tiny_artifact();
+        let bytes = a.to_bytes();
+        let slot = bytes.len() - 8 - 32 - 8 - 1 - 1;
+        assert_eq!(bytes[slot], 0, "the writer stamps the constant 0");
+        let margins: Vec<u8> = [0.125_f64, 1e-3]
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect();
+        assert_eq!(bytes[slot - 16..slot], margins[..], "passivity margins");
+        // The layout of a build that computed the abscissa: tag 1 and the
+        // value, 8 bytes longer.
+        let with_abscissa = |tag: u8| {
+            let mut old = bytes[..slot].to_vec();
+            old.push(tag);
+            old.extend((-42.5_f64).to_bits().to_le_bytes());
+            old.extend(&bytes[slot + 1..]);
+            RomArtifact::from_bytes(&restamp_checksum(old))
+        };
+        assert_eq!(with_abscissa(1).unwrap(), a);
+        assert!(matches!(
+            with_abscissa(2),
+            Err(RomError::Corrupt("spectral-abscissa tag not boolean"))
+        ));
+    }
+
     fn restamp_checksum(mut bytes: Vec<u8>) -> Vec<u8> {
         let end = bytes.len() - 8;
         let sum = fnv1a(&bytes[..end]);
@@ -929,7 +946,7 @@ mod tests {
         for needle in [
             "\"format_version\": 3",
             "\"certificate\": {\"status\": \"certified\"",
-            "\"spectral_abscissa\": -4.25e1",
+            "\"stability\": \"pass\"",
             "\"reduced_dim\": 3",
             "\"interface_map\": [[1, 0], [2, 1]]",
             "\"certified\": true",

@@ -136,7 +136,6 @@ impl Default for ReducerBuilder {
                 interface_policy: InterfacePolicy::Folded,
                 partition_strategy: PartitionStrategy::Bfs,
                 kept_buses: None,
-                certify: bdsm_core::certify::CertifyOpts::default(),
             },
         }
     }

@@ -56,5 +56,5 @@ pub use server::{EnvelopePolicy, QueryError, RomId, RomServer, ServerMetricsSnap
 // downstream users of the serving layer need not depend on `bdsm-core`
 // directly to inspect provenance.
 pub use bdsm_core::certify::{
-    CertStatus, Certificate, CheckOutcome, ErrorBand, PassivityCertificate, StabilityCertificate,
+    CertStatus, Certificate, CheckOutcome, ErrorBand, PassivityCertificate,
 };
