@@ -10,7 +10,7 @@
 //!   owned by a shard). Every reply carries the plan digest, so routing
 //!   is auditable end to end.
 //! * **Transport** ([`wire`]) — length-prefixed binary frames with the
-//!   artifact codec's conventions: magic, version, FNV-1a checksum,
+//!   artifact codec's conventions: magic, version, word-wise checksum,
 //!   alloc-bounded reads, typed [`WireError`]. `f64`s travel as IEEE bit
 //!   patterns, so values cross the wire bitwise-exactly.
 //! * **Serving** ([`ShardNode`], [`ClusterClient`]) — a node is a thin

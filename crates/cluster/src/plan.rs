@@ -7,13 +7,13 @@
 //! out across machines; per-sample results are independent, so the
 //! partition changes *where* a sample is computed, never its bytes.
 //!
-//! The plan is summarized by a [`digest`](ShardPlan::digest) — an FNV-1a
-//! hash of the canonical placement encoding — which every shard stamps
+//! The plan is summarized by a [`digest`](ShardPlan::digest) — the codec
+//! checksum of the canonical placement encoding — which every shard stamps
 //! into every reply. The router refuses replies whose digest differs
 //! from its own plan, so a misconfigured or stale shard is a typed
 //! error, not silent wrong routing.
 
-use bdsm_rom::codec::{fnv1a, ByteWriter};
+use bdsm_rom::codec::{checksum, ByteWriter};
 use std::collections::BTreeMap;
 
 /// One shard's slice of a band-sharded model: the half-open influence
@@ -314,7 +314,7 @@ impl ShardPlan {
         Some(by_shard.into_values().collect())
     }
 
-    /// FNV-1a digest of the canonical placement encoding — the audit
+    /// Checksum of the canonical placement encoding — the audit
     /// stamp shards echo in every reply.
     pub fn digest(&self) -> u64 {
         let mut w = ByteWriter::new();
@@ -337,7 +337,7 @@ impl ShardPlan {
                 }
             }
         }
-        fnv1a(&w.into_bytes())
+        checksum(&w.into_bytes())
     }
 }
 

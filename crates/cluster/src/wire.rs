@@ -3,15 +3,15 @@
 //! Frames are written and read through the artifact format's codec
 //! ([`bdsm_rom::codec`]) — magic bytes, a version word, little-endian
 //! integers, `f64` as IEEE bit patterns (bitwise exactness survives the
-//! wire by construction), an FNV-1a checksum, and alloc-bounded reads (a
-//! length prefix may never demand more bytes than the frame actually
-//! carries, so a hostile or corrupt length cannot trigger a huge
-//! allocation). Every malformation maps to a typed [`WireError`]; decoding
-//! never panics.
+//! wire by construction), the codec's word-wise checksum, and
+//! alloc-bounded reads (a length prefix may never demand more bytes than
+//! the frame actually carries, so a hostile or corrupt length cannot
+//! trigger a huge allocation). Every malformation maps to a typed
+//! [`WireError`]; decoding never panics.
 //!
 //! ```text
 //! ┌──────────┬───────────┬──────┬─────────────┬─────────┬──────────┐
-//! │ magic 8B │ version 4B│ kind │ payload len │ payload │ FNV-1a 8B│
+//! │ magic 8B │ version 4B│ kind │ payload len │ payload │ sum 8B   │
 //! │ BDSMWP01 │ u32 LE    │ 1B   │ u64 LE      │ ...     │ u64 LE   │
 //! └──────────┴───────────┴──────┴─────────────┴─────────┴──────────┘
 //! ```
@@ -22,13 +22,14 @@
 
 use bdsm_core::transfer::CMatrix;
 use bdsm_linalg::Complex64;
-use bdsm_rom::codec::{fnv1a, ByteReader, ByteWriter, CodecError};
+use bdsm_rom::codec::{checksum, ByteReader, ByteWriter, CodecError};
 use std::io::{Read, Write};
 
 /// First eight bytes of every frame.
 pub const MAGIC: [u8; 8] = *b"BDSMWP01";
-/// Protocol version this build speaks.
-pub const VERSION: u32 = 1;
+/// Protocol version this build speaks. v2: the frame checksum became
+/// [`checksum`] (v1 carried byte-serial FNV-1a).
+pub const VERSION: u32 = 2;
 /// Hard upper bound on a frame payload (bytes) — caps the allocation a
 /// length prefix can demand.
 pub const MAX_PAYLOAD: u64 = 256 * 1024 * 1024;
@@ -199,7 +200,7 @@ impl Frame {
         }
         let (body, sum) = bytes.split_at(body_end);
         let carried = u64::from_le_bytes(sum.try_into().expect("8 checksum bytes"));
-        let computed = fnv1a(body);
+        let computed = checksum(body);
         if carried != computed {
             return Err(WireError::ChecksumMismatch {
                 expected: computed,

@@ -6,11 +6,17 @@
 //! never a panic across the public API.
 //!
 //! Fault sites are process-global (`bdsm_obs::fault`); every test
-//! serializes on one lock.
+//! serializes on one lock. A peer on an older wire version is the one
+//! fault here that needs no armed site.
 
-use bdsm_cluster::{ClientConfig, ClusterClient, ClusterError, NodeConfig, ShardNode, ShardPlan};
+use bdsm_cluster::wire::{self, Frame, Request, Response};
+use bdsm_cluster::{
+    ClientConfig, ClusterClient, ClusterError, NodeConfig, ShardNode, ShardPlan, WireError,
+};
 use bdsm_core::synth::rc_grid;
 use bdsm_rom::{Reducer, RomServer};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -250,5 +256,61 @@ fn remote_errors_stay_typed_end_to_end() {
     }
     assert_eq!(client.metrics().remote_errors, 1);
     // The connection survives a remote error: next query serves.
+    assert_eq!(client.transfer_sweep(MODEL, &[1.0e3]).unwrap().len(), 1);
+}
+
+/// A ping as a v1 peer sends it: version word 1 and the byte-serial
+/// FNV-1a checksum that v1 carried.
+fn v1_ping() -> Vec<u8> {
+    let mut bytes = Request::Ping.to_frame().encode();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let end = bytes.len() - 8;
+    let sum = bytes[..end]
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    bytes[end..].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn wire_version_skew_is_answered_typed_then_closed() {
+    let _g = locked();
+    let (node, client, _plan) = one_shard_cluster(0);
+    assert_eq!(wire::VERSION, 2);
+    let v1 = v1_ping();
+    assert!(matches!(
+        Frame::decode(&v1),
+        Err(WireError::UnsupportedVersion {
+            found: 1,
+            supported: 2
+        })
+    ));
+
+    let mut stream = TcpStream::connect(node.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(&v1).expect("send v1 frame");
+    let reply = Frame::read_from(&mut stream).expect("one reply frame");
+    match Response::from_frame(&reply).expect("a v2 response") {
+        Response::Error(stamp, _, message) => {
+            assert_eq!(stamp.shard, 0);
+            assert!(message.contains("version 1"), "message: {message}");
+        }
+        other => panic!("expected Response::Error, got {other:?}"),
+    }
+    // Then the node hangs up. It closes with the frame's checksum unread,
+    // so the close may arrive as a reset instead of end of stream; either
+    // way it is not the read timeout.
+    match stream.read(&mut [0u8; 1]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("expected the node to close, got {other:?}"),
+    }
+
+    // A v2 client connecting afterwards is still served.
+    client.ping(0).expect("v2 ping");
     assert_eq!(client.transfer_sweep(MODEL, &[1.0e3]).unwrap().len(), 1);
 }

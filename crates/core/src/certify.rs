@@ -82,7 +82,8 @@ pub enum CertStatus {
     Certified,
     /// At least one check failed.
     Violated,
-    /// No check ran — e.g. a pre-certificate (format v2) artifact.
+    /// No check ran — e.g. an empty pencil, or a model built without a
+    /// Certify run.
     Unknown,
 }
 
@@ -124,7 +125,7 @@ pub struct ErrorBand {
 }
 
 /// The typed output of the Certify stage, persisted in artifact
-/// provenance (format v3) and enforced by the query envelope of
+/// provenance and enforced by the query envelope of
 /// `RomServer`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Certificate {
@@ -149,8 +150,8 @@ impl Default for Certificate {
 
 impl Certificate {
     /// The no-information certificate: every check [`CheckOutcome::Skipped`],
-    /// status [`CertStatus::Unknown`] — what a pre-certificate (v2)
-    /// artifact reports after loading.
+    /// status [`CertStatus::Unknown`] — what an empty pencil or a report
+    /// without a Certify run carries.
     pub fn unknown() -> Self {
         Certificate {
             passivity: PassivityCertificate {

@@ -60,6 +60,14 @@ pub enum NetlistErrorKind {
     UnknownBus(String),
     /// A `.bus` directive re-declared an existing bus name.
     DuplicateBus(String),
+    /// An element card reused the name of an earlier one (names compare
+    /// case-insensitively, as in SPICE).
+    DuplicateElement {
+        /// The earlier card's spelling of the name.
+        first: String,
+        /// The earlier card's 1-based line.
+        first_line: usize,
+    },
     /// Building the network rejected the element (bad value, self-loop,
     /// floating element, …).
     Circuit(CircuitError),
@@ -109,6 +117,9 @@ impl fmt::Display for NetlistErrorKind {
             NetlistErrorKind::UnknownBus(name) => write!(f, "unknown bus '{name}'"),
             NetlistErrorKind::DuplicateBus(name) => {
                 write!(f, "bus '{name}' is already declared")
+            }
+            NetlistErrorKind::DuplicateElement { first, first_line } => {
+                write!(f, "element name repeats '{first}' of line {first_line}")
             }
             NetlistErrorKind::Circuit(e) => write!(f, "{e}"),
         }

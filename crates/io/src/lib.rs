@@ -12,7 +12,9 @@
 //! non-whitespace character is `+` continues the previous logical line.
 //! Lines starting with `*` are comments, and `;` starts a comment anywhere
 //! in a line. Everything is case-insensitive except bus-name spelling
-//! (the first spelling seen is kept). Supported cards:
+//! (the first spelling seen is kept). Element names are unique across
+//! all cards, as in SPICE: `r1` after `R1` is a
+//! [`NetlistErrorKind::DuplicateElement`]. Supported cards:
 //!
 //! | card | form | meaning |
 //! |------|------|---------|

@@ -3,6 +3,7 @@
 use crate::error::{NetlistError, NetlistErrorKind};
 use bdsm_circuit::{Network, GROUND};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::path::Path;
 
 /// A token with its 1-based source position.
@@ -33,6 +34,7 @@ pub fn parse_netlist(text: &str) -> Result<Network, NetlistError> {
     let mut parser = Parser {
         net: Network::new(),
         bus_of_name: HashMap::new(),
+        element_names: HashMap::new(),
     };
     for card in logical_lines(text) {
         if !parser.card(&card)? {
@@ -161,29 +163,49 @@ fn parse_value(tok: &Tok<'_>) -> Result<f64, NetlistError> {
     Ok(v)
 }
 
-struct Parser {
-    net: Network,
-    /// Lower-cased bus name → index (the first spelling seen is what
-    /// `Network` stores).
-    bus_of_name: HashMap<String, usize>,
+/// A bus or element name borrowed from the text, hashed and compared
+/// ASCII-case-insensitively, so interning and the duplicate-element check
+/// allocate nothing per card.
+#[derive(Clone, Copy)]
+struct Name<'a>(&'a str);
+
+impl PartialEq for Name<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.eq_ignore_ascii_case(other.0)
+    }
 }
 
-impl Parser {
+impl Eq for Name<'_> {}
+
+impl Hash for Name<'_> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.0
+            .bytes()
+            .for_each(|b| h.write_u8(b.to_ascii_lowercase()));
+    }
+}
+
+struct Parser<'a> {
+    net: Network,
+    /// Bus name → index (the first spelling seen is what `Network`
+    /// stores).
+    bus_of_name: HashMap<Name<'a>, usize>,
+    /// Element name (first spelling) → the line of its card.
+    element_names: HashMap<Name<'a>, usize>,
+}
+
+impl<'a> Parser<'a> {
     /// Interns a node token: ground alias or bus index (creating the bus
     /// on first sight).
-    fn node(&mut self, tok: &Tok<'_>) -> usize {
+    fn node(&mut self, tok: &Tok<'a>) -> usize {
         if is_ground(tok.s) {
             return GROUND;
         }
-        let key = tok.s.to_ascii_lowercase();
-        match self.bus_of_name.get(&key) {
-            Some(&i) => i,
-            None => {
-                let i = self.net.add_bus(tok.s);
-                self.bus_of_name.insert(key, i);
-                i
-            }
-        }
+        let net = &mut self.net;
+        *self
+            .bus_of_name
+            .entry(Name(tok.s))
+            .or_insert_with(|| net.add_bus(tok.s))
     }
 
     /// Looks up a bus that must already exist; ground is rejected. Used by
@@ -193,13 +215,13 @@ impl Parser {
             return Err(tok.err(NetlistErrorKind::GroundInvalid { context }));
         }
         self.bus_of_name
-            .get(&tok.s.to_ascii_lowercase())
+            .get(&Name(tok.s))
             .copied()
             .ok_or_else(|| tok.err(NetlistErrorKind::UnknownBus(tok.s.to_string())))
     }
 
     /// Handles one logical line. Returns `false` on `.end`.
-    fn card(&mut self, toks: &[Tok<'_>]) -> Result<bool, NetlistError> {
+    fn card(&mut self, toks: &[Tok<'a>]) -> Result<bool, NetlistError> {
         let head = toks[0];
         let fields = |n: usize, names: &[&'static str]| -> Result<(), NetlistError> {
             debug_assert_eq!(names.len(), n);
@@ -230,12 +252,11 @@ impl Parser {
                             context: "a declared bus",
                         }));
                     }
-                    let key = name.s.to_ascii_lowercase();
-                    if self.bus_of_name.contains_key(&key) {
+                    if self.bus_of_name.contains_key(&Name(name.s)) {
                         return Err(name.err(NetlistErrorKind::DuplicateBus(name.s.to_string())));
                     }
                     let i = self.net.add_bus(name.s);
-                    self.bus_of_name.insert(key, i);
+                    self.bus_of_name.insert(Name(name.s), i);
                 }
                 "port" => {
                     fields(1, &["bus name"])?;
@@ -294,6 +315,11 @@ impl Parser {
             }
             _ => return Err(head.err(NetlistErrorKind::UnknownCard(head.s.to_string()))),
         }
+        if let Some((first, &first_line)) = self.element_names.get_key_value(&Name(head.s)) {
+            let first = first.0.to_string();
+            return Err(head.err(NetlistErrorKind::DuplicateElement { first, first_line }));
+        }
+        self.element_names.insert(Name(head.s), head.line);
         Ok(true)
     }
 }
@@ -424,6 +450,10 @@ mod tests {
         let err = parse_netlist(".bus a\n.bus A").unwrap_err();
         assert_eq!(err.line, 2);
         assert!(matches!(err.kind, NetlistErrorKind::DuplicateBus(_)));
+
+        let err = parse_netlist("R1 a 0 1\nC1 a 0 1\nr1 a 0 1").unwrap_err();
+        assert_eq!((err.line, err.col), (3, 1));
+        assert!(err.to_string().contains("repeats 'R1' of line 1"), "{err}");
 
         let err = parse_netlist(".weird x").unwrap_err();
         assert!(matches!(err.kind, NetlistErrorKind::UnknownDirective(_)));

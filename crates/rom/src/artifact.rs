@@ -8,14 +8,14 @@
 //!
 //! The binary format is deliberately boring — a magic tag, a format
 //! version, length-prefixed sections, every `f64` stored as its IEEE-754
-//! bit pattern (`to_bits`), and a trailing FNV-1a checksum — and is
+//! bit pattern (`to_bits`), and a trailing word-wise checksum — and is
 //! written and read through the shared [`crate::codec`]. Round-trips
 //! are **bitwise-exact** — `save` → `load` reproduces every float bit for
 //! bit, which is what lets a served artifact answer queries with exactly
 //! the numbers the freshly built model would produce. A JSON debug dump
 //! ([`RomArtifact::to_json`]) mirrors the same content human-readably.
 
-use crate::codec::{fnv1a, ByteReader, ByteWriter, CodecError};
+use crate::codec::{checksum, ByteReader, ByteWriter, CodecError};
 use crate::server::QueryError;
 use bdsm_circuit::{Partition, PartitionStrategy};
 use bdsm_core::certify::{CertStatus, Certificate, CheckOutcome, ErrorBand, PassivityCertificate};
@@ -31,18 +31,18 @@ use std::path::Path;
 /// Leading magic of every artifact file.
 pub const MAGIC: [u8; 8] = *b"BDSMROM\0";
 
-/// Format version this build writes. Bump on any layout change; readers
-/// accept [`MIN_FORMAT_VERSION`]..=[`FORMAT_VERSION`] and reject
-/// everything else loudly.
+/// Format version this build writes and the only one it reads. Bump on
+/// any layout change; every other version is rejected loudly.
 ///
 /// History: v1 — initial layout; v2 — provenance gained the partition
 /// strategy tag and the user-designated kept-bus list; v3 — provenance
-/// gained the typed property certificate (a v2 artifact still loads,
-/// reporting `CertStatus::Unknown`).
-pub const FORMAT_VERSION: u32 = 3;
-
-/// Oldest format version this build still reads.
-pub const MIN_FORMAT_VERSION: u32 = 2;
+/// gained the typed property certificate; v4 — the word-wise
+/// [`checksum`] replaced byte-serial FNV-1a, and the retired slots (the
+/// solver-backend tag, the stability section's two margins and its
+/// spectral-abscissa tag) went. v2 and v3 files no longer load:
+/// artifacts are deterministic build outputs, so an old file is rebuilt
+/// from its netlist rather than read through a second checksum.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Build provenance carried inside an artifact — the audit trail that
 /// makes a loaded ROM explainable: which engine built it, from which
@@ -69,8 +69,8 @@ pub struct Provenance {
     /// reduction set).
     pub kept_buses: Vec<usize>,
     /// Typed property certificate of the reduced pencil (passivity,
-    /// stability, error bands). [`CertStatus::Unknown`] for artifacts
-    /// written before format v3 and for reports without a Certify run.
+    /// stability, error bands). [`CertStatus::Unknown`] for reports
+    /// without a Certify run.
     pub certificate: Certificate,
 }
 
@@ -286,24 +286,11 @@ impl RomArtifact {
         self.to_bytes() == other.to_bytes()
     }
 
-    /// Serializes to the compact binary format (current version).
+    /// Serializes to the compact binary format ([`FORMAT_VERSION`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_versioned(FORMAT_VERSION)
-    }
-
-    /// Serializes to the **v2** layout (no certificate section) — kept so
-    /// compatibility tests can fabricate genuine old-format bytes. The
-    /// certificate is simply not persisted; loading the result reports
-    /// [`CertStatus::Unknown`].
-    #[doc(hidden)]
-    pub fn to_bytes_v2(&self) -> Vec<u8> {
-        self.to_bytes_versioned(MIN_FORMAT_VERSION)
-    }
-
-    fn to_bytes_versioned(&self, version: u32) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.bytes(&MAGIC);
-        w.u32(version);
+        w.u32(FORMAT_VERSION);
         w.str(&self.provenance.engine_version);
         w.usizes(&self.block_sizes);
         w.usizes(&self.block_dims);
@@ -334,9 +321,6 @@ impl RomArtifact {
         w.u64(self.provenance.basis_cols as u64);
         w.u8(self.provenance.certified as u8);
         w.f64s(&self.provenance.residual_trajectory);
-        // The v3 layout keeps the slot of the retired solver-backend tag
-        // (0 = sparse, the only pipeline there is).
-        w.u8(0);
         w.u8(match self.provenance.interface_policy {
             InterfacePolicy::Folded => 0,
             InterfacePolicy::Exact => 1,
@@ -346,9 +330,7 @@ impl RomArtifact {
             PartitionStrategy::NestedDissection => 1,
         });
         w.usizes(&self.provenance.kept_buses);
-        if version >= 3 {
-            write_certificate(&mut w, &self.provenance.certificate);
-        }
+        write_certificate(&mut w, &self.provenance.certificate);
         w.into_checksummed()
     }
 
@@ -360,7 +342,7 @@ impl RomArtifact {
     /// [`RomError::BadMagic`], [`RomError::UnsupportedVersion`],
     /// [`RomError::Truncated`], or [`RomError::Corrupt`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, RomError> {
-        let (mut r, version) = open(bytes)?;
+        let mut r = open(bytes)?;
         let engine_version = r.str("engine version")?;
         let block_sizes = r.usizes("block sizes")?;
         let block_dims = r.usizes("block dims")?;
@@ -398,10 +380,6 @@ impl RomArtifact {
             _ => return Err(RomError::Corrupt("certified flag not boolean")),
         };
         let residual_trajectory = r.f64s("residual trajectory")?;
-        // Artifacts written while a dense backend existed carry 1 here.
-        if r.u8("backend tag")? > 1 {
-            return Err(RomError::Corrupt("unknown backend tag"));
-        }
         let interface_policy = match r.u8("interface policy tag")? {
             0 => InterfacePolicy::Folded,
             1 => InterfacePolicy::Exact,
@@ -413,11 +391,7 @@ impl RomArtifact {
             _ => return Err(RomError::Corrupt("unknown partition-strategy tag")),
         };
         let kept_buses = r.usizes("kept buses")?;
-        let certificate = if version >= 3 {
-            read_certificate(&mut r)?
-        } else {
-            Certificate::unknown()
-        };
+        let certificate = read_certificate(&mut r)?;
         r.finish()?;
 
         let artifact = RomArtifact {
@@ -577,7 +551,7 @@ fn outcome_from_tag(tag: u8) -> Result<CheckOutcome, RomError> {
     }
 }
 
-/// The v3 certificate section, appended after the kept-bus list.
+/// The certificate section, appended after the kept-bus list.
 fn write_certificate(w: &mut ByteWriter, cert: &Certificate) {
     w.u8(match cert.status {
         CertStatus::Certified => 0,
@@ -592,13 +566,6 @@ fn write_certificate(w: &mut ByteWriter, cert: &Certificate) {
     w.f64s(&p.sample_min_eigs);
     w.usizes(&p.violations);
     w.u8(outcome_tag(p.outcome));
-    // The retired slots of the v3 stability section: its two margins,
-    // which are the passivity margins, and the spectral-abscissa tag
-    // (0 = absent; files from builds that computed the abscissa carry 1
-    // and its value).
-    w.f64(p.g_sym_min_eig);
-    w.f64(p.c_min_eig);
-    w.u8(0);
     w.u8(outcome_tag(cert.stability));
     w.u64(cert.error_bands.len() as u64);
     for b in &cert.error_bands {
@@ -629,16 +596,6 @@ fn read_certificate(r: &mut ByteReader<'_>) -> Result<Certificate, RomError> {
         return Err(RomError::Corrupt("passivity violation index out of range"));
     }
     let passivity_outcome = outcome_from_tag(r.u8("passivity outcome")?)?;
-    // The retired slots `write_certificate` describes.
-    r.f64("stability g margin")?;
-    r.f64("stability c margin")?;
-    match r.u8("spectral-abscissa tag")? {
-        0 => {}
-        1 => {
-            r.f64("spectral abscissa")?;
-        }
-        _ => return Err(RomError::Corrupt("spectral-abscissa tag not boolean")),
-    }
     let stability = outcome_from_tag(r.u8("stability outcome")?)?;
     let n_bands = r.count(32, "error bands")?;
     let mut error_bands = Vec::with_capacity(n_bands);
@@ -686,15 +643,14 @@ fn read_matrix(r: &mut ByteReader<'_>, what: &'static str) -> Result<Matrix, Rom
 }
 
 /// Verifies magic, version and checksum, returning a reader positioned at
-/// the first payload section (and ending before the trailing digest) plus
-/// the format version the file declares.
-fn open(buf: &[u8]) -> Result<(ByteReader<'_>, u32), RomError> {
+/// the first payload section (and ending before the trailing digest).
+fn open(buf: &[u8]) -> Result<ByteReader<'_>, RomError> {
     let mut r = ByteReader::new(buf);
     if r.bytes(MAGIC.len(), "magic")? != MAGIC {
         return Err(RomError::BadMagic);
     }
     let version = r.u32("format version")?;
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(RomError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
@@ -706,10 +662,10 @@ fn open(buf: &[u8]) -> Result<(ByteReader<'_>, u32), RomError> {
         });
     }
     let (body, stored) = buf.split_at(buf.len() - 8);
-    if fnv1a(body).to_le_bytes() != stored {
+    if checksum(body).to_le_bytes() != stored {
         return Err(RomError::Corrupt("checksum mismatch"));
     }
-    Ok((ByteReader::new(&body[HEADER_LEN..]), version))
+    Ok(ByteReader::new(&body[HEADER_LEN..]))
 }
 
 /// Bytes before the first payload section: magic + format version.
@@ -783,13 +739,17 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_typed() {
-        let mut bytes = tiny_artifact().to_bytes();
-        bytes[8] = FORMAT_VERSION as u8 + 1;
-        assert!(matches!(
-            RomArtifact::from_bytes(&bytes),
-            Err(RomError::UnsupportedVersion { found, supported })
-                if found == FORMAT_VERSION + 1 && supported == FORMAT_VERSION
-        ));
+        // Hand-built headers of the two formats before v4 (their bodies
+        // never get read) and of the next one.
+        for found in [2, 3, FORMAT_VERSION + 1] {
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend(found.to_le_bytes());
+            bytes.extend([0; 16]);
+            assert!(matches!(
+                RomArtifact::from_bytes(&bytes),
+                Err(RomError::UnsupportedVersion { found: f, supported: 4 }) if f == found
+            ));
+        }
     }
 
     #[test]
@@ -811,33 +771,16 @@ mod tests {
     }
 
     #[test]
-    fn v2_bytes_still_load_with_unknown_certificate() {
-        let a = tiny_artifact();
-        let old = a.to_bytes_v2();
-        assert_eq!(old[8], MIN_FORMAT_VERSION as u8);
-        let back = RomArtifact::from_bytes(&old).unwrap();
-        // Everything except the (un-persisted) certificate survives.
-        assert_eq!(back.provenance.certificate, Certificate::unknown());
-        assert_eq!(
-            back.provenance.certificate.status,
-            bdsm_core::certify::CertStatus::Unknown
-        );
-        let mut expect = a.clone();
-        expect.provenance.certificate = Certificate::unknown();
-        assert_eq!(back, expect);
-        // Re-saving an upgraded artifact writes the current version.
-        assert_eq!(back.to_bytes()[8], FORMAT_VERSION as u8);
-    }
-
-    #[test]
     fn corrupt_certificate_tags_are_typed() {
         let a = tiny_artifact();
         let clean = a.to_bytes();
-        // The status byte sits right after the kept-bus section: find it
-        // by serializing v2 (same prefix) and diffing lengths.
-        let v2_len = a.to_bytes_v2().len();
-        let status_pos = v2_len - 8; // v2 ends with the 8-byte checksum
-        let mut bytes = clean.clone();
+        // The status byte is the first one a different status changes.
+        let mut violated = a.clone();
+        violated.provenance.certificate.status = CertStatus::Violated;
+        let status_pos = (clean.iter().zip(violated.to_bytes()))
+            .position(|(x, y)| *x != y)
+            .unwrap();
+        let mut bytes = clean;
         bytes[status_pos] = 9; // not a valid CertStatus tag
         let patched = restamp_checksum(bytes);
         assert!(matches!(
@@ -846,57 +789,9 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn retired_backend_slot_accepts_both_old_tags_only() {
-        // After the slot come the policy and strategy tags (1 + 1), the two
-        // kept buses (8 + 2·8) and, in the v2 layout, the checksum (8).
-        let a = tiny_artifact();
-        let slot = a.to_bytes_v2().len() - 8 - 24 - 2 - 1;
-        let patched = |tag: u8| {
-            let mut bytes = a.to_bytes();
-            assert_eq!(bytes[slot], 0, "the writer stamps the constant 0");
-            bytes[slot] = tag;
-            RomArtifact::from_bytes(&restamp_checksum(bytes))
-        };
-        assert_eq!(patched(1).unwrap(), a);
-        assert!(matches!(
-            patched(2),
-            Err(RomError::Corrupt("unknown backend tag"))
-        ));
-    }
-
-    #[test]
-    fn retired_abscissa_slot_accepts_both_old_tags_only() {
-        // After the tag come the stability outcome (1), the band count
-        // (8), one band (4·8) and the checksum (8).
-        let a = tiny_artifact();
-        let bytes = a.to_bytes();
-        let slot = bytes.len() - 8 - 32 - 8 - 1 - 1;
-        assert_eq!(bytes[slot], 0, "the writer stamps the constant 0");
-        let margins: Vec<u8> = [0.125_f64, 1e-3]
-            .iter()
-            .flat_map(|v| v.to_bits().to_le_bytes())
-            .collect();
-        assert_eq!(bytes[slot - 16..slot], margins[..], "passivity margins");
-        // The layout of a build that computed the abscissa: tag 1 and the
-        // value, 8 bytes longer.
-        let with_abscissa = |tag: u8| {
-            let mut old = bytes[..slot].to_vec();
-            old.push(tag);
-            old.extend((-42.5_f64).to_bits().to_le_bytes());
-            old.extend(&bytes[slot + 1..]);
-            RomArtifact::from_bytes(&restamp_checksum(old))
-        };
-        assert_eq!(with_abscissa(1).unwrap(), a);
-        assert!(matches!(
-            with_abscissa(2),
-            Err(RomError::Corrupt("spectral-abscissa tag not boolean"))
-        ));
-    }
-
     fn restamp_checksum(mut bytes: Vec<u8>) -> Vec<u8> {
         let end = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..end]);
+        let sum = checksum(&bytes[..end]);
         bytes[end..].copy_from_slice(&sum.to_le_bytes());
         bytes
     }
@@ -944,7 +839,7 @@ mod tests {
     fn json_dump_names_the_structure() {
         let j = tiny_artifact().to_json();
         for needle in [
-            "\"format_version\": 3",
+            "\"format_version\": 4",
             "\"certificate\": {\"status\": \"certified\"",
             "\"stability\": \"pass\"",
             "\"reduced_dim\": 3",

@@ -1,7 +1,7 @@
 //! The one binary codec behind the artifact format and the cluster wire
 //! protocol: little-endian integers, every `f64` as its IEEE-754 bit
-//! pattern (so values round-trip bitwise), length-prefixed lists, and an
-//! FNV-1a checksum.
+//! pattern (so values round-trip bitwise), length-prefixed lists, and a
+//! word-wise [`checksum`].
 //!
 //! Reads are **alloc-bounded**: a length prefix may never claim more
 //! bytes than the buffer still holds ([`ByteReader::count`]), so a corrupt
@@ -9,15 +9,39 @@
 //! is a [`CodecError`]; decoding never panics. The two callers convert it
 //! into their own error type (`RomError`, the cluster's `WireError`).
 
-/// FNV-1a over a byte slice — the corruption tripwire of artifacts, wire
-/// frames and shard-plan digests (not a cryptographic seal).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Multiplier of the checksum step (odd, so the multiply is a bijection).
+const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One checksum step: a bijection in `lane` for a fixed `w` and in `w`
+/// for a fixed `lane`, so a changed word always changes the result. The
+/// xorshift folds high bits down: without it, two bit-63 flips in
+/// consecutive words of a lane cancel, as they do in word-wise FNV-1a.
+fn step(lane: u64, w: u64) -> u64 {
+    let x = (lane ^ w).wrapping_mul(K);
+    x ^ (x >> 29)
+}
+
+/// The corruption tripwire of artifacts, wire frames and shard-plan
+/// digests (not a cryptographic seal). Four independent lanes run over
+/// 32-byte blocks of little-endian words; the lanes, the zero-padded tail
+/// and the byte length are then folded with the same step. Any change
+/// confined to one 8-byte word is always detected.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let word = |b: &[u8]| {
+        let mut w = [0u8; 8];
+        w[..b.len()].copy_from_slice(b);
+        u64::from_le_bytes(w)
+    };
+    let mut lanes = [1, 2, 3, 4].map(|i: u64| i.wrapping_mul(K));
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, word(w));
+        }
     }
-    h
+    let tail = blocks.remainder().chunks(8).map(word);
+    let h = lanes.into_iter().chain(tail).fold(0, step);
+    step(h, bytes.len() as u64)
 }
 
 /// Why a buffer failed to decode.
@@ -104,9 +128,9 @@ impl ByteWriter {
         self.buf
     }
 
-    /// The bytes written so far followed by their FNV-1a checksum.
+    /// The bytes written so far followed by their [`checksum`].
     pub fn into_checksummed(mut self) -> Vec<u8> {
-        let sum = fnv1a(&self.buf);
+        let sum = checksum(&self.buf);
         self.u64(sum);
         self.buf
     }
@@ -363,8 +387,54 @@ mod tests {
         w.str("abc");
         let bytes = w.into_checksummed();
         let (body, sum) = bytes.split_at(bytes.len() - 8);
-        assert_eq!(fnv1a(body).to_le_bytes(), sum);
-        // The published FNV-1a test vector for "a".
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(checksum(body).to_le_bytes(), sum);
+        // Known answers: a change to the step, the lanes or the finish
+        // re-pins every stored artifact, so it must show here first. The
+        // 201-byte ramp is six blocks and a tail of one word and one byte.
+        let ramp: Vec<u8> = (0..=200).collect();
+        assert_eq!(checksum(b""), KNOWN_EMPTY);
+        assert_eq!(checksum(&ramp), KNOWN_RAMP);
+    }
+
+    const KNOWN_EMPTY: u64 = 0x9bc1_2afc_e422_0a50;
+    const KNOWN_RAMP: u64 = 0xad44_b830_1f82_9253;
+
+    #[test]
+    fn every_single_bit_flip_and_appended_zero_is_detected() {
+        // Every tail length of a block and a word, and a 1 KiB buffer.
+        let buf: Vec<u8> = (0..1024u32).map(|i| (i * 37 % 251) as u8).collect();
+        for len in (0..=40).chain([1024]) {
+            let mut bytes = buf[..len].to_vec();
+            let clean = checksum(&bytes);
+            for bit in 0..len * 8 {
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum(&bytes), clean, "length {len}, bit {bit}");
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            // The zero padding of the tail must not hide appended zeros.
+            bytes.push(0);
+            assert_ne!(checksum(&bytes), clean, "a zero appended to {len} bytes");
+        }
+    }
+
+    #[test]
+    fn high_bit_flips_in_one_lane_do_not_cancel() {
+        // Word-wise FNV-1a: `(h ^ 2⁶³)·P = h·P ^ 2⁶³` for odd `P`, so a
+        // second bit-63 flip in the lane's next word undoes the first.
+        let word_fnv = |bytes: &[u8]| {
+            bytes
+                .chunks_exact(8)
+                .fold(0xcbf2_9ce4_8422_2325_u64, |h, w| {
+                    let w = u64::from_le_bytes(w.try_into().unwrap());
+                    (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+        };
+        let buf = vec![0x5a_u8; 128];
+        let mut bad = buf.clone();
+        // Byte 7 holds bit 63 of word 0; word 4 is the same lane's next.
+        bad[7] ^= 0x80;
+        bad[32 + 7] ^= 0x80;
+        assert_eq!(word_fnv(&bad), word_fnv(&buf));
+        assert_ne!(checksum(&bad), checksum(&buf));
     }
 }

@@ -52,7 +52,7 @@ pub use artifact::{Provenance, RomArtifact, RomError, FORMAT_VERSION, MAGIC};
 pub use builder::{BuildError, Reducer, ReducerBuilder};
 pub use server::{EnvelopePolicy, QueryError, RomId, RomServer, ServerMetricsSnapshot};
 
-// The certificate types travel inside every v3 artifact; re-export them so
+// The certificate types travel inside every artifact; re-export them so
 // downstream users of the serving layer need not depend on `bdsm-core`
 // directly to inspect provenance.
 pub use bdsm_core::certify::{

@@ -24,8 +24,8 @@
 //! `bdsm_core::certify`) and the matching transient-step floor. The
 //! server-wide [`EnvelopePolicy`] decides what happens outside it:
 //! refuse ([`QueryError::OutsideEnvelope`]), serve but count a flag (the
-//! default), or ignore. Models whose certificate is `Unknown` (e.g. v2
-//! artifacts) have no envelope and are never checked. Additionally, no
+//! default), or ignore. Models whose certificate is `Unknown` (e.g. built
+//! without a Certify run) have no envelope and are never checked. Additionally, no
 //! panic crosses the public query API: panics (including worker panics
 //! inside a fan-out) are caught at the boundary and surface as
 //! [`RomError::Internal`], counted in [`RomServer::metrics`].

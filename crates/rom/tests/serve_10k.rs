@@ -4,8 +4,7 @@
 //! 64-frequency `RomServer` sweep over the **loaded** artifact matching
 //! the freshly built model bit for bit under every `BDSM_OBS` level ×
 //! `BDSM_THREADS` ∈ {1, 2, 5} combination — observability must change
-//! wall-clock, never bytes. Also covered here: v2 bytes still load (with
-//! an `Unknown` certificate), the certificate itself is
+//! wall-clock, never bytes. Also covered here: the certificate itself is
 //! thread-count-invariant, and the envelope policies refuse/flag
 //! out-of-envelope queries with exact metric counts.
 //!
@@ -71,7 +70,7 @@ fn adaptive_exact_10k_artifact_roundtrips_and_serves_bitwise() {
     std::env::set_var("BDSM_THREADS", "5");
 
     // Bitwise artifact round-trip through bytes and through a file — the
-    // certificate travels inside the v3 format and must survive intact.
+    // certificate travels inside the artifact and must survive intact.
     let artifact = RomArtifact::from_model(&rm, Some(&report));
     assert!(!artifact.interface_map.is_empty());
     assert_eq!(&artifact.provenance.certificate, cert);
@@ -85,18 +84,7 @@ fn adaptive_exact_10k_artifact_roundtrips_and_serves_bitwise() {
     );
     assert_eq!(
         &loaded.provenance.certificate, cert,
-        "certificate did not round-trip bitwise through the v3 format"
-    );
-
-    // Pre-certificate (v2) bytes still load; the certificate degrades to
-    // Unknown and the model has no envelope to enforce.
-    let v2 = RomArtifact::from_bytes(&artifact.to_bytes_v2()).expect("v2 bytes load");
-    assert_eq!(v2.provenance.certificate.status, CertStatus::Unknown);
-    assert!(v2.provenance.certificate.frequency_envelope().is_none());
-    assert_eq!(
-        v2.to_bytes_v2(),
-        artifact.to_bytes_v2(),
-        "v2 payload differs beyond the certificate"
+        "certificate did not round-trip bitwise through the artifact format"
     );
 
     // 64-frequency sweep over the loaded artifact, under every obs level

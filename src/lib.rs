@@ -8,7 +8,7 @@
 //! | step | type | what it does |
 //! |------|------|--------------|
 //! | *build* | [`rom::Reducer`] | typed builder over the staged engine; configuration validated at `build()` time ([`rom::BuildError`]) |
-//! | *save/load* | [`rom::RomArtifact`] | versioned binary serialization (magic + format version + checksum), **bitwise-exact** round-trips, JSON debug dump, provenance (engine version, shifts, residual trajectory, and the [`rom::Certificate`]; format v3, v2 files still load with certificate `Unknown`) |
+//! | *save/load* | [`rom::RomArtifact`] | versioned binary serialization (magic + format version + checksum), **bitwise-exact** round-trips, JSON debug dump, provenance (engine version, shifts, residual trajectory, and the [`rom::Certificate`]; format v4; older versions are `UnsupportedVersion`) |
 //! | *serve* | [`rom::RomServer`] | thread-safe multi-model handle; caches per-shift factorizations in a sharded-lock, optionally capacity-bounded LRU cache ([`rom::RomServer::with_cache_capacity`]); batched `transfer_sweep` / `port_response` / `transient` queries fan out over [`core::par`], bitwise-deterministic for any `BDSM_THREADS`; validates query inputs ([`rom::QueryError`]), enforces the certified envelope per [`rom::EnvelopePolicy`], and contains panics as [`rom::RomError::Internal`] |
 //! | *scale out* | [`cluster::ClusterClient`] | distributed serving over multiple [`cluster::ShardNode`] processes: shard-by-model or shard-by-frequency-band placement ([`cluster::ShardPlan`]), a std-only length-prefixed TCP wire protocol ([`cluster::wire`]), request batching with admission control, retry-with-backoff, and a deterministic ω-order merge — replies **bitwise-equal** to a single local `RomServer` |
 //!
@@ -58,7 +58,7 @@
 //! | *certify*  | [`core`]       | [`core::certify::certify_reduced`] — semidefiniteness margins + positive-real passivity sampling, stability from the same margins (Lyapunov), per-band a posteriori error bounds; the resulting [`core::certify::Certificate`] travels in [`core::engine::EngineReport`] and artifact provenance |
 //! | *evaluate* | [`core`]       | [`core::transfer::eval_transfer`] / [`core::transfer::eval_jomega_sweep`] (dense complex LU, the ROM side), [`core::transfer::SparseTransferEvaluator`] (full models), [`core::transfer::eval_transfer_factored`] (against a cached factor) |
 //! | *simulate* | [`sim`]        | [`sim::TransientSolver`] |
-//! | *distribute* | [`cluster`]  | [`cluster::ShardPlan`] placement (by model / by frequency band), [`cluster::ShardNode`] TCP shard processes over [`rom::RomServer`], [`cluster::ClusterClient`] batching/retrying router with typed [`cluster::ClusterError`]s; [`cluster::wire`] frames go through the artifact format's codec, [`rom::codec`] (magic, version, FNV-1a checksum, alloc-bounded reads) |
+//! | *distribute* | [`cluster`]  | [`cluster::ShardPlan`] placement (by model / by frequency band), [`cluster::ShardNode`] TCP shard processes over [`rom::RomServer`], [`cluster::ClusterClient`] batching/retrying router with typed [`cluster::ClusterError`]s; [`cluster::wire`] frames go through the artifact format's codec, [`rom::codec`] (magic, version, word-wise checksum, alloc-bounded reads) |
 //! | *observe*  | [`obs`]        | [`obs::span!`](span!) / [`obs::timing_span!`](timing_span!) RAII span tracing (Chrome-trace export via [`obs::Trace`]), [`obs::metrics`] counter/gauge/histogram registry, [`rom::RomServer::metrics`], [`obs::faultpoint!`](faultpoint!) fault-injection sites for robustness tests; one-atomic-load no-ops until `BDSM_OBS` (or [`obs::set_level`]) turns them on |
 //! | *measure*  | [`mod@bench`]  | [`bench::time_with_warmup`] |
 //!
