@@ -105,8 +105,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Persist: the artifact records the reduction region in provenance.
     let artifact = reducer.reduce_to_artifact(&net)?;
     println!(
-        "artifact provenance: strategy {:?}, {} kept buses, certified {}",
-        artifact.provenance.partition_strategy,
+        "artifact provenance: {:?} interfaces, {} kept buses, certified {}",
+        artifact.provenance.interface_policy,
         artifact.provenance.kept_buses.len(),
         artifact.provenance.certified,
     );

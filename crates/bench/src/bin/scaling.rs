@@ -451,7 +451,7 @@ fn partition_scenario() -> Result<Object, BenchError> {
 
     let exact_rom = |strategy: PartitionStrategy| -> Result<(usize, usize), BenchError> {
         let builder = match strategy {
-            PartitionStrategy::Bfs => Reducer::builder().bfs_partition(),
+            PartitionStrategy::Bfs => Reducer::builder(),
             PartitionStrategy::NestedDissection => Reducer::builder().nested_dissection(),
         };
         let rm = builder

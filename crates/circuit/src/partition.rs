@@ -49,82 +49,6 @@ impl Partition {
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
     }
-
-    /// Flat `u64` encoding `[num_buses, num_blocks, block_of_node…,
-    /// interface_len, interface…]` — the serialization surface the ROM
-    /// artifact layer persists so a loaded artifact still knows which bus
-    /// sits in which block and which buses are boundary.
-    pub fn pack(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.block_of_node.len() + self.interface.len() + 3);
-        out.push(self.block_of_node.len() as u64);
-        out.push(self.blocks.len() as u64);
-        out.extend(self.block_of_node.iter().map(|&b| b as u64));
-        out.push(self.interface.len() as u64);
-        out.extend(self.interface.iter().map(|&b| b as u64));
-        out
-    }
-
-    /// Inverse of [`pack`](Self::pack), revalidating the structure (block
-    /// assignments in range, every block non-empty, interface sorted,
-    /// unique, and in range).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidPartition`] on any malformed or
-    /// truncated encoding.
-    pub fn unpack(words: &[u64]) -> Result<Partition> {
-        let bad = |what| Err(CircuitError::InvalidPartition { what });
-        let Some((&nb, rest)) = words.split_first() else {
-            return bad("packed partition is empty");
-        };
-        let Some((&k, rest)) = rest.split_first() else {
-            return bad("packed partition missing block count");
-        };
-        if nb > rest.len() as u64 {
-            return bad("packed partition truncated in block assignments");
-        }
-        let (n, k) = (nb as usize, k as usize);
-        if rest.len() < n + 1 {
-            return bad("packed partition truncated in block assignments");
-        }
-        let (assign, rest) = rest.split_at(n);
-        if k == 0 || n == 0 {
-            return bad("packed partition has no buses or no blocks");
-        }
-        // Every block must end up non-empty, so k > n can never validate;
-        // reject before allocating k block vectors (a crafted encoding
-        // must not drive a huge allocation).
-        if k > n {
-            return bad("packed partition has more blocks than buses");
-        }
-        let mut blocks: Vec<Vec<usize>> = vec![Vec::new(); k];
-        let mut block_of_node = Vec::with_capacity(n);
-        for (bus, &b) in assign.iter().enumerate() {
-            let b = b as usize;
-            if b >= k {
-                return bad("packed partition has out-of-range block index");
-            }
-            block_of_node.push(b);
-            blocks[b].push(bus); // buses ascend, so each block stays sorted
-        }
-        if blocks.iter().any(Vec::is_empty) {
-            return bad("packed partition has an empty block");
-        }
-        let (&ni, rest) = rest.split_first().expect("length checked above");
-        if rest.len() != ni as usize {
-            return bad("packed partition interface length mismatch");
-        }
-        let interface: Vec<usize> = rest.iter().map(|&b| b as usize).collect();
-        let sorted_unique = interface.windows(2).all(|w| w[0] < w[1]);
-        if !sorted_unique || interface.iter().any(|&b| b >= n) {
-            return bad("packed partition interface not sorted/unique/in-range");
-        }
-        Ok(Partition {
-            block_of_node,
-            blocks,
-            interface,
-        })
-    }
 }
 
 /// Strategy for splitting the bus graph into blocks.
@@ -1405,52 +1329,5 @@ mod tests {
         for &pos in &new_of_old[0..4] {
             assert!(pos < 4);
         }
-    }
-
-    #[test]
-    fn pack_unpack_round_trips() {
-        let mut net = Network::new();
-        for i in 0..12 {
-            net.add_bus(format!("b{i}"));
-        }
-        for i in 0..11 {
-            net.add_resistor(i, i + 1, 1.0).unwrap();
-        }
-        net.add_port(0).unwrap();
-        let p = partition_network(&net, 3).unwrap();
-        let packed = p.pack();
-        let back = Partition::unpack(&packed).unwrap();
-        assert_eq!(back, p);
-    }
-
-    #[test]
-    fn unpack_rejects_malformed_encodings() {
-        let mut net = Network::new();
-        for i in 0..8 {
-            net.add_bus(format!("b{i}"));
-        }
-        for i in 0..7 {
-            net.add_resistor(i, i + 1, 1.0).unwrap();
-        }
-        net.add_port(0).unwrap();
-        let good = partition_network(&net, 2).unwrap().pack();
-        // Empty, truncated, out-of-range block, unsorted interface.
-        assert!(Partition::unpack(&[]).is_err());
-        assert!(Partition::unpack(&good[..good.len() - 1]).is_err());
-        let mut bad_block = good.clone();
-        bad_block[2] = 99;
-        assert!(Partition::unpack(&bad_block).is_err());
-        let mut bad_iface = good.clone();
-        let ni = good[2 + 8] as usize;
-        if ni >= 1 {
-            bad_iface[2 + 8 + 1] = 1000; // interface bus out of range
-            assert!(Partition::unpack(&bad_iface).is_err());
-        }
-        // A crafted huge block count (or bus count) must be rejected
-        // before any allocation sized by it.
-        let mut huge_k = good.clone();
-        huge_k[1] = 1 << 40;
-        assert!(Partition::unpack(&huge_k).is_err());
-        assert!(Partition::unpack(&[1 << 40, 2, 0]).is_err());
     }
 }

@@ -60,7 +60,7 @@ use crate::reduce::{BuildError, CoreError, ReducedModel, ReductionOpts, Result};
 use crate::transfer::{eval_jomega_sweep, transfer_rel_err, CMatrix, SparseTransferEvaluator};
 use bdsm_circuit::{
     grouped_state_order, interface_state_indices, mna, partition_network_with, CircuitError,
-    DenseDescriptor, Descriptor, Network, Partition, ReductionSet,
+    DenseDescriptor, Descriptor, Network, ReductionSet,
 };
 use bdsm_linalg::{LinalgError, Matrix};
 use bdsm_obs::{timing_span, Trace};
@@ -121,13 +121,13 @@ impl Default for AdaptiveShiftOpts {
 }
 
 /// Output of the Plan stage: everything about the reduction that does not
-/// depend on the expansion points — the partition, the permuted full
-/// model, the interface-state export, and the shared symbolic
-/// factorization of the shifted pencil.
+/// depend on the expansion points — the block-contiguous state order,
+/// the permuted full model, the interface-state export, and the shared
+/// symbolic factorization of the shifted pencil. The bus partition these
+/// come from is a local of [`ReductionEngine::plan`]: the state order,
+/// block sizes and interface states carry everything later stages read.
 #[derive(Debug, Clone)]
 pub struct Plan {
-    /// The bus partition behind the block structure.
-    pub partition: Partition,
     /// State permutation (`new_of_old`) into block-contiguous order.
     pub state_order: Vec<usize>,
     /// Per-block state counts after grouping.
@@ -164,7 +164,8 @@ pub struct RoundRecord {
 }
 
 /// What the engine did: the final shift set, the per-round residual
-/// trajectory, and whether the adaptive loop certified its tolerance.
+/// trajectory, whether the adaptive loop certified its tolerance, and the
+/// interface policy and kept-bus region it ran with.
 #[derive(Debug, Clone, Default)]
 pub struct EngineReport {
     /// Expansion points of the final basis, in merge order.
@@ -187,6 +188,11 @@ pub struct EngineReport {
     pub trace: Trace,
     /// Worker cap the fan-out stages ran under (`par::max_threads`).
     pub threads: usize,
+    /// Interface policy the projector ran with.
+    pub interface_policy: InterfacePolicy,
+    /// User-designated kept buses the partition was derived from (sorted,
+    /// unique; empty for a plain block-count build).
+    pub kept_buses: Vec<usize>,
 }
 
 /// The staged reduction engine. Construct with [`ReductionEngine::new`],
@@ -276,7 +282,6 @@ impl<'n> ReductionEngine<'n> {
         // every adaptive round.
         let pencil = ShiftedPencil::new(&full.g, &full.c)?;
         Ok(Plan {
-            partition,
             state_order: new_of_old,
             block_sizes,
             interface_states,
@@ -457,6 +462,8 @@ impl<'n> ReductionEngine<'n> {
         let (rm, mut report) = result?;
         report.trace = trace;
         report.threads = crate::par::max_threads();
+        report.interface_policy = self.opts.interface_policy;
+        report.kept_buses = self.opts.kept_buses.clone().unwrap_or_default();
         Ok((rm, report))
     }
 
@@ -474,7 +481,6 @@ impl<'n> ReductionEngine<'n> {
             b: rom.b,
             l: rom.l,
             projector,
-            partition: plan.partition,
             state_order: plan.state_order,
             block_sizes: plan.block_sizes,
             interface_states: plan.interface_states,

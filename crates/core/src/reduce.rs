@@ -33,7 +33,7 @@
 use crate::engine::{EngineReport, ReductionEngine, ShiftStrategy};
 use crate::krylov::KrylovOpts;
 use crate::projector::{BlockDiagProjector, InterfacePolicy};
-use bdsm_circuit::{CircuitError, Descriptor, Network, Partition, PartitionStrategy};
+use bdsm_circuit::{CircuitError, Descriptor, Network, PartitionStrategy};
 use bdsm_linalg::{LinalgError, Matrix};
 use std::fmt;
 
@@ -295,7 +295,10 @@ impl Default for ReductionOpts {
 }
 
 /// Output of the BDSM pipeline: the reduced model plus everything needed to
-/// audit it (projector, partition, permuted full model).
+/// audit it (projector, block structure, permuted full model). The bus
+/// partition behind the blocks stays inside the Plan stage; each bus's
+/// block follows from `state_order` and `block_sizes` (bus voltages are
+/// states `0..num_buses`), its interface flag from `interface_states`.
 #[derive(Debug, Clone)]
 pub struct ReducedModel {
     /// Reduced conductance `VᵀGV`.
@@ -308,8 +311,6 @@ pub struct ReducedModel {
     pub l: Matrix,
     /// The block-diagonal projector used.
     pub projector: BlockDiagProjector,
-    /// The bus partition behind the block structure.
-    pub partition: Partition,
     /// State permutation (`new_of_old`) applied before projection.
     pub state_order: Vec<usize>,
     /// Per-block state counts of the permuted full model.

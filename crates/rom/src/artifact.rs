@@ -17,7 +17,6 @@
 
 use crate::codec::{checksum, ByteReader, ByteWriter, CodecError};
 use crate::server::QueryError;
-use bdsm_circuit::{Partition, PartitionStrategy};
 use bdsm_core::certify::{CertStatus, Certificate, CheckOutcome, ErrorBand, PassivityCertificate};
 use bdsm_core::engine::EngineReport;
 use bdsm_core::krylov::ExpansionPoint;
@@ -39,10 +38,13 @@ pub const MAGIC: [u8; 8] = *b"BDSMROM\0";
 /// gained the typed property certificate; v4 — the word-wise
 /// [`checksum`] replaced byte-serial FNV-1a, and the retired slots (the
 /// solver-backend tag, the stability section's two margins and its
-/// spectral-abscissa tag) went. v2 and v3 files no longer load:
-/// artifacts are deterministic build outputs, so an old file is rebuilt
-/// from its netlist rather than read through a second checksum.
-pub const FORMAT_VERSION: u32 = 4;
+/// spectral-abscissa tag) went; v5 — the bus-partition section and the
+/// partition-strategy tag went: `state_order`, `block_sizes` and
+/// `interface_states` already determine each bus's block and the
+/// interface buses. Only the current version loads: artifacts are
+/// deterministic build outputs, so an old file is rebuilt from its
+/// netlist rather than read through a second layout.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Build provenance carried inside an artifact — the audit trail that
 /// makes a loaded ROM explainable: which engine built it, from which
@@ -62,11 +64,8 @@ pub struct Provenance {
     pub residual_trajectory: Vec<f64>,
     /// How interface buses were treated by the projector.
     pub interface_policy: InterfacePolicy,
-    /// How the bus graph was partitioned into blocks.
-    pub partition_strategy: PartitionStrategy,
     /// User-designated kept buses the partition was derived from (empty
-    /// when the partition came from a plain strategy run instead of a
-    /// reduction set).
+    /// for a plain block-count build).
     pub kept_buses: Vec<usize>,
     /// Typed property certificate of the reduced pencil (passivity,
     /// stability, error bands). [`CertStatus::Unknown`] for reports
@@ -86,10 +85,9 @@ pub struct RomArtifact {
     /// Reduced states per block (`qᵢ`; sums to the reduced dimension).
     pub block_dims: Vec<usize>,
     /// State permutation (`new_of_old`) the build applied before
-    /// projection.
+    /// projection. Bus voltages are states `0..num_buses`, so this and
+    /// `block_sizes` place every bus in its block.
     pub state_order: Vec<usize>,
-    /// The bus partition behind the block structure.
-    pub partition: Partition,
     /// Interface states of the permuted full model (sorted).
     pub interface_states: Vec<usize>,
     /// `(full state row, reduced column)` pairs of exactly preserved
@@ -214,8 +212,17 @@ impl RomArtifact {
     /// engine's audit report) as a persistable artifact. The reduced
     /// matrices are copied verbatim — no rounding, no reformatting — so
     /// the artifact serves exactly the numbers the in-memory model would.
+    /// With a report, the provenance records the interface policy and
+    /// kept buses the engine ran with; without one, the policy is inferred
+    /// from the interface map (non-empty ⇔ boundaries preserved) and the
+    /// kept-bus list is empty.
     pub fn from_model(rm: &ReducedModel, report: Option<&EngineReport>) -> Self {
         let interface_map = rm.interface_map().to_vec();
+        let inferred_policy = if interface_map.is_empty() {
+            InterfacePolicy::Folded
+        } else {
+            InterfacePolicy::Exact
+        };
         let provenance = Provenance {
             engine_version: bdsm_core::ENGINE_VERSION.to_string(),
             shifts: report.map(|r| r.shifts.clone()).unwrap_or_default(),
@@ -224,26 +231,14 @@ impl RomArtifact {
             residual_trajectory: report
                 .map(|r| r.rounds.iter().map(|x| x.worst_residual).collect())
                 .unwrap_or_default(),
-            // A `ReducedModel` does not carry its policy, so infer it
-            // from the interface map (non-empty ⇔ boundaries preserved).
-            // `Reducer::reduce_to_artifact` overwrites this with the
-            // actually-configured policy.
-            interface_policy: if interface_map.is_empty() {
-                InterfacePolicy::Folded
-            } else {
-                InterfacePolicy::Exact
-            },
-            // Likewise unknown to a bare `ReducedModel`; the builder path
-            // overwrites both with the configured values.
-            partition_strategy: PartitionStrategy::Bfs,
-            kept_buses: Vec::new(),
+            interface_policy: report.map_or(inferred_policy, |r| r.interface_policy),
+            kept_buses: report.map(|r| r.kept_buses.clone()).unwrap_or_default(),
             certificate: report.map(|r| r.certificate.clone()).unwrap_or_default(),
         };
         RomArtifact {
             block_sizes: rm.block_sizes.clone(),
             block_dims: rm.projector.block_dims(),
             state_order: rm.state_order.clone(),
-            partition: rm.partition.clone(),
             interface_states: rm.interface_states.clone(),
             interface_map,
             g: rm.g.clone(),
@@ -295,7 +290,6 @@ impl RomArtifact {
         w.usizes(&self.block_sizes);
         w.usizes(&self.block_dims);
         w.usizes(&self.state_order);
-        w.u64s(&self.partition.pack());
         w.usizes(&self.interface_states);
         w.u64(self.interface_map.len() as u64);
         for &(row, col) in &self.interface_map {
@@ -325,10 +319,6 @@ impl RomArtifact {
             InterfacePolicy::Folded => 0,
             InterfacePolicy::Exact => 1,
         });
-        w.u8(match self.provenance.partition_strategy {
-            PartitionStrategy::Bfs => 0,
-            PartitionStrategy::NestedDissection => 1,
-        });
         w.usizes(&self.provenance.kept_buses);
         write_certificate(&mut w, &self.provenance.certificate);
         w.into_checksummed()
@@ -347,9 +337,6 @@ impl RomArtifact {
         let block_sizes = r.usizes("block sizes")?;
         let block_dims = r.usizes("block dims")?;
         let state_order = r.usizes("state order")?;
-        let partition_words = r.u64s("partition")?;
-        let partition = Partition::unpack(&partition_words)
-            .map_err(|_| RomError::Corrupt("partition encoding invalid"))?;
         let interface_states = r.usizes("interface states")?;
         let n_map = r.count(16, "interface map")?;
         let mut interface_map = Vec::with_capacity(n_map);
@@ -385,11 +372,6 @@ impl RomArtifact {
             1 => InterfacePolicy::Exact,
             _ => return Err(RomError::Corrupt("unknown interface-policy tag")),
         };
-        let partition_strategy = match r.u8("partition strategy tag")? {
-            0 => PartitionStrategy::Bfs,
-            1 => PartitionStrategy::NestedDissection,
-            _ => return Err(RomError::Corrupt("unknown partition-strategy tag")),
-        };
         let kept_buses = r.usizes("kept buses")?;
         let certificate = read_certificate(&mut r)?;
         r.finish()?;
@@ -398,7 +380,6 @@ impl RomArtifact {
             block_sizes,
             block_dims,
             state_order,
-            partition,
             interface_states,
             interface_map,
             g,
@@ -412,7 +393,6 @@ impl RomArtifact {
                 certified,
                 residual_trajectory,
                 interface_policy,
-                partition_strategy,
                 kept_buses,
                 certificate,
             },
@@ -422,7 +402,8 @@ impl RomArtifact {
     }
 
     /// Structural consistency of a deserialized artifact: shapes agree
-    /// with the block structure and every index is in range.
+    /// with the block structure, every index is in range, and the state
+    /// order is a permutation.
     fn validate(&self) -> Result<(), RomError> {
         let q = self.g.nrows();
         let n = self.full_dim();
@@ -441,6 +422,15 @@ impl RomArtifact {
         if self.state_order.len() != n {
             return Err(RomError::Corrupt("state order length mismatch"));
         }
+        let mut seen = vec![false; n];
+        for &s in &self.state_order {
+            if s >= n {
+                return Err(RomError::Corrupt("state order entry out of range"));
+            }
+            if std::mem::replace(&mut seen[s], true) {
+                return Err(RomError::Corrupt("state order entry repeated"));
+            }
+        }
         if self.interface_states.iter().any(|&s| s >= n) {
             return Err(RomError::Corrupt("interface state out of range"));
         }
@@ -451,8 +441,8 @@ impl RomArtifact {
         {
             return Err(RomError::Corrupt("interface map entry out of range"));
         }
-        let num_buses = self.partition.block_of_node.len();
-        if self.provenance.kept_buses.iter().any(|&b| b >= num_buses) {
+        // Bus voltages are states `0..num_buses`, so a kept bus is a state.
+        if self.provenance.kept_buses.iter().any(|&b| b >= n) {
             return Err(RomError::Corrupt("kept bus out of range"));
         }
         Ok(())
@@ -504,7 +494,6 @@ impl RomArtifact {
             .field("certified", p.certified)
             .field("residual_trajectory", &p.residual_trajectory)
             .field("interface_policy", format!("{:?}", p.interface_policy))
-            .field("partition_strategy", format!("{:?}", p.partition_strategy))
             .field("kept_buses", &p.kept_buses);
         Object::new()
             .field("format_version", FORMAT_VERSION)
@@ -680,11 +669,6 @@ mod tests {
             block_sizes: vec![2, 2],
             block_dims: vec![1, 2],
             state_order: vec![0, 1, 2, 3],
-            partition: Partition {
-                block_of_node: vec![0, 0, 1, 1],
-                blocks: vec![vec![0, 1], vec![2, 3]],
-                interface: vec![1, 2],
-            },
             interface_states: vec![1, 2],
             interface_map: vec![(1, 0), (2, 1)],
             g: Matrix::from_fn(3, 3, |i, j| (i * 3 + j) as f64 * 0.25 - 1.0),
@@ -698,7 +682,6 @@ mod tests {
                 certified: true,
                 residual_trajectory: vec![1e-2, 3.5e-5, 9.9e-8],
                 interface_policy: InterfacePolicy::Exact,
-                partition_strategy: PartitionStrategy::NestedDissection,
                 kept_buses: vec![1, 2],
                 certificate: tiny_certificate(),
             },
@@ -739,15 +722,15 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_typed() {
-        // Hand-built headers of the two formats before v4 (their bodies
+        // Hand-built headers of the three formats before v5 (their bodies
         // never get read) and of the next one.
-        for found in [2, 3, FORMAT_VERSION + 1] {
+        for found in [2, 3, 4, FORMAT_VERSION + 1] {
             let mut bytes = MAGIC.to_vec();
             bytes.extend(found.to_le_bytes());
             bytes.extend([0; 16]);
             assert!(matches!(
                 RomArtifact::from_bytes(&bytes),
-                Err(RomError::UnsupportedVersion { found: f, supported: 4 }) if f == found
+                Err(RomError::UnsupportedVersion { found: f, supported: 5 }) if f == found
             ));
         }
     }
@@ -805,6 +788,26 @@ mod tests {
             RomArtifact::from_bytes(&bytes),
             Err(RomError::Corrupt("checksum mismatch"))
         ));
+        // With the checksum restamped over the bad index, the structural
+        // check must object instead.
+        for (state_order, kept_buses, what) in [
+            (
+                vec![0, 4, 2, 3],
+                vec![1, 2],
+                "state order entry out of range",
+            ),
+            (vec![0, 0, 2, 3], vec![1, 2], "state order entry repeated"),
+            (vec![0, 1, 2, 3], vec![1, 4], "kept bus out of range"),
+        ] {
+            let mut a = tiny_artifact();
+            a.state_order = state_order;
+            a.provenance.kept_buses = kept_buses;
+            let err = RomArtifact::from_bytes(&a.to_bytes()).unwrap_err();
+            assert!(
+                matches!(err, RomError::Corrupt(w) if w == what),
+                "{what}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -839,14 +842,13 @@ mod tests {
     fn json_dump_names_the_structure() {
         let j = tiny_artifact().to_json();
         for needle in [
-            "\"format_version\": 4",
+            "\"format_version\": 5",
             "\"certificate\": {\"status\": \"certified\"",
             "\"stability\": \"pass\"",
             "\"reduced_dim\": 3",
             "\"interface_map\": [[1, 0], [2, 1]]",
             "\"certified\": true",
             "\"jomega\"",
-            "\"partition_strategy\": \"NestedDissection\"",
             "\"kept_buses\": [1, 2]",
         ] {
             assert!(j.contains(needle), "JSON dump missing {needle}:\n{j}");

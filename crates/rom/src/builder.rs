@@ -98,16 +98,7 @@ impl Reducer {
     /// Propagates engine failures as [`RomError::Core`].
     pub fn reduce_to_artifact(&self, net: &Network) -> Result<RomArtifact, RomError> {
         let (rm, report) = ReductionEngine::new(net, &self.opts)?.run()?;
-        let mut artifact = RomArtifact::from_model(&rm, Some(&report));
-        // `from_model` can only infer the policy from the interface map;
-        // here the configured policy is in hand, so record it exactly
-        // (an Exact build of an interface-free partition would otherwise
-        // be mislabelled Folded in the provenance). Same for the partition
-        // strategy and the kept-bus designation.
-        artifact.provenance.interface_policy = self.opts.interface_policy;
-        artifact.provenance.partition_strategy = self.opts.partition_strategy;
-        artifact.provenance.kept_buses = self.opts.kept_buses.clone().unwrap_or_default();
-        Ok(artifact)
+        Ok(RomArtifact::from_model(&rm, Some(&report)))
     }
 }
 
@@ -221,13 +212,6 @@ impl ReducerBuilder {
         self
     }
 
-    /// Fold interface states into the block SVD bases (the default).
-    #[must_use]
-    pub fn folded_interfaces(mut self) -> Self {
-        self.opts.interface_policy = InterfacePolicy::Folded;
-        self
-    }
-
     /// Separator-minimising nested-dissection partitioning — smaller
     /// interface sets on meshes, directly shrinking the exact-interface
     /// ROM dimension. Ignored when [`keep_buses`](Self::keep_buses) is set.
@@ -237,20 +221,11 @@ impl ReducerBuilder {
         self
     }
 
-    /// BFS-growth partitioning (the default).
-    #[must_use]
-    pub fn bfs_partition(mut self) -> Self {
-        self.opts.partition_strategy = PartitionStrategy::Bfs;
-        self
-    }
-
     /// User-designated reduction region: keep exactly these buses
     /// (duplicates are dropped, order is irrelevant) and eliminate every
     /// other bus. The partition is derived from the kept set instead of
     /// `blocks`/the partition strategy, and the interface policy switches
-    /// to exact so kept boundary voltages are ROM coordinates verbatim —
-    /// call [`folded_interfaces`](Self::folded_interfaces) afterwards to
-    /// override that.
+    /// to exact so kept boundary voltages are ROM coordinates verbatim.
     ///
     /// Bus indices are validated against the concrete network at reduce
     /// time (a [`bdsm_circuit::CircuitError::InvalidReductionSet`] wrapped
@@ -413,6 +388,25 @@ mod tests {
             .unwrap();
         assert!(artifact.interface_map.is_empty());
         assert_eq!(artifact.provenance.interface_policy, InterfacePolicy::Exact);
+    }
+
+    #[test]
+    fn reduce_to_artifact_is_from_model_of_the_traced_build() {
+        // Both ways to build an artifact must record the same provenance:
+        // a kept-bus region, and an Exact build whose single block has no
+        // interface buses (an inferred policy would read Folded).
+        let grid = bdsm_core::synth::rc_grid(6, 7, 1.0, 1e-3, 2.0);
+        let ladder = bdsm_core::synth::rc_ladder(12, 1.0, 1e-3, 2.0);
+        let base = || Reducer::builder().jomega_shifts(&[1.0e3]);
+        for (reducer, net) in [
+            (base().keep_buses(&[0, 1, 2, 20]), &grid),
+            (base().blocks(1).exact_interfaces(), &ladder),
+        ] {
+            let reducer = reducer.build().unwrap();
+            let (rm, report, _) = reducer.reduce_traced(net).unwrap();
+            let traced = RomArtifact::from_model(&rm, Some(&report)).to_bytes();
+            assert_eq!(reducer.reduce_to_artifact(net).unwrap().to_bytes(), traced);
+        }
     }
 
     #[test]
