@@ -41,8 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "reduced {} -> {} states ({} blocks, dims {:?}) in {:.2?}",
         rm.full_dim(),
         rm.reduced_dim(),
-        rm.projector.num_blocks(),
-        rm.projector.block_dims(),
+        rm.block_dims.len(),
+        rm.block_dims,
         t0.elapsed(),
     );
 

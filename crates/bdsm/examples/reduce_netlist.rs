@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "reduced {} -> {} states ({} blocks, {} interface states) in {:.2?}",
         rm.full_dim(),
         rm.reduced_dim(),
-        rm.projector.num_blocks(),
+        rm.block_dims.len(),
         rm.interface_states.len(),
         t0.elapsed(),
     );
@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|z| z.abs())
             .fold(0.0_f64, f64::max)
             .max(f64::MIN_POSITIVE);
-        for &(row, col) in rm.interface_map() {
+        for &(row, col) in &rm.interface_map {
             worst = worst.max((x_rom[col] - x_full[row]).abs() / scale);
         }
     }

@@ -66,6 +66,10 @@ use bdsm_linalg::{LinalgError, Matrix};
 use bdsm_obs::{timing_span, Trace};
 use bdsm_sparse::ShiftedPencil;
 
+/// What a ROM keeps of its projector: the per-block reduced dimensions
+/// and the `(full state row, reduced column)` interface map.
+type BlockStructure = (Vec<usize>, Vec<(usize, usize)>);
+
 /// How the Basis stage chooses its Krylov expansion points.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum ShiftStrategy {
@@ -339,7 +343,9 @@ impl<'n> ReductionEngine<'n> {
     }
 
     /// **Project** stage, first half: the block-diagonal projector for a
-    /// global basis, honouring the configured [`InterfacePolicy`].
+    /// global basis. The [`InterfacePolicy`] was applied by
+    /// [`plan`](Self::plan): its interface rows are empty under
+    /// [`InterfacePolicy::Folded`].
     ///
     /// # Errors
     ///
@@ -349,22 +355,13 @@ impl<'n> ReductionEngine<'n> {
             .opts
             .max_reduced_dim
             .map(|total| total / plan.block_sizes.len());
-        let proj = match self.opts.interface_policy {
-            InterfacePolicy::Folded => BlockDiagProjector::from_global_basis(
-                global,
-                &plan.block_sizes,
-                self.opts.rank_tol,
-                max_block_dim,
-            )?,
-            InterfacePolicy::Exact => BlockDiagProjector::from_global_basis_with_interface(
-                global,
-                &plan.block_sizes,
-                self.opts.rank_tol,
-                max_block_dim,
-                &plan.interface_local,
-            )?,
-        };
-        Ok(proj)
+        Ok(BlockDiagProjector::from_global_basis(
+            global,
+            &plan.block_sizes,
+            self.opts.rank_tol,
+            max_block_dim,
+            &plan.interface_local,
+        )?)
     }
 
     /// **Project** stage, second half: the congruence transforms
@@ -471,7 +468,7 @@ impl<'n> ReductionEngine<'n> {
     /// Basis → Project (→ Certify) loop, then descriptor assembly.
     fn run_staged(&self) -> Result<(ReducedModel, EngineReport)> {
         let plan = self.plan()?;
-        let (projector, rom, report) = match &self.opts.shift_strategy {
+        let (rom, (block_dims, interface_map), report) = match &self.opts.shift_strategy {
             ShiftStrategy::Fixed => self.run_fixed(&plan)?,
             ShiftStrategy::Adaptive(a) => self.run_adaptive(&plan, a)?,
         };
@@ -480,7 +477,8 @@ impl<'n> ReductionEngine<'n> {
             c: rom.c,
             b: rom.b,
             l: rom.l,
-            projector,
+            block_dims,
+            interface_map,
             state_order: plan.state_order,
             block_sizes: plan.block_sizes,
             interface_states: plan.interface_states,
@@ -489,25 +487,31 @@ impl<'n> ReductionEngine<'n> {
         Ok((rm, report))
     }
 
-    /// One pass of Basis → Project with the fixed [`KrylovOpts`](crate::krylov::KrylovOpts) points —
-    /// the historical pipeline, stage by stage.
-    fn run_fixed(
-        &self,
-        plan: &Plan,
-    ) -> Result<(BlockDiagProjector, DenseDescriptor, EngineReport)> {
-        let points = collect_points(&self.opts.krylov);
-        let global = {
-            let _s = timing_span!("stage.krylov", points = points.len());
-            self.basis(plan, &points)?
-        };
+    /// The whole Project stage of one build or round: the projector, its
+    /// congruence, and the block structure the ROM keeps of it — the
+    /// `n × q` projector itself is dropped here.
+    fn project(&self, plan: &Plan, global: &Matrix) -> Result<(DenseDescriptor, BlockStructure)> {
         let projector = {
             let _s = timing_span!("stage.svd");
-            self.projector(plan, &global)?
+            self.projector(plan, global)?
         };
         let rom = {
             let _s = timing_span!("stage.project");
             self.congruence(plan, &projector)?
         };
+        let structure = (projector.block_dims(), projector.interface_map().to_vec());
+        Ok((rom, structure))
+    }
+
+    /// One pass of Basis → Project with the fixed [`KrylovOpts`](crate::krylov::KrylovOpts) points —
+    /// the historical pipeline, stage by stage.
+    fn run_fixed(&self, plan: &Plan) -> Result<(DenseDescriptor, BlockStructure, EngineReport)> {
+        let points = collect_points(&self.opts.krylov);
+        let global = {
+            let _s = timing_span!("stage.krylov", points = points.len());
+            self.basis(plan, &points)?
+        };
+        let (rom, structure) = self.project(plan, &global)?;
         // The fixed path never measures residuals against the full model,
         // but the property checks (passivity/stability of the reduced
         // pencil) are cheap and still apply — sampled at the `jω` expansion
@@ -531,7 +535,7 @@ impl<'n> ReductionEngine<'n> {
             certificate,
             ..EngineReport::default()
         };
-        Ok((projector, rom, report))
+        Ok((rom, structure, report))
     }
 
     /// The greedy adaptive loop: one factoring pass over
@@ -542,7 +546,7 @@ impl<'n> ReductionEngine<'n> {
         &self,
         plan: &Plan,
         a: &AdaptiveShiftOpts,
-    ) -> Result<(BlockDiagProjector, DenseDescriptor, EngineReport)> {
+    ) -> Result<(DenseDescriptor, BlockStructure, EngineReport)> {
         let mut points = collect_points(&self.opts.krylov);
         if points.is_empty() {
             // Coarse seed: the geometric middle of the candidate grid.
@@ -581,7 +585,7 @@ impl<'n> ReductionEngine<'n> {
 
         let mut rounds: Vec<RoundRecord> = Vec::new();
         let mut certified = false;
-        let (projector, rom, basis_cols, cert, rom_sweep) = loop {
+        let (rom, structure, basis_cols, cert, rom_sweep) = loop {
             let global = {
                 let _s = timing_span!("stage.krylov");
                 merge_candidate_sets(
@@ -590,14 +594,7 @@ impl<'n> ReductionEngine<'n> {
                     self.opts.krylov.ortho,
                 )?
             };
-            let projector = {
-                let _s = timing_span!("stage.svd");
-                self.projector(plan, &global)?
-            };
-            let rom = {
-                let _s = timing_span!("stage.project");
-                self.congruence(plan, &projector)?
-            };
+            let (rom, structure) = self.project(plan, &global)?;
             let (cert, rom_sweep) = {
                 let _s = timing_span!("stage.certify");
                 self.certify_against(&rom, &a.candidate_omegas, &full_sweep)?
@@ -613,10 +610,10 @@ impl<'n> ReductionEngine<'n> {
             });
             if cert.worst <= a.tol {
                 certified = true;
-                break (projector, rom, global.ncols(), cert, rom_sweep);
+                break (rom, structure, global.ncols(), cert, rom_sweep);
             }
             if points.len() >= a.max_shifts {
-                break (projector, rom, global.ncols(), cert, rom_sweep);
+                break (rom, structure, global.ncols(), cert, rom_sweep);
             }
             // Greedy step: the worst-residual candidate not already an
             // expansion point (first-wins tie-break keeps this — and hence
@@ -634,7 +631,7 @@ impl<'n> ReductionEngine<'n> {
                 }
             }
             let Some((w_next, _)) = pick else {
-                break (projector, rom, global.ncols(), cert, rom_sweep); // pool exhausted
+                break (rom, structure, global.ncols(), cert, rom_sweep); // pool exhausted
             };
             rounds.last_mut().expect("round pushed").added_omega = Some(w_next);
             let pt = ExpansionPoint::Jomega(w_next);
@@ -664,7 +661,7 @@ impl<'n> ReductionEngine<'n> {
             certificate,
             ..EngineReport::default()
         };
-        Ok((projector, rom, report))
+        Ok((rom, structure, report))
     }
 }
 

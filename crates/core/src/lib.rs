@@ -21,15 +21,17 @@
 //!   the per-frequency sweeps — all bitwise-deterministic for any worker
 //!   count;
 //! - [`projector`] splits it into the structured projector
-//!   `V = diag(V₁,…,V_k)` (per-block SVD compression fanned out over
-//!   [`par`]; identity columns on interface states under the exact
-//!   policy) and applies congruence transforms, including a sparse-input
-//!   variant that never densifies the full model and fans out per block
-//!   pair;
+//!   `V = diag(V₁,…,V_k)` (one constructor; per-block SVD compression
+//!   fanned out over [`par`]; identity columns on the interface rows the
+//!   plan lists, which it does under the exact policy) and applies
+//!   congruence transforms, including a sparse-input variant that never
+//!   densifies the full model and fans out per block pair;
 //! - [`reduce`] wires network → MNA → partition → basis → reduced model:
 //!   [`reduce::reduce_network`] is [`engine::ReductionEngine::run`] minus
 //!   the report, and [`reduce::StageTimings`] is the per-stage wall-time
-//!   view of that report;
+//!   view of that report. A [`ReducedModel`] is the reduced matrices and
+//!   the block structure they keep (block dims, interface map); the
+//!   projector that built it does not outlive the congruence;
 //! - [`certify`] is the trust layer of the Certify stage: typed
 //!   passivity/stability certificates of the reduced pencil (eigenvalue
 //!   margins, positive-real sampling with violation localization, and

@@ -69,7 +69,10 @@ pub struct BlockDiagProjector {
 }
 
 impl BlockDiagProjector {
-    /// Builds the projector from a global basis and per-block state counts.
+    /// Builds the projector from a global basis, per-block state counts and
+    /// per-block interface rows: `interface_local[i]` lists the local row
+    /// indices (sorted, unique) of block `i` that are preserved exactly —
+    /// all empty for the folded treatment.
     ///
     /// Block `i` keeps the left singular vectors of its (column-normalized)
     /// row slice of `global` whose singular values exceed `rank_tol · σ_max`,
@@ -78,40 +81,24 @@ impl BlockDiagProjector {
     /// numerically zero keeps a single canonical unit vector so every block
     /// retains at least one reduced state.
     ///
+    /// Each listed interface row gets a dedicated identity column placed
+    /// **ahead** of the block's SVD directions, and the Krylov slice is
+    /// exactly orthogonalized against those unit columns (its interface
+    /// rows are left out of the compression) — so the interface rows of
+    /// the final basis are exact unit vectors and the reduced state
+    /// carries the interface voltages verbatim. Krylov columns whose
+    /// content was (numerically) pure interface energy are deduplicated
+    /// away instead of polluting the SVD. `max_block_dim` caps only the
+    /// appended SVD directions; identity columns are mandatory and never
+    /// truncated.
+    ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::InvalidArgument`] if the block sizes do not
-    /// sum to the basis row count or contain a zero, and propagates SVD
-    /// failures.
+    /// [`LinalgError::InvalidArgument`] if the block sizes do not sum to
+    /// the basis row count or contain a zero, or the interface lists do
+    /// not match the block count or hold out-of-range/unsorted indices;
+    /// SVD failures propagate.
     pub fn from_global_basis(
-        global: &Matrix,
-        block_sizes: &[usize],
-        rank_tol: f64,
-        max_block_dim: Option<usize>,
-    ) -> Result<Self> {
-        let none: Vec<Vec<usize>> = vec![Vec::new(); block_sizes.len()];
-        Self::from_global_basis_with_interface(global, block_sizes, rank_tol, max_block_dim, &none)
-    }
-
-    /// [`from_global_basis`](Self::from_global_basis) with the paper's
-    /// exact boundary treatment: `interface_local[i]` lists the local row
-    /// indices (sorted, unique) of block `i` that are interface states.
-    ///
-    /// Each listed row gets a dedicated identity column placed **ahead**
-    /// of the block's SVD directions, and the Krylov slice is exactly
-    /// orthogonalized against those unit columns (its interface rows are
-    /// left out of the compression) — so the interface rows of the final
-    /// basis are exact unit vectors and the reduced state carries the
-    /// interface voltages verbatim. Krylov columns whose content was
-    /// (numerically) pure interface energy are deduplicated away instead
-    /// of polluting the SVD. `max_block_dim` caps only the appended SVD
-    /// directions; identity columns are mandatory and never truncated.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::InvalidArgument`] on inconsistent block sizes or
-    /// out-of-range/unsorted interface indices; SVD failures propagate.
-    pub fn from_global_basis_with_interface(
         global: &Matrix,
         block_sizes: &[usize],
         rank_tol: f64,
@@ -142,39 +129,43 @@ impl BlockDiagProjector {
                 });
             }
         }
+        let mut row_offsets = vec![0];
+        for &size in block_sizes {
+            row_offsets.push(row_offsets.last().unwrap() + size);
+        }
         // Blocks are independent, so the per-block SVD compression fans out
         // over the shared work queue of `crate::par` — dynamic scheduling
         // absorbs whatever imbalance the rank structure introduces, and the
         // results land in block order, keeping the projector deterministic
         // for any worker count.
-        let mut row0 = 0;
-        let slices: Vec<(usize, usize)> = block_sizes
-            .iter()
-            .map(|&size| {
-                row0 += size;
-                (row0 - size, size)
-            })
-            .collect();
-        let blocks = crate::par::parallel_map(&slices, |bi, &(row0, size)| {
+        let blocks = crate::par::parallel_map(block_sizes, |bi, &size| {
             let _s = bdsm_obs::span!("svd.block", block = bi, rows = size);
-            let iface = &interface_local[bi];
+            let (row0, iface) = (row_offsets[bi], &interface_local[bi]);
             compress_block(global, row0, size, rank_tol, max_block_dim, iface)
         })
         .into_iter()
         .collect::<Result<Vec<Matrix>>>()?;
-        let mut proj = Self::from_blocks(blocks);
+        let mut col_offsets = vec![0];
+        for b in &blocks {
+            col_offsets.push(col_offsets.last().unwrap() + b.ncols());
+        }
+        let mut interface = Vec::new();
         for (bi, iface) in interface_local.iter().enumerate() {
             for (t, &li) in iface.iter().enumerate() {
-                proj.interface
-                    .push((proj.row_offsets[bi] + li, proj.col_offsets[bi] + t));
+                interface.push((row_offsets[bi] + li, col_offsets[bi] + t));
             }
         }
-        Ok(proj)
+        Ok(BlockDiagProjector {
+            blocks,
+            row_offsets,
+            col_offsets,
+            interface,
+        })
     }
 
     /// The `(full state row, reduced column)` pairs of exactly-preserved
-    /// interface states, in block order. Empty when the projector was
-    /// built with [`InterfacePolicy::Folded`] semantics.
+    /// interface states, in block order. Empty when every interface list
+    /// was (the plan's lists under [`InterfacePolicy::Folded`]).
     pub fn interface_map(&self) -> &[(usize, usize)] {
         &self.interface
     }
@@ -248,22 +239,6 @@ impl BlockDiagProjector {
             }
         }
         out
-    }
-
-    /// Assembles a projector directly from per-block orthonormal bases.
-    pub fn from_blocks(blocks: Vec<Matrix>) -> Self {
-        let mut row_offsets = vec![0];
-        let mut col_offsets = vec![0];
-        for b in &blocks {
-            row_offsets.push(row_offsets.last().unwrap() + b.nrows());
-            col_offsets.push(col_offsets.last().unwrap() + b.ncols());
-        }
-        BlockDiagProjector {
-            blocks,
-            row_offsets,
-            col_offsets,
-            interface: Vec::new(),
-        }
     }
 
     /// Number of blocks `k`.
@@ -560,6 +535,17 @@ fn compress_block(
 mod tests {
     use super::*;
 
+    /// The projector with no exactly-preserved interface rows.
+    fn folded(
+        vg: &Matrix,
+        sizes: &[usize],
+        rank_tol: f64,
+        cap: Option<usize>,
+    ) -> Result<BlockDiagProjector> {
+        let none = vec![Vec::new(); sizes.len()];
+        BlockDiagProjector::from_global_basis(vg, sizes, rank_tol, cap, &none)
+    }
+
     fn demo_basis() -> Matrix {
         // 6 states, 2 basis columns with energy in every block.
         Matrix::from_fn(6, 2, |i, j| ((i + 1) as f64 * 0.3 + j as f64).sin() + 0.5)
@@ -609,7 +595,7 @@ mod tests {
     #[test]
     fn block_structure_and_orthonormality() {
         let v = demo_basis();
-        let p = BlockDiagProjector::from_global_basis(&v, &[2, 2, 2], 1e-12, None).unwrap();
+        let p = folded(&v, &[2, 2, 2], 1e-12, None).unwrap();
         assert_eq!(p.num_blocks(), 3);
         assert_eq!(p.nrows(), 6);
         assert!(p.orthonormality_error() < 1e-13);
@@ -634,7 +620,7 @@ mod tests {
         // diag-blocks span every row slice, so V Vᵀ v_g = v_g for each
         // global column.
         let vg = demo_basis();
-        let p = BlockDiagProjector::from_global_basis(&vg, &[3, 3], 1e-12, None).unwrap();
+        let p = folded(&vg, &[3, 3], 1e-12, None).unwrap();
         let v = p.to_dense();
         for j in 0..vg.ncols() {
             let col = vg.col(j);
@@ -648,7 +634,7 @@ mod tests {
     #[test]
     fn projections_match_dense_products() {
         let vg = demo_basis();
-        let p = BlockDiagProjector::from_global_basis(&vg, &[2, 4], 1e-12, None).unwrap();
+        let p = folded(&vg, &[2, 4], 1e-12, None).unwrap();
         let v = p.to_dense();
         let a = Matrix::from_fn(6, 6, |i, j| ((i * 7 + j) as f64 * 0.11).cos());
         let b = Matrix::from_fn(6, 2, |i, j| (i + j) as f64);
@@ -675,7 +661,7 @@ mod tests {
     #[test]
     fn sparse_congruence_matches_dense() {
         let vg = demo_basis();
-        let p = BlockDiagProjector::from_global_basis(&vg, &[2, 4], 1e-12, None).unwrap();
+        let p = folded(&vg, &[2, 4], 1e-12, None).unwrap();
         let a = Matrix::from_fn(6, 6, |i, j| {
             // A sparse-ish pattern with off-block coupling.
             if i == j || (i + 2 * j) % 5 == 0 {
@@ -695,7 +681,7 @@ mod tests {
         let mut vg = Matrix::zeros(4, 1);
         vg[(0, 0)] = 1.0;
         vg[(1, 0)] = -1.0;
-        let p = BlockDiagProjector::from_global_basis(&vg, &[2, 2], 1e-12, None).unwrap();
+        let p = folded(&vg, &[2, 2], 1e-12, None).unwrap();
         assert_eq!(p.block_dims(), vec![1, 1]);
         assert_eq!(p.block(1)[(0, 0)], 1.0);
         assert!(p.orthonormality_error() < 1e-15);
@@ -705,9 +691,7 @@ mod tests {
     fn exact_interface_rows_are_unit_vectors() {
         let vg = demo_basis();
         let iface = vec![vec![1], vec![0, 2]];
-        let p =
-            BlockDiagProjector::from_global_basis_with_interface(&vg, &[3, 3], 1e-12, None, &iface)
-                .unwrap();
+        let p = BlockDiagProjector::from_global_basis(&vg, &[3, 3], 1e-12, None, &iface).unwrap();
         // Interface map points at exact unit rows.
         let map = p.interface_map().to_vec();
         assert_eq!(map.len(), 3);
@@ -739,14 +723,7 @@ mod tests {
         vg[(1, 0)] = 1.0; // pure interface content
         vg[(0, 1)] = 0.5;
         vg[(3, 1)] = -0.5;
-        let p = BlockDiagProjector::from_global_basis_with_interface(
-            &vg,
-            &[4],
-            1e-12,
-            None,
-            &[vec![1]],
-        )
-        .unwrap();
+        let p = BlockDiagProjector::from_global_basis(&vg, &[4], 1e-12, None, &[vec![1]]).unwrap();
         // 1 identity column + 1 surviving Krylov direction.
         assert_eq!(p.ncols(), 2);
         assert!(p.orthonormality_error() < 1e-14);
@@ -755,14 +732,8 @@ mod tests {
     #[test]
     fn interface_budget_caps_only_extra_directions() {
         let vg = demo_basis();
-        let p = BlockDiagProjector::from_global_basis_with_interface(
-            &vg,
-            &[6],
-            1e-12,
-            Some(2),
-            &[vec![0, 3, 5]],
-        )
-        .unwrap();
+        let p = BlockDiagProjector::from_global_basis(&vg, &[6], 1e-12, Some(2), &[vec![0, 3, 5]])
+            .unwrap();
         // Cap 2 < 3 identity columns: identities survive, no extras fit.
         assert_eq!(p.ncols(), 3);
         assert_eq!(p.interface_map().len(), 3);
@@ -772,38 +743,24 @@ mod tests {
     fn interface_validation_rejects_bad_lists() {
         let vg = demo_basis();
         let bad_len = vec![vec![0]];
-        assert!(BlockDiagProjector::from_global_basis_with_interface(
-            &vg,
-            &[3, 3],
-            1e-12,
-            None,
-            &bad_len
-        )
-        .is_err());
+        assert!(
+            BlockDiagProjector::from_global_basis(&vg, &[3, 3], 1e-12, None, &bad_len).is_err()
+        );
         let out_of_range = vec![vec![5], vec![]];
-        assert!(BlockDiagProjector::from_global_basis_with_interface(
-            &vg,
-            &[3, 3],
-            1e-12,
-            None,
-            &out_of_range
-        )
-        .is_err());
+        assert!(
+            BlockDiagProjector::from_global_basis(&vg, &[3, 3], 1e-12, None, &out_of_range)
+                .is_err()
+        );
         let unsorted = vec![vec![2, 1], vec![]];
-        assert!(BlockDiagProjector::from_global_basis_with_interface(
-            &vg,
-            &[3, 3],
-            1e-12,
-            None,
-            &unsorted
-        )
-        .is_err());
+        assert!(
+            BlockDiagProjector::from_global_basis(&vg, &[3, 3], 1e-12, None, &unsorted).is_err()
+        );
     }
 
     #[test]
     fn interface_congruence_matches_dense_reference() {
         let vg = demo_basis();
-        let p = BlockDiagProjector::from_global_basis_with_interface(
+        let p = BlockDiagProjector::from_global_basis(
             &vg,
             &[2, 4],
             1e-12,
@@ -831,7 +788,7 @@ mod tests {
         // evaluation rather than by mutating BDSM_THREADS, which would
         // race sibling tests reading the environment from worker threads.
         let vg = Matrix::from_fn(24, 4, |i, j| ((i * 3 + 2 * j) as f64 * 0.13).sin());
-        let p = BlockDiagProjector::from_global_basis(&vg, &[6, 6, 6, 6], 1e-12, None).unwrap();
+        let p = folded(&vg, &[6, 6, 6, 6], 1e-12, None).unwrap();
         let a = Matrix::from_fn(24, 24, |i, j| {
             if i.abs_diff(j) <= 2 {
                 ((i * 7 + j) as f64 * 0.11).cos()
@@ -848,10 +805,9 @@ mod tests {
         let sizes = [12, 9, 19];
         let iface = vec![vec![0, 7, 11], vec![2], vec![0, 1, 9, 18]];
         let exact =
-            BlockDiagProjector::from_global_basis_with_interface(&vg, &sizes, 1e-12, None, &iface)
-                .unwrap();
+            BlockDiagProjector::from_global_basis(&vg, &sizes, 1e-12, None, &iface).unwrap();
         assert_eq!(exact.interface_map().len(), 8);
-        let folded = BlockDiagProjector::from_global_basis(&vg, &sizes, 1e-12, None).unwrap();
+        let folded = folded(&vg, &sizes, 1e-12, None).unwrap();
         // A symmetric band with long-range coupling: every pair is hit.
         let band = Matrix::from_fn(40, 40, |i, j| {
             if i.abs_diff(j) <= 3 || (i + j) % 11 == 0 {
@@ -920,16 +876,16 @@ mod tests {
     fn rank_tolerance_truncates() {
         // Two nearly identical columns → rank 1 slice at loose tolerance.
         let vg = Matrix::from_fn(4, 2, |i, j| (i + 1) as f64 + 1e-13 * j as f64);
-        let p = BlockDiagProjector::from_global_basis(&vg, &[4], 1e-8, None).unwrap();
+        let p = folded(&vg, &[4], 1e-8, None).unwrap();
         assert_eq!(p.ncols(), 1);
     }
 
     #[test]
     fn bad_sizes_rejected() {
         let vg = demo_basis();
-        assert!(BlockDiagProjector::from_global_basis(&vg, &[2, 2], 1e-12, None).is_err());
-        assert!(BlockDiagProjector::from_global_basis(&vg, &[6, 0], 1e-12, None).is_err());
-        let p = BlockDiagProjector::from_global_basis(&vg, &[3, 3], 1e-12, None).unwrap();
+        assert!(folded(&vg, &[2, 2], 1e-12, None).is_err());
+        assert!(folded(&vg, &[6, 0], 1e-12, None).is_err());
+        let p = folded(&vg, &[3, 3], 1e-12, None).unwrap();
         assert!(p.project_square(&Matrix::zeros(5, 5)).is_err());
         assert!(p.project_input(&Matrix::zeros(5, 1)).is_err());
         assert!(p.project_output(&Matrix::zeros(1, 5)).is_err());

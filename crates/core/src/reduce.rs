@@ -12,16 +12,19 @@
 //! staged [`crate::engine::ReductionEngine`] runs the explicit
 //! `Plan → Basis → Project → Certify` pipeline:
 //!
-//! 1. **Plan** — MNA assembly (`bdsm_circuit::mna`), BFS partition into
-//!    `k` connected blocks, the block-contiguous state permutation, the
-//!    interface-state export, and the shared symbolic pencil analysis;
+//! 1. **Plan** — MNA assembly (`bdsm_circuit::mna`), the bus partition
+//!    (BFS growth or nested dissection into at least `k` blocks, or the
+//!    blocks a `kept_buses` region implies), the block-contiguous state
+//!    permutation, the interface-state export, and the shared symbolic
+//!    pencil analysis;
 //! 2. **Basis** — a global moment-matching Krylov basis
 //!    ([`crate::krylov`]), with expansion points either fixed or chosen
 //!    adaptively ([`ShiftStrategy`]);
 //! 3. **Project** — the block-diagonal projector `V = diag(V₁,…,V_k)`
 //!    ([`crate::projector`], folded or exact-interface per
 //!    [`InterfacePolicy`]) and the congruence transforms `G_r = VᵀGV`,
-//!    `C_r = VᵀCV`, `B_r = VᵀB`, `L_r = LV`;
+//!    `C_r = VᵀCV`, `B_r = VᵀB`, `L_r = LV`; the ROM keeps the block
+//!    structure of `V` (its block dims and interface map), not `V`;
 //! 4. **Certify** — transfer-residual evaluation on a `jω` grid, which is
 //!    also what drives the adaptive greedy shift selection.
 //!
@@ -32,7 +35,7 @@
 
 use crate::engine::{EngineReport, ReductionEngine, ShiftStrategy};
 use crate::krylov::KrylovOpts;
-use crate::projector::{BlockDiagProjector, InterfacePolicy};
+use crate::projector::InterfacePolicy;
 use bdsm_circuit::{CircuitError, Descriptor, Network, PartitionStrategy};
 use bdsm_linalg::{LinalgError, Matrix};
 use std::fmt;
@@ -117,7 +120,7 @@ pub enum BuildError {
         /// The requested budget.
         budget: usize,
         /// The block count: the requested one, or the partition's when
-        /// it produced more.
+        /// it produced more; under a kept-bus region, the partition's.
         blocks: usize,
     },
     /// An inconsistency in the adaptive greedy configuration.
@@ -176,8 +179,11 @@ pub struct ReductionOpts {
     /// Relative singular-value threshold for per-block rank truncation.
     pub rank_tol: f64,
     /// Optional total reduced-dimension budget `q_max`; enforced by capping
-    /// every block at `q_max / k` dominant directions. Must be at least the
-    /// number of blocks (each block keeps one state minimum). Under
+    /// every block at `q_max / k` dominant directions, `k` the block count
+    /// the partition produced. Must be at least that count (each block
+    /// keeps one state minimum): checked against `num_blocks` up front
+    /// unless [`kept_buses`](Self::kept_buses) is set, and against the
+    /// partition's own count at plan time. Under
     /// [`InterfacePolicy::Exact`] the cap applies to the appended Krylov
     /// directions only — interface columns are mandatory.
     pub max_reduced_dim: Option<usize>,
@@ -231,7 +237,9 @@ impl ReductionOpts {
                 what: "deflation_tol",
             });
         }
-        if let Some(budget) = self.max_reduced_dim {
+        // A kept-bus region takes its blocks from the region, not from
+        // `num_blocks`; the plan checks the budget against those.
+        if let (Some(budget), None) = (self.max_reduced_dim, &self.kept_buses) {
             if budget < self.num_blocks {
                 return Err(BuildError::BudgetBelowBlocks {
                     budget,
@@ -294,11 +302,15 @@ impl Default for ReductionOpts {
     }
 }
 
-/// Output of the BDSM pipeline: the reduced model plus everything needed to
-/// audit it (projector, block structure, permuted full model). The bus
-/// partition behind the blocks stays inside the Plan stage; each bus's
-/// block follows from `state_order` and `block_sizes` (bus voltages are
-/// states `0..num_buses`), its interface flag from `interface_states`.
+/// Output of the BDSM pipeline: the reduced matrices `(G_r, C_r, B_r, L_r)`,
+/// the block structure they preserve (block sizes and reduced block
+/// dims, the interface export and the exact-interface map), and the
+/// permuted full model to audit them against. The block-diagonal
+/// projector that built them is dropped after the congruence, and the
+/// bus partition behind the blocks stays inside the Plan stage; each
+/// bus's block follows from `state_order` and `block_sizes` (bus
+/// voltages are states `0..num_buses`), its interface flag from
+/// `interface_states`.
 #[derive(Debug, Clone)]
 pub struct ReducedModel {
     /// Reduced conductance `VᵀGV`.
@@ -309,8 +321,14 @@ pub struct ReducedModel {
     pub b: Matrix,
     /// Reduced output map `LV`.
     pub l: Matrix,
-    /// The block-diagonal projector used.
-    pub projector: BlockDiagProjector,
+    /// Per-block reduced dimensions `qᵢ`, summing to `q`: block `i` owns
+    /// the `qᵢ` reduced coordinates that follow those of blocks `0..i`.
+    pub block_dims: Vec<usize>,
+    /// The `(full state row, reduced column)` pairs of exactly-preserved
+    /// interface states, in block order — non-empty only under
+    /// [`InterfacePolicy::Exact`], where the reduced state vector carries
+    /// each listed boundary voltage verbatim at the given coordinate.
+    pub interface_map: Vec<(usize, usize)>,
     /// State permutation (`new_of_old`) applied before projection.
     pub state_order: Vec<usize>,
     /// Per-block state counts of the permuted full model.
@@ -333,14 +351,6 @@ impl ReducedModel {
     /// Reduced state dimension `q`.
     pub fn reduced_dim(&self) -> usize {
         self.g.nrows()
-    }
-
-    /// The `(full state row, reduced column)` pairs of exactly-preserved
-    /// interface states — non-empty only under [`InterfacePolicy::Exact`],
-    /// where the reduced state vector carries each listed boundary voltage
-    /// verbatim at the given coordinate.
-    pub fn interface_map(&self) -> &[(usize, usize)] {
-        self.projector.interface_map()
     }
 }
 
@@ -457,7 +467,8 @@ mod tests {
     #[test]
     fn pipeline_produces_consistent_shapes() {
         let net = rc_ladder(24, 1.0, 1e-3, 2.0);
-        let rm = reduce_network(&net, &ladder_opts(3, 1.0e3, 3)).unwrap();
+        let opts = ladder_opts(3, 1.0e3, 3);
+        let rm = reduce_network(&net, &opts).unwrap();
         assert_eq!(rm.full_dim(), 24);
         assert_eq!(rm.block_sizes.iter().sum::<usize>(), 24);
         let q = rm.reduced_dim();
@@ -466,8 +477,17 @@ mod tests {
         assert_eq!(rm.c.shape(), (q, q));
         assert_eq!(rm.b.shape(), (q, 2));
         assert_eq!(rm.l.shape(), (2, q));
-        assert_eq!(rm.projector.num_blocks(), 3);
-        assert!(rm.projector.orthonormality_error() < 1e-12);
+        assert_eq!(rm.block_dims.len(), 3);
+        assert_eq!(rm.block_dims.iter().sum::<usize>(), q);
+        // The projector behind the ROM, rebuilt stage by stage.
+        let engine = ReductionEngine::new(&net, &opts).unwrap();
+        let plan = engine.plan().unwrap();
+        let points = crate::krylov::collect_points(&opts.krylov);
+        let global = engine.basis(&plan, &points).unwrap();
+        let projector = engine.projector(&plan, &global).unwrap();
+        assert_eq!(projector.num_blocks(), 3);
+        assert!(projector.orthonormality_error() < 1e-12);
+        assert_eq!(projector.block_dims(), rm.block_dims);
     }
 
     #[test]

@@ -95,17 +95,31 @@ fn adaptive_exact_10k_grid_is_deterministic_and_accurate() {
     assert!(worst <= 1e-6, "worst transfer error {worst:.3e} > 1e-6");
 
     // Machine-exact interface reproduction: every interface row of the
-    // reduced basis is an exact unit vector, so the reconstruction at an
-    // interface bus IS the corresponding ROM coordinate, bit for bit.
-    let map = rm.interface_map();
+    // reduced basis is an exact unit vector, so the ROM carries the full
+    // model's interface stamps verbatim — each reduced `G`/`C` entry
+    // between two mapped coordinates is the stored full-model entry
+    // (`+0.0` where nothing is stored), and each mapped row of `B_r` is
+    // the full row of `B`, bit for bit.
+    let map = &rm.interface_map;
     assert_eq!(map.len(), rm.interface_states.len());
     assert!(!map.is_empty());
-    for &(row, col) in map {
-        let (bi, local_row, local_col) = locate(rm, row, col);
-        let block = rm.projector.block(bi);
-        for j in 0..block.ncols() {
-            let expect = if j == local_col { 1.0 } else { 0.0 };
-            assert_eq!(block[(local_row, j)], expect, "row {row} not unit");
+    for &(r, t_r) in map {
+        locate(rm, r, t_r);
+        for &(c, t_c) in map {
+            for (reduced, full, name) in [(&rm.g, &rm.full.g, "G"), (&rm.c, &rm.full.c, "C")] {
+                assert_eq!(
+                    reduced[(t_r, t_c)].to_bits(),
+                    full.get(r, c).to_bits(),
+                    "{name}_r[{t_r}, {t_c}] is not {name}[{r}, {c}]"
+                );
+            }
+        }
+        for j in 0..rm.b.ncols() {
+            assert_eq!(
+                rm.b[(t_r, j)].to_bits(),
+                rm.full.b[(r, j)].to_bits(),
+                "B_r[{t_r}, {j}] is not B[{r}, {j}]"
+            );
         }
     }
 
@@ -134,15 +148,15 @@ fn adaptive_exact_10k_grid_is_deterministic_and_accurate() {
     );
 }
 
-/// Maps a global (row, col) pair onto (block, local row, local col).
-fn locate(rm: &bdsm_core::ReducedModel, row: usize, col: usize) -> (usize, usize, usize) {
+/// Asserts that the reduced column `col` lies in the block owning the
+/// full state `row`.
+fn locate(rm: &bdsm_core::ReducedModel, row: usize, col: usize) {
     let mut r0 = 0;
     let mut c0 = 0;
-    for (bi, &rows) in rm.block_sizes.iter().enumerate() {
-        let cols = rm.projector.block(bi).ncols();
+    for (&rows, &cols) in rm.block_sizes.iter().zip(&rm.block_dims) {
         if row < r0 + rows {
             assert!(col >= c0 && col < c0 + cols, "interface col outside block");
-            return (bi, row - r0, col - c0);
+            return;
         }
         r0 += rows;
         c0 += cols;

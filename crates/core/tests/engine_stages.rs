@@ -12,6 +12,7 @@ use bdsm_core::reduce::{reduce_network, ReductionOpts};
 use bdsm_core::synth::{ieee_like_feeder, rc_grid, rc_ladder_loaded};
 use bdsm_core::transfer::{eval_transfer, transfer_rel_err, SparseTransferEvaluator};
 use bdsm_linalg::Complex64;
+use bdsm_linalg::Matrix;
 use bdsm_sparse::ShiftedPencil;
 
 /// The fixed-shift e2e configuration shared by the acceptance tests.
@@ -29,6 +30,21 @@ fn fixed_opts(num_blocks: usize, max_dim: usize) -> ReductionOpts {
         max_reduced_dim: Some(max_dim),
         ..ReductionOpts::default()
     }
+}
+
+/// The projector `plan → basis → projector` builds for fixed-shift
+/// options: the one behind the ROM `reduce_network` returns for them.
+fn staged_projector(net: &bdsm_circuit::Network, opts: &ReductionOpts) -> BlockDiagProjector {
+    let engine = ReductionEngine::new(net, opts).unwrap();
+    let plan = engine.plan().unwrap();
+    let points = bdsm_core::krylov::collect_points(&opts.krylov);
+    let global = engine.basis(&plan, &points).unwrap();
+    engine.projector(&plan, &global).unwrap()
+}
+
+/// The bit patterns of a matrix, row-major.
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
 }
 
 /// Adaptive variant: one coarse mid-band shift, candidates spanning the
@@ -61,9 +77,9 @@ fn fixed_engine_reproduces_legacy_composition_bitwise() {
     let full = desc.permuted(&order);
     let (g, c, b, l) = (full.g, full.c, full.b, full.l);
     let global = global_krylov_basis_sparse(&g, &c, &b, &opts.krylov).unwrap();
-    let proj =
-        BlockDiagProjector::from_global_basis(&global, &sizes, 1e-12, Some(60 / sizes.len()))
-            .unwrap();
+    let none = vec![Vec::new(); sizes.len()];
+    let cap = Some(60 / sizes.len());
+    let proj = BlockDiagProjector::from_global_basis(&global, &sizes, 1e-12, cap, &none).unwrap();
     assert_eq!(
         rm.g.as_slice(),
         proj.project_square_sparse(&g).unwrap().as_slice()
@@ -76,7 +92,8 @@ fn fixed_engine_reproduces_legacy_composition_bitwise() {
     assert_eq!(rm.l.as_slice(), proj.project_output(&l).unwrap().as_slice());
     // Folded policy exports the boundary set but maps nothing exactly.
     assert!(!rm.interface_states.is_empty());
-    assert!(rm.interface_map().is_empty());
+    assert!(rm.interface_map.is_empty());
+    assert_eq!(rm.block_dims, proj.block_dims());
 }
 
 /// Runs the adaptive-vs-fixed comparison on one network and asserts the
@@ -146,14 +163,17 @@ fn exact_interface_rows_and_boundary_voltages() {
     opts.max_reduced_dim = None;
     opts.interface_policy = InterfacePolicy::Exact;
     let rm = reduce_network(&net, &opts).expect("exact-interface reduction");
-    let map = rm.interface_map().to_vec();
+    let map = rm.interface_map.clone();
     assert_eq!(map.len(), rm.interface_states.len());
     let mut rows: Vec<usize> = map.iter().map(|&(r, _)| r).collect();
     rows.sort_unstable();
     assert_eq!(rows, rm.interface_states);
 
     // 1. Interface rows of the reduced basis are exact unit vectors.
-    let v = rm.projector.to_dense();
+    let projector = staged_projector(&net, &opts);
+    assert_eq!(projector.interface_map(), &map[..]);
+    assert_eq!(projector.block_dims(), rm.block_dims);
+    let v = projector.to_dense();
     for &(row, col) in &map {
         for j in 0..v.ncols() {
             let expect = if j == col { 1.0 } else { 0.0 };
@@ -210,8 +230,18 @@ fn engine_stages_compose_to_run() {
     assert!(cert.worst_omega > 0.0);
 
     let (rm, report) = engine.run().unwrap();
-    assert_eq!(rm.g.as_slice(), rom.g.as_slice());
-    assert_eq!(rm.c.as_slice(), rom.c.as_slice());
+    for (got, want) in [
+        (&rm.g, &rom.g),
+        (&rm.c, &rom.c),
+        (&rm.b, &rom.b),
+        (&rm.l, &rom.l),
+    ] {
+        assert_eq!(bits(got), bits(want));
+    }
+    // The ROM keeps the projector's block structure, not the projector.
+    assert_eq!(rm.block_dims, projector.block_dims());
+    assert_eq!(rm.interface_map, projector.interface_map());
+    assert!(!rm.interface_map.is_empty());
     assert_eq!(report.basis_cols, global.ncols());
     assert!(!report.certified); // fixed path never certifies
 }

@@ -43,7 +43,7 @@ fn sparse_backend_reduces_10k_state_grid() {
     };
     let rm = reduce_network(&net, &opts).expect("10k-state sparse reduction");
     assert_eq!(rm.full_dim(), 10_000);
-    assert!(rm.projector.num_blocks() >= 8);
+    assert!(rm.block_dims.len() >= 8);
     assert!(
         rm.reduced_dim() * 5 <= rm.full_dim(),
         "reduced dim {} not ≤ n/5",

@@ -217,7 +217,7 @@ impl RomArtifact {
     /// from the interface map (non-empty ⇔ boundaries preserved) and the
     /// kept-bus list is empty.
     pub fn from_model(rm: &ReducedModel, report: Option<&EngineReport>) -> Self {
-        let interface_map = rm.interface_map().to_vec();
+        let interface_map = rm.interface_map.clone();
         let inferred_policy = if interface_map.is_empty() {
             InterfacePolicy::Folded
         } else {
@@ -237,7 +237,7 @@ impl RomArtifact {
         };
         RomArtifact {
             block_sizes: rm.block_sizes.clone(),
-            block_dims: rm.projector.block_dims(),
+            block_dims: rm.block_dims.clone(),
             state_order: rm.state_order.clone(),
             interface_states: rm.interface_states.clone(),
             interface_map,

@@ -179,7 +179,10 @@ impl ReducerBuilder {
 
     /// Total reduced-dimension budget `q_max` (per-block cap `q_max / k`;
     /// under exact interfaces the cap applies to the appended Krylov
-    /// directions only).
+    /// directions only). It must hold one state per block: checked against
+    /// [`blocks`](Self::blocks) at [`build`](Self::build), and under
+    /// [`keep_buses`](Self::keep_buses) against the region's block count
+    /// at reduce time.
     #[must_use]
     pub fn budget(mut self, q_max: usize) -> Self {
         self.opts.max_reduced_dim = Some(q_max);
@@ -407,6 +410,32 @@ mod tests {
             let traced = RomArtifact::from_model(&rm, Some(&report)).to_bytes();
             assert_eq!(reducer.reduce_to_artifact(net).unwrap().to_bytes(), traced);
         }
+    }
+
+    #[test]
+    fn kept_bus_budget_is_checked_against_the_region_blocks() {
+        // This region splits the grid into 3 blocks; the default block
+        // count (4) plays no part in a kept-bus build.
+        use bdsm_core::reduce::CoreError;
+        let grid = bdsm_core::synth::rc_grid(6, 7, 1.0, 1e-3, 2.0);
+        let base = || {
+            Reducer::builder()
+                .jomega_shifts(&[1.0e3])
+                .keep_buses(&[0, 1, 2, 20])
+        };
+        let rm = base().budget(3).build().unwrap().reduce(&grid).unwrap();
+        assert_eq!(rm.block_sizes, [3, 1, 38]);
+        assert_eq!(rm.block_dims.len(), 3);
+        let one_block = base().blocks(1).budget(3).build().unwrap();
+        let same = one_block.reduce(&grid).unwrap();
+        assert_eq!(rm.g.as_slice(), same.g.as_slice());
+        assert_eq!(
+            base().budget(2).build().unwrap().reduce(&grid).unwrap_err(),
+            CoreError::InvalidOptions(BuildError::BudgetBelowBlocks {
+                budget: 2,
+                blocks: 3
+            })
+        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn kept_boundary_voltages_match_full_model() {
     // current sources only, so state index == bus index.)
     let set = ReductionSet::keep_buses(&net, &kept).unwrap();
     let boundary = set.boundary();
-    let rows: Vec<usize> = rm.interface_map().iter().map(|&(r, _)| r).collect();
+    let rows: Vec<usize> = rm.interface_map.iter().map(|&(r, _)| r).collect();
     for &b in boundary {
         assert!(rows.contains(&b), "kept boundary bus {b} not exact in ROM");
     }
@@ -66,7 +66,7 @@ fn kept_boundary_voltages_match_full_model() {
             .map(|z| z.abs())
             .fold(0.0_f64, f64::max)
             .max(f64::MIN_POSITIVE);
-        for &(row, col) in rm.interface_map() {
+        for &(row, col) in &rm.interface_map {
             let err = (x_rom[col] - x_full[row]).abs() / scale;
             assert!(
                 err <= 1e-10,

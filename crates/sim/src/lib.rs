@@ -352,7 +352,7 @@ mod tests {
             ..ReductionOpts::default()
         };
         let rm = reduce_network(&net, &opts).unwrap();
-        let map = rm.interface_map().to_vec();
+        let map = rm.interface_map.clone();
         assert!(!map.is_empty());
         let h = 1e-4;
         let mut full = TransientSolver::for_full(&rm, h).unwrap();
