@@ -309,7 +309,7 @@ pub(crate) fn candidates_for_points_sparse(
                     b,
                     l,
                     opts,
-                    |vs| solve_real_block_sparse(&lu, vs),
+                    |vs| solve_block_sparse(&lu, vs),
                     |vs| solve_block_sparse(&lu, vs),
                     |v| c.matvec_complex(v),
                 );
@@ -321,37 +321,25 @@ pub(crate) fn candidates_for_points_sparse(
 }
 
 /// Batches equal-length vectors through one blocked multi-RHS sparse solve
-/// (column-major panel). Bitwise-identical to per-vector [`SparseLu::solve`]
-/// calls, so swapping it into the recurrence changes no reduced model.
-fn solve_block_sparse<T: Scalar>(lu: &SparseLu<T>, vs: &[Vec<T>]) -> Result<Vec<Vec<T>>> {
+/// (column-major panel), lifting each entry into the factor's scalar while
+/// packing — the real start block `B` of a `jω` point goes in as `f64`,
+/// exactly as [`SparseLu::solve_multi_real`] would lift it.
+/// Bitwise-identical to per-vector [`SparseLu::solve`] calls, so swapping
+/// it into the recurrence changes no reduced model.
+fn solve_block_sparse<S: Copy, T: Scalar + From<S>>(
+    lu: &SparseLu<T>,
+    vs: &[Vec<S>],
+) -> Result<Vec<Vec<T>>> {
     if vs.is_empty() {
         return Ok(Vec::new());
     }
     let n = vs[0].len();
     let mut panel = Vec::with_capacity(n * vs.len());
     for v in vs {
-        panel.extend_from_slice(v);
+        panel.extend(v.iter().map(|&x| T::from(x)));
     }
     let x = lu.solve_multi(&panel, vs.len())?;
     Ok(x.chunks_exact(n).map(<[T]>::to_vec).collect())
-}
-
-/// Real-panel variant of [`solve_block_sparse`] for the complex pencil
-/// (the `jω` start block `(G + jω₀C)⁻¹B` with real `B`).
-fn solve_real_block_sparse(
-    lu: &SparseLu<Complex64>,
-    vs: &[Vec<f64>],
-) -> Result<Vec<Vec<Complex64>>> {
-    if vs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let n = vs[0].len();
-    let mut panel = Vec::with_capacity(n * vs.len());
-    for v in vs {
-        panel.extend_from_slice(v);
-    }
-    let x = lu.solve_multi_real(&panel, vs.len())?;
-    Ok(x.chunks_exact(n).map(<[Complex64]>::to_vec).collect())
 }
 
 fn validate_krylov_args(shapes_ok: bool, n: usize, b: &Matrix, opts: &KrylovOpts) -> Result<()> {

@@ -18,6 +18,12 @@ use bdsm_core::synth::{ieee_like_feeder, rc_grid, rc_ladder_loaded};
 use bdsm_linalg::{Complex64, DenseLu, LinalgError};
 use bdsm_sparse::{CscMatrix, FillOrdering, LuWorkspace, NumericKernel, ShiftedPencil, SparseLu};
 
+/// `a` factored as the pencil `(a, 0)` at `s = 0`.
+fn factor(a: &CscMatrix<f64>, kind: FillOrdering) -> Result<SparseLu<f64>, LinalgError> {
+    let zero = CscMatrix::from_triplets(a.nrows(), a.ncols(), &[])?;
+    ShiftedPencil::with_ordering(a, &zero, kind)?.factor_real(0.0)
+}
+
 /// Deterministic xorshift in `[0, 1)`, so the "random" networks are
 /// reproducible across runs.
 fn rng(seed: u64) -> impl FnMut() -> f64 {
@@ -118,10 +124,7 @@ fn solution_invariant_under_ordering_choice() {
             FillOrdering::NestedDissection,
             FillOrdering::MinFill,
         ] {
-            let x = SparseLu::factor_ordered(&assembled, kind)
-                .unwrap()
-                .solve(&b)
-                .unwrap();
+            let x = factor(&assembled, kind).unwrap().solve(&b).unwrap();
             solutions.push((kind, x));
         }
         let (_, ref x0) = solutions[0];
@@ -210,7 +213,10 @@ fn symmetric_permutation_round_trips() {
     // Solving the permuted system gives the permuted solution.
     let mut rr = rng(0xbeef);
     let b: Vec<f64> = (0..n).map(|_| rr() - 0.5).collect();
-    let x = SparseLu::factor(&g).unwrap().solve(&b).unwrap();
+    let x = factor(&g, FillOrdering::default())
+        .unwrap()
+        .solve(&b)
+        .unwrap();
     let gp = g.permute_symmetric(&perm).unwrap();
     let bp: Vec<f64> = {
         let mut out = vec![0.0; n];
@@ -219,7 +225,10 @@ fn symmetric_permutation_round_trips() {
         }
         out
     };
-    let xp = SparseLu::factor(&gp).unwrap().solve(&bp).unwrap();
+    let xp = factor(&gp, FillOrdering::default())
+        .unwrap()
+        .solve(&bp)
+        .unwrap();
     let x_back: Vec<f64> = (0..n).map(|i| xp[perm[i]]).collect();
     assert!(bdsm_linalg::vector::rel_err(&x_back, &x, 1e-30) < 1e-10);
 }
@@ -354,7 +363,7 @@ fn singular_mna_matrix_fails_loudly() {
     let d = mna::assemble(&net).unwrap();
     let g = d.g;
     assert!(matches!(
-        SparseLu::factor(&g),
+        factor(&g, FillOrdering::default()),
         Err(LinalgError::Singular { .. })
     ));
     // With the capacitor mass added (s > 0) the pencil becomes regular.

@@ -56,7 +56,8 @@ pub enum QueryError {
         /// The offending value.
         value: f64,
     },
-    /// A transient step was NaN or infinite.
+    /// A transient step, or its reciprocal `1/h`, was NaN or infinite
+    /// (a subnormal `h` overflows `1/h`).
     NonFiniteStep {
         /// The offending value.
         value: f64,
@@ -96,7 +97,9 @@ impl fmt::Display for QueryError {
             QueryError::NonFiniteFrequency { value } => {
                 write!(f, "non-finite frequency {value}")
             }
-            QueryError::NonFiniteStep { value } => write!(f, "non-finite transient step {value}"),
+            QueryError::NonFiniteStep { value } => {
+                write!(f, "transient step {value} or its reciprocal is not finite")
+            }
             QueryError::NonPositiveStep { value } => {
                 write!(f, "non-positive transient step {value}")
             }
@@ -614,6 +617,9 @@ impl RomServer {
         }
         if h <= 0.0 {
             return Err(RomError::Query(QueryError::NonPositiveStep { value: h }));
+        }
+        if !(1.0 / h).is_finite() {
+            return Err(RomError::Query(QueryError::NonFiniteStep { value: h }));
         }
         if self.envelope_policy == EnvelopePolicy::Ignore {
             return Ok(());

@@ -163,6 +163,12 @@ fn malformed_queries_are_typed_never_panics() {
         matches!(err, RomError::Query(QueryError::NonFiniteStep { .. })),
         "got {err:?}"
     );
+    // A subnormal step is positive and finite, but 1/h overflows.
+    let err = server.transient(id, 1e-310, &step).unwrap_err();
+    assert!(
+        matches!(err, RomError::Query(QueryError::NonFiniteStep { value }) if value == 1e-310),
+        "got {err:?}"
+    );
     let err = server.transient(id, 0.0, &step).unwrap_err();
     assert!(
         matches!(err, RomError::Query(QueryError::NonPositiveStep { value }) if value == 0.0),

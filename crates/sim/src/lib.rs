@@ -105,6 +105,11 @@ fn check_args(
             what: "transient: step size must be positive and finite",
         });
     }
+    if !(1.0 / h).is_finite() {
+        return Err(LinalgError::InvalidArgument {
+            what: "transient: step size is subnormal (1/h overflows)",
+        });
+    }
     let n = g_shape.0;
     if g_shape != (n, n) || c_shape != (n, n) || b.nrows() != n || l.ncols() != n {
         return Err(LinalgError::InvalidArgument {
@@ -120,8 +125,9 @@ impl TransientSolver {
     ///
     /// # Errors
     ///
-    /// - [`LinalgError::InvalidArgument`] if `h` is not strictly positive or
-    ///   the matrix shapes are inconsistent;
+    /// - [`LinalgError::InvalidArgument`] if `h` is not strictly positive,
+    ///   `1/h` is not finite (a subnormal `h`) or the matrix shapes are
+    ///   inconsistent;
     /// - [`LinalgError::Singular`] if `C/h + G` cannot be factored.
     pub fn new(g: &Matrix, c: &Matrix, b: &Matrix, l: &Matrix, h: f64) -> Result<Self> {
         let n = check_args(g.shape(), c.shape(), b, l, h)?;
@@ -431,6 +437,37 @@ mod tests {
         assert!(TransientSolver::new_sparse(&g, &c, &b, &Matrix::zeros(1, 3), 0.1).is_err());
         let c3 = CscMatrix::from_dense(&Matrix::identity(3), 0.0);
         assert!(TransientSolver::new_sparse(&g, &c3, &b, &l, 0.1).is_err());
+    }
+
+    #[test]
+    fn subnormal_steps_are_refused_by_both_backends() {
+        let g = Matrix::identity(2);
+        let c = Matrix::identity(2);
+        let (gs, cs) = (
+            CscMatrix::from_dense(&g, 0.0),
+            CscMatrix::from_dense(&c, 0.0),
+        );
+        let b = Matrix::from_fn(2, 1, |i, _| if i == 0 { 1.0 } else { 0.0 });
+        let l = b.transpose();
+        for h in [1e-310, 5e-324] {
+            for r in [
+                TransientSolver::new(&g, &c, &b, &l, h),
+                TransientSolver::new_sparse(&gs, &cs, &b, &l, h),
+            ] {
+                assert!(
+                    matches!(r, Err(LinalgError::InvalidArgument { .. })),
+                    "h = {h:e}: {r:?}"
+                );
+            }
+        }
+        // A normal step as small as 1e-300 still factors and steps.
+        for mut sim in [
+            TransientSolver::new(&g, &c, &b, &l, 1e-300).unwrap(),
+            TransientSolver::new_sparse(&gs, &cs, &b, &l, 1e-300).unwrap(),
+        ] {
+            let y = sim.step(&[1.0]).unwrap();
+            assert!(y[0] > 0.0 && y[0] <= 1e-300, "{y:?}");
+        }
     }
 
     #[test]

@@ -101,13 +101,6 @@ impl<T: Scalar> CscMatrix<T> {
         })
     }
 
-    /// Borrows the raw CSC arrays `(col_ptr, row_idx, values)` — the
-    /// zero-copy handoff to the factorization kernels.
-    #[inline]
-    pub(crate) fn parts(&self) -> (&[usize], &[usize], &[T]) {
-        (&self.col_ptr, &self.row_idx, &self.values)
-    }
-
     /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> usize {

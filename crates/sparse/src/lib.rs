@@ -16,19 +16,23 @@
 //!   ([`ordering::rcm_order`]); the default keeps whichever of the first
 //!   two has the smaller symbolic factor ([`ordering::symbolic_fill`]) on
 //!   the pattern at hand;
-//! - [`SparseLu`] — left-looking (Gilbert–Peierls) sparse LU with
-//!   threshold partial pivoting, and [`ShiftedPencil`], which computes the
-//!   pattern union and ordering of `G + sC` once and refactors numerically
-//!   per shift — the shape of Krylov multi-point solves, `jω` sweeps, and
-//!   transient time stepping.
+//! - [`ShiftedPencil`] and [`SparseLu`] — the pencil computes the pattern
+//!   union and ordering of `G + sC` once and refactors numerically per
+//!   shift into a left-looking (Gilbert–Peierls) sparse LU with threshold
+//!   partial pivoting. The pencil is the only way to a [`SparseLu`]: the
+//!   Krylov expansion points, the `jω` sweeps and the transient left-hand
+//!   side `G + C/h` all factor through it, and a plain matrix `A` is the
+//!   pencil `(A, 0)` at `s = 0`. Every solve, one right-hand side or many,
+//!   runs [`SparseLu::solve_multi`]'s substitutions.
 //!
 //! # Examples
 //!
-//! Assemble a small conductance matrix from triplets, factor it, and
-//! solve — the CSC→LU→solve path every hot loop in the workspace takes:
+//! Assemble a small RC chain from triplets, build its pencil once, and
+//! factor and solve at several shifts — the CSC → pencil → LU → solve path
+//! every sparse factorization in the workspace takes:
 //!
 //! ```
-//! use bdsm_sparse::{CscMatrix, ShiftedPencil, SparseLu};
+//! use bdsm_sparse::{CscMatrix, ShiftedPencil};
 //!
 //! // 1D resistor chain with grounded ends: tridiagonal, SPD.
 //! let n = 8;
@@ -42,19 +46,17 @@
 //! }
 //! let g = CscMatrix::from_triplets(n, n, &triplets)?;
 //! assert_eq!(g.nnz(), 3 * n - 2);
-//!
-//! // Factor (default fill-reducing ordering) and solve G x = b.
-//! let b = vec![1.0; n];
-//! let x = SparseLu::factor(&g)?.solve(&b)?;
-//! let r = g.matvec(&x)?;
-//! assert!(r.iter().zip(&b).all(|(ri, bi)| (ri - bi).abs() < 1e-12));
-//!
-//! // Shifted solves G + sC reuse the symbolic analysis across shifts.
 //! let c = CscMatrix::from_triplets(n, n, &(0..n).map(|i| (i, i, 1e-3)).collect::<Vec<_>>())?;
+//!
+//! // Pattern union and fill-reducing ordering once (default ordering);
+//! // each shift is a numeric refactorization of G + sC.
 //! let pencil = ShiftedPencil::new(&g, &c)?;
+//! let b = vec![1.0; n];
 //! for s in [0.0, 1.0e2, 1.0e4] {
-//!     let lu = pencil.factor_real(s)?;
-//!     assert_eq!(lu.dim(), n);
+//!     let x = pencil.factor_real(s)?.solve(&b)?;
+//!     let gx = g.matvec(&x)?;
+//!     let cx = c.matvec(&x)?;
+//!     assert!((0..n).all(|i| (gx[i] + s * cx[i] - b[i]).abs() < 1e-12));
 //! }
 //! # Ok::<(), bdsm_linalg::LinalgError>(())
 //! ```

@@ -22,15 +22,15 @@
 //!   meaningful fill the packed panels turn the indirection-chasing inner
 //!   loop into contiguous streams.
 //!
-//! [`ShiftedPencil`] is the reuse story for the Krylov and transient hot
-//! paths: the pattern union of `G` and `C` and its fill-reducing ordering
-//! are computed once, after which every shift `s` (real or `jω`) is a pure
-//! numeric refactorization. The `factor_*_with` variants additionally
+//! [`ShiftedPencil`] is the one way to a [`SparseLu`] and the reuse story
+//! for the Krylov and transient hot paths: the pattern union of `G` and
+//! `C` and its fill-reducing ordering are computed once, after which every
+//! shift `s` (real or `jω`) is a pure numeric refactorization. The `factor_*_with` variants additionally
 //! recycle a caller-owned [`LuWorkspace`] so a shift sweep performs no
 //! per-shift symbolic work **and** no per-shift scratch allocation.
 
 use crate::csc::CscMatrix;
-use crate::ordering::{csc_pattern_adjacency, order, order_graph, FillOrdering};
+use crate::ordering::{csc_pattern_adjacency, order_graph, FillOrdering};
 use crate::scalar::Scalar;
 use bdsm_linalg::{gemm_sub, trsv_unit_lower, Complex64, LinalgError, Result};
 
@@ -68,9 +68,9 @@ pub enum NumericKernel {
 
 /// Reusable scratch for sparse factorizations.
 ///
-/// One workspace serves any number of [`SparseLu::factor_with`] /
-/// [`ShiftedPencil::factor_real_with`] / [`ShiftedPencil::factor_complex_with`]
-/// calls of the same scalar type; buffers grow to the largest dimension
+/// One workspace serves any number of [`ShiftedPencil::factor_real_with`]
+/// / [`ShiftedPencil::factor_complex_with`] calls of the same scalar type
+/// (on any pencil); buffers grow to the largest dimension
 /// seen and are never shrunk or reallocated between identical-size calls.
 /// A workspace is cheap to create, so per-thread workspaces are the
 /// intended pattern for multi-shift fan-out.
@@ -199,6 +199,10 @@ struct Partial<T> {
 
 /// Sparse LU factorization `A·Q = Pᵀ·L·U` of a square sparse matrix,
 /// with a fill-reducing column ordering `Q` and row pivoting `P`.
+///
+/// The only constructors are [`ShiftedPencil`]'s `factor_*` methods, which
+/// factor `A = G + sC`; a plain matrix `A` is the pencil `(A, 0)` at
+/// `s = 0`.
 #[derive(Debug, Clone)]
 pub struct SparseLu<T: Scalar> {
     n: usize,
@@ -224,69 +228,6 @@ pub struct SparseLu<T: Scalar> {
 }
 
 impl<T: Scalar> SparseLu<T> {
-    /// Factors with the default fill-reducing ordering
-    /// ([`FillOrdering::MinFill`]) and the default (supernodal) numeric
-    /// kernel.
-    ///
-    /// # Errors
-    ///
-    /// - [`LinalgError::NotSquare`] for non-square input;
-    /// - [`LinalgError::Singular`] when a column has no usable pivot.
-    pub fn factor(a: &CscMatrix<T>) -> Result<Self> {
-        Self::factor_ordered(a, FillOrdering::default())
-    }
-
-    /// Factors with a caller-chosen ordering kind.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`factor`](Self::factor).
-    pub fn factor_ordered(a: &CscMatrix<T>, kind: FillOrdering) -> Result<Self> {
-        let q = order(a, kind)?;
-        Self::factor_with_ordering(a, &q)
-    }
-
-    /// Factors using an explicit column ordering `q` (`old_of_new`).
-    ///
-    /// # Errors
-    ///
-    /// - [`LinalgError::NotSquare`] / [`LinalgError::InvalidArgument`] on a
-    ///   bad shape or a `q` that is not a permutation;
-    /// - [`LinalgError::Singular`] when a column has no usable pivot.
-    pub fn factor_with_ordering(a: &CscMatrix<T>, q: &[usize]) -> Result<Self> {
-        Self::factor_with(a, q, NumericKernel::default(), &mut LuWorkspace::new())
-    }
-
-    /// Factors with an explicit ordering, numeric kernel, and reusable
-    /// workspace — the fully-parameterized entry point behind every other
-    /// `factor_*` constructor.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`factor_with_ordering`](Self::factor_with_ordering).
-    pub fn factor_with(
-        a: &CscMatrix<T>,
-        q: &[usize],
-        kernel: NumericKernel,
-        ws: &mut LuWorkspace<T>,
-    ) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare { shape: a.shape() });
-        }
-        let (col_ptr, row_idx, values) = a.parts();
-        factor_parts(
-            a.nrows(),
-            CscView {
-                col_ptr,
-                row_idx,
-                values,
-            },
-            q,
-            kernel,
-            ws,
-        )
-    }
-
     /// Dimension of the factored matrix.
     #[inline]
     pub fn dim(&self) -> usize {
@@ -301,36 +242,14 @@ impl<T: Scalar> SparseLu<T> {
         l + u + 2 * self.n
     }
 
-    /// Solves `A x = b`.
-    ///
-    /// Both triangular passes run blocked over the supernode panels
-    /// retained from a supernodal factorization (see
-    /// [`solve_multi`](Self::solve_multi) for the shared substitutions and
-    /// their parity contract); scalar-kernel factorizations walk the
-    /// stored `L`/`U` columns as before.
+    /// Solves `A x = b`: [`solve_multi`](Self::solve_multi) with one
+    /// right-hand side.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] on a length mismatch.
     pub fn solve(&self, b: &[T]) -> Result<Vec<T>> {
-        let n = self.n;
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "sparse-lu-solve",
-                lhs: (n, n),
-                rhs: (b.len(), 1),
-            });
-        }
-        // y lives in pivot-step coordinates.
-        let mut y: Vec<T> = self.prow.iter().map(|&p| b[p]).collect();
-        self.forward_substitute(&mut y, 1);
-        self.backward_substitute(&mut y, 1);
-        // Undo the column ordering.
-        let mut out = vec![T::ZERO; n];
-        for (j, &xj) in y.iter().enumerate() {
-            out[self.q[j]] = xj;
-        }
-        Ok(out)
+        self.solve_multi(b, 1)
     }
 
     /// Number of supernode panels the triangular substitutions run blocked
@@ -352,8 +271,7 @@ impl<T: Scalar> SparseLu<T> {
     /// nonzero), so each system's operation sequence is a pure function of
     /// that system alone. That is the parity contract:
     /// [`solve_multi`](Self::solve_multi) is bitwise-identical to `m`
-    /// separate [`solve`](Self::solve)s because both funnel through this
-    /// routine and make identical per-system decisions.
+    /// separate [`solve`](Self::solve)s (this routine at `m = 1`).
     fn forward_substitute(&self, y: &mut [T], m: usize) {
         let n = self.n;
         let pinv = &self.pinv;
@@ -707,8 +625,7 @@ impl<T: Scalar> SparseLu<T> {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] on a length mismatch.
     pub fn solve_real(&self, b: &[f64]) -> Result<Vec<T>> {
-        let tb: Vec<T> = b.iter().map(|&v| T::from_real(v)).collect();
-        self.solve(&tb)
+        self.solve_multi_real(b, 1)
     }
 
     /// Solves `A X = B` for `m` right-hand sides at once, over column-major
@@ -722,12 +639,11 @@ impl<T: Scalar> SparseLu<T> {
     /// substituted in place and the shared below (forward) / above
     /// (backward) rows take one [`bdsm_linalg::gemm_sub`] panel update of
     /// width `w × m` instead of `w` scattered column walks. Each system
-    /// performs exactly the
-    /// floating-point operations a standalone [`solve`](Self::solve) would
-    /// perform, in the same order — both entry points share one
-    /// substitution routine and make identical per-system path decisions —
-    /// so `solve_multi` is bitwise-identical to `m` separate solves (a
-    /// property the reduction engine's determinism relies on).
+    /// performs exactly the floating-point operations it performs alone
+    /// (`m = 1`, which is [`solve`](Self::solve)), in the same order — the
+    /// path decisions are made per system — so `solve_multi` is
+    /// bitwise-identical to `m` separate solves (a property the reduction
+    /// engine's determinism relies on).
     ///
     /// # Errors
     ///
@@ -777,9 +693,10 @@ impl<T: Scalar> SparseLu<T> {
     }
 }
 
-/// Factors a matrix given as raw CSC parts. Validates the ordering, runs
-/// the column loop, and — success or failure — leaves the workspace clean
-/// for reuse.
+/// Factors a matrix given as raw CSC parts in the column order `q` (a
+/// permutation from `order_graph`, which is the only place `q` comes
+/// from). Runs the column loop and — success or failure — leaves the
+/// workspace clean for reuse.
 fn factor_parts<T: Scalar>(
     n: usize,
     a: CscView<'_, T>,
@@ -787,11 +704,6 @@ fn factor_parts<T: Scalar>(
     kernel: NumericKernel,
     ws: &mut LuWorkspace<T>,
 ) -> Result<SparseLu<T>> {
-    if q.len() != n || !is_permutation(q, n) {
-        return Err(LinalgError::InvalidArgument {
-            what: "sparse-lu: column ordering is not a permutation",
-        });
-    }
     let mut span = bdsm_obs::span!("lu.factor", n = n);
     ws.ensure(n);
     let mut st = Partial {
@@ -1231,17 +1143,12 @@ fn absorb_column<T: Scalar>(
     *snodes_used += 1;
 }
 
-fn is_permutation(q: &[usize], n: usize) -> bool {
-    let mut seen = vec![false; n];
-    q.iter().all(|&p| {
-        if p < n && !seen[p] {
-            seen[p] = true;
-            true
-        } else {
-            false
-        }
-    })
-}
+/// A shift with an infinite or NaN component: `G + sC` would carry
+/// non-finite entries, which the pivot search would misreport as a
+/// singular column.
+const NON_FINITE_SHIFT: LinalgError = LinalgError::InvalidArgument {
+    what: "shifted-pencil: shift is not finite",
+};
 
 /// The shifted pencil `A(s) = G + sC` with shared symbolic structure.
 ///
@@ -1423,7 +1330,7 @@ impl ShiftedPencil {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::Singular`] if `G + sC` is singular.
+    /// Same as [`factor_real_with`](Self::factor_real_with).
     pub fn factor_real(&self, s: f64) -> Result<SparseLu<f64>> {
         self.factor_real_with(s, &mut LuWorkspace::new())
     }
@@ -1433,8 +1340,12 @@ impl ShiftedPencil {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::Singular`] if `G + sC` is singular.
+    /// - [`LinalgError::InvalidArgument`] if `s` is not finite;
+    /// - [`LinalgError::Singular`] if `G + sC` is singular.
     pub fn factor_real_with(&self, s: f64, ws: &mut LuWorkspace<f64>) -> Result<SparseLu<f64>> {
+        if !s.is_finite() {
+            return Err(NON_FINITE_SHIFT);
+        }
         self.factor_shift_with(s, ws)
     }
 
@@ -1442,7 +1353,7 @@ impl ShiftedPencil {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::Singular`] if `G + sC` is singular.
+    /// Same as [`factor_complex_with`](Self::factor_complex_with).
     pub fn factor_complex(&self, s: Complex64) -> Result<SparseLu<Complex64>> {
         self.factor_complex_with(s, &mut LuWorkspace::new())
     }
@@ -1451,12 +1362,17 @@ impl ShiftedPencil {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::Singular`] if `G + sC` is singular.
+    /// - [`LinalgError::InvalidArgument`] unless both parts of `s` are
+    ///   finite;
+    /// - [`LinalgError::Singular`] if `G + sC` is singular.
     pub fn factor_complex_with(
         &self,
         s: Complex64,
         ws: &mut LuWorkspace<Complex64>,
     ) -> Result<SparseLu<Complex64>> {
+        if !s.is_finite() {
+            return Err(NON_FINITE_SHIFT);
+        }
         self.factor_shift_with(s, ws)
     }
 }
@@ -1481,6 +1397,23 @@ mod tests {
         CscMatrix::from_triplets(n, n, &t).unwrap()
     }
 
+    /// `a` factored as the pencil `(a, 0)` at `s = 0`.
+    fn factor(
+        a: &CscMatrix<f64>,
+        kind: FillOrdering,
+        kernel: NumericKernel,
+    ) -> Result<SparseLu<f64>> {
+        let zero = CscMatrix::from_triplets(a.nrows(), a.ncols(), &[])?;
+        ShiftedPencil::with_ordering(a, &zero, kind)?
+            .with_numeric_kernel(kernel)
+            .factor_real(0.0)
+    }
+
+    /// [`factor`] with the default ordering and kernel.
+    fn factor_default(a: &CscMatrix<f64>) -> Result<SparseLu<f64>> {
+        factor(a, FillOrdering::default(), NumericKernel::default())
+    }
+
     #[test]
     fn factor_solve_matches_dense() {
         let n = 30;
@@ -1494,7 +1427,7 @@ mod tests {
             FillOrdering::NestedDissection,
             FillOrdering::MinFill,
         ] {
-            let lu = SparseLu::factor_ordered(&a, kind).unwrap();
+            let lu = factor(&a, kind, NumericKernel::default()).unwrap();
             assert_eq!(lu.dim(), n);
             assert!(lu.factor_nnz() >= a.nnz());
             let x = lu.solve(&b).unwrap();
@@ -1509,7 +1442,7 @@ mod tests {
     /// `U`, entry for entry.
     #[test]
     fn symbolic_fill_equals_the_stored_factor_size() {
-        use crate::ordering::{pattern_adjacency, symbolic_fill};
+        use crate::ordering::symbolic_fill;
         // A 23 × 17 five-point mesh and a random pattern with long chords.
         let (rows, cols) = (23, 17);
         let mut mesh = Vec::new();
@@ -1544,18 +1477,20 @@ mod tests {
         }
         let sym = CscMatrix::from_triplets(300, 300, &sym).unwrap();
         for (name, a) in [("mesh", &mesh), ("random", &sym)] {
-            let adj = pattern_adjacency(a).unwrap();
+            let zero = CscMatrix::from_triplets(a.nrows(), a.ncols(), &[]).unwrap();
             for kind in [
                 FillOrdering::Amd,
                 FillOrdering::NestedDissection,
                 FillOrdering::Rcm,
                 FillOrdering::Natural,
             ] {
-                let q = order_graph(&adj, kind).perm;
-                let lu = SparseLu::factor_with_ordering(a, &q).unwrap();
+                // The pattern of the pencil `(a, 0)` is the pattern of `a`.
+                let pencil = ShiftedPencil::with_ordering(a, &zero, kind).unwrap();
+                let adj = csc_pattern_adjacency(&pencil.col_ptr, &pencil.row_idx);
+                let lu = pencil.factor_real(0.0).unwrap();
                 let stored_l: usize = lu.l_cols.iter().map(Vec::len).sum();
                 let stored_u: usize = lu.u_cols.iter().map(Vec::len).sum();
-                let fill = symbolic_fill(&adj, &q);
+                let fill = symbolic_fill(&adj, pencil.ordering());
                 assert_eq!((stored_l, stored_u), (fill, fill), "{name} {kind:?}");
             }
         }
@@ -1570,7 +1505,7 @@ mod tests {
             &[(0, 0, 1e-14), (0, 1, 1.0), (1, 0, 1.0)], // a[1][1] = 0
         )
         .unwrap();
-        let lu = SparseLu::factor_ordered(&a, FillOrdering::Natural).unwrap();
+        let lu = factor(&a, FillOrdering::Natural, NumericKernel::default()).unwrap();
         let x = lu.solve(&[1.0, 2.0]).unwrap();
         let r = a.matvec(&x).unwrap();
         assert!((r[0] - 1.0).abs() < 1e-12 && (r[1] - 2.0).abs() < 1e-12);
@@ -1583,13 +1518,13 @@ mod tests {
             CscMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 0, 2.0), (0, 1, 3.0), (1, 1, 6.0)])
                 .unwrap();
         assert!(matches!(
-            SparseLu::factor(&a),
+            factor_default(&a),
             Err(LinalgError::Singular { .. })
         ));
         // Structurally singular: an empty column.
         let b = CscMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 0, 1.0)]).unwrap();
         assert!(matches!(
-            SparseLu::factor(&b),
+            factor_default(&b),
             Err(LinalgError::Singular { .. })
         ));
     }
@@ -1598,13 +1533,11 @@ mod tests {
     fn rejects_bad_inputs() {
         let rect = CscMatrix::<f64>::from_triplets(2, 3, &[]).unwrap();
         assert!(matches!(
-            SparseLu::factor(&rect),
+            factor_default(&rect),
             Err(LinalgError::NotSquare { .. })
         ));
         let a = test_matrix(4);
-        assert!(SparseLu::factor_with_ordering(&a, &[0, 1]).is_err());
-        assert!(SparseLu::factor_with_ordering(&a, &[0, 1, 2, 2]).is_err());
-        let lu = SparseLu::factor(&a).unwrap();
+        let lu = factor_default(&a).unwrap();
         assert!(lu.solve(&[1.0]).is_err());
     }
 
@@ -1693,7 +1626,7 @@ mod tests {
         let a = CscMatrix::from_triplets(n, n, &t).unwrap();
         let ad = a.to_dense();
         let b: Vec<f64> = (0..n).map(|i| rng() + 0.1 * i as f64).collect();
-        let xs = SparseLu::factor(&a).unwrap().solve(&b).unwrap();
+        let xs = factor_default(&a).unwrap().solve(&b).unwrap();
         let xd = DenseLu::factor(&ad).unwrap().solve(&b).unwrap();
         assert!(bdsm_linalg::vector::rel_err(&xs, &xd, 1e-30) < 1e-10);
     }
@@ -1724,13 +1657,8 @@ mod tests {
     fn supernodal_matches_scalar_kernel() {
         for &(n, per_row) in &[(40usize, 2usize), (80, 5), (120, 8)] {
             let a = filled_matrix(n, per_row, 0x5eed ^ n as u64);
-            let q = order(&a, FillOrdering::Amd).unwrap();
-            let lu_s =
-                SparseLu::factor_with(&a, &q, NumericKernel::Scalar, &mut LuWorkspace::new())
-                    .unwrap();
-            let lu_b =
-                SparseLu::factor_with(&a, &q, NumericKernel::Supernodal, &mut LuWorkspace::new())
-                    .unwrap();
+            let lu_s = factor(&a, FillOrdering::Amd, NumericKernel::Scalar).unwrap();
+            let lu_b = factor(&a, FillOrdering::Amd, NumericKernel::Supernodal).unwrap();
             assert_eq!(lu_s.factor_nnz(), lu_b.factor_nnz(), "n={n}");
             let b: Vec<f64> = (0..n).map(|i| (0.3 * i as f64).sin() + 0.5).collect();
             let xs = lu_s.solve(&b).unwrap();
@@ -1808,7 +1736,7 @@ mod tests {
         // scattered zeros, to exercise the guarded (non-kernel) path.
         let n = 40;
         let a = filled_matrix(n, 4, 0xabc123);
-        let lu = SparseLu::factor(&a).unwrap();
+        let lu = factor_default(&a).unwrap();
         let m = 4;
         let mut rhs = vec![0.0f64; n * m];
         for i in 0..n {
@@ -1885,7 +1813,7 @@ mod tests {
         // scalar column walk over the same factors to fused-sum roundoff.
         let n = 120;
         let a = filled_matrix(n, 8, 0x9a7e15);
-        let lu = SparseLu::factor(&a).unwrap();
+        let lu = factor_default(&a).unwrap();
         assert!(
             lu.solve_panel_count() > 0,
             "fill did not produce supernode panels; densify the test matrix"
@@ -1909,7 +1837,7 @@ mod tests {
         // every column must still equal its standalone solve bit for bit.
         let n = 120;
         let a = filled_matrix(n, 8, 0x51e3e ^ 0xbeef);
-        let lu = SparseLu::factor(&a).unwrap();
+        let lu = factor_default(&a).unwrap();
         assert!(lu.solve_panel_count() > 0, "no panels retained");
         let m = 5;
         let mut rhs = vec![0.0f64; n * m];
@@ -2013,7 +1941,7 @@ mod tests {
         // roundoff of the reference walk.
         let n = 140;
         let a = filled_matrix(n, 9, 0x0ddba11);
-        let lu = SparseLu::factor(&a).unwrap();
+        let lu = factor_default(&a).unwrap();
         assert!(
             lu.panels.iter().any(|p| !p.above_steps.is_empty()),
             "no panel retained above-panel U rows; densify the test matrix"
@@ -2050,9 +1978,7 @@ mod tests {
     #[test]
     fn scalar_kernel_retains_no_panels() {
         let a = filled_matrix(60, 6, 0xfade);
-        let q = order(&a, FillOrdering::Amd).unwrap();
-        let lu =
-            SparseLu::factor_with(&a, &q, NumericKernel::Scalar, &mut LuWorkspace::new()).unwrap();
+        let lu = factor(&a, FillOrdering::Amd, NumericKernel::Scalar).unwrap();
         assert_eq!(lu.solve_panel_count(), 0);
         let b: Vec<f64> = (0..60).map(|i| (0.31 * i as f64).cos()).collect();
         let x = lu.solve(&b).unwrap();
@@ -2062,7 +1988,7 @@ mod tests {
     #[test]
     fn solve_multi_rejects_bad_shapes() {
         let a = test_matrix(5);
-        let lu = SparseLu::factor(&a).unwrap();
+        let lu = factor_default(&a).unwrap();
         assert!(lu.solve_multi(&[1.0; 10], 0).is_err());
         assert!(lu.solve_multi(&[1.0; 9], 2).is_err());
         assert!(lu.solve_multi_real(&[1.0; 5], 2).is_err());
@@ -2076,13 +2002,18 @@ mod tests {
             CscMatrix::from_triplets(3, 3, &[(0, 0, 1.0), (1, 0, 2.0), (2, 0, 1.0), (1, 1, 1.0)])
                 .unwrap();
         let good = test_matrix(3);
-        let q = [0, 1, 2];
+        let zero = CscMatrix::from_triplets(3, 3, &[]).unwrap();
+        let natural = |a| {
+            ShiftedPencil::with_ordering(a, &zero, FillOrdering::Natural)
+                .unwrap()
+                .with_numeric_kernel(NumericKernel::Supernodal)
+        };
         let mut ws = LuWorkspace::<f64>::new();
         assert!(matches!(
-            SparseLu::factor_with(&sing, &q, NumericKernel::Supernodal, &mut ws),
+            natural(&sing).factor_real_with(0.0, &mut ws),
             Err(LinalgError::Singular { .. })
         ));
-        let lu = SparseLu::factor_with(&good, &q, NumericKernel::Supernodal, &mut ws).unwrap();
+        let lu = natural(&good).factor_real_with(0.0, &mut ws).unwrap();
         let x = lu.solve(&[1.0, 0.0, 0.0]).unwrap();
         let r = good.matvec(&x).unwrap();
         assert!((r[0] - 1.0).abs() < 1e-12 && r[1].abs() < 1e-12 && r[2].abs() < 1e-12);

@@ -48,9 +48,6 @@
 //! All orderings return `old_of_new` permutations: `perm[k]` is the
 //! original index eliminated at step `k`.
 
-use crate::csc::CscMatrix;
-use crate::scalar::Scalar;
-use bdsm_linalg::{LinalgError, Result};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -90,22 +87,9 @@ impl FillOrdering {
     }
 }
 
-/// Symmetrized pattern adjacency of a square sparse matrix: neighbour
+/// Symmetrized pattern adjacency of a square pattern given as raw CSC
+/// arrays (`col_ptr.len() − 1` columns, row indices below that): neighbour
 /// lists of `A + Aᵀ` without self-loops, each sorted ascending.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::NotSquare`] for non-square input.
-pub fn pattern_adjacency<T: Scalar>(a: &CscMatrix<T>) -> Result<Vec<Vec<usize>>> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare { shape: a.shape() });
-    }
-    let (col_ptr, row_idx, _) = a.parts();
-    Ok(csc_pattern_adjacency(col_ptr, row_idx))
-}
-
-/// [`pattern_adjacency`] on the raw CSC arrays of a square pattern
-/// (`col_ptr.len() − 1` columns, row indices below that).
 pub(crate) fn csc_pattern_adjacency(col_ptr: &[usize], row_idx: &[usize]) -> Vec<Vec<usize>> {
     let n = col_ptr.len() - 1;
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -122,15 +106,6 @@ pub(crate) fn csc_pattern_adjacency(col_ptr: &[usize], row_idx: &[usize]) -> Vec
         list.dedup();
     }
     adj
-}
-
-/// Computes the ordering of `a`'s symmetrized pattern.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::NotSquare`] for non-square input.
-pub fn order<T: Scalar>(a: &CscMatrix<T>, kind: FillOrdering) -> Result<Vec<usize>> {
-    Ok(order_graph(&pattern_adjacency(a)?, kind).perm)
 }
 
 /// An ordering together with how it was arrived at.
@@ -820,14 +795,12 @@ mod tests {
 
     #[test]
     fn order_dispatches_and_validates() {
-        let a = CscMatrix::from_triplets(3, 3, &[(0, 1, 1.0), (1, 0, 1.0), (2, 2, 1.0)]).unwrap();
-        assert_eq!(order(&a, FillOrdering::Natural).unwrap(), vec![0, 1, 2]);
-        assert_permutation(&order(&a, FillOrdering::Rcm).unwrap(), 3);
-        assert_permutation(&order(&a, FillOrdering::Amd).unwrap(), 3);
-        assert_permutation(&order(&a, FillOrdering::NestedDissection).unwrap(), 3);
-        assert_permutation(&order(&a, FillOrdering::MinFill).unwrap(), 3);
-        let rect = CscMatrix::<f64>::from_triplets(2, 3, &[]).unwrap();
-        assert!(order(&rect, FillOrdering::Amd).is_err());
-        assert!(order(&rect, FillOrdering::Natural).is_err());
+        let adj = csc_pattern_adjacency(&[0, 1, 2, 3], &[1, 0, 2]);
+        let order = |kind| order_graph(&adj, kind).perm;
+        assert_eq!(order(FillOrdering::Natural), vec![0, 1, 2]);
+        assert_permutation(&order(FillOrdering::Rcm), 3);
+        assert_permutation(&order(FillOrdering::Amd), 3);
+        assert_permutation(&order(FillOrdering::NestedDissection), 3);
+        assert_permutation(&order(FillOrdering::MinFill), 3);
     }
 }

@@ -1,11 +1,12 @@
 //! `SparseLu` on matrices whose entries are all tiny: below |x| ≈ 1.5e-162
 //! every candidate's |x|² underflows to zero, and the factorization must
 //! still pivot on the values instead of reporting the matrix singular —
-//! under both numeric kernels, directly and through `ShiftedPencil`. A
-//! column that is exactly zero must still be refused.
+//! under both numeric kernels, at `s = 0` on `(A, 0)` and at real and
+//! imaginary shifts of a tiny pencil. A column that is exactly zero must
+//! still be refused.
 
 use bdsm_linalg::{Complex64, LinalgError};
-use bdsm_sparse::{CscMatrix, LuWorkspace, NumericKernel, Scalar, ShiftedPencil, SparseLu};
+use bdsm_sparse::{CscMatrix, FillOrdering, NumericKernel, Scalar, ShiftedPencil, SparseLu};
 
 const KERNELS: [NumericKernel; 2] = [NumericKernel::Scalar, NumericKernel::Supernodal];
 
@@ -41,6 +42,18 @@ fn mesh(side: usize) -> (CscMatrix<f64>, CscMatrix<f64>) {
     )
 }
 
+/// `a` factored as the pencil `(a, 0)` at `s = 0`.
+fn factor(
+    a: &CscMatrix<f64>,
+    kind: FillOrdering,
+    kernel: NumericKernel,
+) -> Result<SparseLu<f64>, LinalgError> {
+    let zero = CscMatrix::from_triplets(a.nrows(), a.ncols(), &[])?;
+    ShiftedPencil::with_ordering(a, &zero, kind)?
+        .with_numeric_kernel(kernel)
+        .factor_real(0.0)
+}
+
 fn rel_err<T: Scalar>(x: &[T], want: &[T]) -> f64 {
     let num: f64 = x.iter().zip(want).map(|(&a, &b)| (a - b).abs_sq()).sum();
     let den: f64 = want.iter().map(|&b| b.abs_sq()).sum();
@@ -53,7 +66,7 @@ fn a_two_by_two_of_tiny_entries_factors() {
         .unwrap()
         .scaled(1e-170);
     assert!(a.iter().all(|(_, _, v)| v.abs_sq() == 0.0));
-    let x = SparseLu::factor(&a)
+    let x = factor(&a, FillOrdering::default(), NumericKernel::default())
         .unwrap()
         .solve(&[3e-170, 4e-170])
         .unwrap();
@@ -111,10 +124,8 @@ fn a_tiny_mesh_solves_like_the_unscaled_one() {
         let rel = rel_err(&z, &want);
         assert!(rel < 1e-12, "{kernel:?} jω shift: {rel}");
 
-        let q: Vec<usize> = (0..n).collect();
-        let direct =
-            SparseLu::factor_with(&g.scaled(tiny()), &q, kernel, &mut LuWorkspace::new()).unwrap();
-        let want = SparseLu::factor_with(&g, &q, kernel, &mut LuWorkspace::new()).unwrap();
+        let direct = factor(&g.scaled(tiny()), FillOrdering::Natural, kernel).unwrap();
+        let want = factor(&g, FillOrdering::Natural, kernel).unwrap();
         let rel = rel_err(&direct.solve(&b_tiny).unwrap(), &want.solve(&b).unwrap());
         assert!(rel < 1e-12, "{kernel:?} natural order: {rel}");
     }
@@ -138,7 +149,7 @@ fn a_zero_column_among_tiny_ones_is_still_singular() {
     .scaled(1e-170);
     for kernel in KERNELS {
         assert!(matches!(
-            SparseLu::factor_with(&a, &[0, 1, 2], kernel, &mut LuWorkspace::new()),
+            factor(&a, FillOrdering::Natural, kernel),
             Err(LinalgError::Singular { at: 2 })
         ));
     }
