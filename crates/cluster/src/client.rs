@@ -515,9 +515,12 @@ impl ClusterClient {
     /// `(shard, model, key)` — `key` is whatever else must match for two
     /// slices to share a frame (the port pair, for port queries) —, sends
     /// one frame per group (shards in parallel), and scatters every reply
-    /// item back to its `(query, position)` home. Groups are visited in
-    /// ascending key order, so the first error reported is the lowest
-    /// shard's. The call is one admission unit.
+    /// item back to its `(query, position)` home. A query with no
+    /// frequency has no slice; it goes to the model's home shard as a
+    /// frame of its own, so the shard's server gives the same typed
+    /// refusal a local one does. Groups are visited in ascending key
+    /// order, then the empty queries in query order, so the first error
+    /// reported is the lowest shard's. The call is one admission unit.
     fn route<K: Ord + Copy, T>(
         &self,
         queries: &[(u64, K, &[f64])],
@@ -528,11 +531,17 @@ impl ClusterClient {
             let _permit = self.admit()?;
             let mut groups: BTreeMap<(u32, u64, K), SliceHomes> = BTreeMap::new();
             let mut slices_routed = 0u64;
+            let mut empty = Vec::new();
             for (qi, &(model, key, omegas)) in queries.iter().enumerate() {
                 let slices = self
                     .plan
                     .partition_sweep(model, omegas)
                     .ok_or(ClusterError::UnknownModel(model))?;
+                if omegas.is_empty() {
+                    let home = self.plan.home_shard(model);
+                    let home = home.ok_or(ClusterError::UnknownModel(model))?;
+                    empty.push(((home, request(model, key, Vec::new())), (home, Vec::new())));
+                }
                 for slice in slices {
                     slices_routed += 1;
                     let (group_omegas, homes) =
@@ -551,6 +560,7 @@ impl ClusterClient {
                 .map(|((shard, model, key), (omegas, homes))| {
                     ((shard, request(model, key, omegas)), (shard, homes))
                 })
+                .chain(empty)
                 .unzip();
             let replies = self.fan_out(work);
             let mut out: Vec<Vec<Option<T>>> = queries

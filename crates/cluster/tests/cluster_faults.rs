@@ -14,7 +14,7 @@ use bdsm_cluster::{
     ClientConfig, ClusterClient, ClusterError, NodeConfig, ShardNode, ShardPlan, WireError,
 };
 use bdsm_core::synth::rc_grid;
-use bdsm_rom::{Reducer, RomServer};
+use bdsm_rom::{QueryError, Reducer, RomError, RomServer};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
@@ -312,5 +312,55 @@ fn wire_version_skew_is_answered_typed_then_closed() {
 
     // A v2 client connecting afterwards is still served.
     client.ping(0).expect("v2 ping");
+    assert_eq!(client.transfer_sweep(MODEL, &[1.0e3]).unwrap().len(), 1);
+}
+
+/// A `Query`-class refusal from the shard: the same verdict class a local
+/// server gives.
+fn assert_remote_query<T: std::fmt::Debug>(what: &str, got: Result<T, ClusterError>) {
+    match got {
+        Err(ClusterError::Remote { kind, .. }) => {
+            assert_eq!(kind, bdsm_cluster::RemoteErrorKind::Query, "{what}");
+        }
+        other => panic!("{what}: expected Remote(Query), got {other:?}"),
+    }
+}
+
+#[test]
+fn empty_frequency_lists_are_refused_locally_and_through_the_cluster() {
+    let _g = locked();
+    let (local, id) = grid_server();
+    let (_node, client, _plan) = one_shard_cluster(0);
+
+    let err = local.transfer_sweep(id, &[]).unwrap_err();
+    assert!(
+        matches!(err, RomError::Query(QueryError::EmptyBatch)),
+        "got {err:?}"
+    );
+    let err = local.port_response(id, 0, 0, &[]).unwrap_err();
+    assert!(
+        matches!(err, RomError::Query(QueryError::EmptyBatch)),
+        "got {err:?}"
+    );
+    // The port check comes before the frequency list.
+    let err = local.port_response(id, 99, 0, &[]).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            RomError::Query(QueryError::PortOutOfRange { port: 99, .. })
+        ),
+        "got {err:?}"
+    );
+
+    // No slice carries an empty query: it reaches the home shard as a
+    // frame of its own, even beside a non-empty query of the same model.
+    assert_remote_query("sweep", client.transfer_sweep(MODEL, &[]));
+    assert_remote_query("port", client.port_response(MODEL, 0, 0, &[]));
+    assert_remote_query("bad port", client.port_response(MODEL, 99, 0, &[]));
+    assert_remote_query(
+        "sweep batch",
+        client.sweep_batch(&[(MODEL, vec![1.0e3]), (MODEL, vec![])]),
+    );
+    assert_eq!(client.metrics().remote_errors, 4);
     assert_eq!(client.transfer_sweep(MODEL, &[1.0e3]).unwrap().len(), 1);
 }

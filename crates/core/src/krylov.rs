@@ -64,7 +64,7 @@ use crate::par;
 use crate::transfer::{output_sample, CMatrix, ZLu};
 use bdsm_linalg::vector::{flush_tiny, flush_tiny_complex};
 use bdsm_linalg::{Complex64, DenseLu, LinalgError, Matrix, Result};
-use bdsm_sparse::{CscMatrix, LuWorkspace, Scalar, ShiftedPencil, SparseLu};
+use bdsm_sparse::{CscMatrix, LuWorkspace, ShiftedPencil};
 
 /// Options controlling the moment-matching basis.
 #[derive(Debug, Clone)]
@@ -219,8 +219,8 @@ fn candidates_for_points_dense(
                     b,
                     None,
                     opts,
-                    |vs| vs.iter().map(|v| lu.solve_real(v)).collect(),
-                    |vs| vs.iter().map(|v| lu.solve(v)).collect(),
+                    |vs| solve_block(vs, |p, m| lu.solve_multi(p, m)),
+                    |vs| solve_block(vs, |p, m| lu.solve_multi(p, m)),
                     apply_c,
                 )
             }
@@ -290,7 +290,7 @@ pub(crate) fn candidates_for_points_sparse(
                 let out = real_point_candidates(
                     b,
                     opts,
-                    |vs| solve_block_sparse(&lu, vs),
+                    |vs| solve_block(vs, |p, m| lu.solve_multi(p, m)),
                     |v| c.matvec(v),
                 );
                 // Freed inside the span, on the worker that allocated it.
@@ -309,8 +309,8 @@ pub(crate) fn candidates_for_points_sparse(
                     b,
                     l,
                     opts,
-                    |vs| solve_block_sparse(&lu, vs),
-                    |vs| solve_block_sparse(&lu, vs),
+                    |vs| solve_block(vs, |p, m| lu.solve_multi(p, m)),
+                    |vs| solve_block(vs, |p, m| lu.solve_multi(p, m)),
                     |v| c.matvec_complex(v),
                 );
                 drop(lu);
@@ -320,15 +320,16 @@ pub(crate) fn candidates_for_points_sparse(
     )
 }
 
-/// Batches equal-length vectors through one blocked multi-RHS sparse solve
-/// (column-major panel), lifting each entry into the factor's scalar while
-/// packing — the real start block `B` of a `jω` point goes in as `f64`,
-/// exactly as [`SparseLu::solve_multi_real`] would lift it.
-/// Bitwise-identical to per-vector [`SparseLu::solve`] calls, so swapping
-/// it into the recurrence changes no reduced model.
-fn solve_block_sparse<S: Copy, T: Scalar + From<S>>(
-    lu: &SparseLu<T>,
+/// Batches equal-length vectors through one multi-RHS solve over a
+/// column-major panel — [`bdsm_sparse::SparseLu::solve_multi`] or
+/// [`ZLu::solve_multi`] — lifting each entry into the factor's scalar
+/// while packing: the real start block `B` of a `jω` point goes in as
+/// `f64`, exactly as `solve_multi_real` would lift it. Both solvers are
+/// bitwise-identical to per-vector solves, so batching changes no reduced
+/// model.
+fn solve_block<S: Copy, T: Copy + From<S>>(
     vs: &[Vec<S>],
+    solve_multi: impl Fn(&[T], usize) -> Result<Vec<T>>,
 ) -> Result<Vec<Vec<T>>> {
     if vs.is_empty() {
         return Ok(Vec::new());
@@ -338,8 +339,8 @@ fn solve_block_sparse<S: Copy, T: Scalar + From<S>>(
     for v in vs {
         panel.extend(v.iter().map(|&x| T::from(x)));
     }
-    let x = lu.solve_multi(&panel, vs.len())?;
-    Ok(x.chunks_exact(n).map(<[T]>::to_vec).collect())
+    let x = solve_multi(&panel, vs.len())?;
+    Ok(x.chunks_exact(n.max(1)).map(<[T]>::to_vec).collect())
 }
 
 fn validate_krylov_args(shapes_ok: bool, n: usize, b: &Matrix, opts: &KrylovOpts) -> Result<()> {

@@ -12,12 +12,14 @@
 //!
 //! [`ZLu`] is the per-query cost of a served ROM: every cache miss, every
 //! open's first answer and every ROM-side sweep of the adaptive rounds and
-//! the certificate factors `G_r + sC_r` once. It stores the factors as split
-//! real/imaginary `f64` blocks so the trailing update vectorises, skips the
-//! row update of every exactly-zero multiplier (`Σ_k nnz(L col k)·(q−k−1)`
-//! complex multiply-adds: 4.62 M of a dense 20.9 M on the `q = 398` mesh
-//! ROM), and produces the same bits as the textbook row-major elimination —
-//! see its rustdoc for the layout and the contract.
+//! the certificate factors `G_r + sC_r` once, and every sample — cache hit
+//! or not — substitutes all `m` inputs in one [`ZLu::solve_multi`] pass.
+//! It stores the factors as split real/imaginary `f64` blocks so the
+//! trailing update vectorises, skips the row update of every exactly-zero
+//! multiplier (`Σ_k nnz(L col k)·(q−k−1)` complex multiply-adds: 4.62 M of
+//! a dense 20.9 M on the `q = 398` mesh ROM), and produces the same bits as
+//! the textbook row-major elimination — see its rustdoc for the layout and
+//! the contract.
 //!
 //! There used to be a third: a Hessenberg reduction of `−C⁻¹G` for an
 //! exactly diagonal positive `C`, `O(n²)` per frequency afterwards. It
@@ -122,11 +124,25 @@ impl IndexMut<(usize, usize)> for CMatrix {
 /// solves and every reply served from them are the same bits as that loop
 /// (`crates/core/tests/lu_parity.rs` keeps it as the oracle).
 ///
+/// **Solves.** [`solve_multi`](Self::solve_multi) is the one substitution
+/// routine; [`solve`](Self::solve) and [`solve_real`](Self::solve_real)
+/// are its one-column case. It takes the columns of a column-major panel
+/// in groups of at most four and keeps a group's solution row-interleaved
+/// (`[f64; W]` real parts, `[f64; W]` imaginary parts per row), so the
+/// `W` chains `s −= l·x` share every factor entry they read. Each column
+/// still runs the textbook substitution alone — `s −= l·x` in ascending
+/// column order, then `/ d` — so a multi-column solve is the same bits as
+/// solving its columns one by one.
+///
 /// **Cost model.** Step `k` updates only the rows whose multiplier is
 /// nonzero, so the executed complex multiply-adds are
 /// `Σ_k nnz(L col k)·(n−k−1)` instead of the dense `Σ_k (n−k−1)²`. On the
 /// `n = 10⁴` mesh ROM (`q = 398`, Exact interfaces) that is 4.62 M of
-/// 20.9 M, with `L` and `U` 31 % full.
+/// 20.9 M, with `L` and `U` 31 % full. A solve reads the `16·n²` factor
+/// bytes (2.5 MB at `q = 398`) once per group of up to four columns, where
+/// a per-column loop reads them once per column; each column's serial
+/// `s −= l·x` chain bounds the time of a pass, so up to four columns cost
+/// about what one does.
 #[derive(Debug, Clone)]
 pub struct ZLu {
     n: usize,
@@ -202,38 +218,14 @@ impl ZLu {
         self.n
     }
 
-    /// Solves `(G + sC) x = b` for a complex right-hand side.
+    /// Solves `(G + sC) x = b` for a complex right-hand side — the
+    /// one-column [`solve_multi`](Self::solve_multi).
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] on a length mismatch.
     pub fn solve(&self, b: &[Complex64]) -> Result<Vec<Complex64>> {
-        let n = self.n;
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "zlu-solve",
-                lhs: (n, n),
-                rhs: (b.len(), 1),
-            });
-        }
-        let (re, im) = self.lu.split_at(n * n);
-        // `s − Σ_j lu_ij·x_j` over `cols` of row `i`, subtracted in column order.
-        let sub_dot = |mut s: Complex64, i: usize, cols: Range<usize>, x: &[Complex64]| {
-            let row = i * n + cols.start..i * n + cols.end;
-            for ((&lr, &li), &xj) in re[row.clone()].iter().zip(&im[row]).zip(&x[cols]) {
-                s -= Complex64::new(lr, li) * xj;
-            }
-            s
-        };
-        let mut x: Vec<Complex64> = self.perm.iter().map(|&p| b[p]).collect();
-        for i in 1..n {
-            x[i] = sub_dot(x[i], i, 0..i, &x);
-        }
-        for i in (0..n).rev() {
-            let d = Complex64::new(re[i * n + i], im[i * n + i]);
-            x[i] = sub_dot(x[i], i, i + 1..n, &x) / d;
-        }
-        Ok(x)
+        self.solve_multi(b, 1)
     }
 
     /// Solves with a real right-hand side.
@@ -242,8 +234,89 @@ impl ZLu {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] on a length mismatch.
     pub fn solve_real(&self, b: &[f64]) -> Result<Vec<Complex64>> {
-        let zb: Vec<Complex64> = b.iter().map(|&v| Complex64::from_real(v)).collect();
-        self.solve(&zb)
+        self.solve_multi_real(b, 1)
+    }
+
+    /// Solves `(G + sC) X = B` for the `m` columns of a column-major
+    /// `n × m` panel, returned in the same layout: groups of up to four
+    /// columns per pass over the factors, bitwise-identical to `m`
+    /// separate [`solve`](Self::solve)s (see the type's rustdoc).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `m == 0` or
+    /// `rhs.len() != n·m`.
+    pub fn solve_multi(&self, rhs: &[Complex64], m: usize) -> Result<Vec<Complex64>> {
+        let n = self.n;
+        if m == 0 || rhs.len() != n * m {
+            return Err(LinalgError::ShapeMismatch {
+                op: "zlu-solve-multi",
+                lhs: (n, m),
+                rhs: (rhs.len(), 1),
+            });
+        }
+        let mut x = rhs.to_vec();
+        for group in x.chunks_mut((4 * n).max(1)) {
+            match group.len() / n.max(1) {
+                1 => self.substitute::<1>(group),
+                2 => self.substitute::<2>(group),
+                3 => self.substitute::<3>(group),
+                _ => self.substitute::<4>(group),
+            }
+        }
+        Ok(x)
+    }
+
+    /// [`solve_multi`](Self::solve_multi) with a real column-major panel.
+    ///
+    /// # Errors
+    ///
+    /// As [`solve_multi`](Self::solve_multi).
+    pub fn solve_multi_real(&self, rhs: &[f64], m: usize) -> Result<Vec<Complex64>> {
+        let zb: Vec<Complex64> = rhs.iter().map(|&v| Complex64::from_real(v)).collect();
+        self.solve_multi(&zb, m)
+    }
+
+    /// Both triangular passes over the `W` columns of `cols`, in place.
+    fn substitute<const W: usize>(&self, cols: &mut [Complex64]) {
+        let n = self.n;
+        let (re, im) = self.lu.split_at(n * n);
+        let (mut xr, mut xi) = (vec![[0.0; W]; n], vec![[0.0; W]; n]);
+        for (k, col) in cols.chunks_exact(n.max(1)).enumerate() {
+            for (i, &p) in self.perm.iter().enumerate() {
+                (xr[i][k], xi[i][k]) = (col[p].re, col[p].im);
+            }
+        }
+        // `s − Σ_j lu_ij·x_j` over columns `js` of row `i`, in column order,
+        // per lane: the `Complex64` product and difference.
+        let sub_dot = |i: usize, js: Range<usize>, xr: &[[f64; W]], xi: &[[f64; W]]| {
+            let (mut sr, mut si) = (xr[i], xi[i]);
+            let row = i * n + js.start..i * n + js.end;
+            let x = xr[js.clone()].iter().zip(&xi[js]);
+            for ((&lr, &li), (xr, xi)) in re[row.clone()].iter().zip(&im[row]).zip(x) {
+                for k in 0..W {
+                    sr[k] -= lr * xr[k] - li * xi[k];
+                    si[k] -= lr * xi[k] + li * xr[k];
+                }
+            }
+            (sr, si)
+        };
+        for i in 1..n {
+            (xr[i], xi[i]) = sub_dot(i, 0..i, &xr, &xi);
+        }
+        for i in (0..n).rev() {
+            let (sr, si) = sub_dot(i, i + 1..n, &xr, &xi);
+            let d = Complex64::new(re[i * n + i], im[i * n + i]);
+            for k in 0..W {
+                let z = Complex64::new(sr[k], si[k]) / d;
+                (xr[i][k], xi[i][k]) = (z.re, z.im);
+            }
+        }
+        for (k, col) in cols.chunks_exact_mut(n.max(1)).enumerate() {
+            for (i, z) in col.iter_mut().enumerate() {
+                *z = Complex64::new(xr[i][k], xi[i][k]);
+            }
+        }
     }
 }
 
@@ -306,26 +379,31 @@ pub fn eval_transfer(
 
 /// Evaluates `H = L A⁻¹ B` against an already-factored `A = G + sC` — the
 /// amortized shape of the ROM query layer, where one cached [`ZLu`] serves
-/// many port responses at the same shift. [`eval_transfer`] runs through
-/// this routine, so cached and freshly-factored evaluations are
-/// bitwise-identical.
+/// many port responses at the same shift. All `m` input columns go through
+/// one [`ZLu::solve_multi`] pass, which reads the factor once per group of
+/// up to four columns and is bitwise-identical to solving them one by
+/// one. [`eval_transfer`] runs through this routine, so cached and
+/// freshly-factored evaluations are bitwise-identical.
 ///
 /// # Errors
 ///
 /// Returns [`LinalgError::ShapeMismatch`] when `B`/`L` do not match the
 /// factored dimension.
 pub fn eval_transfer_factored(lu: &ZLu, b: &Matrix, l: &Matrix) -> Result<CMatrix> {
-    if b.nrows() != lu.dim() || l.ncols() != lu.dim() {
+    let (n, m) = (lu.dim(), b.ncols());
+    if b.nrows() != n || l.ncols() != n {
         return Err(LinalgError::ShapeMismatch {
             op: "eval-transfer-factored",
-            lhs: (lu.dim(), lu.dim()),
+            lhs: (n, n),
             rhs: (b.nrows(), l.ncols()),
         });
     }
-    let x: Vec<Vec<Complex64>> = (0..b.ncols())
-        .map(|j| lu.solve_real(&b.col(j)))
-        .collect::<Result<_>>()?;
-    Ok(output_sample(l, x.len(), x.iter().map(Vec::as_slice)))
+    if m == 0 {
+        return Ok(CMatrix::zeros(l.nrows(), 0));
+    }
+    // Bᵀ row-major is B column-major: the n·m panel.
+    let x = lu.solve_multi_real(b.transpose().as_slice(), m)?;
+    Ok(output_sample(l, m, x.chunks_exact(n.max(1))))
 }
 
 fn check_descriptor_shapes(g: &Matrix, c: &Matrix, b: &Matrix, l: &Matrix) -> Result<()> {
@@ -370,8 +448,9 @@ pub fn eval_jomega_sweep(
 ///
 /// Construction builds the shifted pencil once (pattern union of `G` and
 /// `C` plus a fill-reducing ordering); every [`eval`](Self::eval) is a
-/// numeric sparse complex refactorization and `m` triangular solves. This
-/// is the full-model path for grids far beyond the dense ceiling.
+/// numeric sparse complex refactorization and one `m`-column
+/// [`bdsm_sparse::SparseLu::solve_multi`]. This is the full-model path for
+/// grids far beyond the dense ceiling.
 pub struct SparseTransferEvaluator {
     pencil: ShiftedPencil,
     /// `B` (`n × m`) packed as a column-major panel: each frequency sample
@@ -409,13 +488,9 @@ impl SparseTransferEvaluator {
                 what: "descriptor shapes inconsistent: need G,C n×n, B n×m, L p×n",
             });
         }
-        let mut b_panel = Vec::with_capacity(n * b.ncols());
-        for j in 0..b.ncols() {
-            b_panel.extend_from_slice(&b.col(j));
-        }
         Ok(SparseTransferEvaluator {
             pencil,
-            b_panel,
+            b_panel: b.transpose().as_slice().to_vec(),
             m: b.ncols(),
             l,
         })

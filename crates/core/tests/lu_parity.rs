@@ -9,11 +9,16 @@
 //! The oracles here are those loops, kept verbatim; nothing in the library
 //! shares code with them.
 //!
+//! `ZLu::solve_multi` is held to the oracle's column-by-column solves the
+//! same way, over every column-group width; the last two tests pin its
+//! shape contract (no `m = 0` solve, an empty pencil, a model with no
+//! inputs).
+//!
 //! The one intended divergence is the tiny-pivot fix: a `ZLu` pivot whose
 //! `|z|²` underflows is no longer mistaken for zero. Only inputs the oracle
 //! refuses reach it (`transfer::tests::zlu_factors_an_invertible_matrix_of_tiny_entries`).
 
-use bdsm_core::transfer::ZLu;
+use bdsm_core::transfer::{eval_transfer_factored, CMatrix, ZLu};
 use bdsm_linalg::{Complex64, DenseLu, LinalgError, Matrix};
 
 /// The row-major interleaved complex LU, as `ZLu` computed it before it
@@ -503,4 +508,159 @@ fn dense_lu_matches_the_indexed_kernel() {
         a[(i, j)] = f64::NAN;
         assert_dense_lu_parity(&format!("NaN at ({i},{j})"), &a, &mut rng);
     }
+}
+
+/// Column-major `n × m` panels of random entries with `+0.0` and `−0.0`
+/// mixed in; from `m = 2` on, column 1 also carries an infinite entry.
+fn complex_panel(n: usize, m: usize, rng: &mut Rng) -> Vec<Complex64> {
+    let mut b: Vec<Complex64> = (0..n * m)
+        .map(|e| match e % 5 {
+            0 => Complex64::new(0.0, -0.0),
+            1 => Complex64::new(-0.0, 0.0),
+            _ => rng.complex(),
+        })
+        .collect();
+    if m > 1 {
+        b[n + n / 2] = Complex64::new(f64::INFINITY, 0.0);
+    }
+    b
+}
+
+fn real_panel(n: usize, m: usize, rng: &mut Rng) -> Vec<f64> {
+    let mut b: Vec<f64> = (0..n * m)
+        .map(|e| match e % 4 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.next(),
+        })
+        .collect();
+    if m > 1 {
+        b[n + n / 2] = f64::NEG_INFINITY;
+    }
+    b
+}
+
+/// `solve_multi` and `solve_multi_real` against the oracle's
+/// column-by-column solves, over every kernel width (1–4) and a remainder
+/// group (5 = 4 + 1, 9 = 4 + 4 + 1).
+fn assert_solve_multi_parity(what: &str, g: &Matrix, c: &Matrix, s: Complex64, rng: &mut Rng) {
+    let n = g.nrows();
+    let (Ok(lu), Ok(oracle)) = (
+        ZLu::factor_shifted(g, c, s),
+        OracleZLu::factor_shifted(g, c, s),
+    ) else {
+        return; // verdict parity is `assert_zlu_parity`'s job
+    };
+    for m in [1, 2, 3, 4, 5, 9] {
+        let b = complex_panel(n, m, rng);
+        let want: Vec<Complex64> = b
+            .chunks_exact(n)
+            .flat_map(|col| oracle.solve(col))
+            .collect();
+        assert_eq!(
+            bits(&lu.solve_multi(&b, m).unwrap()),
+            bits(&want),
+            "{what}: solve_multi m={m}"
+        );
+        let b = real_panel(n, m, rng);
+        let want: Vec<Complex64> = b
+            .chunks_exact(n)
+            .flat_map(|col| {
+                let zb: Vec<Complex64> = col.iter().map(|&v| Complex64::from_real(v)).collect();
+                oracle.solve(&zb)
+            })
+            .collect();
+        assert_eq!(
+            bits(&lu.solve_multi_real(&b, m).unwrap()),
+            bits(&want),
+            "{what}: solve_multi_real m={m}"
+        );
+    }
+}
+
+#[test]
+fn zlu_solve_multi_matches_column_solves_on_random_pencils() {
+    let mut rng = Rng(0x51_7cc1_b727_220a);
+    for n in SIZES {
+        for zeros in [0.0, 0.6] {
+            let g = Matrix::from_fn(n, n, |_, _| rng.sparse(zeros));
+            let c = Matrix::from_fn(n, n, |_, _| rng.sparse(zeros));
+            let s = rng.complex();
+            assert_solve_multi_parity(&format!("n={n} zeros={zeros}"), &g, &c, s, &mut rng);
+        }
+    }
+}
+
+#[test]
+fn zlu_solve_multi_matches_on_arrow_pencils() {
+    let mut rng = Rng(17);
+    for (n, blocks, border) in [(40, 4, 6), (120, 4, 30), (65, 5, 1)] {
+        let g = arrow(n, blocks, border, &mut rng);
+        let c = arrow(n, blocks, border, &mut rng);
+        let s = Complex64::jomega(3.0);
+        assert_solve_multi_parity(&format!("arrow n={n}"), &g, &c, s, &mut rng);
+    }
+}
+
+#[test]
+fn zlu_solve_multi_matches_under_forced_swaps_and_signed_zeros() {
+    let mut rng = Rng(19);
+    for n in [2, 9, 64] {
+        let zero_diag =
+            |rng: &mut Rng| Matrix::from_fn(n, n, |i, j| if i == j { 0.0 } else { rng.next() });
+        let (g, c) = (zero_diag(&mut rng), zero_diag(&mut rng));
+        let s = rng.complex();
+        assert_solve_multi_parity(&format!("zero diagonal n={n}"), &g, &c, s, &mut rng);
+        let g = Matrix::from_fn(n, n, |i, j| {
+            if (i + j) % 3 == 0 && i != j {
+                -0.0
+            } else {
+                rng.next()
+            }
+        });
+        let c = Matrix::from_fn(n, n, |i, j| {
+            if (i + j) % 3 == 0 && i != j {
+                0.0
+            } else {
+                rng.next()
+            }
+        });
+        let s = Complex64::jomega(2.0);
+        assert_solve_multi_parity(&format!("signed zeros n={n}"), &g, &c, s, &mut rng);
+    }
+}
+
+#[test]
+fn zlu_solve_multi_rejects_bad_shapes() {
+    let (g, c) = (Matrix::from_rows(&[&[2.0]]), Matrix::from_rows(&[&[0.5]]));
+    let lu = ZLu::factor_shifted(&g, &c, Complex64::jomega(1.0)).unwrap();
+    for (len, m) in [(0, 0), (1, 0), (3, 2), (1, 2), (0, 1)] {
+        let (lhs, rhs) = ((1, m), (len, 1));
+        let err = LinalgError::ShapeMismatch {
+            op: "zlu-solve-multi",
+            lhs,
+            rhs,
+        };
+        assert_eq!(
+            lu.solve_multi(&vec![Complex64::ONE; len], m),
+            Err(err.clone())
+        );
+        assert_eq!(lu.solve_multi_real(&vec![1.0; len], m), Err(err));
+    }
+}
+
+#[test]
+fn zero_inputs_give_an_empty_sample_and_an_empty_pencil_solves() {
+    let (g, c) = (Matrix::from_rows(&[&[2.0]]), Matrix::from_rows(&[&[0.5]]));
+    let l = Matrix::from_rows(&[&[1.0]]);
+    let lu = ZLu::factor_shifted(&g, &c, Complex64::jomega(1.0)).unwrap();
+    // Never `solve_multi(.., 0)`, which is a shape error.
+    let h = eval_transfer_factored(&lu, &Matrix::zeros(1, 0), &l);
+    assert_eq!(h, Ok(CMatrix::zeros(1, 0)));
+    let empty = Matrix::zeros(0, 0);
+    let lu = ZLu::factor_shifted(&empty, &empty, Complex64::jomega(1.0)).unwrap();
+    assert_eq!(lu.solve(&[]), Ok(vec![]));
+    assert_eq!(lu.solve_multi_real(&[], 3), Ok(vec![]));
+    let h = eval_transfer_factored(&lu, &Matrix::zeros(0, 2), &Matrix::zeros(1, 0));
+    assert_eq!(h, Ok(CMatrix::zeros(1, 2)));
 }

@@ -19,10 +19,12 @@
 //! # Certified envelopes and failure containment
 //!
 //! Every query is validated up front (finite frequencies, positive finite
-//! steps, non-empty batches) and checked against the model's **certified
-//! envelope** — the frequency span its artifact certificate covers (see
-//! `bdsm_core::certify`) and the matching transient-step floor. The
-//! server-wide [`EnvelopePolicy`] decides what happens outside it:
+//! steps, non-empty batches: a sweep or port query with no frequency and
+//! a transient batch with no waveform are [`QueryError::EmptyBatch`]) and
+//! checked against the model's **certified envelope** — the frequency
+//! span its artifact certificate covers (see `bdsm_core::certify`) and the
+//! matching transient-step floor. The server-wide [`EnvelopePolicy`]
+//! decides what happens outside it:
 //! refuse ([`QueryError::OutsideEnvelope`]), serve but count a flag (the
 //! default), or ignore. Models whose certificate is `Unknown` (e.g. built
 //! without a Certify run) have no envelope and are never checked. Additionally, no
@@ -566,6 +568,9 @@ impl RomServer {
     /// Refusals count once per call; flags count once per offending
     /// sample.
     fn admit_frequencies(&self, a: &RomArtifact, omegas: &[f64]) -> Result<(), RomError> {
+        if omegas.is_empty() {
+            return Err(RomError::Query(QueryError::EmptyBatch));
+        }
         for &w in omegas {
             if !w.is_finite() {
                 return Err(RomError::Query(QueryError::NonFiniteFrequency { value: w }));
@@ -655,10 +660,10 @@ impl RomServer {
     ///
     /// # Errors
     ///
-    /// [`RomError::UnknownModel`], [`RomError::Query`] for non-finite or
-    /// (under [`EnvelopePolicy::Strict`]) out-of-envelope frequencies, or
-    /// the first per-frequency failure in frequency order (e.g. a query
-    /// hitting a pole).
+    /// [`RomError::UnknownModel`], [`RomError::Query`] for an empty,
+    /// non-finite or (under [`EnvelopePolicy::Strict`]) out-of-envelope
+    /// frequency list, or the first per-frequency failure in frequency
+    /// order (e.g. a query hitting a pole).
     pub fn transfer_sweep(&self, id: RomId, omegas: &[f64]) -> Result<Vec<CMatrix>, RomError> {
         self.contained(|| {
             let _span = bdsm_obs::timing_span!("serve.sweep", freqs = omegas.len());
@@ -676,15 +681,16 @@ impl RomServer {
     /// consumers. Runs on the same factorization cache as
     /// [`transfer_sweep`](Self::transfer_sweep) but solves only the
     /// queried input column and contracts only the queried output row,
-    /// so a sample costs one triangular solve instead of `m`. The entry
+    /// so a sample costs one 1-column substitution pass against the
+    /// sweep's one `m`-column [`ZLu::solve_multi`] pass. The entry
     /// is computed with exactly the operations
     /// [`transfer_sweep`](Self::transfer_sweep) would perform for it, so
     /// the two queries agree bitwise.
     ///
     /// # Errors
     ///
-    /// [`RomError::Query`] for an out-of-range port, otherwise as
-    /// [`transfer_sweep`](Self::transfer_sweep).
+    /// [`RomError::Query`] for an out-of-range port (checked before the
+    /// frequency list), otherwise as [`transfer_sweep`](Self::transfer_sweep).
     pub fn port_response(
         &self,
         id: RomId,
