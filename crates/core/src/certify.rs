@@ -276,7 +276,8 @@ impl Json for CheckOutcome {
 ///
 /// # Errors
 ///
-/// Propagates eigensolver failures and singular transfer evaluations
+/// Propagates eigensolver failures — among them `InvalidArgument` for a
+/// NaN or ±∞ entry of `G_r` or `C_r` — and singular transfer evaluations
 /// (a grid point sitting on a pole of the ROM).
 #[allow(clippy::too_many_arguments)] // the descriptor alone is four matrices
 pub fn certify_reduced(

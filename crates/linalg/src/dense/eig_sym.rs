@@ -19,12 +19,13 @@ pub struct SymEig {
 impl SymEig {
     /// Computes the eigendecomposition of a symmetric matrix.
     ///
-    /// Only the lower triangle is read; no symmetry check is performed beyond
-    /// a debug assertion.
+    /// The input is symmetrized first (`(A + Aᵀ)/2`), so both triangles are
+    /// read and every entry must be finite; no symmetry check is performed.
     ///
     /// # Errors
     ///
     /// - [`LinalgError::NotSquare`] if the input is not square.
+    /// - [`LinalgError::InvalidArgument`] if an entry is NaN or ±∞.
     /// - [`LinalgError::NotConverged`] if Jacobi sweeps fail (practically
     ///   unreachable for finite symmetric inputs).
     pub fn compute(a: &Matrix) -> Result<Self> {
@@ -36,6 +37,7 @@ impl SymEig {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { shape: a.shape() });
         }
+        a.require_finite("sym-eig: matrix has a non-finite entry")?;
         let n = a.nrows();
         let mut m = symmetrize(a);
         let mut q = Matrix::identity(n);
@@ -123,14 +125,15 @@ fn symmetrize(a: &Matrix) -> Matrix {
 /// Sturm-count bisection on the tridiagonal — `O(n³)` with a far smaller
 /// constant than the full Jacobi decomposition, which is what makes
 /// semidefiniteness margins on large reduced pencils affordable inside the
-/// `Certify` stage. Only the lower triangle is read (the matrix is
-/// symmetrized first, like [`SymEig::compute`]). Fully deterministic: fixed
-/// bisection schedule, no data-dependent pivoting.
+/// `Certify` stage. The matrix is symmetrized first, like
+/// [`SymEig::compute`]. Fully deterministic: fixed bisection schedule, no
+/// data-dependent pivoting.
 ///
 /// # Errors
 ///
 /// - [`LinalgError::NotSquare`] if the input is not square.
-/// - [`LinalgError::InvalidArgument`] for an empty (0×0) matrix.
+/// - [`LinalgError::InvalidArgument`] for an empty (0×0) matrix or an
+///   entry that is NaN or ±∞.
 pub fn sym_eig_extremes(a: &Matrix) -> Result<(f64, f64)> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare { shape: a.shape() });
@@ -141,6 +144,7 @@ pub fn sym_eig_extremes(a: &Matrix) -> Result<(f64, f64)> {
             what: "empty matrix has no eigenvalues",
         });
     }
+    a.require_finite("sym-eig-extremes: matrix has a non-finite entry")?;
     let (d, e) = tridiagonalize(&symmetrize(a));
     let lo = sturm_min(&d, &e);
     let neg_d: Vec<f64> = d.iter().map(|&v| -v).collect();

@@ -170,6 +170,18 @@ impl Matrix {
         &self.data
     }
 
+    /// `Ok` when every entry is finite, else
+    /// [`LinalgError::InvalidArgument`] naming `what`: the dense
+    /// decompositions refuse NaN and ±∞ instead of returning values
+    /// computed from them.
+    pub(crate) fn require_finite(&self, what: &'static str) -> Result<()> {
+        if self.data.iter().all(|v| v.is_finite()) {
+            Ok(())
+        } else {
+            Err(LinalgError::InvalidArgument { what })
+        }
+    }
+
     /// Mutable underlying row-major buffer.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {

@@ -45,10 +45,12 @@ impl Svd {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::NotConverged`] if Jacobi sweeps fail to reduce
-    /// off-diagonal correlation below tolerance (practically unreachable for
-    /// finite inputs).
+    /// - [`LinalgError::InvalidArgument`] if an entry is NaN or ±∞.
+    /// - [`LinalgError::NotConverged`] if Jacobi sweeps fail to reduce
+    ///   off-diagonal correlation below tolerance (practically unreachable
+    ///   for finite inputs).
     pub fn compute(a: &Matrix) -> Result<Self> {
+        a.require_finite("svd: matrix has a non-finite entry")?;
         let (m, n) = a.shape();
         // A row-major buffer is the column-major buffer of its transpose,
         // so the tall orientation's columns are one transpose away for a

@@ -1,0 +1,69 @@
+//! The dense eigen and SVD kernels refuse a matrix with a NaN or ±∞ entry
+//! with a typed `InvalidArgument`, instead of returning values computed
+//! from it (a NaN on the diagonal used to vanish from `sym_min_eig`, and
+//! from one of the singular values).
+
+use bdsm_linalg::{sym_eig_extremes, sym_min_eig, LinalgError, Matrix, Svd, SymEig};
+
+const BAD: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+/// `diag(1, 2, 3)` with `v` at `(i, j)`.
+fn poisoned(i: usize, j: usize, v: f64) -> Matrix {
+    let mut a = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 + r as f64 } else { 0.0 });
+    a[(i, j)] = v;
+    a
+}
+
+fn assert_invalid<T: std::fmt::Debug>(res: Result<T, LinalgError>, what: &str) {
+    assert!(
+        matches!(res, Err(LinalgError::InvalidArgument { .. })),
+        "{what}: {res:?}"
+    );
+}
+
+#[test]
+fn sym_eig_extremes_refuses_non_finite_entries() {
+    for v in BAD {
+        for (i, j) in [(1, 1), (2, 0)] {
+            assert_invalid(sym_eig_extremes(&poisoned(i, j, v)), "sym_eig_extremes");
+        }
+    }
+    assert_eq!(sym_eig_extremes(&poisoned(1, 1, 2.0)).unwrap().1, 3.0);
+}
+
+#[test]
+fn sym_min_eig_refuses_non_finite_entries() {
+    for v in BAD {
+        for (i, j) in [(1, 1), (0, 2)] {
+            assert_invalid(sym_min_eig(&poisoned(i, j, v)), "sym_min_eig");
+        }
+    }
+    assert_eq!(sym_min_eig(&poisoned(1, 1, 2.0)).unwrap(), 1.0);
+}
+
+#[test]
+fn sym_eig_refuses_non_finite_entries() {
+    for v in BAD {
+        for (i, j) in [(1, 1), (1, 2)] {
+            assert_invalid(SymEig::compute(&poisoned(i, j, v)), "SymEig::compute");
+        }
+    }
+    assert_eq!(
+        SymEig::compute(&poisoned(1, 1, 2.0)).unwrap().min(),
+        Some(1.0)
+    );
+}
+
+#[test]
+fn svd_refuses_non_finite_entries() {
+    for v in BAD {
+        for (i, j) in [(0, 0), (2, 1)] {
+            let mut tall = Matrix::from_fn(3, 2, |r, c| (1 + r + 2 * c) as f64);
+            tall[(i, j)] = v;
+            assert_invalid(Svd::compute(&tall), "Svd::compute (tall)");
+            assert_invalid(Svd::compute(&tall.transpose()), "Svd::compute (wide)");
+        }
+    }
+    let ok = Svd::compute(&Matrix::from_fn(3, 2, |r, c| (1 + r + 2 * c) as f64)).unwrap();
+    assert!(ok.sigma.iter().all(|s| s.is_finite()));
+}

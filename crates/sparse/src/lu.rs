@@ -28,6 +28,16 @@
 //! shift `s` (real or `jω`) is a pure numeric refactorization. The `factor_*_with` variants additionally
 //! recycle a caller-owned [`LuWorkspace`] so a shift sweep performs no
 //! per-shift symbolic work **and** no per-shift scratch allocation.
+//!
+//! The supernodal kernel's panels are retained for the triangular solve
+//! ([`SparseLu::solve_multi`]), which takes one path per update: outside
+//! the panels every stored entry updates all systems with a zero-skip; at
+//! a panel each system commits to the blocked path (in-panel triangle,
+//! then one gather → `gemm_sub` → scatter over the off-panel rows) when its
+//! panel components are all nonzero, and replays the scalar walk
+//! otherwise. That per-system commit rule is the solve's only path
+//! decision, which keeps a batched solve bitwise-identical to one solve
+//! per system.
 
 use crate::csc::CscMatrix;
 use crate::ordering::{csc_pattern_adjacency, order_graph, FillOrdering};
@@ -158,6 +168,11 @@ struct Supernode<T> {
 /// `above_t` stores `U(above, S)` row-contiguously (`w × above`,
 /// column-major, `ld = w`; structural zeros where a column has no entry) —
 /// the backward pass's transposed panel GEMM operand.
+///
+/// The two off-panel halves, `(below_steps, below_t)` and `(above_steps,
+/// above_t)`, are what each pass hands the one off-panel routine
+/// ([`SolveScratch::off_panel_update`]) for the systems that committed at
+/// panel entry ([`SolveScratch::commit`]).
 #[derive(Debug, Clone)]
 struct SolvePanel<T> {
     start: usize,
@@ -168,6 +183,92 @@ struct SolvePanel<T> {
     udiag: Vec<T>,
     above_steps: Vec<usize>,
     above_t: Vec<T>,
+}
+
+/// Scratch of one [`SparseLu::solve_multi`] call, shared by both passes:
+/// the current panel's split of the `m` systems and the gather buffers of
+/// its off-panel update.
+#[derive(Debug, Default)]
+struct SolveScratch<T> {
+    /// Systems that committed to the current panel's blocked path.
+    committed: Vec<usize>,
+    /// Systems that replay the scalar walk through the current panel.
+    replayed: Vec<usize>,
+    /// Committed systems' panel components (`e × w`, column-major).
+    panel: Vec<T>,
+    /// Committed systems' off-panel rows (`e × rows`, column-major).
+    rows: Vec<T>,
+}
+
+impl<T: Scalar> SolveScratch<T> {
+    /// The commit rule, the solve's only path decision: system `k` commits
+    /// to the blocked path of the panel whose `w` components start at
+    /// `y[base]` iff all of its panel components are nonzero on entry, and
+    /// replays the scalar walk otherwise. The rule reads only system `k`'s
+    /// own values, so its operation sequence does not depend on the other
+    /// systems in the batch.
+    fn commit(&mut self, y: &[T], base: usize, w: usize, m: usize) {
+        self.committed.clear();
+        self.replayed.clear();
+        for k in 0..m {
+            if (0..w).all(|t| !y[base + t * m + k].is_zero()) {
+                self.committed.push(k);
+            } else {
+                self.replayed.push(k);
+            }
+        }
+    }
+
+    /// The off-panel update of one panel for the (nonempty) committed
+    /// systems: gathers their `w` panel components and their values at
+    /// `steps`, applies one transposed GEMM `Yᵀ(steps) -= Yᵀ(S) · vals_t`
+    /// (`vals_t` is `w × steps.len()`, column-major, `ld = w`) and scatters
+    /// the rows back. The GEMM's fused accumulation consumes the panel
+    /// columns in the same order for one system as for any batch. The
+    /// forward pass passes its below rows with `L(below, S)ᵀ`, the backward
+    /// pass its above rows with `U(above, S)`.
+    fn off_panel_update(
+        &mut self,
+        y: &mut [T],
+        m: usize,
+        base: usize,
+        w: usize,
+        steps: &[usize],
+        vals_t: &[T],
+    ) {
+        let e = self.committed.len();
+        let Self {
+            committed,
+            panel,
+            rows,
+            ..
+        } = self;
+        panel.clear();
+        for t in 0..w {
+            panel.extend(committed.iter().map(|&k| y[base + t * m + k]));
+        }
+        rows.clear();
+        for &s in steps {
+            rows.extend(committed.iter().map(|&k| y[s * m + k]));
+        }
+        gemm_sub(e, w, steps.len(), panel, e, vals_t, w, rows, e);
+        for (&s, vals) in steps.iter().zip(rows.chunks_exact(e)) {
+            for (&k, &v) in committed.iter().zip(vals) {
+                y[s * m + k] = v;
+            }
+        }
+    }
+}
+
+/// `row[k] -= l · v[k]` for every nonzero `v[k]`: one stored `L` or `U`
+/// entry applied to all systems, skipping a zero component exactly as a
+/// single-system walk skips a zero value.
+fn sub_scaled_nonzero<T: Scalar>(row: &mut [T], l: T, v: &[T]) {
+    for (r, &vk) in row.iter_mut().zip(v) {
+        if !vk.is_zero() {
+            *r -= l * vk;
+        }
+    }
 }
 
 /// Borrowed CSC parts of the matrix being factored — lets the shifted
@@ -222,8 +323,8 @@ pub struct SparseLu<T: Scalar> {
     /// `q[j]` = original column factored at step `j`.
     q: Vec<usize>,
     /// Supernode panels retained from the (supernodal) factorization, in
-    /// ascending `start` order — the blocked fast path of the forward
-    /// substitution. Empty for scalar-kernel factorizations.
+    /// ascending `start` order — the blocked steps of both triangular
+    /// passes. Empty for scalar-kernel factorizations.
     panels: Vec<SolvePanel<T>>,
 }
 
@@ -260,203 +361,78 @@ impl<T: Scalar> SparseLu<T> {
         self.panels.len()
     }
 
-    /// Shared forward pass `L y = y` over an RHS-contiguous buffer (`m`
-    /// values per pivot step). Retained supernode panels run blocked —
-    /// sequential diagonal-block substitution plus one transposed panel
-    /// GEMM over the shared below rows — and every other column walks its
-    /// stored `L` entries with the historical zero-skip guard.
-    ///
-    /// Whether a right-hand side takes a panel's blocked path is decided
-    /// **per system** on panel entry (all of its `w` panel components
-    /// nonzero), so each system's operation sequence is a pure function of
-    /// that system alone. That is the parity contract:
-    /// [`solve_multi`](Self::solve_multi) is bitwise-identical to `m`
-    /// separate [`solve`](Self::solve)s (this routine at `m = 1`).
-    fn forward_substitute(&self, y: &mut [T], m: usize) {
-        let n = self.n;
-        let pinv = &self.pinv;
-        let mut mask: Vec<bool> = Vec::new();
-        let mut gathered_b: Vec<T> = Vec::new();
-        let mut gathered_c: Vec<T> = Vec::new();
+    /// Forward pass `L y = y` over an RHS-contiguous buffer (`m` values per
+    /// pivot step). A retained supernode panel runs blocked for the systems
+    /// its entry commits ([`SolveScratch::commit`]) and replays the scalar
+    /// column walk for the others; every other column walks its stored `L`
+    /// entries, skipping a zero component.
+    fn forward_substitute(&self, y: &mut [T], m: usize, sc: &mut SolveScratch<T>) {
         let mut panels = self.panels.iter().peekable();
         let mut j = 0;
-        while j < n {
-            if let Some(&p) = panels.peek() {
-                if p.start == j {
-                    self.forward_panel(p, y, m, &mut mask, &mut gathered_b, &mut gathered_c);
-                    j += p.ncols;
-                    panels.next();
-                    continue;
-                }
+        while j < self.n {
+            if let Some(p) = panels.next_if(|p| p.start == j) {
+                self.forward_panel(p, y, m, sc);
+                j += p.ncols;
+                continue;
             }
-            if !self.l_cols[j].is_empty() {
-                let (head, tail) = y.split_at_mut((j + 1) * m);
-                let yj = &head[j * m..];
-                // A zero component must be skipped exactly like `solve`
-                // historically skipped a zero scalar RHS, so the kernel
-                // path is reserved for fully nonzero slices.
-                let all_nonzero = yj.iter().all(|v| !v.is_zero());
-                for &(r, lv) in &self.l_cols[j] {
-                    let t = (pinv[r] - j - 1) * m;
-                    let row = &mut tail[t..t + m];
-                    if all_nonzero {
-                        gemm_sub(1, 1, m, &[lv], 1, yj, 1, row, 1);
-                    } else {
-                        for (rk, &vk) in row.iter_mut().zip(yj) {
-                            if !vk.is_zero() {
-                                *rk -= lv * vk;
-                            }
-                        }
-                    }
-                }
+            let (head, tail) = y.split_at_mut((j + 1) * m);
+            let yj = &head[j * m..];
+            for &(r, lv) in &self.l_cols[j] {
+                let t = (self.pinv[r] - j - 1) * m;
+                sub_scaled_nonzero(&mut tail[t..t + m], lv, yj);
             }
             j += 1;
         }
     }
 
-    /// One retained panel of the forward pass. Systems whose `w` panel
-    /// components are all nonzero on entry commit to the blocked path: the
-    /// unit-lower diagonal block is substituted in scalar column order,
-    /// then the shared below rows take a single transposed GEMM
-    /// `Yᵀ(below) -= Yᵀ(S) · L(below, S)ᵀ` at panel width — whose fused
-    /// accumulation consumes the panel columns in the same order for one
-    /// system as for any batch, keeping multi- and single-RHS solves
-    /// bitwise-identical. Systems with a zero panel component replay the
-    /// scalar column walk verbatim (per-component zero-skip included).
-    fn forward_panel(
-        &self,
-        p: &SolvePanel<T>,
-        y: &mut [T],
-        m: usize,
-        mask: &mut Vec<bool>,
-        gathered_b: &mut Vec<T>,
-        gathered_c: &mut Vec<T>,
-    ) {
-        let w = p.ncols;
-        let base = p.start * m;
-        mask.clear();
-        mask.resize(m, false);
-        let mut e = 0;
-        for (k, ok) in mask.iter_mut().enumerate() {
-            *ok = (0..w).all(|t| !y[base + t * m + k].is_zero());
-            if *ok {
-                e += 1;
-            }
-        }
-        if e < m {
-            // Scalar replay for the ineligible systems, walking the stored
-            // L columns exactly as a standalone solve would.
-            for t in 0..w {
-                let j = p.start + t;
-                for k in (0..m).filter(|&k| !mask[k]) {
-                    let yjk = y[j * m + k];
-                    if yjk.is_zero() {
-                        continue;
-                    }
-                    for &(r, lv) in &self.l_cols[j] {
-                        y[self.pinv[r] * m + k] -= lv * yjk;
-                    }
-                }
-            }
-        }
-        if e == 0 {
-            return;
-        }
-        // Diagonal block in scalar column order; the entry commit replaces
-        // the per-component zero-skip for the committed systems (part of
-        // the shared op-sequence definition).
+    /// One retained panel of the forward pass. The committed systems take
+    /// the unit-lower diagonal block in scalar column order, then one
+    /// [`SolveScratch::off_panel_update`] over the shared below rows with
+    /// `L(below, S)ᵀ`; the other systems replay the scalar column walk
+    /// verbatim (per-component zero-skip included).
+    fn forward_panel(&self, p: &SolvePanel<T>, y: &mut [T], m: usize, sc: &mut SolveScratch<T>) {
+        let (w, base) = (p.ncols, p.start * m);
+        sc.commit(y, base, w, m);
         for t in 0..w {
-            for s in (t + 1)..w {
-                let d = p.diag[t * w + s];
-                let (head, tail) = y.split_at_mut(base + s * m);
-                let yt = &head[base + t * m..base + t * m + m];
-                let ys = &mut tail[..m];
-                if e == m {
-                    gemm_sub(1, 1, m, &[d], 1, yt, 1, ys, 1);
-                } else {
-                    for (k, (sv, &tv)) in ys.iter_mut().zip(yt).enumerate() {
-                        if mask[k] {
-                            *sv -= d * tv;
-                        }
-                    }
-                }
-            }
-        }
-        let below = p.below_steps.len();
-        if below == 0 {
-            return;
-        }
-        if e == m {
-            // The panel block of `y` is already the (m × w) column-major
-            // left operand; only the scattered below rows need gathering.
-            gathered_c.clear();
-            for &bs in &p.below_steps {
-                gathered_c.extend_from_slice(&y[bs * m..bs * m + m]);
-            }
-            gemm_sub(
-                m,
-                w,
-                below,
-                &y[base..base + w * m],
-                m,
-                &p.below_t,
-                w,
-                gathered_c,
-                m,
-            );
-            for (i, &bs) in p.below_steps.iter().enumerate() {
-                y[bs * m..bs * m + m].copy_from_slice(&gathered_c[i * m..(i + 1) * m]);
-            }
-        } else {
-            gathered_b.clear();
-            for t in 0..w {
-                for k in (0..m).filter(|&k| mask[k]) {
-                    gathered_b.push(y[base + t * m + k]);
-                }
-            }
-            gathered_c.clear();
-            for &bs in &p.below_steps {
-                for k in (0..m).filter(|&k| mask[k]) {
-                    gathered_c.push(y[bs * m + k]);
-                }
-            }
-            gemm_sub(e, w, below, gathered_b, e, &p.below_t, w, gathered_c, e);
-            let mut idx = 0;
-            for &bs in &p.below_steps {
-                for k in (0..m).filter(|&k| mask[k]) {
-                    y[bs * m + k] = gathered_c[idx];
-                    idx += 1;
-                }
-            }
-        }
-    }
-
-    /// Shared backward pass `U x = y` over an RHS-contiguous buffer (`m`
-    /// values per pivot step), leaving `x` in pivot-step coordinates (the
-    /// caller scatters through `q`). Retained supernode panels run blocked
-    /// — sequential substitution through the packed upper-triangular block
-    /// plus one transposed panel GEMM over the gathered above rows — and
-    /// every other step walks its stored `U` entries with the historical
-    /// zero-skip guard.
-    ///
-    /// The per-system commit decision mirrors
-    /// [`forward_substitute`](Self::forward_substitute) exactly, so the
-    /// solve/solve_multi bitwise-parity contract extends end to end.
-    fn backward_substitute(&self, y: &mut [T], m: usize) {
-        let n = self.n;
-        let mut mask: Vec<bool> = Vec::new();
-        let mut gathered_b: Vec<T> = Vec::new();
-        let mut gathered_c: Vec<T> = Vec::new();
-        let mut panels = self.panels.iter().rev().peekable();
-        let mut j = n;
-        while j > 0 {
-            if let Some(&p) = panels.peek() {
-                if p.start + p.ncols == j {
-                    self.backward_panel(p, y, m, &mut mask, &mut gathered_b, &mut gathered_c);
-                    j = p.start;
-                    panels.next();
+            let j = p.start + t;
+            for &k in &sc.replayed {
+                let yjk = y[j * m + k];
+                if yjk.is_zero() {
                     continue;
                 }
+                for &(r, lv) in &self.l_cols[j] {
+                    y[self.pinv[r] * m + k] -= lv * yjk;
+                }
+            }
+        }
+        if sc.committed.is_empty() {
+            return;
+        }
+        for t in 0..w {
+            for &k in &sc.committed {
+                let v = y[base + t * m + k];
+                for s in (t + 1)..w {
+                    y[base + s * m + k] -= p.diag[t * w + s] * v;
+                }
+            }
+        }
+        sc.off_panel_update(y, m, base, w, &p.below_steps, &p.below_t);
+    }
+
+    /// Backward pass `U x = y` over an RHS-contiguous buffer (`m` values per
+    /// pivot step), leaving `x` in pivot-step coordinates (the caller
+    /// scatters through `q`). Panels and the commit rule mirror
+    /// [`forward_substitute`](Self::forward_substitute); every other step
+    /// divides by its pivot and walks its stored `U` entries, skipping a
+    /// zero component.
+    fn backward_substitute(&self, y: &mut [T], m: usize, sc: &mut SolveScratch<T>) {
+        let mut panels = self.panels.iter().rev().peekable();
+        let mut j = self.n;
+        while j > 0 {
+            if let Some(p) = panels.next_if(|p| p.start + p.ncols == j) {
+                self.backward_panel(p, y, m, sc);
+                j = p.start;
+                continue;
             }
             j -= 1;
             let (head, tail) = y.split_at_mut(j * m);
@@ -464,159 +440,47 @@ impl<T: Scalar> SparseLu<T> {
             for x in xj.iter_mut() {
                 *x = *x / self.u_diag[j];
             }
-            if self.u_cols[j].is_empty() {
-                continue;
-            }
-            // A zero component must be skipped exactly like the historical
-            // scalar backward walk skipped a zero solution value, so the
-            // kernel path is reserved for fully nonzero slices.
-            let all_nonzero = xj.iter().all(|v| !v.is_zero());
             for &(k, uv) in &self.u_cols[j] {
-                let row = &mut head[k * m..k * m + m];
-                if all_nonzero {
-                    gemm_sub(1, 1, m, &[uv], 1, xj, 1, row, 1);
-                } else {
-                    for (rk, &vk) in row.iter_mut().zip(xj.iter()) {
-                        if !vk.is_zero() {
-                            *rk -= uv * vk;
-                        }
-                    }
-                }
+                sub_scaled_nonzero(&mut head[k * m..k * m + m], uv, xj);
             }
         }
     }
 
-    /// One retained panel of the backward pass. Systems whose `w` panel
-    /// components are all nonzero on entry commit to the blocked path: the
-    /// upper-triangular block is substituted in scalar (descending) column
-    /// order, then the gathered above rows take a single transposed GEMM
-    /// `Yᵀ(above) -= Xᵀ(S) · U(above, S)ᵀ` at panel width — whose fused
-    /// accumulation consumes the panel columns in the same order for one
-    /// system as for any batch, keeping multi- and single-RHS solves
-    /// bitwise-identical. Systems with a zero panel component replay the
-    /// scalar step walk verbatim (per-component zero-skip included).
-    fn backward_panel(
-        &self,
-        p: &SolvePanel<T>,
-        y: &mut [T],
-        m: usize,
-        mask: &mut Vec<bool>,
-        gathered_b: &mut Vec<T>,
-        gathered_c: &mut Vec<T>,
-    ) {
-        let w = p.ncols;
-        let base = p.start * m;
-        mask.clear();
-        mask.resize(m, false);
-        let mut e = 0;
-        for (k, ok) in mask.iter_mut().enumerate() {
-            *ok = (0..w).all(|t| !y[base + t * m + k].is_zero());
-            if *ok {
-                e += 1;
-            }
-        }
-        if e < m {
-            // Scalar replay for the ineligible systems, walking the stored
-            // U entries exactly as a standalone solve would.
-            for t in (0..w).rev() {
-                let j = p.start + t;
-                for k in (0..m).filter(|&k| !mask[k]) {
-                    let xjk = y[j * m + k] / self.u_diag[j];
-                    y[j * m + k] = xjk;
-                    if xjk.is_zero() {
-                        continue;
-                    }
-                    for &(kstep, uv) in &self.u_cols[j] {
-                        y[kstep * m + k] -= uv * xjk;
-                    }
-                }
-            }
-        }
-        if e == 0 {
-            return;
-        }
-        // Upper-triangular block in scalar (descending) column order; the
-        // entry commit replaces the per-component zero-skip for the
-        // committed systems (part of the shared op-sequence definition).
+    /// One retained panel of the backward pass. The committed systems take
+    /// the upper-triangular block in scalar (descending) column order, then
+    /// one [`SolveScratch::off_panel_update`] over the gathered above rows
+    /// with `U(above, S)`; the other systems replay the scalar step walk
+    /// verbatim (per-component zero-skip included).
+    fn backward_panel(&self, p: &SolvePanel<T>, y: &mut [T], m: usize, sc: &mut SolveScratch<T>) {
+        let (w, base) = (p.ncols, p.start * m);
+        sc.commit(y, base, w, m);
         for t in (0..w).rev() {
             let j = p.start + t;
-            {
-                let xt = &mut y[base + t * m..base + (t + 1) * m];
-                if e == m {
-                    for x in xt.iter_mut() {
-                        *x = *x / self.u_diag[j];
-                    }
-                } else {
-                    for (k, x) in xt.iter_mut().enumerate() {
-                        if mask[k] {
-                            *x = *x / self.u_diag[j];
-                        }
-                    }
+            for &k in &sc.replayed {
+                let xjk = y[j * m + k] / self.u_diag[j];
+                y[j * m + k] = xjk;
+                if xjk.is_zero() {
+                    continue;
                 }
-            }
-            for s in 0..t {
-                let d = p.udiag[t * w + s];
-                let (head, tail) = y.split_at_mut(base + t * m);
-                let xt = &tail[..m];
-                let ys = &mut head[base + s * m..base + s * m + m];
-                if e == m {
-                    gemm_sub(1, 1, m, &[d], 1, xt, 1, ys, 1);
-                } else {
-                    for (k, (sv, &tv)) in ys.iter_mut().zip(xt).enumerate() {
-                        if mask[k] {
-                            *sv -= d * tv;
-                        }
-                    }
+                for &(kstep, uv) in &self.u_cols[j] {
+                    y[kstep * m + k] -= uv * xjk;
                 }
             }
         }
-        let above = p.above_steps.len();
-        if above == 0 {
+        if sc.committed.is_empty() {
             return;
         }
-        if e == m {
-            // The panel block of `y` is already the (m × w) column-major
-            // left operand; only the scattered above rows need gathering.
-            gathered_c.clear();
-            for &us in &p.above_steps {
-                gathered_c.extend_from_slice(&y[us * m..us * m + m]);
-            }
-            gemm_sub(
-                m,
-                w,
-                above,
-                &y[base..base + w * m],
-                m,
-                &p.above_t,
-                w,
-                gathered_c,
-                m,
-            );
-            for (i, &us) in p.above_steps.iter().enumerate() {
-                y[us * m..us * m + m].copy_from_slice(&gathered_c[i * m..(i + 1) * m]);
-            }
-        } else {
-            gathered_b.clear();
-            for t in 0..w {
-                for k in (0..m).filter(|&k| mask[k]) {
-                    gathered_b.push(y[base + t * m + k]);
-                }
-            }
-            gathered_c.clear();
-            for &us in &p.above_steps {
-                for k in (0..m).filter(|&k| mask[k]) {
-                    gathered_c.push(y[us * m + k]);
-                }
-            }
-            gemm_sub(e, w, above, gathered_b, e, &p.above_t, w, gathered_c, e);
-            let mut idx = 0;
-            for &us in &p.above_steps {
-                for k in (0..m).filter(|&k| mask[k]) {
-                    y[us * m + k] = gathered_c[idx];
-                    idx += 1;
+        for t in (0..w).rev() {
+            let j = p.start + t;
+            for &k in &sc.committed {
+                let x = y[base + t * m + k] / self.u_diag[j];
+                y[base + t * m + k] = x;
+                for s in 0..t {
+                    y[base + s * m + k] -= p.udiag[t * w + s] * x;
                 }
             }
         }
+        sc.off_panel_update(y, m, base, w, &p.above_steps, &p.above_t);
     }
 
     /// Solves with a real right-hand side (embedding into `T`).
@@ -634,14 +498,16 @@ impl<T: Scalar> SparseLu<T> {
     ///
     /// The panel is transposed into RHS-contiguous layout so both
     /// triangular passes traverse the `L`/`U` index structure **once** for
-    /// all `m` systems. Both passes additionally run **blocked over the
-    /// retained supernode panels**: the packed triangular block is
-    /// substituted in place and the shared below (forward) / above
-    /// (backward) rows take one [`bdsm_linalg::gemm_sub`] panel update of
-    /// width `w × m` instead of `w` scattered column walks. Each system
-    /// performs exactly the floating-point operations it performs alone
-    /// (`m = 1`, which is [`solve`](Self::solve)), in the same order — the
-    /// path decisions are made per system — so `solve_multi` is
+    /// all `m` systems. Outside the retained supernode panels each stored
+    /// entry updates every system, skipping a zero component. At each
+    /// panel, in both passes, the systems whose panel components are all
+    /// nonzero commit to the blocked path — the packed triangular block,
+    /// then one [`bdsm_linalg::gemm_sub`] over the gathered below (forward)
+    /// / above (backward) rows — and the others replay the scalar walk.
+    /// That commit rule is the solve's only path decision, and it reads
+    /// only the system's own values, so each system performs exactly the
+    /// floating-point operations it performs alone (`m = 1`, which is
+    /// [`solve`](Self::solve)), in the same order: `solve_multi` is
     /// bitwise-identical to `m` separate solves (a property the reduction
     /// engine's determinism relies on).
     ///
@@ -668,8 +534,9 @@ impl<T: Scalar> SparseLu<T> {
                 y[j * m + k] = rhs[k * n + src];
             }
         }
-        self.forward_substitute(&mut y, m);
-        self.backward_substitute(&mut y, m);
+        let mut sc = SolveScratch::default();
+        self.forward_substitute(&mut y, m, &mut sc);
+        self.backward_substitute(&mut y, m, &mut sc);
         // Undo the column ordering.
         let mut out = vec![T::ZERO; n * m];
         for j in 0..n {
