@@ -1,9 +1,10 @@
-//! Dependency-free timing harness for BDSM hot paths.
+//! Dependency-free timing helper for BDSM hot paths.
 //!
 //! Criterion is not in the dependency set, so this crate provides a small
-//! wall-clock harness with warmup and per-iteration statistics — enough to
-//! compare full-vs-reduced evaluation cost and to track regressions until a
-//! dedicated benchmark suite lands.
+//! wall-clock helper with warmup and per-iteration statistics. Regressions
+//! are tracked by the standalone `benchmark/` harness; besides this helper
+//! the crate holds only the `scaling` binary, the full-vs-ROM transient
+//! record that no `benchmark/` workload takes yet.
 
 use std::fmt;
 use std::time::{Duration, Instant};

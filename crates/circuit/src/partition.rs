@@ -1129,9 +1129,9 @@ mod tests {
     }
 
     /// Fast smoke guard on a small mesh. The authoritative ≥ 25 % separator
-    /// reduction is asserted at n = 10⁴ in `tests/partition_invariants.rs`
-    /// and gated by the scaling benchmark; small meshes leave the FM
-    /// refinement less room, so the bar here is looser.
+    /// reduction is asserted at n = 10⁴ in `tests/partition_invariants.rs`;
+    /// small meshes leave the FM refinement less room, so the bar here is
+    /// looser.
     #[test]
     fn nested_dissection_beats_bfs_on_mesh_separators() {
         let net = grid(40, 40);

@@ -3,8 +3,8 @@
 //! n = 10⁴ mesh the paper's scaling experiments use, the boundary-aware
 //! partitioner must produce interface sets ≥ 25 % smaller than the BFS
 //! oracle. (The in-crate unit tests keep a fast smoke version of this on
-//! a 40×40 mesh; this is the binding check, mirrored by the scaling
-//! benchmark's `partition` record and its gate.)
+//! a 40×40 mesh; this is the binding check, and the only one: no
+//! benchmark records the separators.)
 
 use bdsm_circuit::{partition_network_with, Network, Partition, PartitionStrategy, GROUND};
 
@@ -129,9 +129,8 @@ fn partitions_are_deterministic() {
 }
 
 /// The binding separator-quality bar: nested dissection beats BFS by at
-/// least 25 % on the 100×100 mesh at k = 8 — the configuration the
-/// scaling benchmark records — and never grows past the 522 buses first
-/// recorded for it.
+/// least 25 % on the 100×100 mesh at k = 8 and never grows past the 522
+/// buses first recorded for it.
 #[test]
 fn nested_dissection_separators_beat_bfs_by_quarter_at_n_1e4() {
     let net = grid(100, 100);

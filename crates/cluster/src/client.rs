@@ -336,14 +336,9 @@ impl ClusterClient {
             Ok(out) => out,
             Err(payload) => {
                 self.metrics.worker_panics.inc();
-                let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "panic with non-string payload".to_string()
-                };
-                Err(ClusterError::Internal(msg))
+                Err(ClusterError::Internal(bdsm_obs::fault::panic_message(
+                    &*payload,
+                )))
             }
         }
     }

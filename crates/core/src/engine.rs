@@ -148,8 +148,8 @@ pub struct Plan {
     pencil: ShiftedPencil,
 }
 
-/// One greedy round of the adaptive loop, for the audit trail (and the
-/// scaling benchmark's adaptive record).
+/// One greedy round of the adaptive loop, for the audit trail (the
+/// `benchmark/` harness reads `core.adaptive_rounds` from it).
 #[derive(Debug, Clone)]
 pub struct RoundRecord {
     /// Expansion points active during this round.
@@ -428,7 +428,9 @@ impl<'n> ReductionEngine<'n> {
         let mut worst = 0.0_f64;
         let mut worst_omega = omegas.first().copied().unwrap_or(0.0);
         for (&r, &w) in residuals.iter().zip(omegas) {
-            if r > worst {
+            // A NaN residual ranks worst (and stays worst): it can never
+            // pass the tolerance.
+            if r > worst || (r.is_nan() && !worst.is_nan()) {
                 worst = r;
                 worst_omega = w;
             }

@@ -355,8 +355,7 @@ impl ReducedModel {
 }
 
 /// Wall-clock breakdown of one reduction, in microseconds per pipeline
-/// stage: a view of an [`EngineReport`] ([`StageTimings::from_report`]) —
-/// the payload behind the scaling benchmark's per-stage artifact trail.
+/// stage: a view of an [`EngineReport`] ([`StageTimings::from_report`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimings {
     /// MNA assembly, the block-contiguous state permutation, and the

@@ -84,9 +84,28 @@ impl CMatrix {
         Ok(out)
     }
 
-    /// Frobenius norm.
+    /// Frobenius norm. `sqrt(Σ|z|²)` whenever that sum is a normal
+    /// number; when it under- or overflows, the entries are rescaled by
+    /// the largest `|re|` / `|im|` first, as `vector::norm2` does, so a
+    /// uniformly scaled matrix keeps its norm's scale. A NaN entry gives
+    /// NaN.
     pub fn norm_fro(&self) -> f64 {
-        self.data.iter().map(|z| z.abs_sq()).sum::<f64>().sqrt()
+        let sum = self.data.iter().map(|z| z.abs_sq()).sum::<f64>();
+        if sum.is_normal() || sum.is_nan() {
+            return sum.sqrt();
+        }
+        let amax = self
+            .data
+            .iter()
+            .fold(0.0_f64, |m, z| m.max(z.re.abs()).max(z.im.abs()));
+        if amax == 0.0 || !amax.is_finite() {
+            return amax;
+        }
+        let scaled = self.data.iter().map(|z| {
+            let (re, im) = (z.re / amax, z.im / amax);
+            re * re + im * im
+        });
+        amax * scaled.sum::<f64>().sqrt()
     }
 }
 
@@ -716,5 +735,15 @@ mod tests {
         let (g, c, b, l) = scalar_rc();
         let h = eval_transfer(&g, &c, &b, &l, Complex64::jomega(1.0)).unwrap();
         assert_eq!(transfer_rel_err(&h, &h.clone()), 0.0);
+    }
+
+    #[test]
+    fn rel_err_keeps_its_scale_where_the_squared_sum_leaves_range() {
+        for (full, red) in [(1e-170, 2e-170), (1e200, 2e200)] {
+            let (mut hf, mut hr) = (CMatrix::zeros(1, 1), CMatrix::zeros(1, 1));
+            hf[(0, 0)] = Complex64::new(full, 0.0);
+            hr[(0, 0)] = Complex64::new(red, 0.0);
+            assert_eq!(transfer_rel_err(&hf, &hr), 1.0, "H = {full:e} vs {red:e}");
+        }
     }
 }

@@ -295,3 +295,44 @@ fn each_krylov_point_factors_then_recurs_on_one_worker() {
         );
     }
 }
+
+/// Span accounting of the Krylov stage at scale: on one worker (so span
+/// self-times add up to wall-clock instead of overlapping) the
+/// `krylov.point` + `krylov.merge` spans of the fixed 8-point reduce of
+/// a 10⁴-state ladder cover `stage.krylov` within 5 %. Work added inside
+/// that stage without a span of its own breaks the band.
+#[test]
+fn krylov_point_and_merge_spans_cover_the_krylov_stage() {
+    use bdsm_core::engine::ReductionEngine;
+    use bdsm_core::krylov::KrylovOpts;
+    use bdsm_core::reduce::{ReductionOpts, StageTimings};
+    use bdsm_core::synth::rc_ladder_loaded;
+
+    let _guard = ENV_LOCK.lock().unwrap();
+    let _scope = Scope::new("1", ObsLevel::Spans);
+    let opts = ReductionOpts {
+        num_blocks: 8,
+        krylov: KrylovOpts {
+            expansion_points: vec![],
+            jomega_points: vec![2.0e1, 5.0e1, 1.5e2, 4.5e2, 1.5e3, 4.0e3, 1.2e4, 4.0e4],
+            moments_per_point: 2,
+            deflation_tol: 1e-12,
+            ..KrylovOpts::default()
+        },
+        rank_tol: 1e-12,
+        max_reduced_dim: Some(2000),
+        ..ReductionOpts::default()
+    };
+    let net = rc_ladder_loaded(10_000, 1.0, 1e-3, 5.0, 5);
+    let engine = ReductionEngine::new(&net, &opts).expect("valid options");
+    let (_, report) = engine.run().expect("fixed reduce");
+    let stages = StageTimings::from_report(&report);
+    let per_point_us = stages.krylov_point_us + stages.krylov_merge_us;
+    let coverage = per_point_us / stages.krylov_us;
+    assert!(
+        (0.95..=1.05).contains(&coverage),
+        "per-point spans sum to {per_point_us:.1} µs but stage.krylov is {:.1} µs \
+         (coverage {coverage:.3}, required within 5 %)",
+        stages.krylov_us,
+    );
+}

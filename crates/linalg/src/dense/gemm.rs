@@ -74,21 +74,14 @@ pub fn gemm_sub<T: GemmScalar>(
     gemm_kernel::<T, true>(m, k, n, a, lda, b, ldb, c, ldc);
 }
 
-/// Compile-time register-blocking parameters of the micro-kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelShape {
-    /// Rank-1 updates fused per pass over a `C` column: each fused pass
-    /// broadcasts this many `B` values and streams as many unit-stride `A`
-    /// columns, so widening it deepens the register blocking without
-    /// touching the loop structure.
-    pub fused_rank1: usize,
-}
-
-/// The active kernel shape — retune the scalar unroll in this one line.
-pub const KERNEL_SHAPE: KernelShape = KernelShape { fused_rank1: 8 };
+/// Rank-1 updates fused per pass over a `C` column: each fused pass
+/// broadcasts this many `B` values and streams as many unit-stride `A`
+/// columns, so widening it deepens the register blocking without touching
+/// the loop structure.
+const FUSED_RANK1: usize = 8;
 
 /// Shared implementation: per output column, rank-1 updates are fused
-/// [`KERNEL_SHAPE`]`.fused_rank1` at a time so each pass over the `C`
+/// [`FUSED_RANK1`] at a time so each pass over the `C`
 /// column amortizes that many broadcast `B` values
 /// and unit-stride `A` streams — the register blocking — while `k` is
 /// consumed in order, keeping results independent of the blocking factor
@@ -105,7 +98,6 @@ fn gemm_kernel<T: GemmScalar, const SUB: bool>(
     c: &mut [T],
     ldc: usize,
 ) {
-    const FUSED: usize = KERNEL_SHAPE.fused_rank1;
     if m == 0 || k == 0 || n == 0 {
         return;
     }
@@ -114,13 +106,13 @@ fn gemm_kernel<T: GemmScalar, const SUB: bool>(
         let cj = &mut c[j * ldc..j * ldc + m];
         let bj = &b[j * ldb..j * ldb + k];
         let mut p = 0;
-        while p + FUSED <= k {
-            let bb: [T; FUSED] = std::array::from_fn(|t| bj[p + t]);
-            let acols: [&[T]; FUSED] =
+        while p + FUSED_RANK1 <= k {
+            let bb: [T; FUSED_RANK1] = std::array::from_fn(|t| bj[p + t]);
+            let acols: [&[T]; FUSED_RANK1] =
                 std::array::from_fn(|t| &a[(p + t) * lda..(p + t) * lda + m]);
             for i in 0..m {
                 let mut t = acols[0][i] * bb[0];
-                for u in 1..FUSED {
+                for u in 1..FUSED_RANK1 {
                     t += acols[u][i] * bb[u];
                 }
                 if SUB {
@@ -129,7 +121,7 @@ fn gemm_kernel<T: GemmScalar, const SUB: bool>(
                     cj[i] += t;
                 }
             }
-            p += FUSED;
+            p += FUSED_RANK1;
         }
         while p < k {
             let bp = bj[p];
@@ -222,8 +214,8 @@ mod tests {
             (8, 4, 4),
             (17, 9, 5),
             (6, 13, 1),
-            (4, KERNEL_SHAPE.fused_rank1, 2),
-            (5, 2 * KERNEL_SHAPE.fused_rank1 + 3, 3),
+            (4, FUSED_RANK1, 2),
+            (5, 2 * FUSED_RANK1 + 3, 3),
         ] {
             let a = fill(m * k, 0x11 + (m * k) as u64);
             let b = fill(k * n, 0x22 + (k * n) as u64);

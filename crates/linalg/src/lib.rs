@@ -35,6 +35,6 @@ pub mod vector;
 pub use complex::Complex64;
 pub use dense::{
     block_project, gemm_acc, gemm_sub, gemm_tn_acc, sym_eig_extremes, sym_min_eig, trsv_unit_lower,
-    DenseLu, GemmScalar, KernelShape, Matrix, Svd, SymEig, KERNEL_SHAPE,
+    DenseLu, GemmScalar, Matrix, Svd, SymEig,
 };
 pub use error::{LinalgError, Result};

@@ -30,6 +30,7 @@
 //! Faults are process-global: tests arming them must serialize (a shared
 //! `Mutex` in the test module is the usual shape).
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -138,6 +139,19 @@ fn hit_slow(name: &'static str) {
     }
 }
 
+/// The message of a caught panic payload: the `&str` or `String` that
+/// `panic!` carries, or a fixed note for any other payload type. What a
+/// panic-containing API puts into its typed `Internal` error.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_string()
+    }
+}
+
 /// Mark a fault-injection site. Free when nothing is armed (one relaxed
 /// atomic load); panics when a test armed this name via
 /// [`fault::arm`](crate::fault::arm).
@@ -209,5 +223,16 @@ mod tests {
         let guard = arm("fault.test.poison");
         drop(guard);
         crate::faultpoint!("fault.test.poison");
+    }
+
+    #[test]
+    fn panic_message_reads_every_payload_shape() {
+        let literal = std::panic::catch_unwind(|| panic!("static text")).unwrap_err();
+        assert_eq!(panic_message(&*literal), "static text");
+        let n = 7;
+        let formatted = std::panic::catch_unwind(|| panic!("formatted {n}")).unwrap_err();
+        assert_eq!(panic_message(&*formatted), "formatted 7");
+        let other = std::panic::catch_unwind(|| std::panic::panic_any(42_u32)).unwrap_err();
+        assert_eq!(panic_message(&*other), "panic with non-string payload");
     }
 }

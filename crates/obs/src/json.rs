@@ -1,6 +1,6 @@
 //! The one JSON emitter: every JSON document the workspace writes — the
 //! Chrome span trace, the metrics snapshots, the certificate and artifact
-//! dumps, the `scaling` records — is built from these pieces, so the
+//! dumps, the `scaling` transient record — is built from these pieces, so the
 //! format is decided here once:
 //!
 //! * **strings** are escaped by [`push_json_string`];

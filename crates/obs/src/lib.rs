@@ -17,7 +17,7 @@
 //!   builder that places the commas, one string escape and one float
 //!   rule (shortest round-trip `{:e}`, non-finite → `null`). Every JSON
 //!   writer in the workspace — span trace, metrics, certificate, artifact
-//!   dump, the `scaling` records — goes through it.
+//!   dump, the `scaling` transient record — goes through it.
 //! * **Fault injection** — named [`faultpoint!`] sites robustness tests
 //!   arm ([`fault::arm`]) to panic on demand, proving typed-error
 //!   recovery paths; free (one relaxed atomic load) while disarmed.

@@ -552,14 +552,9 @@ impl RomServer {
             Ok(out) => out,
             Err(payload) => {
                 self.metrics.panics_recovered.inc();
-                let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "panic with non-string payload".to_string()
-                };
-                Err(RomError::Internal(msg))
+                Err(RomError::Internal(bdsm_obs::fault::panic_message(
+                    &*payload,
+                )))
             }
         }
     }

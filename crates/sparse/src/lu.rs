@@ -336,7 +336,8 @@ impl<T: Scalar> SparseLu<T> {
     }
 
     /// Stored entries in `L` and `U` (including both diagonals) — the
-    /// memory proxy used by the scaling benchmarks.
+    /// memory proxy the `benchmark/` harness reports as
+    /// `sparse.factor_nnz`.
     pub fn factor_nnz(&self) -> usize {
         let l: usize = self.l_cols.iter().map(Vec::len).sum();
         let u: usize = self.u_cols.iter().map(Vec::len).sum();

@@ -59,8 +59,8 @@
 //! | *evaluate* | [`core`]       | [`core::transfer::eval_transfer`] / [`core::transfer::eval_jomega_sweep`] (dense complex LU, the ROM side), [`core::transfer::SparseTransferEvaluator`] (full models), [`core::transfer::eval_transfer_factored`] (against a cached factor) |
 //! | *simulate* | [`sim`]        | [`sim::TransientSolver`] |
 //! | *distribute* | [`cluster`]  | [`cluster::ShardPlan`] placement (by model / by frequency band), [`cluster::ShardNode`] TCP shard processes over [`rom::RomServer`], [`cluster::ClusterClient`] batching/retrying router with typed [`cluster::ClusterError`]s; [`cluster::wire`] frames go through the artifact format's codec, [`rom::codec`] (magic, version, word-wise checksum, alloc-bounded reads) |
-//! | *observe*  | [`obs`]        | [`obs::span!`](span!) / [`obs::timing_span!`](timing_span!) RAII span tracing (Chrome-trace export via [`obs::Trace`]), [`obs::metrics`] counter/gauge/histogram registry, [`rom::RomServer::metrics`], [`obs::faultpoint!`](faultpoint!) fault-injection sites for robustness tests; one-atomic-load no-ops until `BDSM_OBS` (or [`obs::set_level`]) turns them on |
-//! | *measure*  | [`mod@bench`]  | [`bench::time_with_warmup`] |
+//! | *observe*  | [`obs`]        | [`obs::span!`](span!) / [`obs::timing_span!`](timing_span!) RAII span tracing (Chrome-trace export via [`obs::Trace`]), [`obs::metrics`] counter/gauge/histogram registry, [`rom::RomServer::metrics`], [`obs::faultpoint!`](faultpoint!) fault-injection sites for robustness tests, [`obs::fault::panic_message`] for the typed `Internal` errors of contained panics; one-atomic-load no-ops until `BDSM_OBS` (or [`obs::set_level`]) turns them on |
+//! | *measure*  | [`mod@bench`]  | [`bench::time_with_warmup`] and the `scaling` binary's full-vs-ROM transient record; every other measurement is the standalone `benchmark/` harness |
 //!
 //! [`core::reduce::reduce_network`] (the reduced model alone) and
 //! [`core::engine::ReductionEngine`] (`run` for model + report, or the
