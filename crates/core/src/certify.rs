@@ -6,47 +6,50 @@
 //! grid. This module upgrades the stage into properties a downstream
 //! co-simulation actually relies on:
 //!
-//! - **Passivity** ([`PassivityCertificate`]): semidefiniteness margins of
-//!   `sym(G_r)` and `C_r` (an RC descriptor with `sym(G) ⪰ 0`, `C ⪰ 0`
-//!   cannot generate energy), plus positive-real sampling of the reduced
-//!   transfer function — the smallest eigenvalue of the Hermitian part of
-//!   `H(jω)` per grid frequency, with violating frequencies localized.
-//! - **Stability** ([`Certificate::stability`]): decided by the same two
-//!   margins. When `sym(G_r) ⪰ 0` and `C_r ⪰ 0`, `V = xᵀC_r x` does not
-//!   grow along `C_r ẋ = −G_r x` (Lyapunov). The pencil's spectral
-//!   abscissa would decide nothing more: when `C_r = LLᵀ` is positive
-//!   definite, the pencil `(−G_r, C_r)` of a symmetric `G_r` has the
-//!   eigenvalues `−eig(L⁻¹ G_r L⁻ᵀ)`, and by Sylvester's law of inertia
-//!   that congruence has the inertia of `G_r`, so the sign of the
-//!   abscissa is the sign of `−λ_min(G_r)`. For a non-symmetric `G_r`
-//!   (RLC) the same construction on `sym(G_r)` only bounds the abscissa.
-//!   Each margin is also judged in its own units (conductance for `G_r`,
-//!   capacitance for `C_r`); the abscissa is a rate in 1/s and has a
-//!   threshold in neither.
+//! - **Stability** ([`Certificate::stability`]): `sym(G_r) ⪰ 0` and
+//!   `C_r ⪰ 0`. Then `V = xᵀC_r x` does not grow along
+//!   `C_r ẋ = −G_r x` (Lyapunov), and an RC descriptor with both cannot
+//!   generate energy. The pencil's spectral abscissa would decide nothing
+//!   more: when `C_r = LLᵀ` is positive definite, the pencil
+//!   `(−G_r, C_r)` of a symmetric `G_r` has the eigenvalues
+//!   `−eig(L⁻¹ G_r L⁻ᵀ)`, and by Sylvester's law of inertia that
+//!   congruence has the inertia of `G_r`, so the sign of the abscissa is
+//!   the sign of `−λ_min(G_r)`. For a non-symmetric `G_r` (RLC) the same
+//!   construction on `sym(G_r)` only bounds the abscissa.
+//! - **Passivity** ([`PassivityCertificate`]): the stability test plus
+//!   positive-real sampling of the reduced transfer function — the
+//!   smallest eigenvalue of the Hermitian part of `H(jω)` per grid
+//!   frequency, with violating frequencies localized.
 //! - **A posteriori error bands** ([`ErrorBand`]): the residual sweep
 //!   folded into per-log-frequency-band worst-case bounds.
 //!
 //! Congruence reduction preserves semidefiniteness exactly in exact
 //! arithmetic — these checks certify that *floating-point* reduction did
 //! not break it, which is precisely the guarantee a stranger consuming the
-//! artifact needs. Every check allows a relative roundoff of [`TOL`]. The
-//! two margins go through [`bdsm_linalg::sym_min_eig`] (tridiagonalize +
-//! Sturm bisection); the small per-frequency Hermitian samples go through
-//! the full [`SymEig`] Jacobi decomposition via the real `2p×2p`
-//! embedding.
+//! artifact needs. Semidefiniteness is a statement about inertia, which
+//! no congruence changes, so it is tested on the Jacobi-equilibrated
+//! matrix `D^-1/2 sym(A) D^-1/2` with `D = |diag sym(A)|`: a Cholesky
+//! factorisation of it plus [`TOL`]`·I` decides the verdict, and no
+//! eigenvalue is computed. The verdict is the same in any physical units
+//! (any positive diagonal scaling of the states). The small per-frequency
+//! Hermitian samples go through the full [`SymEig`] Jacobi decomposition
+//! via the real `2p×2p` embedding.
 //!
-//! Everything here is deterministic: fixed bisection schedules, no
+//! Everything here is deterministic: a fixed elimination order, no
 //! data-dependent thread interaction — certificates are bitwise-identical
 //! for any `BDSM_THREADS`.
 
 use crate::reduce::Result;
 use crate::transfer::{eval_jomega_sweep, CMatrix};
-use bdsm_linalg::{sym_min_eig, Matrix, SymEig};
+use bdsm_linalg::{LinalgError, Matrix, SymEig};
 use bdsm_obs::json::{self, Json, Object};
 
-/// Relative eigenvalue tolerance of every check: a smallest eigenvalue
-/// `λ_min ≥ −TOL·max(1, ‖A‖_max)` still counts as semidefinite (roundoff
-/// allowance).
+/// Relative roundoff allowance of every check. `sym(G_r)` and `C_r` count
+/// as semidefinite when `D^-1/2 sym(A) D^-1/2 + TOL·I`, with
+/// `D = |diag sym(A)|`, has a Cholesky factor; a Hermitian sample `M`
+/// counts as positive semidefinite when `λ_min(M) ≥ −TOL·‖M‖_max`. Both
+/// tests are free of scale: multiplying the matrix, or any state, by a
+/// positive number moves no verdict.
 pub const TOL: f64 = 1e-8;
 
 /// Per-frequency relative transfer residuals of a ROM against the full
@@ -87,18 +90,14 @@ pub enum CertStatus {
     Unknown,
 }
 
-/// Passivity evidence: semidefiniteness margins of the reduced pencil and
-/// positive-real sampling of the reduced transfer function.
+/// Passivity evidence: positive-real sampling of the reduced transfer
+/// function, on top of the semidefiniteness of the reduced pencil that
+/// [`Certificate::stability`] records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PassivityCertificate {
-    /// The relative eigenvalue tolerance the margins were judged against
-    /// ([`TOL`] for every certificate this build writes; `0` when
-    /// unknown).
+    /// The relative tolerance the checks were judged against ([`TOL`] for
+    /// every certificate this build writes; `0` when unknown).
     pub tol: f64,
-    /// Smallest eigenvalue of `sym(G_r)`.
-    pub g_sym_min_eig: f64,
-    /// Smallest eigenvalue of `C_r` (symmetrized).
-    pub c_min_eig: f64,
     /// Frequencies where `Re H(jω)` was sampled (empty when the transfer
     /// matrix is not square or no grid was available).
     pub sample_omegas: Vec<f64>,
@@ -132,8 +131,9 @@ pub struct Certificate {
     /// Passivity evidence.
     pub passivity: PassivityCertificate,
     /// Stability of the pencil `(−G_r, C_r)`: [`CheckOutcome::Pass`]
-    /// exactly when both semidefiniteness margins of [`Self::passivity`]
-    /// pass (see the module docs for why they decide it).
+    /// exactly when `sym(G_r)` and `C_r` both pass the scaled
+    /// semidefiniteness test (see the module docs for why that decides
+    /// it).
     pub stability: CheckOutcome,
     /// Per-band a posteriori error bounds (empty when no full-model
     /// residual sweep was available, e.g. the fixed shift path).
@@ -156,8 +156,6 @@ impl Certificate {
         Certificate {
             passivity: PassivityCertificate {
                 tol: 0.0,
-                g_sym_min_eig: 0.0,
-                c_min_eig: 0.0,
                 sample_omegas: Vec::new(),
                 sample_min_eigs: Vec::new(),
                 violations: Vec::new(),
@@ -230,8 +228,6 @@ impl Json for Certificate {
                 Object::new()
                     .field("outcome", p.outcome)
                     .field("tol", p.tol)
-                    .field("g_sym_min_eig", p.g_sym_min_eig)
-                    .field("c_min_eig", p.c_min_eig)
                     .field("samples", p.sample_omegas.len())
                     .field("violations", p.violations.len()),
             )
@@ -293,14 +289,17 @@ pub fn certify_reduced(
     if q == 0 {
         return Ok(Certificate::unknown());
     }
-    // Two independent `O(q³)` jobs, the smallest eigenvalue of each
+    // Two independent `O(q³)` jobs, the semidefiniteness test of each
     // matrix's symmetric part. Each is a pure function of its matrix, so
     // the fan-out cannot move a bit.
-    let mut mins = crate::par::parallel_map(&[g, c], |_, m| sym_min_eig(m)).into_iter();
-    let g_sym_min_eig = mins.next().expect("one result per job")?;
-    let c_min_eig = mins.next().expect("one result per job")?;
-    let margins_pass =
-        g_sym_min_eig >= -TOL * g.norm_max().max(1.0) && c_min_eig >= -TOL * c.norm_max().max(1.0);
+    let mut tests = crate::par::parallel_map(&[g, c], |_, m| semidefinite(m)).into_iter();
+    let g_psd = tests.next().expect("one result per job")?;
+    let c_psd = tests.next().expect("one result per job")?;
+    let stability = if g_psd && c_psd {
+        CheckOutcome::Pass
+    } else {
+        CheckOutcome::Fail
+    };
 
     // Positive-real sampling: only defined for a square transfer matrix
     // (inputs and outputs must pair up for `uᴴ H u` to be a power).
@@ -314,7 +313,7 @@ pub fn certify_reduced(
         let mut bad = Vec::new();
         for (k, h) in samples.iter().enumerate() {
             let (min_eig, scale) = hermitian_part_min_eig(h)?;
-            if min_eig < -TOL * scale.max(1.0) {
+            if min_eig < -TOL * scale {
                 bad.push(k);
             }
             mins.push(min_eig);
@@ -323,15 +322,10 @@ pub fn certify_reduced(
     } else {
         (Vec::new(), Vec::new(), Vec::new())
     };
-    let passivity_outcome = if !margins_pass || !violations.is_empty() {
+    let passivity_outcome = if stability == CheckOutcome::Fail || !violations.is_empty() {
         CheckOutcome::Fail
     } else {
         CheckOutcome::Pass
-    };
-    let stability = if margins_pass {
-        CheckOutcome::Pass
-    } else {
-        CheckOutcome::Fail
     };
 
     let error_bands = residuals
@@ -346,8 +340,6 @@ pub fn certify_reduced(
     Ok(Certificate {
         passivity: PassivityCertificate {
             tol: TOL,
-            g_sym_min_eig,
-            c_min_eig,
             sample_omegas,
             sample_min_eigs,
             violations,
@@ -357,6 +349,62 @@ pub fn certify_reduced(
         error_bands,
         status,
     })
+}
+
+/// `true` when `sym(A) ⪰ 0` within [`TOL`], decided by inertia: with
+/// `d = |diag sym(A)|` (a zero entry taken as 1) and `r = 1/√d`, the
+/// Cholesky factorisation of `S = (r_i · sym(A)_ij · r_j) + TOL·I` must
+/// find every pivot positive. `S` is congruent to `sym(A) + TOL·diag(d)`,
+/// and its diagonal is `±1` or `0` plus `TOL`, so the verdict does not
+/// depend on the scale of `A` or of any of its states. Scaling each entry by
+/// `r_i` and `r_j` in turn never forms `d_i·d_j`, which would overflow at
+/// `‖A‖ ≈ 1e170`.
+///
+/// # Errors
+///
+/// [`LinalgError::NotSquare`] for a non-square `A`, and
+/// [`LinalgError::InvalidArgument`] for a NaN or ±∞ entry.
+fn semidefinite(a: &Matrix) -> Result<bool> {
+    if !a.is_square() {
+        return Err(LinalgError::NotSquare { shape: a.shape() }.into());
+    }
+    if !a.as_slice().iter().all(|v| v.is_finite()) {
+        return Err(LinalgError::InvalidArgument {
+            what: "certify: matrix has a non-finite entry",
+        }
+        .into());
+    }
+    let n = a.nrows();
+    let r: Vec<f64> = (0..n)
+        .map(|i| {
+            let d = a[(i, i)].abs();
+            if d == 0.0 {
+                1.0
+            } else {
+                1.0 / d.sqrt()
+            }
+        })
+        .collect();
+    // The factor `L`, row-major, filled row by row.
+    let mut l = vec![0.0_f64; n * n];
+    for i in 0..n {
+        for j in 0..=i {
+            let sym = 0.5 * (a[(i, j)] + a[(j, i)]) * r[i] * r[j];
+            let s = if i == j { sym + TOL } else { sym };
+            let (li, lj) = (&l[i * n..i * n + j], &l[j * n..j * n + j]);
+            let v = s - li.iter().zip(lj).map(|(x, y)| x * y).sum::<f64>();
+            if i == j {
+                // A NaN pivot comes from an overflowed row: not PSD.
+                if v.is_nan() || v <= 0.0 {
+                    return Ok(false);
+                }
+                l[i * n + i] = v.sqrt();
+            } else {
+                l[i * n + j] = v / l[j * n + j];
+            }
+        }
+    }
+    Ok(true)
 }
 
 /// Smallest eigenvalue of the Hermitian part `M = (H + Hᴴ)/2` of a square
@@ -471,8 +519,6 @@ mod tests {
         assert_eq!(cert.status, CertStatus::Certified);
         assert_eq!(cert.passivity.outcome, CheckOutcome::Pass);
         assert_eq!(cert.stability, CheckOutcome::Pass);
-        assert!(cert.passivity.g_sym_min_eig > 0.0);
-        assert!(cert.passivity.c_min_eig > 0.0);
         assert!(cert.passivity.violations.is_empty());
         assert_eq!(cert.passivity.sample_min_eigs.len(), 3);
         assert!(cert.passivity.sample_min_eigs.iter().all(|&m| m >= 0.0));
@@ -491,7 +537,6 @@ mod tests {
         let cert = certify_plain(&g, &c, &b, &l);
         assert_eq!(cert.status, CertStatus::Violated);
         assert_eq!(cert.passivity.outcome, CheckOutcome::Fail);
-        assert!(cert.passivity.g_sym_min_eig < 0.0);
         assert_eq!(cert.stability, CheckOutcome::Fail);
         // The driving-point H(jω) of an active one-port goes non-positive-
         // real somewhere on the grid — the violation list localizes it.
@@ -500,6 +545,24 @@ mod tests {
             "sampled min eigs: {:?}",
             cert.passivity.sample_min_eigs
         );
+    }
+
+    #[test]
+    fn an_active_port_map_is_violated_at_any_scale() {
+        // `G`, `C` SPD in units where they read 1e10, and `L = −Bᵀ`: the
+        // pencil is stable, but `Re H(jω)` is negative definite at every
+        // sample, with `|H| ≈ 1e-10`. An absolute floor of `TOL` on the
+        // sample tolerance would let that pass.
+        let n = 4;
+        let g = spd(n, 3.0).scaled(1e10);
+        let c = spd(n, 2.5).scaled(1e10);
+        let b = Matrix::from_fn(n, 2, |i, j| if i == j { 1.0 } else { 0.0 });
+        let l = b.transpose().scaled(-1.0);
+        let cert = certify_plain(&g, &c, &b, &l);
+        assert_eq!(cert.stability, CheckOutcome::Pass);
+        assert_eq!(cert.passivity.outcome, CheckOutcome::Fail);
+        assert_eq!(cert.passivity.violations, vec![0, 1, 2]);
+        assert_eq!(cert.status, CertStatus::Violated);
     }
 
     #[test]
@@ -641,11 +704,6 @@ mod tests {
             assert!(
                 oracle.abs() >= 0.99e-2,
                 "trial {trial}: oracle {oracle} near 0"
-            );
-            let margin = cert.passivity.g_sym_min_eig;
-            assert!(
-                (margin - lambda_min).abs() < 1e-12,
-                "trial {trial}: {margin}"
             );
             let stable = cert.stability == CheckOutcome::Pass;
             assert_eq!(stable, oracle > 0.0, "trial {trial}: oracle {oracle}");

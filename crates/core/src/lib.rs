@@ -33,10 +33,11 @@
 //!   the block structure they keep (block dims, interface map); the
 //!   projector that built it does not outlive the congruence;
 //! - [`certify`] is the trust layer of the Certify stage: typed
-//!   passivity/stability certificates of the reduced pencil (eigenvalue
-//!   margins, positive-real sampling with violation localization, and
-//!   stability decided by the same margins) plus per-band a posteriori
-//!   error bounds, recorded on [`engine::EngineReport::certificate`];
+//!   passivity/stability certificates of the reduced pencil (stability
+//!   from a scale-free semidefiniteness test of `sym(G_r)` and `C_r`,
+//!   passivity from that test plus positive-real sampling with violation
+//!   localization) plus per-band a posteriori error bounds, recorded on
+//!   [`engine::EngineReport::certificate`];
 //! - [`transfer`] evaluates `H(s) = L(G + sC)⁻¹B` for full and reduced
 //!   models so they can be compared frequency by frequency — a dense
 //!   complex LU for ROMs ([`transfer::eval_jomega_sweep`]) and a sparse

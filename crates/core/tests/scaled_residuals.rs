@@ -5,16 +5,22 @@
 //! `α = 1e-170` the squared Frobenius sum of a sample underflows and at
 //! `α = 1e160` it overflows, which once read as a residual of 0 (a
 //! certificate after one round) or NaN (skipped by the worst-residual
-//! scan).
+//! scan). The certificate must not move either: the scaling is a
+//! congruence of the pencil, so `sym(G_r)` and `C_r` keep their inertia.
 
-use bdsm_core::engine::{AdaptiveShiftOpts, ReductionEngine, ShiftStrategy};
+use bdsm_core::engine::{AdaptiveShiftOpts, EngineReport, ReductionEngine, ShiftStrategy};
 use bdsm_core::krylov::KrylovOpts;
-use bdsm_core::reduce::ReductionOpts;
+use bdsm_core::reduce::{ReducedModel, ReductionOpts};
 use bdsm_core::synth::rc_grid;
+use bdsm_core::{certify_reduced, CertStatus, CheckOutcome};
 
-/// `(rounds, shifts, q, residual trajectory)` of the adaptive reduce of
-/// a 20 × 25 mesh with `R × alpha` and `C ÷ alpha`.
-fn adaptive_run(alpha: f64) -> (usize, usize, usize, Vec<f64>) {
+fn candidate_omegas() -> Vec<f64> {
+    AdaptiveShiftOpts::log_grid(5.0e1, 4.0e3, 6)
+}
+
+/// The adaptive reduce of a 20 × 25 mesh with `R × alpha` and
+/// `C ÷ alpha`.
+fn reduce(alpha: f64) -> (ReducedModel, EngineReport) {
     let net = rc_grid(20, 25, alpha, 1e-3 / alpha, 2.0 * alpha);
     let opts = ReductionOpts {
         num_blocks: 4,
@@ -26,15 +32,20 @@ fn adaptive_run(alpha: f64) -> (usize, usize, usize, Vec<f64>) {
         },
         max_reduced_dim: Some(2000),
         shift_strategy: ShiftStrategy::Adaptive(AdaptiveShiftOpts {
-            candidate_omegas: AdaptiveShiftOpts::log_grid(5.0e1, 4.0e3, 6),
+            candidate_omegas: candidate_omegas(),
             tol: 1e-6,
             max_shifts: 4,
         }),
         ..ReductionOpts::default()
     };
-    let (rm, report) = ReductionEngine::new(&net, &opts)
+    ReductionEngine::new(&net, &opts)
         .and_then(|e| e.run())
-        .expect("adaptive reduction");
+        .expect("adaptive reduction")
+}
+
+/// `(rounds, shifts, q, residual trajectory)` of [`reduce`].
+fn adaptive_run(alpha: f64) -> (usize, usize, usize, Vec<f64>) {
+    let (rm, report) = reduce(alpha);
     let residuals = report.rounds.iter().map(|r| r.worst_residual).collect();
     (
         report.rounds.len(),
@@ -59,5 +70,34 @@ fn uniformly_scaled_grid_takes_the_unscaled_rounds_and_shifts() {
                 "alpha = {alpha:e}: residual {got:e}, unscaled {want:e}"
             );
         }
+    }
+}
+
+#[test]
+fn uniformly_scaled_grid_keeps_its_certificate() {
+    for alpha in [1.0, 1e-170, 1e160] {
+        let (rm, report) = reduce(alpha);
+        let cert = &report.certificate;
+        assert_eq!(
+            (cert.status, cert.stability),
+            (CertStatus::Certified, CheckOutcome::Pass),
+            "alpha = {alpha:e}"
+        );
+        // `−G_r` is negative definite at every scale.
+        let negated = certify_reduced(
+            &rm.g.scaled(-1.0),
+            &rm.c,
+            &rm.b,
+            &rm.l,
+            &candidate_omegas(),
+            None,
+            None,
+        )
+        .expect("certify the negated ROM");
+        assert_eq!(
+            (negated.status, negated.stability),
+            (CertStatus::Violated, CheckOutcome::Fail),
+            "negated G_r, alpha = {alpha:e}"
+        );
     }
 }

@@ -328,14 +328,6 @@ impl Matrix {
         vector::norm_inf(&self.data)
     }
 
-    /// Number of entries with `|a_ij| > tol`.
-    ///
-    /// Fig. 4 of the paper compares ROM sparsity; this is the measurement
-    /// primitive behind it.
-    pub fn count_nonzeros(&self, tol: f64) -> usize {
-        self.data.iter().filter(|v| v.abs() > tol).count()
-    }
-
     /// Extracts the contiguous submatrix with rows `r0..r1` and columns `c0..c1`.
     ///
     /// # Panics
@@ -491,8 +483,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
         assert_eq!(a.norm_fro(), 5.0);
         assert_eq!(a.norm_max(), 4.0);
-        assert_eq!(a.count_nonzeros(0.0), 2);
-        assert_eq!(a.count_nonzeros(3.5), 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@ pub mod matrix;
 pub mod svd;
 
 pub use blockqr::{block_project, gemm_tn_acc};
-pub use eig_sym::{sym_eig_extremes, sym_min_eig, SymEig};
+pub use eig_sym::SymEig;
 pub use gemm::{gemm_acc, gemm_sub, trsv_unit_lower, GemmScalar};
 pub use lu::DenseLu;
 pub use matrix::Matrix;

@@ -34,7 +34,7 @@ pub mod vector;
 
 pub use complex::Complex64;
 pub use dense::{
-    block_project, gemm_acc, gemm_sub, gemm_tn_acc, sym_eig_extremes, sym_min_eig, trsv_unit_lower,
-    DenseLu, GemmScalar, Matrix, Svd, SymEig,
+    block_project, gemm_acc, gemm_sub, gemm_tn_acc, trsv_unit_lower, DenseLu, GemmScalar, Matrix,
+    Svd, SymEig,
 };
 pub use error::{LinalgError, Result};

@@ -1,9 +1,9 @@
 //! The dense eigen and SVD kernels refuse a matrix with a NaN or ±∞ entry
 //! with a typed `InvalidArgument`, instead of returning values computed
-//! from it (a NaN on the diagonal used to vanish from `sym_min_eig`, and
-//! from one of the singular values).
+//! from it (a NaN on the diagonal used to vanish from one of the singular
+//! values).
 
-use bdsm_linalg::{sym_eig_extremes, sym_min_eig, LinalgError, Matrix, Svd, SymEig};
+use bdsm_linalg::{LinalgError, Matrix, Svd, SymEig};
 
 const BAD: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
 
@@ -19,26 +19,6 @@ fn assert_invalid<T: std::fmt::Debug>(res: Result<T, LinalgError>, what: &str) {
         matches!(res, Err(LinalgError::InvalidArgument { .. })),
         "{what}: {res:?}"
     );
-}
-
-#[test]
-fn sym_eig_extremes_refuses_non_finite_entries() {
-    for v in BAD {
-        for (i, j) in [(1, 1), (2, 0)] {
-            assert_invalid(sym_eig_extremes(&poisoned(i, j, v)), "sym_eig_extremes");
-        }
-    }
-    assert_eq!(sym_eig_extremes(&poisoned(1, 1, 2.0)).unwrap().1, 3.0);
-}
-
-#[test]
-fn sym_min_eig_refuses_non_finite_entries() {
-    for v in BAD {
-        for (i, j) in [(1, 1), (0, 2)] {
-            assert_invalid(sym_min_eig(&poisoned(i, j, v)), "sym_min_eig");
-        }
-    }
-    assert_eq!(sym_min_eig(&poisoned(1, 1, 2.0)).unwrap(), 1.0);
 }
 
 #[test]

@@ -41,10 +41,13 @@ pub const MAGIC: [u8; 8] = *b"BDSMROM\0";
 /// spectral-abscissa tag) went; v5 — the bus-partition section and the
 /// partition-strategy tag went: `state_order`, `block_sizes` and
 /// `interface_states` already determine each bus's block and the
-/// interface buses. Only the current version loads: artifacts are
+/// interface buses; v6 — the certificate's two eigenvalue margins went:
+/// semidefiniteness is decided by a scaled Cholesky test that computes
+/// no eigenvalue, and its verdict is the stability outcome. Only the
+/// current version loads: artifacts are
 /// deterministic build outputs, so an old file is rebuilt from its
 /// netlist rather than read through a second layout.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Build provenance carried inside an artifact — the audit trail that
 /// makes a loaded ROM explainable: which engine built it, from which
@@ -512,15 +515,6 @@ impl RomArtifact {
             .field("certificate", &p.certificate)
             .finish()
     }
-
-    /// Writes the JSON debug dump next to (or instead of) the binary.
-    ///
-    /// # Errors
-    ///
-    /// [`RomError::Io`] on filesystem failure.
-    pub fn save_json(&self, path: impl AsRef<Path>) -> Result<(), RomError> {
-        Ok(std::fs::write(path, self.to_json())?)
-    }
 }
 
 fn outcome_tag(o: CheckOutcome) -> u8 {
@@ -549,8 +543,6 @@ fn write_certificate(w: &mut ByteWriter, cert: &Certificate) {
     });
     let p = &cert.passivity;
     w.f64(p.tol);
-    w.f64(p.g_sym_min_eig);
-    w.f64(p.c_min_eig);
     w.f64s(&p.sample_omegas);
     w.f64s(&p.sample_min_eigs);
     w.usizes(&p.violations);
@@ -573,8 +565,6 @@ fn read_certificate(r: &mut ByteReader<'_>) -> Result<Certificate, RomError> {
         _ => return Err(RomError::Corrupt("unknown certificate-status tag")),
     };
     let tol = r.f64("passivity tol")?;
-    let g_sym_min_eig = r.f64("passivity g margin")?;
-    let c_min_eig = r.f64("passivity c margin")?;
     let sample_omegas = r.f64s("passivity sample omegas")?;
     let sample_min_eigs = r.f64s("passivity sample eigs")?;
     let violations = r.usizes("passivity violations")?;
@@ -599,8 +589,6 @@ fn read_certificate(r: &mut ByteReader<'_>) -> Result<Certificate, RomError> {
     Ok(Certificate {
         passivity: PassivityCertificate {
             tol,
-            g_sym_min_eig,
-            c_min_eig,
             sample_omegas,
             sample_min_eigs,
             violations,
@@ -692,8 +680,6 @@ mod tests {
         Certificate {
             passivity: PassivityCertificate {
                 tol: 1e-8,
-                g_sym_min_eig: 0.125,
-                c_min_eig: 1e-3,
                 sample_omegas: vec![1.0e2, 4.5e2, 2.0e3],
                 sample_min_eigs: vec![0.5, 0.25, -0.0],
                 violations: vec![2],
@@ -722,15 +708,15 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_typed() {
-        // Hand-built headers of the three formats before v5 (their bodies
+        // Hand-built headers of the four formats before v6 (their bodies
         // never get read) and of the next one.
-        for found in [2, 3, 4, FORMAT_VERSION + 1] {
+        for found in [2, 3, 4, 5, FORMAT_VERSION + 1] {
             let mut bytes = MAGIC.to_vec();
             bytes.extend(found.to_le_bytes());
             bytes.extend([0; 16]);
             assert!(matches!(
                 RomArtifact::from_bytes(&bytes),
-                Err(RomError::UnsupportedVersion { found: f, supported: 5 }) if f == found
+                Err(RomError::UnsupportedVersion { found: f, supported: 6 }) if f == found
             ));
         }
     }
@@ -842,7 +828,7 @@ mod tests {
     fn json_dump_names_the_structure() {
         let j = tiny_artifact().to_json();
         for needle in [
-            "\"format_version\": 5",
+            "\"format_version\": 6",
             "\"certificate\": {\"status\": \"certified\"",
             "\"stability\": \"pass\"",
             "\"reduced_dim\": 3",
@@ -897,7 +883,6 @@ mod tests {
         a.save(&path).unwrap();
         let back = RomArtifact::load(&path).unwrap();
         assert!(a.bitwise_eq(&back));
-        a.save_json(dir.join("tiny.json")).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -487,11 +487,6 @@ impl RomServer {
         Ok(self.load_artifact(artifact))
     }
 
-    /// Number of loaded models.
-    pub fn num_models(&self) -> usize {
-        self.models.len()
-    }
-
     /// The active out-of-envelope policy.
     pub fn envelope_policy(&self) -> EnvelopePolicy {
         self.envelope_policy
@@ -994,7 +989,6 @@ mod tests {
         let mut server = RomServer::new();
         let id = server.load_artifact(artifact);
         assert_eq!(id.index(), 0);
-        assert_eq!(server.num_models(), 1);
         assert!(server.artifact(id).is_ok());
     }
 }

@@ -31,7 +31,14 @@
 //! bytes with byte 8 set to 5, the partition `u64s` section (30 120 B on
 //! the mesh, 24 144 B on the ladder) and the strategy byte cut, and the
 //! trailing `codec::checksum` restamped equal the new bytes for both
-//! models; no reduced entry moved. The
+//! models; no reduced entry moved. All four were re-pinned once more for
+//! artifact format v6, which dropped the certificate's two eigenvalue
+//! margins (of `sym(G_r)` and `C_r`) when semidefiniteness became a
+//! scaled Cholesky test: the v5 bytes with byte 8 set to 6, the 16 margin
+//! bytes cut (they follow the status byte and the tolerance, at offset
+//! 1 199 352 of the mesh file and 92 047 of the ladder's) and the
+//! trailing `codec::checksum` restamped equal the new bytes for both
+//! models; no reduced entry, sample eigenvalue or error band moved. The
 //! digest below stays a byte-serial FNV-1a of the whole file, kept here
 //! so the pin shares no code with the codec.
 //!
@@ -108,7 +115,7 @@ fn mesh_artifact_digest_is_pinned_across_threads_and_obs_levels() {
     }
 }
 
-const PINNED_LEN: usize = 1_199_698;
-const PINNED_FNV1A: u64 = 13_634_760_479_681_805_385;
-const LADDER_LEN: usize = 92_393;
-const LADDER_FNV1A: u64 = 12_987_273_524_220_122_539;
+const PINNED_LEN: usize = 1_199_682;
+const PINNED_FNV1A: u64 = 11_260_880_107_326_188_847;
+const LADDER_LEN: usize = 92_377;
+const LADDER_FNV1A: u64 = 17_849_346_198_641_586_763;

@@ -88,8 +88,6 @@ pub struct TransientSolver {
     stepper: Stepper,
     /// Current state.
     x: Vec<f64>,
-    /// Step size `h`.
-    h: f64,
 }
 
 /// The argument check both constructors share; returns the state count.
@@ -138,7 +136,6 @@ impl TransientSolver {
             l: l.clone(),
             stepper: Stepper::Dense { c_over_h, lhs },
             x: vec![0.0; n],
-            h,
         })
     }
 
@@ -167,7 +164,6 @@ impl TransientSolver {
                 lhs,
             },
             x: vec![0.0; n],
-            h,
         })
     }
 
@@ -196,29 +192,9 @@ impl TransientSolver {
         matches!(self.stepper, Stepper::Sparse { .. })
     }
 
-    /// Step size `h`.
-    pub fn step_size(&self) -> f64 {
-        self.h
-    }
-
     /// Current state vector.
     pub fn state(&self) -> &[f64] {
         &self.x
-    }
-
-    /// Overwrites the state (e.g. to start from a DC operating point).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidArgument`] on a length mismatch.
-    pub fn set_state(&mut self, x: &[f64]) -> Result<()> {
-        if x.len() != self.x.len() {
-            return Err(LinalgError::InvalidArgument {
-                what: "transient: state length mismatch",
-            });
-        }
-        self.x.copy_from_slice(x);
-        Ok(())
     }
 
     /// Advances one backward-Euler step with input `u_next` (the input at
@@ -477,11 +453,7 @@ mod tests {
         let b = Matrix::from_fn(2, 1, |i, _| if i == 0 { 1.0 } else { 0.0 });
         let l = b.transpose();
         let mut sim = TransientSolver::new(&g, &c, &b, &l, 0.1).unwrap();
-        assert_eq!(sim.step_size(), 0.1);
         assert_eq!(sim.state(), &[0.0, 0.0]);
-        sim.set_state(&[1.0, -1.0]).unwrap();
-        assert_eq!(sim.state(), &[1.0, -1.0]);
-        assert!(sim.set_state(&[1.0]).is_err());
         assert!(sim.step(&[1.0, 2.0]).is_err());
         assert!(TransientSolver::new(&g, &c, &b, &l, 0.0).is_err());
         assert!(TransientSolver::new(&g, &c, &b, &Matrix::zeros(1, 3), 0.1).is_err());

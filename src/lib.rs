@@ -55,7 +55,7 @@
 //! | *partition*| [`circuit`]    | [`circuit::partition::partition_network_with`] ([`circuit::PartitionStrategy`]: BFS oracle or interface-aware nested dissection), [`circuit::ReductionSet`] for user-designated reduction regions |
 //! | *factor*   | [`sparse`]     | [`sparse::CscMatrix`], [`sparse::SparseLu`] (scalar/supernodal [`sparse::NumericKernel`], panel-blocked multi-RHS solves), [`sparse::ShiftedPencil`] |
 //! | *reduce*   | [`core`]       | [`core::engine::ReductionEngine::run`] — the one implementation under [`rom::Reducer`] and [`core::reduce::reduce_network`]: the staged engine (`Plan → Basis → Project → Certify`; adaptive shifts via [`core::engine::ShiftStrategy`], exact boundaries via [`core::projector::InterfacePolicy`]; parallel substrate: [`core::par`]) |
-//! | *certify*  | [`core`]       | [`core::certify::certify_reduced`] — semidefiniteness margins + positive-real passivity sampling, stability from the same margins (Lyapunov), per-band a posteriori error bounds; the resulting [`core::certify::Certificate`] travels in [`core::engine::EngineReport`] and artifact provenance |
+//! | *certify*  | [`core`]       | [`core::certify::certify_reduced`] — stability from a scale-free semidefiniteness test of `sym(G_r)` and `C_r` (equilibrated Cholesky, Lyapunov), passivity from that test + positive-real sampling, per-band a posteriori error bounds; the resulting [`core::certify::Certificate`] travels in [`core::engine::EngineReport`] and artifact provenance |
 //! | *evaluate* | [`core`]       | [`core::transfer::eval_transfer`] / [`core::transfer::eval_jomega_sweep`] (dense complex LU, the ROM side), [`core::transfer::SparseTransferEvaluator`] (full models), [`core::transfer::eval_transfer_factored`] (against a cached factor) |
 //! | *simulate* | [`sim`]        | [`sim::TransientSolver`] |
 //! | *distribute* | [`cluster`]  | [`cluster::ShardPlan`] placement (by model / by frequency band), [`cluster::ShardNode`] TCP shard processes over [`rom::RomServer`], [`cluster::ClusterClient`] batching/retrying router with typed [`cluster::ClusterError`]s; [`cluster::wire`] frames go through the artifact format's codec, [`rom::codec`] (magic, version, word-wise checksum, alloc-bounded reads) |
