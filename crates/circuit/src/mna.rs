@@ -354,8 +354,15 @@ mod tests {
         let c = d.c.to_dense();
         let ct = c.transpose();
         assert!(c.sub(&ct).unwrap().norm_max() == 0.0);
-        let eig = bdsm_linalg::SymEig::compute(&c).unwrap();
-        assert!(eig.min().unwrap() >= -1e-15);
+        // PSD by Gershgorin: every disc of a symmetric, diagonally dominant
+        // matrix with a non-negative diagonal lies in [0, ∞).
+        for i in 0..c.nrows() {
+            let off: f64 = (0..c.ncols())
+                .filter(|&j| j != i)
+                .map(|j| c[(i, j)].abs())
+                .sum();
+            assert!(c[(i, i)] >= 0.0 && c[(i, i)] >= off, "row {i}");
+        }
     }
 
     #[test]

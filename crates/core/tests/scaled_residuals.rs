@@ -7,12 +7,15 @@
 //! certificate after one round) or NaN (skipped by the worst-residual
 //! scan). The certificate must not move either: the scaling is a
 //! congruence of the pencil, so `sym(G_r)` and `C_r` keep their inertia.
+//! The same holds for the units of one port: rescaling its input and
+//! output is a congruence of every positive-real sample.
 
 use bdsm_core::engine::{AdaptiveShiftOpts, EngineReport, ReductionEngine, ShiftStrategy};
 use bdsm_core::krylov::KrylovOpts;
 use bdsm_core::reduce::{ReducedModel, ReductionOpts};
 use bdsm_core::synth::rc_grid;
 use bdsm_core::{certify_reduced, CertStatus, CheckOutcome};
+use bdsm_linalg::Matrix;
 
 fn candidate_omegas() -> Vec<f64> {
     AdaptiveShiftOpts::log_grid(5.0e1, 4.0e3, 6)
@@ -99,5 +102,46 @@ fn uniformly_scaled_grid_keeps_its_certificate() {
             (CertStatus::Violated, CheckOutcome::Fail),
             "negated G_r, alpha = {alpha:e}"
         );
+    }
+}
+
+/// A diagonal 4-state 2-port ROM with `G = 3I` and `C = 2.5I`, port 0
+/// expressed in units `eps` times smaller. Port 0 is active (`L` row 0 is
+/// `−B` column 0ᵀ) when `active`, so `Re H₀₀ = −eps²·3/(9 + 6.25ω²)`
+/// against `Re H₁₁ = 3/(9 + 6.25ω²)`: a ratio of `−eps²`, which an
+/// eigenvalue margin of `−TOL·‖M‖max` lets through below `eps ≈ 1e-4`.
+fn two_port_rom(eps: f64, active: bool) -> (Matrix, Matrix, Matrix, Matrix) {
+    let n = 4;
+    let g = Matrix::identity(n).scaled(3.0);
+    let c = Matrix::identity(n).scaled(2.5);
+    let mut b = Matrix::zeros(n, 2);
+    b[(0, 0)] = eps;
+    b[(1, 1)] = 1.0;
+    let mut l = b.transpose();
+    if active {
+        l[(0, 0)] = -eps;
+    }
+    (g, c, b, l)
+}
+
+#[test]
+fn an_active_port_is_violated_in_any_port_units() {
+    for eps in [1.0, 1e-3, 1e-5, 1e-8] {
+        for active in [true, false] {
+            let (g, c, b, l) = two_port_rom(eps, active);
+            let cert = certify_reduced(&g, &c, &b, &l, &[1.0, 10.0, 100.0], None, None)
+                .expect("certify the two-port ROM");
+            assert_eq!(cert.stability, CheckOutcome::Pass, "eps = {eps:e}");
+            let (status, violations) = if active {
+                (CertStatus::Violated, vec![0, 1, 2])
+            } else {
+                (CertStatus::Certified, vec![])
+            };
+            assert_eq!(
+                (cert.status, &cert.passivity.violations),
+                (status, &violations),
+                "eps = {eps:e}, active port {active}"
+            );
+        }
     }
 }

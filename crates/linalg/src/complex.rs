@@ -2,8 +2,8 @@
 //!
 //! The allowed dependency set for this reproduction does not include
 //! `num-complex`, so the frequency-domain layers (transfer-function
-//! evaluation at `s = jω`, complex dense LU, eigenvalues of non-symmetric
-//! ROM matrices) use this minimal but complete implementation.
+//! evaluation at `s = jω`, complex dense LU) use this minimal but
+//! complete implementation.
 
 use std::fmt;
 use std::iter::Sum;

@@ -129,39 +129,6 @@ impl DenseLu {
         Ok(x)
     }
 
-    /// Solves `A X = B` column by column.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.nrows()` differs from the
-    /// matrix dimension.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
-        let n = self.dim();
-        if b.nrows() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "lu-solve-matrix",
-                lhs: (n, n),
-                rhs: b.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(n, b.ncols());
-        for j in 0..b.ncols() {
-            let col = self.solve(&b.col(j))?;
-            out.set_col(j, &col);
-        }
-        Ok(out)
-    }
-
-    /// Explicit inverse `A⁻¹` (use sparingly; prefer `solve`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates solve errors (cannot occur after a successful factorization
-    /// of a well-shaped identity).
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
-    }
-
     /// Determinant of `A`, as the product of pivots times the permutation sign.
     pub fn det(&self) -> f64 {
         let mut d = self.perm_sign;
@@ -230,24 +197,6 @@ mod tests {
         assert!((lu.det() + 2.0).abs() < 1e-14);
         let i = Matrix::identity(4);
         assert!((DenseLu::factor(&i).unwrap().det() - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn inverse_times_matrix_is_identity() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]);
-        let inv = DenseLu::factor(&a).unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        let err = prod.sub(&Matrix::identity(2)).unwrap().norm_max();
-        assert!(err < 1e-14);
-    }
-
-    #[test]
-    fn solve_matrix_multiple_rhs() {
-        let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[9.0, 4.0], &[8.0, 3.0]]);
-        let x = DenseLu::factor(&a).unwrap().solve_matrix(&b).unwrap();
-        let r = a.matmul(&x).unwrap().sub(&b).unwrap().norm_max();
-        assert!(r < 1e-13);
     }
 
     #[test]

@@ -318,11 +318,6 @@ impl Matrix {
         out
     }
 
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        vector::norm2(&self.data)
-    }
-
     /// Maximum absolute entry.
     pub fn norm_max(&self) -> f64 {
         vector::norm_inf(&self.data)
@@ -481,7 +476,6 @@ mod tests {
     #[test]
     fn norms_and_nnz() {
         let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
-        assert_eq!(a.norm_fro(), 5.0);
         assert_eq!(a.norm_max(), 4.0);
     }
 

@@ -3,9 +3,9 @@
 //! This crate carries all of the scalar-level math the reduction pipeline
 //! needs: a row-major dense [`Matrix`], a real LU factorization
 //! ([`DenseLu`]), a QR-first Jacobi SVD ([`Svd`], which owns the one
-//! Householder QR), Jacobi symmetric eigendecomposition ([`SymEig`]), the
-//! cache-blocked `gemm` / block-projection kernels, and a self-contained
-//! [`Complex64`] type (the dependency set does not include `num-complex`).
+//! Householder QR), the cache-blocked `gemm` / block-projection kernels,
+//! and a self-contained [`Complex64`] type (the dependency set does not
+//! include `num-complex`).
 //!
 //! # Examples
 //!
@@ -35,6 +35,6 @@ pub mod vector;
 pub use complex::Complex64;
 pub use dense::{
     block_project, gemm_acc, gemm_sub, gemm_tn_acc, trsv_unit_lower, DenseLu, GemmScalar, Matrix,
-    Svd, SymEig,
+    Svd,
 };
 pub use error::{LinalgError, Result};

@@ -1,36 +1,15 @@
-//! The dense eigen and SVD kernels refuse a matrix with a NaN or ±∞ entry
-//! with a typed `InvalidArgument`, instead of returning values computed
-//! from it (a NaN on the diagonal used to vanish from one of the singular
-//! values).
+//! The dense SVD refuses a matrix with a NaN or ±∞ entry with a typed
+//! `InvalidArgument`, instead of returning values computed from it (a NaN
+//! on the diagonal used to vanish from one of the singular values).
 
-use bdsm_linalg::{LinalgError, Matrix, Svd, SymEig};
+use bdsm_linalg::{LinalgError, Matrix, Svd};
 
 const BAD: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
-
-/// `diag(1, 2, 3)` with `v` at `(i, j)`.
-fn poisoned(i: usize, j: usize, v: f64) -> Matrix {
-    let mut a = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 + r as f64 } else { 0.0 });
-    a[(i, j)] = v;
-    a
-}
 
 fn assert_invalid<T: std::fmt::Debug>(res: Result<T, LinalgError>, what: &str) {
     assert!(
         matches!(res, Err(LinalgError::InvalidArgument { .. })),
         "{what}: {res:?}"
-    );
-}
-
-#[test]
-fn sym_eig_refuses_non_finite_entries() {
-    for v in BAD {
-        for (i, j) in [(1, 1), (1, 2)] {
-            assert_invalid(SymEig::compute(&poisoned(i, j, v)), "SymEig::compute");
-        }
-    }
-    assert_eq!(
-        SymEig::compute(&poisoned(1, 1, 2.0)).unwrap().min(),
-        Some(1.0)
     );
 }
 

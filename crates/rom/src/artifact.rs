@@ -43,11 +43,13 @@ pub const MAGIC: [u8; 8] = *b"BDSMROM\0";
 /// `interface_states` already determine each bus's block and the
 /// interface buses; v6 — the certificate's two eigenvalue margins went:
 /// semidefiniteness is decided by a scaled Cholesky test that computes
-/// no eigenvalue, and its verdict is the stability outcome. Only the
-/// current version loads: artifacts are
+/// no eigenvalue, and its verdict is the stability outcome; v7 — the
+/// per-sample eigenvalues of the passivity section went: the same test
+/// decides each positive-real sample, and `violations` localises the
+/// failures. Only the current version loads: artifacts are
 /// deterministic build outputs, so an old file is rebuilt from its
 /// netlist rather than read through a second layout.
-pub const FORMAT_VERSION: u32 = 6;
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Build provenance carried inside an artifact — the audit trail that
 /// makes a loaded ROM explainable: which engine built it, from which
@@ -544,7 +546,6 @@ fn write_certificate(w: &mut ByteWriter, cert: &Certificate) {
     let p = &cert.passivity;
     w.f64(p.tol);
     w.f64s(&p.sample_omegas);
-    w.f64s(&p.sample_min_eigs);
     w.usizes(&p.violations);
     w.u8(outcome_tag(p.outcome));
     w.u8(outcome_tag(cert.stability));
@@ -566,11 +567,7 @@ fn read_certificate(r: &mut ByteReader<'_>) -> Result<Certificate, RomError> {
     };
     let tol = r.f64("passivity tol")?;
     let sample_omegas = r.f64s("passivity sample omegas")?;
-    let sample_min_eigs = r.f64s("passivity sample eigs")?;
     let violations = r.usizes("passivity violations")?;
-    if sample_min_eigs.len() != sample_omegas.len() {
-        return Err(RomError::Corrupt("passivity sample lists disagree"));
-    }
     if violations.iter().any(|&i| i >= sample_omegas.len()) {
         return Err(RomError::Corrupt("passivity violation index out of range"));
     }
@@ -590,7 +587,6 @@ fn read_certificate(r: &mut ByteReader<'_>) -> Result<Certificate, RomError> {
         passivity: PassivityCertificate {
             tol,
             sample_omegas,
-            sample_min_eigs,
             violations,
             outcome: passivity_outcome,
         },
@@ -681,7 +677,6 @@ mod tests {
             passivity: PassivityCertificate {
                 tol: 1e-8,
                 sample_omegas: vec![1.0e2, 4.5e2, 2.0e3],
-                sample_min_eigs: vec![0.5, 0.25, -0.0],
                 violations: vec![2],
                 outcome: CheckOutcome::Pass,
             },
@@ -708,15 +703,15 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_typed() {
-        // Hand-built headers of the four formats before v6 (their bodies
+        // Hand-built headers of the five formats before v7 (their bodies
         // never get read) and of the next one.
-        for found in [2, 3, 4, 5, FORMAT_VERSION + 1] {
+        for found in [2, 3, 4, 5, 6, FORMAT_VERSION + 1] {
             let mut bytes = MAGIC.to_vec();
             bytes.extend(found.to_le_bytes());
             bytes.extend([0; 16]);
             assert!(matches!(
                 RomArtifact::from_bytes(&bytes),
-                Err(RomError::UnsupportedVersion { found: f, supported: 6 }) if f == found
+                Err(RomError::UnsupportedVersion { found: f, supported: 7 }) if f == found
             ));
         }
     }
@@ -828,7 +823,7 @@ mod tests {
     fn json_dump_names_the_structure() {
         let j = tiny_artifact().to_json();
         for needle in [
-            "\"format_version\": 6",
+            "\"format_version\": 7",
             "\"certificate\": {\"status\": \"certified\"",
             "\"stability\": \"pass\"",
             "\"reduced_dim\": 3",

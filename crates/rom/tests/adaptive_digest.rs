@@ -38,8 +38,15 @@
 //! bytes cut (they follow the status byte and the tolerance, at offset
 //! 1 199 352 of the mesh file and 92 047 of the ladder's) and the
 //! trailing `codec::checksum` restamped equal the new bytes for both
-//! models; no reduced entry, sample eigenvalue or error band moved. The
-//! digest below stays a byte-serial FNV-1a of the whole file, kept here
+//! models; no reduced entry, sample eigenvalue or error band moved. All
+//! four were re-pinned once more for artifact format v7, which dropped
+//! the passivity section's per-sample eigenvalues when the samples took
+//! the same semidefiniteness test: the v6 bytes with byte 8 set to 7, the
+//! sample-eigenvalue list cut (56 bytes for the 6 samples, at offset
+//! 1 199 408 of the mesh file and 92 103 of the ladder's, right after the
+//! sample frequencies) and the trailing `codec::checksum` restamped equal
+//! the new bytes for both models, and the certificate's JSON did not
+//! move. The digest below stays a byte-serial FNV-1a of the whole file, kept here
 //! so the pin shares no code with the codec.
 //!
 //! One test per binary: it sets `BDSM_THREADS` and the obs level.
@@ -115,7 +122,7 @@ fn mesh_artifact_digest_is_pinned_across_threads_and_obs_levels() {
     }
 }
 
-const PINNED_LEN: usize = 1_199_682;
-const PINNED_FNV1A: u64 = 11_260_880_107_326_188_847;
-const LADDER_LEN: usize = 92_377;
-const LADDER_FNV1A: u64 = 17_849_346_198_641_586_763;
+const PINNED_LEN: usize = 1_199_626;
+const PINNED_FNV1A: u64 = 6_097_542_120_961_707_194;
+const LADDER_LEN: usize = 92_321;
+const LADDER_FNV1A: u64 = 12_252_846_266_595_254_231;
