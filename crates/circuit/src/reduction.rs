@@ -26,9 +26,8 @@ use std::collections::VecDeque;
 /// A user-designated split of the buses into *kept* and *eliminated* sets,
 /// with the derived boundary/internal classification.
 ///
-/// Construct with [`keep_buses`](ReductionSet::keep_buses) or
-/// [`eliminate_buses`](ReductionSet::eliminate_buses); both validate
-/// against the network and classify immediately.
+/// Construct with [`keep_buses`](ReductionSet::keep_buses), which
+/// validates against the network and classifies immediately.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReductionSet {
     num_buses: usize,
@@ -49,44 +48,21 @@ impl ReductionSet {
     /// out-of-range index; [`CircuitError::EmptyNetwork`] on an empty
     /// network.
     pub fn keep_buses(net: &Network, kept: &[usize]) -> Result<Self> {
-        let keep = Self::flags(net, kept, true)?;
-        Self::from_keep_flags(net, keep)
-    }
-
-    /// Marks `eliminated` (deduplicated) as the buses to eliminate; every
-    /// other bus is kept.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidReductionSet`] if the eliminate set
-    /// is empty, covers every bus (nothing to keep), or contains an
-    /// out-of-range index; [`CircuitError::EmptyNetwork`] on an empty
-    /// network.
-    pub fn eliminate_buses(net: &Network, eliminated: &[usize]) -> Result<Self> {
-        let keep = Self::flags(net, eliminated, false)?;
-        Self::from_keep_flags(net, keep)
-    }
-
-    fn flags(net: &Network, marked: &[usize], mark_means_keep: bool) -> Result<Vec<bool>> {
         let n = net.num_buses();
         if n == 0 {
             return Err(CircuitError::EmptyNetwork);
         }
-        let mut keep = vec![!mark_means_keep; n];
-        for &b in marked {
+        let mut keep = vec![false; n];
+        for &b in kept {
             if b >= n {
                 return Err(CircuitError::InvalidReductionSet {
                     what: "bus index out of range",
                 });
             }
-            keep[b] = mark_means_keep;
+            keep[b] = true;
         }
-        Ok(keep)
-    }
-
-    fn from_keep_flags(net: &Network, keep: Vec<bool>) -> Result<Self> {
-        let kept: Vec<usize> = (0..keep.len()).filter(|&b| keep[b]).collect();
-        let eliminated: Vec<usize> = (0..keep.len()).filter(|&b| !keep[b]).collect();
+        let kept: Vec<usize> = (0..n).filter(|&b| keep[b]).collect();
+        let eliminated: Vec<usize> = (0..n).filter(|&b| !keep[b]).collect();
         if kept.is_empty() {
             return Err(CircuitError::InvalidReductionSet {
                 what: "keep set is empty",
@@ -107,7 +83,7 @@ impl ReductionSet {
             }
         }
         Ok(ReductionSet {
-            num_buses: keep.len(),
+            num_buses: n,
             kept,
             eliminated,
             boundary,
@@ -237,9 +213,6 @@ mod tests {
         assert_eq!(rs.boundary(), &[1, 5, 9]);
         assert_eq!(rs.internal(), &[0, 4, 8]);
         assert_eq!(rs.eliminated(), &[2, 3, 6, 7, 10, 11]);
-        // eliminate_buses with the complement gives the same set.
-        let rs2 = ReductionSet::eliminate_buses(&net, rs.eliminated()).unwrap();
-        assert_eq!(rs, rs2);
     }
 
     #[test]
@@ -292,10 +265,6 @@ mod tests {
         ));
         assert!(matches!(
             ReductionSet::keep_buses(&net, &[0, 99]),
-            Err(CircuitError::InvalidReductionSet { .. })
-        ));
-        assert!(matches!(
-            ReductionSet::eliminate_buses(&net, &all),
             Err(CircuitError::InvalidReductionSet { .. })
         ));
         assert!(ReductionSet::keep_buses(&Network::new(), &[0]).is_err());

@@ -261,16 +261,18 @@ impl Json for CheckOutcome {
 /// Certifies a reduced descriptor `(G_r, C_r, B_r, L_r)`.
 ///
 /// `omegas` is the sampling grid for the positive-real check;
-/// `rom_samples`, when provided, must be `H(jω)` at exactly those
+/// `rom_samples`, when provided, are `H(jω)` at exactly those
 /// frequencies (the adaptive loop already has them — recomputing would
 /// double the certification cost). `residuals`, when provided, feeds the
 /// a posteriori error bands.
 ///
 /// # Errors
 ///
-/// `InvalidArgument` for a NaN or ±∞ entry of `G_r`, `C_r` or a sample,
-/// and singular transfer evaluations (a grid point sitting on a pole of
-/// the ROM).
+/// `InvalidArgument` when `rom_samples` does not hold one sample per
+/// entry of `omegas`, or `residuals` does not hold one residual per
+/// frequency (both checked before any test runs); `InvalidArgument` for
+/// a NaN or ±∞ entry of `G_r`, `C_r` or a sample, and singular transfer
+/// evaluations (a grid point sitting on a pole of the ROM).
 #[allow(clippy::too_many_arguments)] // the descriptor alone is four matrices
 pub fn certify_reduced(
     g: &Matrix,
@@ -281,6 +283,18 @@ pub fn certify_reduced(
     rom_samples: Option<&[CMatrix]>,
     residuals: Option<&ResidualSweep>,
 ) -> Result<Certificate> {
+    if rom_samples.is_some_and(|h| h.len() != omegas.len()) {
+        return Err(LinalgError::InvalidArgument {
+            what: "certify: rom_samples must hold one sample per sampled frequency",
+        }
+        .into());
+    }
+    if residuals.is_some_and(|r| r.residuals.len() != r.omegas.len()) {
+        return Err(LinalgError::InvalidArgument {
+            what: "certify: a residual sweep must hold one residual per frequency",
+        }
+        .into());
+    }
     let q = g.nrows();
     if q == 0 {
         return Ok(Certificate::unknown());

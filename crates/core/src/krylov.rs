@@ -802,7 +802,7 @@ mod tests {
         let v = global_krylov_basis(&g, &c, &b, &opts).unwrap();
         let shifted = g.add(&c.scaled(s0)).unwrap();
         let r = DenseLu::factor(&shifted).unwrap().solve(&b.col(0)).unwrap();
-        let coeffs = v.tr_matvec(&r).unwrap();
+        let coeffs = v.transpose().matvec(&r).unwrap();
         let proj = v.matvec(&coeffs).unwrap();
         let resid: Vec<f64> = r.iter().zip(&proj).map(|(a, p)| a - p).collect();
         let rel = bdsm_linalg::vector::norm2(&resid) / bdsm_linalg::vector::norm2(&r);
@@ -887,7 +887,7 @@ mod tests {
         assert_eq!(vd.ncols(), vs.ncols());
         for j in 0..vd.ncols() {
             let col = vd.col(j);
-            let coeffs = vs.tr_matvec(&col).unwrap();
+            let coeffs = vs.transpose().matvec(&col).unwrap();
             let proj = vs.matvec(&coeffs).unwrap();
             let resid: Vec<f64> = col.iter().zip(&proj).map(|(a, p)| a - p).collect();
             let rel = bdsm_linalg::vector::norm2(&resid);

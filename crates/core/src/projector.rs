@@ -279,50 +279,6 @@ impl BlockDiagProjector {
         v
     }
 
-    /// Worst per-block deviation from orthonormality, `max‖VᵢᵀVᵢ − I‖_max`.
-    pub fn orthonormality_error(&self) -> f64 {
-        self.blocks
-            .iter()
-            .map(|b| {
-                let gram = b.transpose().matmul(b).expect("square product");
-                gram.sub(&Matrix::identity(b.ncols()))
-                    .expect("same shape")
-                    .norm_max()
-            })
-            .fold(0.0, f64::max)
-    }
-
-    /// Congruence transform `VᵀAV`, computed block-pair by block-pair so the
-    /// cost scales with the block structure rather than `n²q²`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `a` is not `n × n`.
-    pub fn project_square(&self, a: &Matrix) -> Result<Matrix> {
-        let n = self.nrows();
-        if a.shape() != (n, n) {
-            return Err(LinalgError::ShapeMismatch {
-                op: "project-square",
-                lhs: (n, n),
-                rhs: a.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.ncols(), self.ncols());
-        for i in 0..self.num_blocks() {
-            let (r0, r1) = (self.row_offsets[i], self.row_offsets[i + 1]);
-            for j in 0..self.num_blocks() {
-                let (c0, c1) = (self.row_offsets[j], self.row_offsets[j + 1]);
-                let aij = a.submatrix(r0, r1, c0, c1);
-                let prod = self.blocks[i]
-                    .transpose()
-                    .matmul(&aij)?
-                    .matmul(&self.blocks[j])?;
-                out.set_block(self.col_offsets[i], self.col_offsets[j], &prod);
-            }
-        }
-        Ok(out)
-    }
-
     /// Input projection `VᵀB` (`q × m`).
     ///
     /// # Errors
@@ -563,13 +519,27 @@ mod tests {
         out
     }
 
+    /// `‖VᵀV − I‖_max` from the dense `V`.
+    fn gram_error(p: &BlockDiagProjector) -> f64 {
+        let v = p.to_dense();
+        let gram = v.transpose().matmul(&v).unwrap();
+        gram.sub(&Matrix::identity(p.ncols())).unwrap().norm_max()
+    }
+
+    /// `VᵀAV` as the dense product of the dense `V`: no code shared with
+    /// the block-pair congruence.
+    fn dense_congruence(p: &BlockDiagProjector, a: &Matrix) -> Matrix {
+        let v = p.to_dense();
+        v.transpose().matmul(a).unwrap().matmul(&v).unwrap()
+    }
+
     /// Sparse congruence against the dense reference (≤ 1e-13·‖A‖_max),
     /// against its own serial pair-by-pair evaluation (bitwise), and —
     /// between preserved interface states — against `A` itself (bitwise).
     fn assert_congruence(p: &BlockDiagProjector, a: &Matrix, what: &str) {
         let sparse = CscMatrix::from_dense(a, 0.0);
         let got = p.project_square_sparse(&sparse).unwrap();
-        let want = p.project_square(a).unwrap();
+        let want = dense_congruence(p, a);
         let err = got.sub(&want).unwrap().norm_max();
         assert!(
             err <= 1e-13 * a.norm_max(),
@@ -598,7 +568,7 @@ mod tests {
         let p = folded(&v, &[2, 2, 2], 1e-12, None).unwrap();
         assert_eq!(p.num_blocks(), 3);
         assert_eq!(p.nrows(), 6);
-        assert!(p.orthonormality_error() < 1e-13);
+        assert!(gram_error(&p) < 1e-13);
         let dense = p.to_dense();
         // Off-block entries are exactly zero by construction.
         let dims = p.block_dims();
@@ -624,7 +594,7 @@ mod tests {
         let v = p.to_dense();
         for j in 0..vg.ncols() {
             let col = vg.col(j);
-            let coeffs = v.tr_matvec(&col).unwrap();
+            let coeffs = v.transpose().matvec(&col).unwrap();
             let back = v.matvec(&coeffs).unwrap();
             let resid: Vec<f64> = col.iter().zip(&back).map(|(a, b)| a - b).collect();
             assert!(bdsm_linalg::vector::norm2(&resid) < 1e-12);
@@ -636,13 +606,8 @@ mod tests {
         let vg = demo_basis();
         let p = folded(&vg, &[2, 4], 1e-12, None).unwrap();
         let v = p.to_dense();
-        let a = Matrix::from_fn(6, 6, |i, j| ((i * 7 + j) as f64 * 0.11).cos());
         let b = Matrix::from_fn(6, 2, |i, j| (i + j) as f64);
         let l = Matrix::from_fn(3, 6, |i, j| (i as f64 - j as f64) * 0.2);
-
-        let ref_a = v.transpose().matmul(&a).unwrap().matmul(&v).unwrap();
-        let got_a = p.project_square(&a).unwrap();
-        assert!(got_a.sub(&ref_a).unwrap().norm_max() < 1e-13);
 
         let ref_b = v.transpose().matmul(&b).unwrap();
         assert!(p.project_input(&b).unwrap().sub(&ref_b).unwrap().norm_max() < 1e-13);
@@ -684,7 +649,7 @@ mod tests {
         let p = folded(&vg, &[2, 2], 1e-12, None).unwrap();
         assert_eq!(p.block_dims(), vec![1, 1]);
         assert_eq!(p.block(1)[(0, 0)], 1.0);
-        assert!(p.orthonormality_error() < 1e-15);
+        assert!(gram_error(&p) < 1e-15);
     }
 
     #[test]
@@ -703,12 +668,12 @@ mod tests {
             }
         }
         assert_eq!(map[0], (1, 0)); // block 0, local row 1 → first column
-        assert!(p.orthonormality_error() < 1e-12);
+        assert!(gram_error(&p) < 1e-12);
         // The augmented span still contains every global basis column.
         let v = p.to_dense();
         for j in 0..vg.ncols() {
             let col = vg.col(j);
-            let coeffs = v.tr_matvec(&col).unwrap();
+            let coeffs = v.transpose().matvec(&col).unwrap();
             let back = v.matvec(&coeffs).unwrap();
             let resid: Vec<f64> = col.iter().zip(&back).map(|(a, b)| a - b).collect();
             assert!(bdsm_linalg::vector::norm2(&resid) < 1e-12);
@@ -726,7 +691,7 @@ mod tests {
         let p = BlockDiagProjector::from_global_basis(&vg, &[4], 1e-12, None, &[vec![1]]).unwrap();
         // 1 identity column + 1 surviving Krylov direction.
         assert_eq!(p.ncols(), 2);
-        assert!(p.orthonormality_error() < 1e-14);
+        assert!(gram_error(&p) < 1e-14);
     }
 
     #[test]
@@ -886,7 +851,6 @@ mod tests {
         assert!(folded(&vg, &[2, 2], 1e-12, None).is_err());
         assert!(folded(&vg, &[6, 0], 1e-12, None).is_err());
         let p = folded(&vg, &[3, 3], 1e-12, None).unwrap();
-        assert!(p.project_square(&Matrix::zeros(5, 5)).is_err());
         assert!(p.project_input(&Matrix::zeros(5, 1)).is_err());
         assert!(p.project_output(&Matrix::zeros(1, 5)).is_err());
     }

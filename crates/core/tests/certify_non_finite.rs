@@ -2,8 +2,9 @@
 //! positive-real sample gets a typed error from the certificate, not a
 //! verdict: an eigenvalue margin once dropped a NaN diagonal entry and
 //! certified `G_r = I₃` with `G_r[1][1] = NaN` as stable and passive.
+//! Parallel lists that disagree in length are refused the same way.
 
-use bdsm_core::{certify_reduced, CMatrix, CertStatus, CoreError};
+use bdsm_core::{certify_reduced, CMatrix, CertStatus, CoreError, ResidualSweep};
 use bdsm_linalg::{Complex64, LinalgError, Matrix};
 
 #[test]
@@ -67,4 +68,52 @@ fn a_non_finite_sample_is_refused() {
         }
     }
     assert_eq!(samples(None).unwrap().status, CertStatus::Certified);
+}
+
+/// Given samples that are not one per sampled frequency once produced a
+/// violation index past the recorded grid (`omegas = [1]`, two samples)
+/// or a certified envelope over a frequency nothing sampled
+/// (`omegas = [1, 1e6]`, one sample); a residual sweep with a residual
+/// list of another length is refused too.
+#[test]
+fn mismatched_parallel_lists_are_refused() {
+    let one = Matrix::identity(1);
+    let sample = |h: f64| {
+        let mut m = CMatrix::zeros(1, 1);
+        m[(0, 0)] = Complex64::from_real(h);
+        m
+    };
+    let refused = |res: Result<bdsm_core::Certificate, CoreError>, what: &str| {
+        assert!(
+            matches!(
+                res,
+                Err(CoreError::Linalg(LinalgError::InvalidArgument { .. }))
+            ),
+            "{what}: {:?}",
+            res.map(|cert| (cert.status, cert.passivity.violations))
+        );
+    };
+    let two = [sample(1.0), sample(-1.0)];
+    refused(
+        certify_reduced(&one, &one, &one, &one, &[1.0], Some(&two), None),
+        "one frequency, two samples",
+    );
+    let single = [sample(1.0)];
+    refused(
+        certify_reduced(&one, &one, &one, &one, &[1.0, 1.0e6], Some(&single), None),
+        "two frequencies, one sample",
+    );
+    let sweep = ResidualSweep {
+        omegas: vec![1.0, 10.0],
+        residuals: vec![1e-9],
+        worst: 1e-9,
+        worst_omega: 1.0,
+    };
+    refused(
+        certify_reduced(&one, &one, &one, &one, &[1.0], None, Some(&sweep)),
+        "residual sweep, two frequencies, one residual",
+    );
+    // Matching lists still certify.
+    let cert = certify_reduced(&one, &one, &one, &one, &[1.0], Some(&single), None).unwrap();
+    assert_eq!(cert.status, CertStatus::Certified);
 }

@@ -12,7 +12,7 @@ use bdsm_core::projector::BlockDiagProjector;
 use bdsm_core::reduce::{reduce_network, ReducedModel, ReductionOpts};
 use bdsm_core::synth::{ieee_like_feeder, rc_grid, rc_ladder, rc_ladder_loaded};
 use bdsm_core::transfer::{eval_transfer, transfer_rel_err, SparseTransferEvaluator};
-use bdsm_linalg::Complex64;
+use bdsm_linalg::{Complex64, Matrix};
 
 /// Log-spaced angular frequencies in `[lo, hi]`.
 fn log_freqs(lo: f64, hi: f64, count: usize) -> Vec<f64> {
@@ -54,12 +54,15 @@ fn check_acceptance(
     );
 
     // 2. Projector is verifiably block-diagonal with ≥ min_blocks blocks,
-    //    orthonormal per block, and exactly zero off the block structure.
+    //    orthonormal (`VᵀV = I` from the dense product), and exactly zero
+    //    off the block structure.
     let projector = staged_projector(net, opts);
     assert_eq!(projector.block_dims(), rm.block_dims);
     assert!(projector.num_blocks() >= min_blocks);
-    assert!(projector.orthonormality_error() < 1e-10);
     let dense = projector.to_dense();
+    let gram = dense.transpose().matmul(&dense).unwrap();
+    let ortho_err = gram.sub(&Matrix::identity(q)).unwrap().norm_max();
+    assert!(ortho_err < 1e-10, "‖VᵀV − I‖max = {ortho_err:e}");
     let dims = &rm.block_dims;
     let mut r0 = 0;
     let mut c0 = 0;

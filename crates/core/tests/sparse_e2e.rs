@@ -13,7 +13,7 @@ use bdsm_core::krylov::{global_krylov_basis, KrylovOpts};
 use bdsm_core::reduce::{reduce_network, ReductionOpts};
 use bdsm_core::synth::{rc_grid, rc_ladder};
 use bdsm_core::transfer::{eval_transfer, transfer_rel_err, SparseTransferEvaluator};
-use bdsm_linalg::Complex64;
+use bdsm_linalg::{Complex64, Matrix};
 
 /// Log-spaced angular frequencies in `[lo, hi]`.
 fn log_freqs(lo: f64, hi: f64, count: usize) -> Vec<f64> {
@@ -92,9 +92,12 @@ fn assert_pipeline_matches_dense_reference(
     let full = plan.full.to_dense();
     let basis = global_krylov_basis(&full.g, &full.c, &full.b, &opts.krylov).expect("dense basis");
     let v = engine.projector(&plan, &basis).expect("projector");
+    let vd = v.to_dense();
+    let vt = vd.transpose();
+    let congruence = |a: &Matrix| vt.matmul(a).and_then(|m| m.matmul(&vd));
     let (g, c) = (
-        v.project_square(&full.g).expect("VᵀGV"),
-        v.project_square(&full.c).expect("VᵀCV"),
+        congruence(&full.g).expect("VᵀGV"),
+        congruence(&full.c).expect("VᵀCV"),
     );
     let (b, l) = (
         v.project_input(&full.b).expect("VᵀB"),

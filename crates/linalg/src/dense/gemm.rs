@@ -6,8 +6,7 @@
 //! lower-triangular solve ([`trsv_unit_lower`]) plus one panel
 //! multiply-subtract ([`gemm_sub`]) — contiguous, branch-free inner loops
 //! instead of the scalar kernel's indirection-chasing scattered axpys.
-//! [`crate::Matrix::matmul`] runs on the same kernel, so the projector's
-//! congruence products and Gram matrices share the blocking.
+//! [`crate::Matrix::matmul`] runs on the same kernel.
 //!
 //! All panels are **column-major** with an explicit leading dimension, the
 //! natural layout of CSC factors (row-major callers pass their buffers as

@@ -152,18 +152,6 @@ impl Matrix {
         (0..self.nrows).map(|i| self[(i, j)]).collect()
     }
 
-    /// Overwrites column `j` with `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != nrows`.
-    pub fn set_col(&mut self, j: usize, v: &[f64]) {
-        assert_eq!(v.len(), self.nrows, "set_col: length mismatch");
-        for i in 0..self.nrows {
-            self[(i, j)] = v[i];
-        }
-    }
-
     /// Underlying row-major buffer.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
@@ -249,26 +237,6 @@ impl Matrix {
             .collect())
     }
 
-    /// Transposed matrix–vector product `selfᵀ * x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when `x.len() != nrows`.
-    pub fn tr_matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.nrows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "tr_matvec",
-                lhs: self.shape(),
-                rhs: (x.len(), 1),
-            });
-        }
-        let mut y = vec![0.0; self.ncols];
-        for i in 0..self.nrows {
-            vector::axpy(x[i], self.row(i), &mut y);
-        }
-        Ok(y)
-    }
-
     /// Sum `self + rhs`.
     ///
     /// # Errors
@@ -321,16 +289,6 @@ impl Matrix {
     /// Maximum absolute entry.
     pub fn norm_max(&self) -> f64 {
         vector::norm_inf(&self.data)
-    }
-
-    /// Extracts the contiguous submatrix with rows `r0..r1` and columns `c0..c1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ranges exceed the matrix dimensions.
-    pub fn submatrix(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Matrix {
-        assert!(r1 <= self.nrows && c1 <= self.ncols && r0 <= r1 && c0 <= c1);
-        Matrix::from_fn(r1 - r0, c1 - c0, |i, j| self[(r0 + i, c0 + j)])
     }
 
     /// Writes `block` into this matrix with its top-left corner at `(r0, c0)`.
@@ -443,9 +401,12 @@ mod tests {
     fn matvec_and_transpose_matvec() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         assert_eq!(a.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0, 11.0]);
-        assert_eq!(a.tr_matvec(&[1.0, 1.0, 1.0]).unwrap(), vec![9.0, 12.0]);
+        assert_eq!(
+            a.transpose().matvec(&[1.0, 1.0, 1.0]).unwrap(),
+            vec![9.0, 12.0]
+        );
         assert!(a.matvec(&[1.0]).is_err());
-        assert!(a.tr_matvec(&[1.0]).is_err());
+        assert!(a.transpose().matvec(&[1.0]).is_err());
     }
 
     #[test]
@@ -467,10 +428,9 @@ mod tests {
 
     #[test]
     fn col_accessors() {
-        let mut a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        assert_eq!(a.col(0), vec![1.0, 3.0]);
         assert_eq!(a.col(1), vec![2.0, 4.0]);
-        a.set_col(0, &[9.0, 8.0]);
-        assert_eq!(a.col(0), vec![9.0, 8.0]);
     }
 
     #[test]
@@ -482,7 +442,7 @@ mod tests {
     #[test]
     fn submatrix_and_set_block() {
         let a = Matrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
-        let s = a.submatrix(1, 3, 2, 4);
+        let s = Matrix::from_fn(2, 2, |i, j| a[(1 + i, 2 + j)]);
         assert_eq!(s, Matrix::from_rows(&[&[6.0, 7.0], &[10.0, 11.0]]));
         let mut z = Matrix::zeros(4, 4);
         z.set_block(2, 2, &s);

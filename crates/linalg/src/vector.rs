@@ -36,11 +36,6 @@ pub fn norm_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
 }
 
-/// 1-norm `Σ|xᵢ|`.
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// `y ← y + alpha * x`.
 ///
 /// # Panics
@@ -73,24 +68,6 @@ pub fn normalize(x: &mut [f64], tiny: f64) -> f64 {
         scale(inv, x);
     }
     n
-}
-
-/// Elementwise copy, `y ← x`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn copy(x: &[f64], y: &mut [f64]) {
-    y.copy_from_slice(x);
-}
-
-/// Fills `x` with zeros.
-#[inline]
-pub fn zero(x: &mut [f64]) {
-    for v in x.iter_mut() {
-        *v = 0.0;
-    }
 }
 
 /// Relative magnitude under which [`flush_tiny`] drops an entry:
@@ -181,7 +158,6 @@ mod tests {
         let x = [3.0, -4.0];
         assert_eq!(norm2(&x), 5.0);
         assert_eq!(norm_inf(&x), 4.0);
-        assert_eq!(norm1(&x), 7.0);
     }
 
     #[test]

@@ -274,11 +274,6 @@ struct OpenSpan {
 pub struct Span(Option<OpenSpan>);
 
 impl Span {
-    /// A span that records nothing.
-    pub fn disabled() -> Span {
-        Span(None)
-    }
-
     /// True when this span will record an event on drop.
     #[inline]
     pub fn is_recording(&self) -> bool {

@@ -105,12 +105,6 @@ impl ByteWriter {
         self.bytes(s.as_bytes());
     }
 
-    /// A length-prefixed list of 64-bit words.
-    pub fn u64s(&mut self, vs: &[u64]) {
-        self.u64(vs.len() as u64);
-        vs.iter().for_each(|&v| self.u64(v));
-    }
-
     /// A length-prefixed list of indices, each as a 64-bit word.
     pub fn usizes(&mut self, vs: &[usize]) {
         self.u64(vs.len() as u64);
@@ -252,12 +246,6 @@ impl<'a> ByteReader<'a> {
         Ok(words.map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk"))))
     }
 
-    /// A length-prefixed list of 64-bit words.
-    pub fn u64s(&mut self, what: &'static str) -> Result<Vec<u64>, CodecError> {
-        let n = self.count(8, what)?;
-        Ok(self.words(n, what)?.collect())
-    }
-
     /// A length-prefixed list of indices.
     pub fn usizes(&mut self, what: &'static str) -> Result<Vec<usize>, CodecError> {
         let n = self.count(8, what)?;
@@ -294,8 +282,7 @@ mod tests {
         w.u64(u64::MAX - 1);
         w.f64(-0.0);
         w.str("ω");
-        w.u64s(&[1, 2]);
-        w.usizes(&[3]);
+        w.usizes(&[1, 2, 3]);
         w.f64s(&[1.0e-310, 2.5]);
         let bytes = w.into_bytes();
         let read_all = |buf: &[u8]| -> Result<(), CodecError> {
@@ -305,8 +292,7 @@ mod tests {
             assert_eq!(r.u64("x")?, u64::MAX - 1);
             assert_eq!(r.f64("x")?.to_bits(), (-0.0_f64).to_bits());
             assert_eq!(r.str("x")?, "ω");
-            assert_eq!(r.u64s("x")?, [1, 2]);
-            assert_eq!(r.usizes("x")?, [3]);
+            assert_eq!(r.usizes("x")?, [1, 2, 3]);
             assert_eq!(r.f64s("x")?, [1.0e-310, 2.5]);
             r.finish()
         };

@@ -566,9 +566,6 @@ impl RomServer {
                 return Err(RomError::Query(QueryError::NonFiniteFrequency { value: w }));
             }
         }
-        if self.envelope_policy == EnvelopePolicy::Ignore {
-            return Ok(());
-        }
         let Some((lo, hi)) = a.provenance.certificate.frequency_envelope() else {
             return Ok(()); // no certificate evidence: nothing to enforce
         };
@@ -582,25 +579,15 @@ impl RomServer {
                 outside += 1;
             }
         }
-        if outside == 0 {
-            return Ok(());
-        }
-        match self.envelope_policy {
-            EnvelopePolicy::Strict => {
-                self.metrics.envelope_refusals.inc();
-                Err(RomError::Query(QueryError::OutsideEnvelope {
-                    value: first,
-                    lo,
-                    hi,
-                    domain: "frequency",
-                }))
-            }
-            EnvelopePolicy::Flag => {
-                self.metrics.envelope_flags.add(outside);
-                Ok(())
-            }
-            EnvelopePolicy::Ignore => unreachable!("handled above"),
-        }
+        self.apply_envelope_policy(
+            outside,
+            QueryError::OutsideEnvelope {
+                value: first,
+                lo,
+                hi,
+                domain: "frequency",
+            },
+        )
     }
 
     /// Validates a transient step and applies the envelope policy: a
@@ -616,30 +603,38 @@ impl RomServer {
         if !(1.0 / h).is_finite() {
             return Err(RomError::Query(QueryError::NonFiniteStep { value: h }));
         }
-        if self.envelope_policy == EnvelopePolicy::Ignore {
-            return Ok(());
-        }
         let Some(h_min) = a.provenance.certificate.min_transient_step() else {
             return Ok(());
         };
-        if h >= h_min {
+        self.apply_envelope_policy(
+            u64::from(h < h_min),
+            QueryError::OutsideEnvelope {
+                value: h,
+                lo: h_min,
+                hi: f64::INFINITY,
+                domain: "transient step",
+            },
+        )
+    }
+
+    /// The one place the [`EnvelopePolicy`] acts on a query with
+    /// `outside` out-of-envelope samples (none: served, nothing counted).
+    /// Strict counts one refusal and returns `refusal`; Flag counts every
+    /// sample; Ignore serves.
+    fn apply_envelope_policy(&self, outside: u64, refusal: QueryError) -> Result<(), RomError> {
+        if outside == 0 {
             return Ok(());
         }
         match self.envelope_policy {
             EnvelopePolicy::Strict => {
                 self.metrics.envelope_refusals.inc();
-                Err(RomError::Query(QueryError::OutsideEnvelope {
-                    value: h,
-                    lo: h_min,
-                    hi: f64::INFINITY,
-                    domain: "transient step",
-                }))
+                Err(RomError::Query(refusal))
             }
             EnvelopePolicy::Flag => {
-                self.metrics.envelope_flags.inc();
+                self.metrics.envelope_flags.add(outside);
                 Ok(())
             }
-            EnvelopePolicy::Ignore => unreachable!("handled above"),
+            EnvelopePolicy::Ignore => Ok(()),
         }
     }
 
@@ -668,14 +663,10 @@ impl RomServer {
 
     /// One output/input port pair's response `H[out, in](jω)` over a
     /// frequency batch — the narrow query shape of dashboard-style
-    /// consumers. Runs on the same factorization cache as
-    /// [`transfer_sweep`](Self::transfer_sweep) but solves only the
-    /// queried input column and contracts only the queried output row,
-    /// so a sample costs one 1-column substitution pass against the
-    /// sweep's one `m`-column [`ZLu::solve_multi`] pass. The entry
-    /// is computed with exactly the operations
-    /// [`transfer_sweep`](Self::transfer_sweep) would perform for it, so
-    /// the two queries agree bitwise.
+    /// consumers. A port sample is the `(out, in)` entry of the very
+    /// sample [`transfer_sweep`](Self::transfer_sweep) computes at that
+    /// frequency (same cache, same span, same latency record), so the two
+    /// queries agree bitwise.
     ///
     /// # Errors
     ///
@@ -707,24 +698,9 @@ impl RomServer {
                 }));
             }
             self.admit_frequencies(a, omegas)?;
-            let b_col = a.b.col(in_port);
             let metrics = &self.metrics;
-            par::parallel_map(omegas, |_, &w| -> Result<Complex64, RomError> {
-                let s = Complex64::jomega(w);
-                let _span = bdsm_obs::span!("serve.query", re = s.re, omega = s.im);
-                let t = bdsm_obs::enabled(ObsLevel::Timings).then(Instant::now);
-                let lu = served.factored(s, &metrics.cache)?;
-                // One column solve + one row contraction, in the same
-                // operation order as `eval_transfer_factored`'s (i, j) entry.
-                let x = lu.solve_real(&b_col)?;
-                let mut acc = Complex64::ZERO;
-                for (lv, xv) in a.l.row(out_port).iter().zip(&x) {
-                    acc += *xv * *lv;
-                }
-                if let Some(t) = t {
-                    metrics.query_latency_us.record_duration(t.elapsed());
-                }
-                Ok(acc)
+            par::parallel_map(omegas, |_, &w| {
+                Ok(served.eval(Complex64::jomega(w), metrics)?[(out_port, in_port)])
             })
             .into_iter()
             .collect()
@@ -841,13 +817,55 @@ mod tests {
     #[test]
     fn port_response_extracts_the_sweep_entry() {
         let (_, artifact) = grid_artifact();
+        assert_eq!((artifact.num_outputs(), artifact.num_inputs()), (2, 2));
+        let omegas = [100.0, 1000.0, 3000.0];
+        let k = omegas.len() as u64;
+        let cache = |server: &RomServer| {
+            let c = server.metrics().cache;
+            [c.hits, c.misses, c.inserts]
+        };
+        let delta = |before: [u64; 3], after: [u64; 3]| [0, 1, 2].map(|i| after[i] - before[i]);
+        let bits = |z: Complex64| (z.re.to_bits(), z.im.to_bits());
+
+        // Cold: every pair on a fresh server, where every port sample
+        // misses, against a sweep on another fresh server.
+        let mut sweeper = RomServer::new();
+        let sid = sweeper.load_artifact(artifact.clone());
+        let sweep = sweeper.transfer_sweep(sid, &omegas).unwrap();
+        let sweep_cold = cache(&sweeper);
+        assert_eq!(sweep_cold, [0, k, k]);
+        for out in 0..2 {
+            for inp in 0..2 {
+                let mut server = RomServer::new();
+                let id = server.load_artifact(artifact.clone());
+                let port = server.port_response(id, out, inp, &omegas).unwrap();
+                for (j, &w) in omegas.iter().enumerate() {
+                    assert_eq!(
+                        bits(port[j]),
+                        bits(sweep[j][(out, inp)]),
+                        "cold H[{out}, {inp}] at ω={w}"
+                    );
+                }
+                assert_eq!(cache(&server), sweep_cold, "cold ({out}, {inp})");
+                // Warm: the same cache state on both sides again.
+                let (before_port, before_sweep) = (cache(&server), cache(&sweeper));
+                server.port_response(id, out, inp, &omegas).unwrap();
+                sweeper.transfer_sweep(sid, &omegas).unwrap();
+                assert_eq!(
+                    delta(before_port, cache(&server)),
+                    delta(before_sweep, cache(&sweeper)),
+                    "warm ({out}, {inp})"
+                );
+            }
+        }
+
+        // Warm on one server: a port query after the sweep.
         let mut server = RomServer::new();
         let id = server.load_artifact(artifact);
-        let omegas = [100.0, 1000.0];
         let sweep = server.transfer_sweep(id, &omegas).unwrap();
         let h01 = server.port_response(id, 0, 1, &omegas).unwrap();
-        for k in 0..omegas.len() {
-            assert_eq!(h01[k], sweep[k][(0, 1)]);
+        for j in 0..omegas.len() {
+            assert_eq!(bits(h01[j]), bits(sweep[j][(0, 1)]));
         }
         assert!(matches!(
             server.port_response(id, 9, 0, &omegas),

@@ -198,6 +198,51 @@ fn adaptive_exact_10k_artifact_roundtrips_and_serves_bitwise() {
     assert_eq!(m3.envelope_refusals, m2.envelope_refusals);
     assert_eq!(m3.envelope_flags, m2.envelope_flags);
 
+    // The step domain under the two serving policies: Ignore serves a
+    // step below the floor and moves no counter, Flag serves it and
+    // counts it once.
+    let step = [vec![1.0; rm.b.ncols()]];
+    let fine = server
+        .transient(id, 0.5 * h_min, &step)
+        .expect("Ignore serves a too-fine step");
+    assert_eq!(fine.len(), 1);
+    let m4 = server.metrics();
+    assert_eq!(m4.envelope_refusals, m3.envelope_refusals);
+    assert_eq!(m4.envelope_flags, m3.envelope_flags);
+    server.set_envelope_policy(EnvelopePolicy::Flag);
+    assert_eq!(
+        server
+            .transient(id, 0.5 * h_min, &step)
+            .expect("Flag serves a too-fine step"),
+        fine
+    );
+    let m5 = server.metrics();
+    assert_eq!(m5.envelope_flags, m4.envelope_flags + 1);
+    assert_eq!(m5.envelope_refusals, m4.envelope_refusals);
+
+    // A port query takes the sweep's frequency check: Strict refuses it
+    // once, naming the first out-of-envelope frequency.
+    server.set_envelope_policy(EnvelopePolicy::Strict);
+    let err = server
+        .port_response(id, 0, 0, &[inside, outside2, outside1])
+        .expect_err("strict port refusal");
+    match err {
+        RomError::Query(QueryError::OutsideEnvelope {
+            value,
+            lo,
+            hi,
+            domain,
+        }) => {
+            assert_eq!(value, outside2);
+            assert_eq!((lo, hi), (env_lo, env_hi));
+            assert_eq!(domain, "frequency");
+        }
+        other => panic!("expected OutsideEnvelope, got {other:?}"),
+    }
+    let m6 = server.metrics();
+    assert_eq!(m6.envelope_refusals, m5.envelope_refusals + 1);
+    assert_eq!(m6.envelope_flags, m5.envelope_flags);
+
     match prev {
         Some(v) => std::env::set_var("BDSM_THREADS", v),
         None => std::env::remove_var("BDSM_THREADS"),

@@ -187,11 +187,6 @@ impl TransientSolver {
         TransientSolver::new_sparse(&rm.full.g, &rm.full.c, &rm.full.b, &rm.full.l, h)
     }
 
-    /// `true` when the sparse factorization backend is active.
-    pub fn uses_sparse_backend(&self) -> bool {
-        matches!(self.stepper, Stepper::Sparse { .. })
-    }
-
     /// Current state vector.
     pub fn state(&self) -> &[f64] {
         &self.x
@@ -296,9 +291,7 @@ mod tests {
         let rm = reduce_network(&net, &opts).unwrap();
         let h = 1e-4;
         let mut full = TransientSolver::for_full(&rm, h).unwrap();
-        assert!(full.uses_sparse_backend());
         let mut red = TransientSolver::for_reduced(&rm, h).unwrap();
-        assert!(!red.uses_sparse_backend());
         let u = [1.0, 0.0];
         let mut worst = 0.0_f64;
         for _ in 0..400 {
