@@ -8,14 +8,26 @@ the line that declares the function. Every `pub fn NAME` declared in
 that text whose name never appears as `NAME(` elsewhere in it is printed
 as `file: NAME`.
 
+A name declared by more than one `pub fn` is matched by its owner as
+well, so a live `CscMatrix::to_dense` cannot hide a dead
+`BlockDiagProjector::to_dense`: a use counts only in a file whose
+production text also names the declaring `impl` type or, for a free
+function, its module (the file stem; the directory for `mod.rs`; the
+crate, bare or as `bdsm_<crate>`, for `lib.rs`). Such a name prints as
+`file: Owner::NAME`.
+
 Run from the repository root: python3 .github/scripts/test_only_pub_fns.py
 """
 
+import collections
 import glob
+import os
 import re
 import sys
 
 PUB_FN = re.compile(r"^\s*pub(?:\([^)]*\))?\s+(?:const\s+)?(?:unsafe\s+)?fn\s+([A-Za-z_][A-Za-z0-9_]*)")
+IMPL = re.compile(r"^\s*(?:unsafe\s+)?impl\b")
+LITERAL = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'')
 
 
 def production_lines(path, whole):
@@ -26,24 +38,80 @@ def production_lines(path, whole):
     return [l for l in text.splitlines() if not l.lstrip().startswith("//")]
 
 
+def impl_type(line):
+    """The self type an `impl` line opens (last path segment), or None."""
+    m = IMPL.match(line)
+    if not m:
+        return None
+    rest = line[m.end():].lstrip()
+    if rest.startswith("<"):
+        depth = 0
+        for i, c in enumerate(rest):
+            depth += {"<": 1, ">": -1}.get(c, 0)
+            if depth == 0:
+                rest = rest[i + 1:]
+                break
+    head = rest.split("{")[0].split(" where ")[0]
+    if " for " in head:
+        head = head.split(" for ", 1)[1]
+    t = re.match(r"\s*&?(?:'\w+\s+)?(?:mut\s+)?([A-Za-z_][A-Za-z0-9_:]*)", head)
+    return t.group(1).split("::")[-1] if t else None
+
+
+def module_names(path):
+    parts = path.split(os.sep)
+    stem = os.path.splitext(parts[-1])[0]
+    if stem == "mod":
+        return [parts[-2]]
+    if stem == "lib":
+        krate = parts[1] if parts[0] == "crates" else "bdsm"
+        return [krate, "bdsm_" + krate]
+    return [stem]
+
+
+def declarations(path, lines):
+    """`(name, owners)` for each `pub fn` in `lines`, where `owners` are the
+    words a file must contain to be able to call that declaration."""
+    depth, impls, out = 0, [], []
+    for line in lines:
+        ty = impl_type(line)
+        if ty:
+            impls.append([ty, depth, False])
+        m = PUB_FN.match(line)
+        if m:
+            owners = [impls[-1][0]] if impls and impls[-1][2] else module_names(path)
+            out.append((m.group(1), owners))
+        code = LITERAL.sub("", line).split("//")[0]
+        depth += code.count("{") - code.count("}")
+        if impls and depth > impls[-1][1]:
+            impls[-1][2] = True
+        while impls and impls[-1][2] and depth <= impls[-1][1]:
+            impls.pop()
+    return out
+
+
 def main():
     declaring = sorted(glob.glob("crates/*/src/**/*.rs", recursive=True)) + ["src/lib.rs"]
     whole = sorted(glob.glob("crates/*/examples/*.rs")) + sorted(glob.glob("benchmark/src/**/*.rs", recursive=True))
     texts = {p: production_lines(p, False) for p in declaring}
     texts.update({p: production_lines(p, True) for p in whole})
+    joined = {p: "\n".join(lines) for p, lines in texts.items()}
+
+    decls = [(path, name, owners) for path in declaring for name, owners in declarations(path, texts[path])]
+    declared = collections.Counter(name for _, name, _ in decls)
 
     found = 0
-    for path in declaring:
-        for line in texts[path]:
-            m = PUB_FN.match(line)
-            if not m:
-                continue
-            name = m.group(1)
-            use = re.compile(r"(?<![A-Za-z0-9_])" + name + r"\(")
-            decl = re.compile(r"\bfn\s+" + name + r"\b")
-            if not any(use.search(l) and not decl.search(l) for lines in texts.values() for l in lines):
-                print(f"{path}: {name}")
-                found += 1
+    for path, name, owners in decls:
+        use = re.compile(r"(?<![A-Za-z0-9_])" + name + r"\(")
+        decl = re.compile(r"\bfn\s+" + name + r"\b")
+        files, shown = texts, name
+        if declared[name] > 1:
+            shown = f"{owners[0]}::{name}"
+            owner = re.compile(r"(?<![A-Za-z0-9_])(?:" + "|".join(map(re.escape, owners)) + r")(?![A-Za-z0-9_])")
+            files = {p: lines for p, lines in texts.items() if owner.search(joined[p])}
+        if not any(use.search(l) and not decl.search(l) for lines in files.values() for l in lines):
+            print(f"{path}: {shown}")
+            found += 1
     print(f"{found} public functions with no caller outside the tests", file=sys.stderr)
 
 

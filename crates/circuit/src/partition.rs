@@ -131,7 +131,7 @@ fn partition_with_refiner(
     }
 
     let adj = net.adjacency();
-    let comps = connected_components(&adj, n);
+    let comps = components(&adj, 0..n, |_, _| true);
     let alloc = allocate_blocks(&comps, k.max(comps.len()));
 
     let mut block_of_node = vec![usize::MAX; n];
@@ -176,7 +176,7 @@ fn partition_with_refiner(
 }
 
 /// Computes the interface set and assembles the final [`Partition`].
-fn finish_partition(
+pub(crate) fn finish_partition(
     adj: &[Vec<usize>],
     block_of_node: Vec<usize>,
     blocks: Vec<Vec<usize>>,
@@ -193,30 +193,40 @@ fn finish_partition(
     }
 }
 
-/// Connected components of the bus graph, each sorted ascending, ordered by
-/// their smallest member.
-fn connected_components(adj: &[Vec<usize>], n: usize) -> Vec<Vec<usize>> {
-    let mut comp_of = vec![usize::MAX; n];
+/// Connected components of the subgraph induced by `members` (ascending),
+/// each sorted ascending, ordered by smallest member.
+///
+/// `joins(u, v)` tells whether the edge from member `u` to `v` stays
+/// inside the subgraph: the caller's membership test. For members split
+/// into regions (kept buses, then eliminated ones) it tests `v` against
+/// `u`'s region, and the components come region by region.
+pub(crate) fn components(
+    adj: &[Vec<usize>],
+    members: impl IntoIterator<Item = usize>,
+    joins: impl Fn(usize, usize) -> bool,
+) -> Vec<Vec<usize>> {
+    let mut seen = vec![false; adj.len()];
     let mut comps: Vec<Vec<usize>> = Vec::new();
-    for s in 0..n {
-        if comp_of[s] != usize::MAX {
+    for s in members {
+        if seen[s] {
             continue;
         }
-        let id = comps.len();
-        let mut members = vec![s];
-        comp_of[s] = id;
-        let mut queue = VecDeque::from([s]);
-        while let Some(u) = queue.pop_front() {
+        seen[s] = true;
+        // `comp` doubles as the BFS queue: `head` walks it while the
+        // frontier is appended behind.
+        let mut comp = vec![s];
+        let mut head = 0;
+        while let Some(&u) = comp.get(head) {
+            head += 1;
             for &v in &adj[u] {
-                if comp_of[v] == usize::MAX {
-                    comp_of[v] = id;
-                    members.push(v);
-                    queue.push_back(v);
+                if !seen[v] && joins(u, v) {
+                    seen[v] = true;
+                    comp.push(v);
                 }
             }
         }
-        members.sort_unstable();
-        comps.push(members);
+        comp.sort_unstable();
+        comps.push(comp);
     }
     comps
 }
@@ -340,7 +350,11 @@ fn nd_recurse(
     }
     // A side handed down by an earlier cut may be disconnected (repair is
     // best-effort); split per component with proportional block counts.
-    let comps = components_within(adj, &nodes);
+    let mut in_set = vec![false; adj.len()];
+    for &u in &nodes {
+        in_set[u] = true;
+    }
+    let comps = components(adj, nodes.iter().copied(), |_, v| in_set[v]);
     if comps.len() > 1 {
         let alloc = allocate_blocks(&comps, kp.max(comps.len()));
         for (comp, &kc) in comps.into_iter().zip(&alloc) {
@@ -376,38 +390,6 @@ fn nd_recurse(
     let k2 = kp - k1;
     nd_recurse(adj, a, k1, paid, out, refine);
     nd_recurse(adj, b, k2, paid, out, refine);
-}
-
-/// Connected components of the subgraph induced by `nodes` (assumed
-/// sorted), each sorted, ordered by smallest member.
-fn components_within(adj: &[Vec<usize>], nodes: &[usize]) -> Vec<Vec<usize>> {
-    let n = adj.len();
-    let mut in_set = vec![false; n];
-    for &u in nodes {
-        in_set[u] = true;
-    }
-    let mut seen = vec![false; n];
-    let mut comps: Vec<Vec<usize>> = Vec::new();
-    for &s in nodes {
-        if seen[s] {
-            continue;
-        }
-        seen[s] = true;
-        let mut members = vec![s];
-        let mut queue = VecDeque::from([s]);
-        while let Some(u) = queue.pop_front() {
-            for &v in &adj[u] {
-                if in_set[v] && !seen[v] {
-                    seen[v] = true;
-                    members.push(v);
-                    queue.push_back(v);
-                }
-            }
-        }
-        members.sort_unstable();
-        comps.push(members);
-    }
-    comps
 }
 
 /// Bisects the connected node set `nodes` into two non-empty sides with a
@@ -516,7 +498,9 @@ fn bisect(
             if members.is_empty() {
                 continue;
             }
-            let frags = components_within_side(adj, &members, &in_set, &side, s);
+            let frags = components(adj, members.iter().copied(), |_, v| {
+                in_set[v] && side[v] == s
+            });
             if frags.len() <= 1 {
                 continue;
             }
@@ -858,39 +842,6 @@ fn bfs_levels(
         frontier = next;
     }
     levels
-}
-
-/// Connected fragments of one side of a bisection, ordered by smallest
-/// member; `members` is the side's node list (ascending).
-fn components_within_side(
-    adj: &[Vec<usize>],
-    members: &[usize],
-    in_set: &[bool],
-    side: &[u8],
-    s: u8,
-) -> Vec<Vec<usize>> {
-    let mut seen = vec![false; adj.len()];
-    let mut frags: Vec<Vec<usize>> = Vec::new();
-    for &m in members {
-        if seen[m] {
-            continue;
-        }
-        seen[m] = true;
-        let mut frag = vec![m];
-        let mut queue = VecDeque::from([m]);
-        while let Some(u) = queue.pop_front() {
-            for &v in &adj[u] {
-                if in_set[v] && side[v] == s && !seen[v] {
-                    seen[v] = true;
-                    frag.push(v);
-                    queue.push_back(v);
-                }
-            }
-        }
-        frag.sort_unstable();
-        frags.push(frag);
-    }
-    frags
 }
 
 /// Groups descriptor states by partition block.

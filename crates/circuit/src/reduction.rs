@@ -20,8 +20,7 @@
 //! exact-interface projection pins.
 
 use crate::network::{CircuitError, Network, Result};
-use crate::partition::Partition;
-use std::collections::VecDeque;
+use crate::partition::{components, finish_partition, Partition};
 
 /// A user-designated split of the buses into *kept* and *eliminated* sets,
 /// with the derived boundary/internal classification.
@@ -134,40 +133,15 @@ impl ReductionSet {
         for &b in &self.kept {
             keep[b] = true;
         }
+        let regions = self.kept.iter().chain(&self.eliminated).copied();
+        let blocks = components(&adj, regions, |u, v| keep[u] == keep[v]);
         let mut block_of_node = vec![usize::MAX; self.num_buses];
-        let mut blocks: Vec<Vec<usize>> = Vec::new();
-        for region in [&self.kept, &self.eliminated] {
-            let inside = keep[region[0]];
-            for &s in region.iter() {
-                if block_of_node[s] != usize::MAX {
-                    continue;
-                }
-                let id = blocks.len();
-                block_of_node[s] = id;
-                let mut members = vec![s];
-                let mut queue = VecDeque::from([s]);
-                while let Some(u) = queue.pop_front() {
-                    for &v in &adj[u] {
-                        if keep[v] == inside && block_of_node[v] == usize::MAX {
-                            block_of_node[v] = id;
-                            members.push(v);
-                            queue.push_back(v);
-                        }
-                    }
-                }
-                members.sort_unstable();
-                blocks.push(members);
+        for (id, block) in blocks.iter().enumerate() {
+            for &u in block {
+                block_of_node[u] = id;
             }
         }
-        let mut interface: Vec<usize> = (0..self.num_buses)
-            .filter(|&u| adj[u].iter().any(|&v| block_of_node[v] != block_of_node[u]))
-            .collect();
-        interface.sort_unstable();
-        Ok(Partition {
-            block_of_node,
-            blocks,
-            interface,
-        })
+        Ok(finish_partition(&adj, block_of_node, blocks))
     }
 }
 

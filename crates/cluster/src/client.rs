@@ -25,7 +25,6 @@ use crate::plan::ShardPlan;
 use crate::wire::{Frame, RemoteErrorKind, Request, Response, WireError};
 use bdsm_core::transfer::CMatrix;
 use bdsm_linalg::Complex64;
-use bdsm_obs::json::Object;
 use bdsm_obs::Counter;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpStream};
@@ -192,22 +191,6 @@ pub struct ClusterMetricsSnapshot {
     pub unavailable: u64,
     /// Router worker panics contained at the public API.
     pub worker_panics: u64,
-}
-
-impl ClusterMetricsSnapshot {
-    /// JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        Object::new()
-            .field("rpcs", self.rpcs)
-            .field("coalesced_queries", self.coalesced_queries)
-            .field("retries", self.retries)
-            .field("reconnects", self.reconnects)
-            .field("overloaded", self.overloaded)
-            .field("remote_errors", self.remote_errors)
-            .field("unavailable", self.unavailable)
-            .field("worker_panics", self.worker_panics)
-            .finish()
-    }
 }
 
 /// One shard's connection slot: at most one pooled stream, lazily

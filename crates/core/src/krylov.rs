@@ -468,9 +468,6 @@ fn finish_merge(basis: Vec<Vec<f64>>) -> Result<Matrix> {
             what: "krylov: all start vectors deflated; basis is empty",
         });
     }
-    if bdsm_obs::enabled(bdsm_obs::ObsLevel::Timings) {
-        bdsm_obs::metrics().basis_columns.set(basis.len() as u64);
-    }
     Ok(Matrix::from_cols(&basis))
 }
 
@@ -546,9 +543,6 @@ fn blocked_absorb(q: &mut Panel, cands: &[Vec<f64>], tol: f64, scratch: &mut Vec
         v.extend_from_slice(c);
     }
     if q.cols > 0 {
-        if bdsm_obs::enabled(bdsm_obs::ObsLevel::Timings) {
-            bdsm_obs::metrics().ortho_panel_merges.inc();
-        }
         // Two passes = block reorthogonalization, the panel analogue of the
         // oracle's second MGS sweep.
         for _ in 0..2 {
@@ -735,9 +729,6 @@ fn orthonormalize_against(v: &mut [f64], basis: &[Vec<f64>], tol: f64) -> bool {
         return false;
     }
     // Two passes below = one re-orthogonalization per accepted candidate.
-    if !basis.is_empty() && bdsm_obs::enabled(bdsm_obs::ObsLevel::Timings) {
-        bdsm_obs::metrics().mgs_reorth_passes.inc();
-    }
     for _ in 0..2 {
         for q in basis {
             let h = bdsm_linalg::vector::dot(q, v);

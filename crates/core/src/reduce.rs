@@ -369,12 +369,12 @@ pub struct StageTimings {
     /// merges of the adaptive loop.
     pub krylov_us: f64,
     /// The per-point slice of `krylov_us`: `krylov.point` spans (shifted
-    /// factorizations + block recurrences). Zero when the ambient obs
-    /// level was below `Timings` during the run.
+    /// factorizations + block recurrences), stage spans every run's trace
+    /// session records at any obs level.
     pub krylov_point_us: f64,
     /// The merge slice of `krylov_us`: `krylov.merge` spans (the blocked
     /// panel-merge tree, or the sequential MGS merge under the oracle
-    /// kernel). Zero when the ambient obs level was below `Timings`.
+    /// kernel), recorded like `krylov_point_us`.
     pub krylov_merge_us: f64,
     /// Projector construction: per-block SVD compression (fans out per
     /// block), summed over adaptive rounds.

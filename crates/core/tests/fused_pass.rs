@@ -163,9 +163,10 @@ fn pass_matches_unfused_paths_on_feeder() {
 }
 
 /// Sparse factorisations one reduce performs, read from the metric the
-/// benchmark's `sparse.lu_factor_count` reads.
+/// benchmark's `sparse.lu_factor_count` reads. The reduce runs at
+/// `ObsLevel::Off`: the counter counts at every level.
 fn factorisations(net: &Network, opts: &ReductionOpts, threads: &str) -> (u64, usize) {
-    scoped(threads, ObsLevel::Timings, || {
+    scoped(threads, ObsLevel::Off, || {
         let counter = &bdsm_obs::metrics().lu_factorizations;
         let before = counter.get();
         let (_, report) = ReductionEngine::new(net, opts)

@@ -135,10 +135,10 @@ fn serial_fanout_records_inline_without_worker_spans() {
 #[test]
 fn fine_spans_are_gated_by_level_but_timing_spans_survive_off() {
     let _guard = ENV_LOCK.lock().unwrap();
-    // At Off, a trace session still collects Timings-tier spans (that is
-    // how `StageTimings` keeps working with observability disabled), but
-    // fine `span!` sites stay dark — on the session thread and on
-    // workers alike.
+    // At Off, a trace session still collects `timing_span!` stage spans
+    // (that is how `StageTimings` keeps working with observability
+    // disabled), but fine `span!` sites stay dark — on the session thread
+    // and on workers alike.
     let _scope = Scope::new("3", ObsLevel::Off);
     let trace = traced_fanout(6);
     assert_eq!(trace.count("test.outer"), 1);
@@ -153,7 +153,7 @@ fn fine_spans_are_gated_by_level_but_timing_spans_survive_off() {
         "worker spans are fine-grained"
     );
 
-    bdsm_obs::set_level(ObsLevel::Timings);
+    // A second session at Off records the same way.
     let trace = traced_fanout(6);
     assert_eq!(trace.count("test.outer"), 1);
     assert_eq!(trace.count("test.item"), 0);
@@ -221,7 +221,7 @@ fn plan_stage_records_the_ordering_selection() {
         }
     }
 
-    bdsm_obs::set_level(ObsLevel::Timings);
+    bdsm_obs::set_level(ObsLevel::Off);
     let engine = ReductionEngine::new(&mesh, &opts).expect("valid options");
     let (plan, trace) = Trace::collect(|| engine.plan());
     plan.expect("plan stage");

@@ -142,7 +142,7 @@ fn reduced_model_is_bitwise_invariant_under_obs_level() {
     let prev = std::env::var("BDSM_THREADS").ok();
     let prev_level = bdsm_obs::level();
     let mut outputs = Vec::new();
-    for level in [ObsLevel::Off, ObsLevel::Timings, ObsLevel::Spans] {
+    for level in [ObsLevel::Off, ObsLevel::Spans] {
         bdsm_obs::set_level(level);
         for threads in ["1", "5"] {
             std::env::set_var("BDSM_THREADS", threads);

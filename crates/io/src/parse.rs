@@ -123,18 +123,10 @@ fn is_ground(name: &str) -> bool {
 /// any trailing unit letters ignored (`2.2kOhm`, `100nF`).
 fn parse_value(tok: &Tok<'_>) -> Result<f64, NetlistError> {
     let s = tok.s;
-    // Longest numeric prefix that parses as f64.
-    let mut split = 0;
-    for end in (1..=s.len()).rev() {
-        if s.is_char_boundary(end) && s[..end].parse::<f64>().is_ok() {
-            split = end;
-            break;
-        }
-    }
-    if split == 0 {
+    let split = float_prefix_len(s);
+    let Ok(base) = s[..split].parse::<f64>() else {
         return Err(tok.err(NetlistErrorKind::BadValue(s.to_string())));
-    }
-    let base: f64 = s[..split].parse().expect("checked above");
+    };
     let suffix = &s[split..];
     if !suffix.chars().all(|c| c.is_ascii_alphabetic()) {
         return Err(tok.err(NetlistErrorKind::BadValue(s.to_string())));
@@ -161,6 +153,41 @@ fn parse_value(tok: &Tok<'_>) -> Result<f64, NetlistError> {
         return Err(tok.err(NetlistErrorKind::NonFiniteValue(v)));
     }
     Ok(v)
+}
+
+/// Length of the longest prefix of `s` that `f64::from_str` accepts (0
+/// when none does), found in one left-to-right scan of its grammar: an
+/// optional sign, then `inf`, `infinity` or `nan` in any case, or digits
+/// with an optional `.` and an optional exponent. Trying every prefix
+/// with `parse` instead costs time quadratic in the token length.
+fn float_prefix_len(s: &str) -> usize {
+    let b = s.as_bytes();
+    let digits = |from: usize| b[from..].iter().take_while(|c| c.is_ascii_digit()).count();
+    let sign = usize::from(matches!(b.first(), Some(b'+' | b'-')));
+    for word in ["infinity", "inf", "nan"] {
+        let head = b.get(sign..sign + word.len());
+        if head.is_some_and(|h| h.eq_ignore_ascii_case(word.as_bytes())) {
+            return sign + word.len();
+        }
+    }
+    let int = digits(sign);
+    let mut end = sign + int;
+    let mut frac = 0;
+    if b.get(end) == Some(&b'.') {
+        frac = digits(end + 1);
+        end += 1 + frac;
+    }
+    if int + frac == 0 {
+        return 0;
+    }
+    if matches!(b.get(end), Some(b'e' | b'E')) {
+        let exp_sign = usize::from(matches!(b.get(end + 1), Some(b'+' | b'-')));
+        let exp = digits(end + 1 + exp_sign);
+        if exp > 0 {
+            end += 1 + exp_sign + exp;
+        }
+    }
+    end
 }
 
 /// A bus or element name borrowed from the text, hashed and compared
@@ -397,6 +424,70 @@ mod tests {
                 "{text}: got {got}, want {want}"
             );
         }
+    }
+
+    /// The longest prefix `f64::from_str` accepts, by trying every prefix
+    /// from the longest down: the scan's reference.
+    fn longest_parsable_prefix(s: &str) -> usize {
+        (1..=s.len())
+            .rev()
+            .find(|&end| s.is_char_boundary(end) && s[..end].parse::<f64>().is_ok())
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn value_prefix_scan_matches_trial_parsing() {
+        // The empty token plus a whitespace-separated table.
+        let table = std::iter::once("").chain(
+            "+ - . +. -.e1 .5 5. -5.e3 1.e1 .e1 e5 1e 1e+ 1e- 1E5 1e-3 1e5meg 1e5.5 1e3k 5meg \
+             5MEG 2.2kOhm 100nF 1.2.3 1..2 +-1 --1 0x10 1_000 00012 12abc 1é é1 ٣ inf INF \
+             -Infinity +infinityx infinit infx nan -NaNx na in 1e400 -1e400k 1e-400 5Ohm 7n"
+                .split_whitespace(),
+        );
+        for text in table {
+            assert_eq!(
+                float_prefix_len(text),
+                longest_parsable_prefix(text),
+                "{text:?}"
+            );
+        }
+        // With the same split, the value and the error kind follow from
+        // the unchanged suffix rules.
+        let value = |text| {
+            parse_value(&Tok {
+                s: text,
+                line: 1,
+                col: 1,
+            })
+            .map_err(|e| e.kind)
+        };
+        assert_eq!(value("1e").unwrap(), 1.0);
+        assert_eq!(value("1e5meg").unwrap(), 1e5 * 1e6);
+        assert_eq!(value("5meg").unwrap(), 5.0 * 1e6);
+        assert_eq!(value("-.5k").unwrap(), -0.5 * 1e3);
+        for text in ["inf", "-Infinity", "+infinityx", "NaN", "1e400"] {
+            let kind = value(text).unwrap_err();
+            assert!(
+                matches!(kind, NetlistErrorKind::NonFiniteValue(_)),
+                "{text}"
+            );
+        }
+        for text in ["", "x1", ".", "1.2.3", "1e5.5", "0x10", "1é"] {
+            let kind = value(text).unwrap_err();
+            assert!(matches!(kind, NetlistErrorKind::BadValue(_)), "{text}");
+        }
+    }
+
+    #[test]
+    fn long_value_tokens_parse_in_linear_time() {
+        // 10⁵ digits then 10⁵ letters: trying every prefix took tens of
+        // seconds on such a token; one scan takes milliseconds.
+        let token = "9".repeat(100_000) + &"k".repeat(100_000);
+        let t = std::time::Instant::now();
+        let err = parse_netlist(&format!("R1 a 0 {token}")).unwrap_err();
+        assert!(matches!(err.kind, NetlistErrorKind::NonFiniteValue(_)));
+        let secs = t.elapsed().as_secs_f64();
+        assert!(secs < 2.0, "a 200k-character value took {secs:.2} s");
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //!   [`Trace`] exports as Chrome trace-event JSON
 //!   ([`Trace::save_chrome`], viewable in `chrome://tracing` or
 //!   Perfetto) or as a nested text tree ([`Trace::render_tree`]).
-//! * **Metrics registry** — process-global [`Counter`]s and [`Gauge`]s
-//!   ([`metrics()`]) plus embeddable [`CacheStats`] and fixed-bucket
-//!   latency [`Histogram`]s, snapshot to JSON via [`MetricsSnapshot`].
+//!   Spans are the one timing record: every latency a bench or an
+//!   operator reads is a span duration.
+//! * **Counters** — the process-global [`metrics()`] registry (one
+//!   [`Counter`]: sparse LU factorisations) and the embeddable
+//!   [`CacheStats`]. They count at every level, at one relaxed atomic
+//!   add per event.
 //! * **The one JSON emitter** — [`json`]: a value trait, an object
 //!   builder that places the commas, one string escape and one float
 //!   rule (shortest round-trip `{:e}`, non-finite → `null`). Every JSON
@@ -21,12 +24,13 @@
 //! * **Fault injection** — named [`faultpoint!`] sites robustness tests
 //!   arm ([`fault::arm`]) to panic on demand, proving typed-error
 //!   recovery paths; free (one relaxed atomic load) while disarmed.
-//! * **Zero overhead when disabled** — a process-global [`ObsLevel`]
-//!   (env override `BDSM_OBS=off|timings|spans`) gates every
-//!   instrumented path behind a single relaxed atomic load, and spans
-//!   are only recorded inside an explicit [`Trace::collect`] session,
-//!   so library code sprinkled with spans costs nothing for callers
-//!   that never ask for a trace. Instrumentation never feeds back into
+//! * **Zero overhead when disabled** — spans record only inside an
+//!   explicit [`Trace::collect`] session, and a process-global
+//!   [`ObsLevel`] (env override `BDSM_OBS=off|spans`) decides whether a
+//!   session also records the fine-grained [`span!`] sites. Outside a
+//!   session every span site costs a single relaxed atomic load, so
+//!   library code sprinkled with spans costs nothing for callers that
+//!   never ask for a trace. Instrumentation never feeds back into
 //!   numerical results: the engine's bitwise-determinism suites run at
 //!   every level.
 //!
@@ -52,7 +56,7 @@
 //! ```
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
 
 pub mod fault;
@@ -60,132 +64,100 @@ pub mod json;
 mod metrics;
 mod trace;
 
-pub use metrics::{
-    metrics, CacheStats, CacheStatsSnapshot, Counter, Gauge, Histogram, HistogramSnapshot, Metrics,
-    MetricsSnapshot,
-};
+pub use metrics::{metrics, CacheStats, CacheStatsSnapshot, Counter, Metrics, MetricsSnapshot};
 pub use trace::{AttrValue, SpanEvent, Trace};
 
 // ---------------------------------------------------------------------------
 // Observability level
 // ---------------------------------------------------------------------------
 
-/// How much instrumentation is live, process-wide.
+/// Which spans a [`Trace::collect`] session records, process-wide.
 ///
-/// Levels are ordered: `Spans` implies `Timings`. The default is `Off`,
-/// overridable by the `BDSM_OBS` environment variable (read once, on
-/// first query) or programmatically via [`set_level`] (which wins over
-/// the environment and is what tests and benches should use — mutating
-/// the process environment races with other threads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Outside a session nothing records at any level. Inside one, every
+/// [`timing_span!`] stage span records, and `Spans` adds the fine-grained
+/// [`span!`] sites. The level gates nothing else: the registry's counters
+/// ([`metrics()`]) and embedded [`CacheStats`] count at every level.
+///
+/// The default is `Off`, overridable by the `BDSM_OBS` environment
+/// variable (read once, when the first session opens) or
+/// programmatically via [`set_level`] (which wins over the environment
+/// and is what tests and benches should use — mutating the process
+/// environment races with other threads).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ObsLevel {
-    /// No metrics, no spans. Instrumented paths cost one relaxed
-    /// atomic load each.
+    /// Stage spans only. A fine span site costs one relaxed atomic load.
     Off = 0,
-    /// Metrics (counters/gauges/histograms) and coarse stage spans.
-    Timings = 1,
-    /// Everything: per-shift / per-block / per-query spans too.
-    Spans = 2,
+    /// Stage spans plus per-shift / per-block / per-query spans.
+    Spans = 1,
 }
 
 impl ObsLevel {
     /// Parse a `BDSM_OBS` value, case-insensitively.
     ///
-    /// Accepts `off`/`0`, `timings`/`1`, `spans`/`2`; anything else is
-    /// `None` (treated as `Off` by the env reader).
+    /// Accepts `off`/`0` and `spans`/`2`; anything else is `None`
+    /// (treated as `Off` by the env reader).
     pub fn parse(s: &str) -> Option<ObsLevel> {
         match s.trim().to_ascii_lowercase().as_str() {
             "off" | "0" | "" => Some(ObsLevel::Off),
-            "timings" | "timing" | "1" => Some(ObsLevel::Timings),
             "spans" | "span" | "2" => Some(ObsLevel::Spans),
             _ => None,
         }
     }
-
-    fn from_u8(v: u8) -> ObsLevel {
-        match v {
-            2 => ObsLevel::Spans,
-            1 => ObsLevel::Timings,
-            _ => ObsLevel::Off,
-        }
-    }
 }
 
-/// Sentinel: `CONFIGURED` not yet initialised from the environment.
-const LEVEL_UNSET: u8 = 0xFF;
+/// Low byte of `STATE` before the environment or [`set_level`] set it.
+const LEVEL_UNSET: u32 = 0xFF;
+/// One live session in the bits of `STATE` above the level byte.
+const SESSION: u32 = 1 << 8;
 
-/// Level requested by env/`set_level`.
-static CONFIGURED: AtomicU8 = AtomicU8::new(LEVEL_UNSET);
-/// Number of live `Trace::collect` sessions (process-wide).
-static SESSIONS: AtomicU32 = AtomicU32::new(0);
-/// `max(configured, sessions > 0 ? Timings : Off)` — the single byte
-/// every span checks. Kept denormalized so the hot path is one load.
-static EFFECTIVE: AtomicU8 = AtomicU8::new(0);
+/// The configured level (low byte) and the number of live
+/// `Trace::collect` sessions process-wide (the bits above) in one word:
+/// every span site decides with one relaxed load, and a session opening
+/// on one thread while another closes cannot leave a stale "no session"
+/// behind, as a count and a flag derived from it in two stores could.
+static STATE: AtomicU32 = AtomicU32::new(LEVEL_UNSET);
 
-fn configured() -> u8 {
-    let v = CONFIGURED.load(Ordering::Relaxed);
+fn configured() -> u32 {
+    let v = STATE.load(Ordering::Relaxed) & 0xFF;
     if v != LEVEL_UNSET {
         return v;
     }
     let from_env = std::env::var("BDSM_OBS")
         .ok()
         .and_then(|s| ObsLevel::parse(&s))
-        .unwrap_or(ObsLevel::Off) as u8;
+        .unwrap_or(ObsLevel::Off) as u32;
     // First writer wins; a concurrent set_level() may already have stored.
-    let _ =
-        CONFIGURED.compare_exchange(LEVEL_UNSET, from_env, Ordering::Relaxed, Ordering::Relaxed);
-    let v = CONFIGURED.load(Ordering::Relaxed);
-    recompute_effective(v);
-    v
-}
-
-fn recompute_effective(cfg: u8) {
-    let floor = if SESSIONS.load(Ordering::Relaxed) > 0 {
-        ObsLevel::Timings as u8
-    } else {
-        ObsLevel::Off as u8
-    };
-    EFFECTIVE.store(cfg.max(floor), Ordering::Relaxed);
+    let _ = STATE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+        (s & 0xFF == LEVEL_UNSET).then_some((s & !0xFF) | from_env)
+    });
+    STATE.load(Ordering::Relaxed) & 0xFF
 }
 
 /// The configured observability level (env `BDSM_OBS` or [`set_level`]).
 pub fn level() -> ObsLevel {
-    ObsLevel::from_u8(configured())
-}
-
-/// True when the configured level is at least `min`.
-///
-/// This is the gate for *metrics*: counters and gauges record only when
-/// the user asked for observability. Spans additionally require a live
-/// [`Trace::collect`] session (which raises the effective level to
-/// `Timings` on its own, so stage timings work even at `BDSM_OBS=off`).
-#[inline]
-pub fn enabled(min: ObsLevel) -> bool {
-    configured() >= min as u8
+    if configured() == ObsLevel::Spans as u32 {
+        ObsLevel::Spans
+    } else {
+        ObsLevel::Off
+    }
 }
 
 /// Set the process-wide level programmatically. Overrides `BDSM_OBS`.
 pub fn set_level(level: ObsLevel) {
-    CONFIGURED.store(level as u8, Ordering::Relaxed);
-    recompute_effective(level as u8);
+    let _ = STATE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+        Some((s & !0xFF) | level as u32)
+    });
 }
 
-/// Effective level for span recording: configured level, floored at
-/// `Timings` while any trace session is live.
+/// True when some session is live and the configured level is at least
+/// `min`: `Off` asks only for the session, `Spans` for both. (A session
+/// reads the environment before it counts itself, so the level byte is
+/// set whenever the count is non-zero.)
 #[inline]
-fn effective_at_least(min: ObsLevel) -> bool {
-    let v = EFFECTIVE.load(Ordering::Relaxed);
-    if v >= min as u8 {
-        return true;
-    }
-    // EFFECTIVE starts at Off before the first env read; make sure the
-    // env has been consulted once before concluding "disabled".
-    if CONFIGURED.load(Ordering::Relaxed) == LEVEL_UNSET {
-        configured();
-        return EFFECTIVE.load(Ordering::Relaxed) >= min as u8;
-    }
-    false
+fn recording(min: ObsLevel) -> bool {
+    let s = STATE.load(Ordering::Relaxed);
+    s >= SESSION && (s & 0xFF) >= min as u32
 }
 
 // ---------------------------------------------------------------------------
@@ -230,8 +202,8 @@ pub(crate) fn session_collect<T>(f: impl FnOnce() -> T) -> (T, Trace) {
             t.depth = 0;
             t.epoch = Some(Instant::now());
             t.events.clear();
-            SESSIONS.fetch_add(1, Ordering::Relaxed);
-            recompute_effective(configured());
+            configured();
+            STATE.fetch_add(SESSION, Ordering::Relaxed);
             true
         }
     });
@@ -241,8 +213,7 @@ pub(crate) fn session_collect<T>(f: impl FnOnce() -> T) -> (T, Trace) {
         t.active -= 1;
         if fresh {
             t.epoch = None;
-            SESSIONS.fetch_sub(1, Ordering::Relaxed);
-            recompute_effective(configured());
+            STATE.fetch_sub(SESSION, Ordering::Relaxed);
             Trace {
                 events: std::mem::take(&mut t.events),
             }
@@ -316,12 +287,14 @@ impl Drop for Span {
     }
 }
 
-/// Open a span if `min` is met and a session is live on this thread.
+/// Open a span if a session is live on this thread and the configured
+/// level is at least `min` (`Off` for a stage span, `Spans` for a fine
+/// one).
 ///
 /// Prefer the [`span!`] / [`timing_span!`] macros; this is their
 /// runtime entry point.
 pub fn open_span(min: ObsLevel, name: &'static str, attrs: &[(&'static str, AttrValue)]) -> Span {
-    if !effective_at_least(min) {
+    if !recording(min) {
         return Span(None);
     }
     TLS.with(|t| {
@@ -360,13 +333,13 @@ macro_rules! span {
     };
 }
 
-/// Open a coarse stage span (recorded at `ObsLevel::Timings`, which any
-/// live [`Trace::collect`] session implies).
+/// Open a coarse stage span (recorded in every live [`Trace::collect`]
+/// session, at any level).
 #[macro_export]
 macro_rules! timing_span {
     ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {
         $crate::open_span(
-            $crate::ObsLevel::Timings,
+            $crate::ObsLevel::Off,
             $name,
             &[$((stringify!($key), $crate::AttrValue::from($val))),*],
         )
@@ -393,7 +366,7 @@ struct ForkInner {
 
 /// Capture the current session for worker threads about to be spawned.
 pub fn fork() -> ForkCtx {
-    if !effective_at_least(ObsLevel::Timings) {
+    if !recording(ObsLevel::Off) {
         return ForkCtx(None);
     }
     TLS.with(|t| {
@@ -470,12 +443,13 @@ mod tests {
         assert_eq!(ObsLevel::parse("OFF"), Some(ObsLevel::Off));
         assert_eq!(ObsLevel::parse("0"), Some(ObsLevel::Off));
         assert_eq!(ObsLevel::parse(""), Some(ObsLevel::Off));
-        assert_eq!(ObsLevel::parse("timings"), Some(ObsLevel::Timings));
-        assert_eq!(ObsLevel::parse("Timing"), Some(ObsLevel::Timings));
         assert_eq!(ObsLevel::parse(" spans "), Some(ObsLevel::Spans));
         assert_eq!(ObsLevel::parse("2"), Some(ObsLevel::Spans));
         assert_eq!(ObsLevel::parse("verbose"), None);
-        assert!(ObsLevel::Spans > ObsLevel::Timings);
+        // The retired middle level reads as unknown, which the env
+        // reader treats as `Off`.
+        assert_eq!(ObsLevel::parse("timings"), None);
+        assert_eq!(ObsLevel::parse("1"), None);
     }
 
     #[test]

@@ -119,9 +119,8 @@ pub struct Trace {
 impl Trace {
     /// Run `f` inside a trace session and collect the spans it records.
     ///
-    /// Opening a session raises the effective level to at least
-    /// `Timings` for its duration, so [`timing_span!`](crate::timing_span)
-    /// stage spans record even at `BDSM_OBS=off`; fine-grained
+    /// Inside a session [`timing_span!`](crate::timing_span) stage spans
+    /// record at every level, even at `BDSM_OBS=off`; fine-grained
     /// [`span!`](crate::span) spans additionally require
     /// `ObsLevel::Spans`. A nested `collect` on the same thread
     /// piggybacks on the outer session and returns an empty trace.

@@ -24,7 +24,7 @@ fn disabled_span_sites_are_nearly_free() {
         acc ^= span_site(i);
     }
     let ((), trace) = Trace::collect(|| {
-        // Session floor is Timings; span!() sites still skip at Off.
+        // A session records stage spans only; span!() sites still skip at Off.
         acc ^= span_site(0);
     });
     assert_eq!(trace.count("hot.loop"), 0);

@@ -37,14 +37,13 @@ use bdsm_core::par;
 use bdsm_core::transfer::{eval_transfer_factored, CMatrix, ZLu};
 use bdsm_linalg::Complex64;
 use bdsm_obs::json::{self, Json, Object};
-use bdsm_obs::{CacheStats, CacheStatsSnapshot, Counter, Histogram, HistogramSnapshot, ObsLevel};
+use bdsm_obs::{CacheStats, CacheStatsSnapshot, Counter};
 use bdsm_sim::TransientSolver;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
 
 /// Why a query was rejected before any numerical work, carried by
 /// [`RomError::Query`].
@@ -166,17 +165,12 @@ fn lock_cache<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Per-server observability: shift-cache accounting plus the per-sample
-/// query latency distribution.
-///
-/// Cache counters are always on (two relaxed atomic increments next to a
-/// mutex-guarded map lookup — noise); the latency histogram records only
-/// at `ObsLevel::Timings` and above, because it needs a clock read per
-/// sample.
+/// Per-server observability counters, always on (a relaxed atomic
+/// increment next to a mutex-guarded map lookup — noise). Per-sample
+/// latency is the `serve.query` span's duration.
 #[derive(Debug, Default)]
 struct ServerMetrics {
     cache: CacheStats,
-    query_latency_us: Histogram,
     /// Queries refused under [`EnvelopePolicy::Strict`] (one per refused
     /// call).
     envelope_refusals: Counter,
@@ -202,8 +196,6 @@ struct ServerMetrics {
 pub struct ServerMetricsSnapshot {
     /// Shift-cache hits/misses/inserts across all models.
     pub cache: CacheStatsSnapshot,
-    /// Per-sample query latency (µs); empty below `ObsLevel::Timings`.
-    pub latency_us: HistogramSnapshot,
     /// Queries refused for leaving the certified envelope
     /// ([`EnvelopePolicy::Strict`]; one per refused call).
     pub envelope_refusals: u64,
@@ -247,7 +239,6 @@ impl Json for ServerMetricsSnapshot {
             .field("cache", cache)
             .field("envelope", envelope)
             .field("panics_recovered", self.panics_recovered)
-            .field("latency", &self.latency_us)
             .write_json(out);
     }
 }
@@ -403,12 +394,8 @@ impl ServedRom {
     /// [`eval_transfer_factored`] path a fresh evaluation takes.
     fn eval(&self, s: Complex64, metrics: &ServerMetrics) -> Result<CMatrix, RomError> {
         let _span = bdsm_obs::span!("serve.query", re = s.re, omega = s.im);
-        let t = bdsm_obs::enabled(ObsLevel::Timings).then(Instant::now);
         let lu = self.factored(s, &metrics.cache)?;
         let out = eval_transfer_factored(&lu, &self.artifact.b, &self.artifact.l)?;
-        if let Some(t) = t {
-            metrics.query_latency_us.record_duration(t.elapsed());
-        }
         Ok(out)
     }
 }
@@ -524,13 +511,12 @@ impl RomServer {
     }
 
     /// A snapshot of this server's observability counters: shift-cache
-    /// hits/misses/inserts across all models and the per-sample query
-    /// latency histogram. See [`ServerMetricsSnapshot`] for the exact
-    /// accounting invariants.
+    /// hits/misses/inserts/evictions across all models, envelope refusals
+    /// and flags, and contained panics. See [`ServerMetricsSnapshot`] for
+    /// the exact accounting invariants.
     pub fn metrics(&self) -> ServerMetricsSnapshot {
         ServerMetricsSnapshot {
             cache: self.metrics.cache.snapshot(),
-            latency_us: self.metrics.query_latency_us.snapshot(),
             envelope_refusals: self.metrics.envelope_refusals.get(),
             envelope_flags: self.metrics.envelope_flags.get(),
             panics_recovered: self.metrics.panics_recovered.get(),
@@ -665,7 +651,7 @@ impl RomServer {
     /// frequency batch — the narrow query shape of dashboard-style
     /// consumers. A port sample is the `(out, in)` entry of the very
     /// sample [`transfer_sweep`](Self::transfer_sweep) computes at that
-    /// frequency (same cache, same span, same latency record), so the two
+    /// frequency (same cache, same `serve.query` span), so the two
     /// queries agree bitwise.
     ///
     /// # Errors

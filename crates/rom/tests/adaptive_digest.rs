@@ -93,7 +93,7 @@ fn mesh_artifact_digest_is_pinned_across_threads_and_obs_levels() {
     let prev_threads = std::env::var("BDSM_THREADS").ok();
     let prev_level = bdsm_obs::level();
     for threads in ["1", "2", "5"] {
-        for level in [ObsLevel::Off, ObsLevel::Timings, ObsLevel::Spans] {
+        for level in [ObsLevel::Off, ObsLevel::Spans] {
             std::env::set_var("BDSM_THREADS", threads);
             bdsm_obs::set_level(level);
             let (rm, report, _) = reducer.reduce_traced(&net).expect("mesh reduction");

@@ -665,17 +665,10 @@ fn factor_parts<T: Scalar>(
         q: q.to_vec(),
         panels,
     };
-    let count_metrics = bdsm_obs::enabled(bdsm_obs::ObsLevel::Timings);
-    if count_metrics || span.is_recording() {
-        let nnz = lu.factor_nnz();
-        span.attr("nnz", nnz);
+    bdsm_obs::metrics().lu_factorizations.inc();
+    if span.is_recording() {
+        span.attr("nnz", lu.factor_nnz());
         span.attr("panels", lu.panels.len());
-        if count_metrics {
-            let m = bdsm_obs::metrics();
-            m.lu_factorizations.inc();
-            m.lu_supernode_panels.add(lu.panels.len() as u64);
-            m.factor_nnz.set(nnz as u64);
-        }
     }
     Ok(lu)
 }

@@ -59,7 +59,7 @@
 //! | *evaluate* | [`core`]       | [`core::transfer::eval_transfer`] / [`core::transfer::eval_jomega_sweep`] (dense complex LU, the ROM side), [`core::transfer::SparseTransferEvaluator`] (full models), [`core::transfer::eval_transfer_factored`] (against a cached factor) |
 //! | *simulate* | [`sim`]        | [`sim::TransientSolver`] |
 //! | *distribute* | [`cluster`]  | [`cluster::ShardPlan`] placement (by model / by frequency band), [`cluster::ShardNode`] TCP shard processes over [`rom::RomServer`], [`cluster::ClusterClient`] batching/retrying router with typed [`cluster::ClusterError`]s; [`cluster::wire`] frames go through the artifact format's codec, [`rom::codec`] (magic, version, word-wise checksum, alloc-bounded reads) |
-//! | *observe*  | [`obs`]        | [`obs::span!`](span!) / [`obs::timing_span!`](timing_span!) RAII span tracing (Chrome-trace export via [`obs::Trace`]), [`obs::metrics`] counter/gauge/histogram registry, [`rom::RomServer::metrics`], [`obs::faultpoint!`](faultpoint!) fault-injection sites for robustness tests, [`obs::fault::panic_message`] for the typed `Internal` errors of contained panics; one-atomic-load no-ops until `BDSM_OBS` (or [`obs::set_level`]) turns them on |
+//! | *observe*  | [`obs`]        | [`obs::span!`](span!) / [`obs::timing_span!`](timing_span!) RAII span tracing (Chrome-trace export via [`obs::Trace`]; spans are the one timing record), always-on counters ([`obs::metrics`]' `lu_factorizations`, [`rom::RomServer::metrics`]), [`obs::faultpoint!`](faultpoint!) fault-injection sites for robustness tests, [`obs::fault::panic_message`] for the typed `Internal` errors of contained panics; span sites are one-atomic-load no-ops outside a [`obs::Trace::collect`] session, and `BDSM_OBS=spans` (or [`obs::set_level`]) adds the fine spans to a session |
 //! | *measure*  | [`mod@bench`]  | [`bench::time_with_warmup`] and the `scaling` binary's full-vs-ROM transient record; every other measurement is the standalone `benchmark/` harness |
 //!
 //! [`core::reduce::reduce_network`] (the reduced model alone) and
@@ -69,17 +69,19 @@
 //!
 //! # Observability
 //!
-//! Set `BDSM_OBS=timings` (stage spans + metrics) or `BDSM_OBS=spans`
-//! (adds per-shift / per-block / per-frequency / per-query detail) and
-//! every pipeline layer records into the same process: engine stages,
+//! Spans record inside a [`obs::Trace::collect`] session:
+//! [`rom::Reducer::reduce_traced`] opens one and returns the span trace
+//! of a reduction ([`core::engine::EngineReport::trace`]) with its stage
+//! spans. Set `BDSM_OBS=spans` (or [`obs::set_level`]) and the session
+//! also records per-shift / per-block / per-frequency / per-query
+//! detail from every pipeline layer in the process: engine stages,
 //! sparse LU factorizations, the `core::par` workers, and `RomServer`
-//! queries. [`rom::Reducer::reduce_traced`] returns the span trace of a
-//! reduction ([`core::engine::EngineReport::trace`]); save it with
-//! [`obs::Trace::save_chrome`] and load it in `chrome://tracing` or
-//! Perfetto. Recording never changes numerical results — reduced models
-//! and served sweeps are bitwise-identical at every level — and with
-//! `BDSM_OBS` unset every instrumentation site is a single relaxed
-//! atomic load.
+//! queries. Save a trace with [`obs::Trace::save_chrome`] and load it in
+//! `chrome://tracing` or Perfetto. The counters ([`obs::metrics`],
+//! [`rom::RomServer::metrics`]) count at every level. Recording never
+//! changes numerical results — reduced models and served sweeps are
+//! bitwise-identical at every level — and outside a session every span
+//! site is a single relaxed atomic load.
 
 pub use bdsm_bench as bench;
 pub use bdsm_circuit as circuit;
