@@ -16,6 +16,13 @@ function, its module (the file stem; the directory for `mod.rs`; the
 crate, bare or as `bdsm_<crate>`, for `lib.rs`). Such a name prints as
 `file: Owner::NAME`.
 
+A file also names every type that a function it calls is declared to
+return (`Self` being the `impl` type), when it names that function's
+owner too: `Reducer::builder().build()` names `ReducerBuilder`, and
+`server.metrics()` names `ServerMetricsSnapshot` beside `RomServer`, but
+an `AtomicBool::load` call does not name `RomArtifact` by way of
+`RomArtifact::load`.
+
 Run from the repository root: python3 .github/scripts/test_only_pub_fns.py
 """
 
@@ -25,6 +32,9 @@ import os
 import re
 import sys
 
+FN = re.compile(r"\bfn\s+([A-Za-z_][A-Za-z0-9_]*)")
+CALL = re.compile(r"(\bfn\s+)?(?<![A-Za-z0-9_])([A-Za-z_][A-Za-z0-9_]*)\(")
+TYPE = re.compile(r"\b[A-Z][A-Za-z0-9_]*")
 PUB_FN = re.compile(r"^\s*pub(?:\([^)]*\))?\s+(?:const\s+)?(?:unsafe\s+)?fn\s+([A-Za-z_][A-Za-z0-9_]*)")
 IMPL = re.compile(r"^\s*(?:unsafe\s+)?impl\b")
 LITERAL = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'')
@@ -69,18 +79,40 @@ def module_names(path):
     return [stem]
 
 
+def return_types(signature, self_type):
+    """The type names in the declared return type of the `fn` that
+    `signature` (the declaration's text onward) opens."""
+    rest = signature.replace("->", "\0")[FN.search(signature).end():]
+    depth = 0
+    for i, c in enumerate(rest):
+        depth += {"<": 1, ">": -1, "(": 1, ")": -1}.get(c, 0)
+        if c == ")" and depth == 0:
+            rest = rest[i + 1:]
+            break
+    head = re.split(r"[{;]|\bwhere\b", rest, maxsplit=1)[0].lstrip()
+    if not head.startswith("\0"):
+        return set()
+    types = set(TYPE.findall(head.replace("\0", " ")))
+    if "Self" in types and self_type:
+        types = types - {"Self"} | {self_type}
+    return types
+
+
 def declarations(path, lines):
-    """`(name, owners)` for each `pub fn` in `lines`, where `owners` are the
-    words a file must contain to be able to call that declaration."""
+    """`(name, owners, returns, public)` for each `fn` in `lines`, where
+    `owners` are the words a file must contain to be able to call that
+    declaration and `returns` the types its return type names."""
     depth, impls, out = 0, [], []
-    for line in lines:
+    for i, line in enumerate(lines):
         ty = impl_type(line)
         if ty:
             impls.append([ty, depth, False])
-        m = PUB_FN.match(line)
+        m = FN.search(LITERAL.sub("", line).split("//")[0])
         if m:
-            owners = [impls[-1][0]] if impls and impls[-1][2] else module_names(path)
-            out.append((m.group(1), owners))
+            self_type = impls[-1][0] if impls and impls[-1][2] else None
+            owners = [self_type] if self_type else module_names(path)
+            returns = return_types("\n".join(lines[i:i + 20]), self_type)
+            out.append((m.group(1), owners, returns, bool(PUB_FN.match(line))))
         code = LITERAL.sub("", line).split("//")[0]
         depth += code.count("{") - code.count("}")
         if impls and depth > impls[-1][1]:
@@ -97,8 +129,22 @@ def main():
     texts.update({p: production_lines(p, True) for p in whole})
     joined = {p: "\n".join(lines) for p, lines in texts.items()}
 
-    decls = [(path, name, owners) for path in declaring for name, owners in declarations(path, texts[path])]
+    every = [(path, *d) for path in declaring for d in declarations(path, texts[path])]
+    decls = [(path, name, owners) for path, name, owners, _, public in every if public]
     declared = collections.Counter(name for _, name, _ in decls)
+    words = {p: set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text)) for p, text in joined.items()}
+    calls = {p: {m.group(2) for m in CALL.finditer(text) if not m.group(1)} for p, text in joined.items()}
+
+    # Grow each file's named words by the return types of what it calls,
+    # until no call adds one.
+    for p in texts:
+        grown = True
+        while grown:
+            grown = False
+            for _, name, owners, returns, _ in every:
+                if not returns <= words[p] and name in calls[p] and words[p] & set(owners):
+                    words[p] |= returns
+                    grown = True
 
     found = 0
     for path, name, owners in decls:
@@ -107,8 +153,7 @@ def main():
         files, shown = texts, name
         if declared[name] > 1:
             shown = f"{owners[0]}::{name}"
-            owner = re.compile(r"(?<![A-Za-z0-9_])(?:" + "|".join(map(re.escape, owners)) + r")(?![A-Za-z0-9_])")
-            files = {p: lines for p, lines in texts.items() if owner.search(joined[p])}
+            files = {p: lines for p, lines in texts.items() if words[p] & set(owners)}
         if not any(use.search(l) and not decl.search(l) for lines in files.values() for l in lines):
             print(f"{path}: {shown}")
             found += 1

@@ -489,16 +489,16 @@ impl ClusterClient {
     }
 
     /// The one routing routine behind the four frequency-domain queries:
-    /// band-routes every query's samples, groups the resulting slices by
-    /// `(shard, model, key)` — `key` is whatever else must match for two
-    /// slices to share a frame (the port pair, for port queries) —, sends
-    /// one frame per group (shards in parallel), and scatters every reply
-    /// item back to its `(query, position)` home. A query with no
-    /// frequency has no slice; it goes to the model's home shard as a
-    /// frame of its own, so the shard's server gives the same typed
-    /// refusal a local one does. Groups are visited in ascending key
-    /// order, then the empty queries in query order, so the first error
-    /// reported is the lowest shard's. The call is one admission unit.
+    /// band-routes every sample straight into its `(shard, model, key)`
+    /// group — `key` is whatever else must match for two queries to share
+    /// a frame (the port pair, for port queries) —, sends one frame per
+    /// group (shards in parallel), and scatters every reply item back to
+    /// its `(query, position)` home. A query with no frequency has no
+    /// sample; it goes to the model's home shard as a frame of its own,
+    /// so the shard's server gives the same typed refusal a local one
+    /// does. Groups are visited in ascending key order, then the empty
+    /// queries in query order, so the first error reported is the lowest
+    /// shard's. The call is one admission unit.
     fn route<K: Ord + Copy, T>(
         &self,
         queries: &[(u64, K, &[f64])],
@@ -511,21 +511,22 @@ impl ClusterClient {
             let mut slices_routed = 0u64;
             let mut empty = Vec::new();
             for (qi, &(model, key, omegas)) in queries.iter().enumerate() {
-                let slices = self
-                    .plan
-                    .partition_sweep(model, omegas)
-                    .ok_or(ClusterError::UnknownModel(model))?;
+                let unknown = ClusterError::UnknownModel(model);
+                let home = self.plan.home_shard(model).ok_or(unknown)?;
                 if omegas.is_empty() {
-                    let home = self.plan.home_shard(model);
-                    let home = home.ok_or(ClusterError::UnknownModel(model))?;
                     empty.push(((home, request(model, key, Vec::new())), (home, Vec::new())));
                 }
-                for slice in slices {
-                    slices_routed += 1;
-                    let (group_omegas, homes) =
-                        groups.entry((slice.shard, model, key)).or_default();
-                    group_omegas.extend_from_slice(&slice.omegas);
-                    homes.extend(slice.indices.iter().map(|&idx| (qi, idx)));
+                for (idx, &w) in omegas.iter().enumerate() {
+                    let shard = self.plan.shard_for(model, w);
+                    let shard = shard.expect("a placed model has a shard for every ω");
+                    let (group_omegas, homes) = groups.entry((shard, model, key)).or_default();
+                    // Queries arrive in order, so a group first sees this
+                    // query exactly when its last sample is another's.
+                    if homes.last().is_none_or(|&(q, _)| q != qi) {
+                        slices_routed += 1;
+                    }
+                    group_omegas.push(w);
+                    homes.push((qi, idx));
                 }
             }
             // One slice per (query, shard) after band routing; every slice
@@ -716,9 +717,9 @@ fn unexpected_reply(shard: u32) -> ClusterError {
     }
 }
 
-/// Every position must have been filled by exactly one shard slice —
-/// guaranteed by `partition_sweep`'s index partition; a hole would be a
-/// router bug and surfaces as `Internal`, not a panic.
+/// Every position must have been filled by exactly one group — each
+/// sample is routed once; a hole would be a router bug and surfaces as
+/// `Internal`, not a panic.
 fn collect_all<T>(out: Vec<Option<T>>) -> Result<Vec<T>, ClusterError> {
     out.into_iter()
         .map(|x| x.ok_or_else(|| ClusterError::Internal("unfilled merge position".to_string())))

@@ -37,5 +37,5 @@ pub mod wire;
 
 pub use client::{ClientConfig, ClusterClient, ClusterError, ClusterMetricsSnapshot};
 pub use node::{NodeConfig, ShardNode};
-pub use plan::{BandRange, Placement, PlanError, ShardPlan, ShardPlanBuilder, ShardSlice};
+pub use plan::{BandRange, Placement, PlanError, ShardPlan};
 pub use wire::{RemoteErrorKind, WireError};

@@ -40,16 +40,6 @@ pub struct NodeConfig {
     pub io_timeout: Duration,
 }
 
-impl Default for NodeConfig {
-    fn default() -> Self {
-        NodeConfig {
-            shard_id: 0,
-            plan_digest: 0,
-            io_timeout: Duration::from_secs(30),
-        }
-    }
-}
-
 /// A running shard: a [`RomServer`] serving the wire protocol on a local
 /// TCP address. Shuts down gracefully on [`shutdown`](Self::shutdown) or
 /// drop.

@@ -45,16 +45,8 @@ pub enum Placement {
 pub enum PlanError {
     /// A plan must have at least one shard.
     NoShards,
-    /// A placement referenced a shard index ≥ the shard count.
-    ShardOutOfRange {
-        /// The model whose placement is broken.
-        model: u64,
-        /// The offending shard index.
-        shard: u32,
-        /// Number of shards in the plan.
-        shards: u32,
-    },
-    /// A band list was empty, unsorted, overlapping, or non-finite.
+    /// A band envelope was degenerate, or could not be split into one
+    /// band per shard.
     BadBands {
         /// The model whose placement is broken.
         model: u64,
@@ -67,14 +59,6 @@ impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlanError::NoShards => write!(f, "shard plan has zero shards"),
-            PlanError::ShardOutOfRange {
-                model,
-                shard,
-                shards,
-            } => write!(
-                f,
-                "model {model}: shard {shard} out of range (plan has {shards})"
-            ),
             PlanError::BadBands { model, reason } => {
                 write!(f, "model {model}: bad band list ({reason})")
             }
@@ -84,113 +68,16 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// A validated placement of models onto shards. Construct with
-/// [`by_model`](ShardPlan::by_model) / [`by_bands`](ShardPlan::by_bands)
-/// or assemble piecewise via [`builder`](ShardPlan::builder).
+/// A placement of models onto shards, built valid by its two
+/// constructors, [`by_model`](ShardPlan::by_model) and
+/// [`by_bands`](ShardPlan::by_bands).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
     shards: u32,
     placements: BTreeMap<u64, Placement>,
 }
 
-/// Piecewise [`ShardPlan`] assembly; validation happens in
-/// [`build`](ShardPlanBuilder::build).
-#[derive(Debug, Clone)]
-pub struct ShardPlanBuilder {
-    shards: u32,
-    placements: BTreeMap<u64, Placement>,
-}
-
-impl ShardPlanBuilder {
-    /// Routes every query for `model` to `shard`.
-    pub fn place_model(mut self, model: u64, shard: u32) -> Self {
-        self.placements.insert(model, Placement::Model(shard));
-        self
-    }
-
-    /// Splits `model`'s frequency queries over explicit bands.
-    pub fn place_bands(mut self, model: u64, bands: Vec<BandRange>) -> Self {
-        self.placements.insert(model, Placement::Bands(bands));
-        self
-    }
-
-    /// Validates every placement.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanError`] on an empty shard count, an out-of-range shard
-    /// index, or a band list that is empty, non-finite, unsorted, or
-    /// overlapping.
-    pub fn build(self) -> Result<ShardPlan, PlanError> {
-        if self.shards == 0 {
-            return Err(PlanError::NoShards);
-        }
-        for (&model, placement) in &self.placements {
-            match placement {
-                Placement::Model(shard) => {
-                    if *shard >= self.shards {
-                        return Err(PlanError::ShardOutOfRange {
-                            model,
-                            shard: *shard,
-                            shards: self.shards,
-                        });
-                    }
-                }
-                Placement::Bands(bands) => {
-                    if bands.is_empty() {
-                        return Err(PlanError::BadBands {
-                            model,
-                            reason: "empty band list",
-                        });
-                    }
-                    let mut prev_hi = f64::NEG_INFINITY;
-                    for b in bands {
-                        if b.shard >= self.shards {
-                            return Err(PlanError::ShardOutOfRange {
-                                model,
-                                shard: b.shard,
-                                shards: self.shards,
-                            });
-                        }
-                        if !b.lo.is_finite() || !b.hi.is_finite() {
-                            return Err(PlanError::BadBands {
-                                model,
-                                reason: "non-finite band edge",
-                            });
-                        }
-                        if b.lo > b.hi {
-                            return Err(PlanError::BadBands {
-                                model,
-                                reason: "band with lo > hi",
-                            });
-                        }
-                        if b.lo <= prev_hi {
-                            return Err(PlanError::BadBands {
-                                model,
-                                reason: "bands unsorted or overlapping",
-                            });
-                        }
-                        prev_hi = b.hi;
-                    }
-                }
-            }
-        }
-        Ok(ShardPlan {
-            shards: self.shards,
-            placements: self.placements,
-        })
-    }
-}
-
 impl ShardPlan {
-    /// An empty builder over `shards` shards.
-    pub fn builder(shards: u32) -> ShardPlanBuilder {
-        ShardPlanBuilder {
-            shards,
-            placements: BTreeMap::new(),
-        }
-    }
-
     /// Shard-by-model: models round-robin over `shards`, each wholly
     /// owned by its shard.
     ///
@@ -201,11 +88,12 @@ impl ShardPlan {
         if shards == 0 {
             return Err(PlanError::NoShards);
         }
-        let mut b = ShardPlan::builder(shards);
-        for (i, &m) in models.iter().enumerate() {
-            b = b.place_model(m, (i % shards as usize) as u32);
-        }
-        b.build()
+        let placements = models
+            .iter()
+            .enumerate()
+            .map(|(i, &m)| (m, Placement::Model((i % shards as usize) as u32)))
+            .collect();
+        Ok(ShardPlan { shards, placements })
     }
 
     /// Shard-by-frequency-band: one model's certified envelope
@@ -215,8 +103,10 @@ impl ShardPlan {
     ///
     /// # Errors
     ///
-    /// [`PlanError`] for a zero shard count or a degenerate envelope
-    /// (non-finite, non-positive, or `lo >= hi`).
+    /// [`PlanError`] for a zero shard count, a degenerate envelope
+    /// (non-finite, non-positive, or `lo >= hi`), or one that cannot be
+    /// split into `shards` bands: so wide that `hi / lo` overflows, or so
+    /// narrow that a band would come out with `lo > hi`.
     pub fn by_bands(model: u64, shards: u32, lo: f64, hi: f64) -> Result<ShardPlan, PlanError> {
         if shards == 0 {
             return Err(PlanError::NoShards);
@@ -238,16 +128,31 @@ impl ShardPlan {
             } else {
                 lo * ratio.powf((k + 1) as f64 / n as f64)
             };
+            // `hi / lo` overflows on an envelope wider than f64's range,
+            // and a narrow one rounds two edges past each other.
+            if !band_hi.is_finite() {
+                return Err(PlanError::BadBands {
+                    model,
+                    reason: "non-finite band edge",
+                });
+            }
+            if band_lo > band_hi {
+                return Err(PlanError::BadBands {
+                    model,
+                    reason: "band with lo > hi",
+                });
+            }
             bands.push(BandRange {
                 shard: k as u32,
                 lo: band_lo,
                 hi: band_hi,
             });
             // Next band starts strictly above this one (next f64 up), so
-            // validation's disjointness holds and routing is unambiguous.
+            // the bands are disjoint and routing is unambiguous.
             prev_hi = next_up(band_hi);
         }
-        ShardPlan::builder(shards).place_bands(model, bands).build()
+        let placements = BTreeMap::from([(model, Placement::Bands(bands))]);
+        Ok(ShardPlan { shards, placements })
     }
 
     /// Number of shards the plan spans.
@@ -294,26 +199,6 @@ impl ShardPlan {
         }
     }
 
-    /// Splits a sweep over shards: for each shard touched, the original
-    /// sample indices and frequencies it owns, shards ascending and
-    /// samples in request order within each. Reassembling replies by the
-    /// carried indices reproduces request ω-order exactly.
-    pub fn partition_sweep(&self, model: u64, omegas: &[f64]) -> Option<Vec<ShardSlice>> {
-        self.placements.get(&model)?;
-        let mut by_shard: BTreeMap<u32, ShardSlice> = BTreeMap::new();
-        for (i, &w) in omegas.iter().enumerate() {
-            let shard = self.shard_for(model, w)?;
-            let slice = by_shard.entry(shard).or_insert_with(|| ShardSlice {
-                shard,
-                indices: Vec::new(),
-                omegas: Vec::new(),
-            });
-            slice.indices.push(i);
-            slice.omegas.push(w);
-        }
-        Some(by_shard.into_values().collect())
-    }
-
     /// Checksum of the canonical placement encoding — the audit
     /// stamp shards echo in every reply.
     pub fn digest(&self) -> u64 {
@@ -339,18 +224,6 @@ impl ShardPlan {
         }
         checksum(&w.into_bytes())
     }
-}
-
-/// One shard's share of a partitioned sweep, from
-/// [`ShardPlan::partition_sweep`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardSlice {
-    /// The shard that computes these samples.
-    pub shard: u32,
-    /// Positions of the samples in the original request.
-    pub indices: Vec<usize>,
-    /// The frequencies themselves, in request order.
-    pub omegas: Vec<f64>,
 }
 
 /// The next representable f64 above `x` (for strictly-increasing band
@@ -398,67 +271,42 @@ mod tests {
     }
 
     #[test]
-    fn partition_sweep_round_trips_indices() {
-        let plan = ShardPlan::by_bands(1, 3, 10.0, 1.0e4).unwrap();
-        let omegas = [5.0, 9.0e3, 40.0, 2.0e4, 300.0, 10.0];
-        let slices = plan.partition_sweep(1, &omegas).unwrap();
-        let mut seen = vec![false; omegas.len()];
-        for s in &slices {
-            assert_eq!(s.indices.len(), s.omegas.len());
-            for (&i, &w) in s.indices.iter().zip(&s.omegas) {
-                assert_eq!(w, omegas[i]);
-                assert!(!seen[i], "sample {i} routed twice");
-                seen[i] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "a sample was dropped");
-        // Shards ascend across slices.
-        for pair in slices.windows(2) {
-            assert!(pair[0].shard < pair[1].shard);
-        }
-    }
-
-    #[test]
     fn validation_rejects_bad_plans() {
         assert_eq!(
             ShardPlan::by_model(&[1], 0).unwrap_err(),
             PlanError::NoShards
         );
-        assert!(matches!(
-            ShardPlan::builder(2).place_model(5, 2).build().unwrap_err(),
-            PlanError::ShardOutOfRange {
-                model: 5,
-                shard: 2,
-                ..
-            }
-        ));
-        assert!(matches!(
-            ShardPlan::builder(2)
-                .place_bands(5, vec![])
-                .build()
-                .unwrap_err(),
-            PlanError::BadBands { model: 5, .. }
-        ));
-        let overlapping = vec![
-            BandRange {
-                shard: 0,
-                lo: 1.0,
-                hi: 10.0,
-            },
-            BandRange {
-                shard: 1,
-                lo: 5.0,
-                hi: 20.0,
-            },
-        ];
-        assert!(matches!(
-            ShardPlan::builder(2)
-                .place_bands(5, overlapping)
-                .build()
-                .unwrap_err(),
-            PlanError::BadBands { .. }
-        ));
+        assert_eq!(
+            ShardPlan::by_bands(1, 0, 10.0, 20.0).unwrap_err(),
+            PlanError::NoShards
+        );
         assert!(ShardPlan::by_bands(1, 2, -1.0, 10.0).is_err());
         assert!(ShardPlan::by_bands(1, 2, 10.0, 10.0).is_err());
+        // An envelope one ulp wide cannot hold three disjoint bands.
+        assert_eq!(
+            ShardPlan::by_bands(1, 3, 1.0, next_up(1.0)).unwrap_err(),
+            PlanError::BadBands {
+                model: 1,
+                reason: "band with lo > hi",
+            }
+        );
+        // `hi / lo` overflows, so the first inner edge is infinite.
+        assert_eq!(
+            ShardPlan::by_bands(1, 2, 1.0e-10, 1.0e300).unwrap_err(),
+            PlanError::BadBands {
+                model: 1,
+                reason: "non-finite band edge",
+            }
+        );
+    }
+
+    /// Shards and clients compare this stamp, so it must not move
+    /// between builds: these are the digests of the canonical encoding.
+    #[test]
+    fn digests_are_pinned() {
+        let by_model = ShardPlan::by_model(&[10, 11, 12], 2).unwrap();
+        assert_eq!(by_model.digest(), 0x11a6_5ba2_423d_d1f0);
+        let by_bands = ShardPlan::by_bands(7, 4, 50.0, 4.0e3).unwrap();
+        assert_eq!(by_bands.digest(), 0x4ed9_d4ad_d664_fd68);
     }
 }

@@ -148,25 +148,6 @@ pub struct Plan {
     pencil: ShiftedPencil,
 }
 
-/// One greedy round of the adaptive loop, for the audit trail (the
-/// `benchmark/` harness reads `core.adaptive_rounds` from it).
-#[derive(Debug, Clone)]
-pub struct RoundRecord {
-    /// Expansion points active during this round.
-    pub points: usize,
-    /// Global basis columns the round's merge produced.
-    pub basis_cols: usize,
-    /// Reduced dimension of the round's ROM.
-    pub reduced_dim: usize,
-    /// Worst candidate-grid residual of the round's ROM.
-    pub worst_residual: f64,
-    /// Frequency carrying the worst residual.
-    pub worst_omega: f64,
-    /// The shift the greedy step promoted afterwards (`None` on the final
-    /// round).
-    pub added_omega: Option<f64>,
-}
-
 /// What the engine did: the final shift set, the per-round residual
 /// trajectory, whether the adaptive loop certified its tolerance, and the
 /// interface policy and kept-bus region it ran with.
@@ -176,8 +157,10 @@ pub struct EngineReport {
     pub shifts: Vec<ExpansionPoint>,
     /// Columns of the final global Krylov basis (total Krylov vectors).
     pub basis_cols: usize,
-    /// Greedy rounds, in order (empty for [`ShiftStrategy::Fixed`]).
-    pub rounds: Vec<RoundRecord>,
+    /// Worst candidate-grid residual of each greedy round's ROM, in
+    /// order (empty for [`ShiftStrategy::Fixed`]; the `benchmark/`
+    /// harness reads `core.adaptive_rounds` from its length).
+    pub rounds: Vec<f64>,
     /// `true` when the adaptive loop met its residual tolerance on the
     /// candidate grid (always `false` for the uncertified fixed path).
     pub certified: bool,
@@ -585,7 +568,7 @@ impl<'n> ReductionEngine<'n> {
         // (initial points, then greedy additions).
         let mut active: Vec<_> = points.iter().map(|&p| &set_of(p).vectors[..]).collect();
 
-        let mut rounds: Vec<RoundRecord> = Vec::new();
+        let mut rounds: Vec<f64> = Vec::new();
         let mut certified = false;
         let (rom, structure, basis_cols, cert, rom_sweep) = loop {
             let global = {
@@ -602,14 +585,7 @@ impl<'n> ReductionEngine<'n> {
                 self.certify_against(&rom, &a.candidate_omegas, &full_sweep)?
             };
 
-            rounds.push(RoundRecord {
-                points: points.len(),
-                basis_cols: global.ncols(),
-                reduced_dim: rom.dim(),
-                worst_residual: cert.worst,
-                worst_omega: cert.worst_omega,
-                added_omega: None,
-            });
+            rounds.push(cert.worst);
             if cert.worst <= a.tol {
                 certified = true;
                 break (rom, structure, global.ncols(), cert, rom_sweep);
@@ -635,7 +611,6 @@ impl<'n> ReductionEngine<'n> {
             let Some((w_next, _)) = pick else {
                 break (rom, structure, global.ncols(), cert, rom_sweep); // pool exhausted
             };
-            rounds.last_mut().expect("round pushed").added_omega = Some(w_next);
             let pt = ExpansionPoint::Jomega(w_next);
             active.push(&set_of(pt).vectors);
             points.push(pt);

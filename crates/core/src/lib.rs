@@ -72,9 +72,7 @@ pub use certify::{
     certify_reduced, CertStatus, Certificate, CheckOutcome, ErrorBand, PassivityCertificate,
     ResidualSweep,
 };
-pub use engine::{
-    AdaptiveShiftOpts, EngineReport, Plan, ReductionEngine, RoundRecord, ShiftStrategy,
-};
+pub use engine::{AdaptiveShiftOpts, EngineReport, Plan, ReductionEngine, ShiftStrategy};
 pub use krylov::{
     collect_points, global_krylov_basis, global_krylov_basis_sparse, ExpansionPoint, KrylovOpts,
 };

@@ -108,11 +108,7 @@ fn check_adaptive_converges(net: &bdsm_circuit::Network, num_blocks: usize, max_
     assert!(
         report.certified,
         "adaptive loop failed to certify 1e-6: rounds {:?}",
-        report
-            .rounds
-            .iter()
-            .map(|r| r.worst_residual)
-            .collect::<Vec<_>>()
+        report.rounds
     );
     assert!(report.basis_cols <= fixed_report.basis_cols);
     assert!(!report.rounds.is_empty());

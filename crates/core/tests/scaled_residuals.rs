@@ -49,12 +49,11 @@ fn reduce(alpha: f64) -> (ReducedModel, EngineReport) {
 /// `(rounds, shifts, q, residual trajectory)` of [`reduce`].
 fn adaptive_run(alpha: f64) -> (usize, usize, usize, Vec<f64>) {
     let (rm, report) = reduce(alpha);
-    let residuals = report.rounds.iter().map(|r| r.worst_residual).collect();
     (
         report.rounds.len(),
         report.shifts.len(),
         rm.reduced_dim(),
-        residuals,
+        report.rounds,
     )
 }
 

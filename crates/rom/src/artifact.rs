@@ -233,9 +233,7 @@ impl RomArtifact {
             shifts: report.map(|r| r.shifts.clone()).unwrap_or_default(),
             basis_cols: report.map_or(0, |r| r.basis_cols),
             certified: report.is_some_and(|r| r.certified),
-            residual_trajectory: report
-                .map(|r| r.rounds.iter().map(|x| x.worst_residual).collect())
-                .unwrap_or_default(),
+            residual_trajectory: report.map(|r| r.rounds.clone()).unwrap_or_default(),
             interface_policy: report.map_or(inferred_policy, |r| r.interface_policy),
             kept_buses: report.map(|r| r.kept_buses.clone()).unwrap_or_default(),
             certificate: report.map(|r| r.certificate.clone()).unwrap_or_default(),

@@ -208,11 +208,6 @@ pub struct ServerMetricsSnapshot {
 }
 
 impl ServerMetricsSnapshot {
-    /// Total per-frequency samples served.
-    pub fn queries(&self) -> u64 {
-        self.cache.queries()
-    }
-
     /// Shift-cache hit rate over all samples served.
     pub fn hit_rate(&self) -> f64 {
         self.cache.hit_rate()
@@ -793,7 +788,7 @@ mod tests {
         // Cache accounting is exact: every sample is a hit or a miss, and
         // misses == inserts == distinct cached shifts.
         let m = server.metrics();
-        assert_eq!(m.queries(), 2 * omegas.len() as u64);
+        assert_eq!(m.cache.queries(), 2 * omegas.len() as u64);
         assert_eq!(m.cache.misses, omegas.len() as u64);
         assert_eq!(m.cache.inserts, m.cache.misses);
         assert_eq!(m.cache.hits, omegas.len() as u64);

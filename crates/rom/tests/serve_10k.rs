@@ -130,7 +130,7 @@ fn adaptive_exact_10k_artifact_roundtrips_and_serves_bitwise() {
     // which only the cold batch's 64 missed (and inserted).
     assert_eq!(server.cached_shifts(id).unwrap(), omegas.len());
     let m = server.metrics();
-    assert_eq!(m.queries(), 6 * omegas.len() as u64);
+    assert_eq!(m.cache.queries(), 6 * omegas.len() as u64);
     assert_eq!(m.cache.misses, omegas.len() as u64);
     assert_eq!(m.cache.inserts, m.cache.misses);
     assert_eq!(m.cache.hits, 5 * omegas.len() as u64);
