@@ -37,14 +37,17 @@
 //! grid point's factorization.
 //!
 //! The cost model, at the benchmark's mesh shape (n = 10⁴, m = 2, two
-//! moments, six grid frequencies): the eager recurrence of a grid point
-//! that is never promoted costs ≈ 18 ms (moments × one panel solve +
-//! absorb) against ≈ 200 ms for each factorization it makes unnecessary
-//! (the separate reference sweep factored every grid point a first time,
-//! promotion a second), and the eager sets hold
+//! moments, six grid frequencies; one worker on a 2-CPU host): the eager
+//! recurrence of a grid point that is never promoted costs ≈ 8–11 ms
+//! (moments × one panel solve + absorb) against ≈ 22–28 ms for each
+//! factorization it makes unnecessary — a replay of the structure the
+//! pass's first factorization recorded, which itself takes ≈ 45 ms (the
+//! separate reference sweep factored every grid point a first time,
+//! promotion a second). The eager sets hold
 //! `grid × 2·m·moments × n × 8 B` = 3.8 MB — less than **one** retained
-//! factor (12.8 MB), which is why candidates, not factors, are what the
-//! pass keeps. That build went from 10 sparse factorizations to 7.
+//! complex factor (396 332 stored entries, ≈ 20 MB with its solve
+//! panels), which is why candidates, not factors, are what the pass
+//! keeps. That build went from 10 sparse factorizations to 7.
 //!
 //! Every stage inherits the determinism contract of [`crate::par`]: the
 //! greedy selection is driven by bitwise-deterministic sweeps and
@@ -389,7 +392,7 @@ impl<'n> ReductionEngine<'n> {
     /// the plan's pencil.
     fn full_sweep(&self, plan: &Plan, omegas: &[f64]) -> Result<Vec<CMatrix>> {
         let (b, l) = (plan.full.b.clone(), plan.full.l.clone());
-        let ev = SparseTransferEvaluator::from_pencil(plan.pencil.clone(), b, l)?;
+        let ev = SparseTransferEvaluator::from_pencil(&plan.pencil, b, l)?;
         Ok(ev.eval_jomega_sweep(omegas)?)
     }
 

@@ -32,6 +32,7 @@
 
 use bdsm_linalg::{Complex64, LinalgError, Matrix, Result};
 use bdsm_sparse::{CscMatrix, LuWorkspace, ShiftedPencil};
+use std::borrow::Cow;
 use std::ops::{Index, IndexMut, Range};
 
 /// A small dense complex matrix (row-major), used for transfer samples.
@@ -466,12 +467,13 @@ pub fn eval_jomega_sweep(
 /// Sparse full-model evaluator of `H(s) = L (G + sC)⁻¹ B`.
 ///
 /// Construction builds the shifted pencil once (pattern union of `G` and
-/// `C` plus a fill-reducing ordering); every [`eval`](Self::eval) is a
-/// numeric sparse complex refactorization and one `m`-column
-/// [`bdsm_sparse::SparseLu::solve_multi`]. This is the full-model path for
-/// grids far beyond the dense ceiling.
-pub struct SparseTransferEvaluator {
-    pencil: ShiftedPencil,
+/// `C` plus a fill-reducing ordering), or borrows one already built; every
+/// [`eval`](Self::eval) is a sparse complex refactorization (a replay of
+/// the pencil's recorded structure once one factorization has succeeded)
+/// and one `m`-column [`bdsm_sparse::SparseLu::solve_multi`]. This is the
+/// full-model path for grids far beyond the dense ceiling.
+pub struct SparseTransferEvaluator<'p> {
+    pencil: Cow<'p, ShiftedPencil>,
     /// `B` (`n × m`) packed as a column-major panel: each frequency sample
     /// runs one blocked multi-RHS triangular pass over all inputs at once.
     b_panel: Vec<f64>,
@@ -480,7 +482,7 @@ pub struct SparseTransferEvaluator {
     l: Matrix,
 }
 
-impl SparseTransferEvaluator {
+impl SparseTransferEvaluator<'static> {
     /// Builds the evaluator from sparse `G`, `C` and dense (thin) `B`, `L`.
     ///
     /// # Errors
@@ -489,18 +491,25 @@ impl SparseTransferEvaluator {
     /// for an inconsistent `G`/`C` pair and
     /// [`LinalgError::InvalidArgument`] when `B`/`L` do not match them.
     pub fn new(g: &CscMatrix<f64>, c: &CscMatrix<f64>, b: Matrix, l: Matrix) -> Result<Self> {
-        Self::from_pencil(ShiftedPencil::new(g, c)?, b, l)
+        Self::over(Cow::Owned(ShiftedPencil::new(g, c)?), b, l)
     }
+}
 
-    /// Builds the evaluator over an already-analysed pencil of `G + sC` —
-    /// the staged engine's Plan owns one, so certifying against it pays no
-    /// second symbolic analysis.
+impl<'p> SparseTransferEvaluator<'p> {
+    /// Builds the evaluator over an already-analysed pencil of `G + sC`,
+    /// borrowed — the staged engine's Plan owns one, so certifying against
+    /// it pays no second symbolic analysis, no copy of the pencil, and
+    /// replays the structure the Krylov points recorded.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::InvalidArgument`] when `B`/`L` do not match
     /// the pencil's dimension.
-    pub fn from_pencil(pencil: ShiftedPencil, b: Matrix, l: Matrix) -> Result<Self> {
+    pub fn from_pencil(pencil: &'p ShiftedPencil, b: Matrix, l: Matrix) -> Result<Self> {
+        Self::over(Cow::Borrowed(pencil), b, l)
+    }
+
+    fn over(pencil: Cow<'p, ShiftedPencil>, b: Matrix, l: Matrix) -> Result<Self> {
         let n = pencil.dim();
         if b.nrows() != n || l.ncols() != n {
             return Err(LinalgError::InvalidArgument {

@@ -17,9 +17,11 @@
 //!   two has the smaller symbolic factor ([`ordering::symbolic_fill`]) on
 //!   the pattern at hand;
 //! - [`ShiftedPencil`] and [`SparseLu`] — the pencil computes the pattern
-//!   union and ordering of `G + sC` once and refactors numerically per
-//!   shift into a left-looking (Gilbert–Peierls) sparse LU with threshold
-//!   partial pivoting. The pencil is the only way to a [`SparseLu`]: the
+//!   union and ordering of `G + sC` once and factors each shift into a
+//!   left-looking (Gilbert–Peierls) sparse LU with threshold partial
+//!   pivoting; after its first factorization a shift replays the recorded
+//!   factor structure instead of recomputing it, with the same bits. The
+//!   pencil is the only way to a [`SparseLu`]: the
 //!   Krylov expansion points, the `jω` sweeps and the transient left-hand
 //!   side `G + C/h` all factor through it, and a plain matrix `A` is the
 //!   pencil `(A, 0)` at `s = 0`. Every solve, one right-hand side or many,

@@ -1,13 +1,15 @@
 //! Left-looking sparse LU with partial pivoting — scalar and supernodal
 //! numeric kernels — and the shifted pencil `A(s) = G + sC` whose symbolic
-//! work and scratch allocations are shared across shifts.
+//! work, factor structure and scratch allocations are shared across
+//! shifts.
 //!
 //! The factorization is the Gilbert–Peierls scheme: for each column it
 //! computes the reach of the column's pattern through the graph of `L`
 //! (symbolic step), eliminates the reached pivots in order (numeric step),
 //! and then pivots by threshold partial pivoting with a preference for the
 //! diagonal entry of the fill-reducing ordering — keeping the ordering's
-//! fill intact unless a pivot is genuinely too small.
+//! fill intact unless a pivot is genuinely too small. Entries that come
+//! out exactly zero are not stored.
 //!
 //! Two numeric kernels implement the elimination ([`NumericKernel`]):
 //!
@@ -23,11 +25,32 @@
 //!   loop into contiguous streams.
 //!
 //! [`ShiftedPencil`] is the one way to a [`SparseLu`] and the reuse story
-//! for the Krylov and transient hot paths: the pattern union of `G` and
-//! `C` and its fill-reducing ordering are computed once, after which every
-//! shift `s` (real or `jω`) is a pure numeric refactorization. The `factor_*_with` variants additionally
-//! recycle a caller-owned [`LuWorkspace`] so a shift sweep performs no
-//! per-shift symbolic work **and** no per-shift scratch allocation.
+//! for the Krylov, sweep and transient hot paths. The pattern union of `G`
+//! and `C` and its fill-reducing ordering are computed once, at
+//! construction. The first factorization of the pencil that succeeds
+//! without dropping an exact zero **records** the factor's structure, in a
+//! cell the pencil's clones share:
+//!
+//! - each column's reach: its pivot candidates in reach order and its
+//!   reached pivot steps in ascending order (its `U` steps), and whether
+//!   the ordering's diagonal is a candidate;
+//! - each column's pivot row (the candidates other than it are the
+//!   column's `L` rows);
+//! - the supernode partition.
+//!
+//! Every later factorization, at any real or complex shift, **replays**
+//! that record: it scatters the column, runs the same elimination kernel,
+//! and appends the values to flat arrays sized from the record. It runs no
+//! reach, no pivot sort and no supernode search; each supernode's rows
+//! and the solve panels' row steps follow from the record. A column is accepted only
+//! if the pivot rule picks the recorded row and no recorded `L` or `U`
+//! value came out exactly zero. By induction over the columns an accepted
+//! replay performs the full path's floating-point operations in the same
+//! order, so its factor is bitwise the one the full path computes. At the
+//! first column that fails the check (a pivot that moved, an exact
+//! cancellation) the shift is refactored on the full path. The
+//! `factor_*_with` variants also recycle a caller-owned [`LuWorkspace`],
+//! so a shift sweep allocates no scratch either.
 //!
 //! The supernodal kernel's panels are retained for the triangular solve
 //! ([`SparseLu::solve_multi`]), which takes one path per update: outside
@@ -40,9 +63,10 @@
 //! per system.
 
 use crate::csc::CscMatrix;
-use crate::ordering::{csc_pattern_adjacency, order_graph, FillOrdering};
+use crate::ordering::{csc_pattern_adjacency, order_graph, symbolic_fill, FillOrdering};
 use crate::scalar::Scalar;
 use bdsm_linalg::{gemm_sub, trsv_unit_lower, Complex64, LinalgError, Result};
+use std::sync::{Arc, OnceLock};
 
 /// Diagonal-preference threshold for partial pivoting: the diagonal entry
 /// of the ordered matrix is kept as pivot whenever its magnitude is at
@@ -76,6 +100,51 @@ pub enum NumericKernel {
     Supernodal,
 }
 
+/// Columns stored back to back: column `j` is `entries[ptr[j]..ptr[j + 1]]`.
+/// A factorization appends to flat arrays like these instead of allocating
+/// one `Vec` per column.
+#[derive(Debug, Clone)]
+struct Cols<E> {
+    ptr: Vec<usize>,
+    entries: Vec<E>,
+}
+
+impl<E> Default for Cols<E> {
+    fn default() -> Self {
+        Cols {
+            ptr: vec![0],
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<E> Cols<E> {
+    fn with_capacity(n: usize, nnz: usize) -> Self {
+        let mut ptr = Vec::with_capacity(n + 1);
+        ptr.push(0);
+        Cols {
+            ptr,
+            entries: Vec::with_capacity(nnz),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.ptr.truncate(1);
+        self.entries.clear();
+    }
+
+    /// Ends the open column: it holds the entries appended since the last
+    /// call.
+    fn close(&mut self) {
+        self.ptr.push(self.entries.len());
+    }
+
+    #[inline]
+    fn col(&self, j: usize) -> &[E] {
+        &self.entries[self.ptr[j]..self.ptr[j + 1]]
+    }
+}
+
 /// Reusable scratch for sparse factorizations.
 ///
 /// One workspace serves any number of [`ShiftedPencil::factor_real_with`]
@@ -88,28 +157,14 @@ pub enum NumericKernel {
 pub struct LuWorkspace<T: Scalar> {
     /// Dense scatter target for the active column.
     x: Vec<T>,
-    /// Stamp-based membership marks for `x`.
-    mark: Vec<usize>,
-    /// Monotone stamp; survives across calls so `mark` never needs clearing.
-    stamp: usize,
-    /// Reached rows of the active column (worklist + final pattern).
-    pattern: Vec<usize>,
-    /// Reached pivot steps of the active column, sorted.
-    pivots: Vec<usize>,
+    /// The full path's reach scratch, and the reach it found per column.
+    reach: Reach,
     /// Shifted pencil values `G + sC`, assembled in place per shift.
     avals: Vec<T>,
-    /// row → position inside the *open* supernode (`usize::MAX` outside).
-    snode_pos: Vec<usize>,
     /// Dense gather panel for supernodal updates (`u` block then below block).
     dwork: Vec<T>,
-    /// Supernode panel pool: entries `[..snodes_used)` belong to the
-    /// current factorization; the rest keep their `rows`/`vals` capacity
-    /// from earlier calls so panel packing allocates nothing per shift.
-    snodes: Vec<Supernode<T>>,
-    /// Entries of `snodes` in use by the current factorization.
-    snodes_used: usize,
-    /// pivot step → supernode id ([`NO_SNODE`] for opted-out columns).
-    snode_of_step: Vec<usize>,
+    /// Supernode bookkeeping of the supernodal kernel.
+    sn: SnodePool<T>,
 }
 
 impl<T: Scalar> LuWorkspace<T> {
@@ -121,14 +176,96 @@ impl<T: Scalar> LuWorkspace<T> {
     fn ensure(&mut self, n: usize) {
         if self.x.len() < n {
             self.x.resize(n, T::ZERO);
-            self.mark.resize(n, 0);
-            self.snode_pos.resize(n, usize::MAX);
+            self.reach.mark.resize(n, 0);
+            self.sn.pos.resize(n, usize::MAX);
             self.dwork.resize(n, T::ZERO);
         }
+        self.reach.cands.clear();
+        self.reach.pivots.clear();
+        self.reach.diag.clear();
+        self.sn.of_step.clear();
+        self.sn.used = 0;
+    }
+}
+
+/// The full path's symbolic step: the Gilbert–Peierls reach of each column
+/// through the graph of `L`, kept per column so a successful factorization
+/// can be recorded.
+#[derive(Debug, Clone, Default)]
+struct Reach {
+    /// Stamp-based membership marks for the scatter vector.
+    mark: Vec<usize>,
+    /// Monotone stamp; survives across calls so `mark` never needs clearing.
+    stamp: usize,
+    /// Reached rows of the active column (worklist + final pattern).
+    pattern: Vec<usize>,
+    /// Each column's reached unpivoted rows in reach order: its pivot
+    /// candidates.
+    cands: Cols<usize>,
+    /// Each column's reached pivot steps, ascending.
+    pivots: Cols<usize>,
+    /// Whether each column's ordering diagonal is among its candidates.
+    diag: Vec<bool>,
+}
+
+impl Reach {
+    /// Reserves room for an `n`-column factorization with `fill` entries
+    /// below the diagonal of `L` (and as many above that of `U`).
+    fn reserve(&mut self, n: usize, fill: usize) {
+        self.cands.ptr.reserve(n);
+        self.cands.entries.reserve(fill + n);
+        self.pivots.ptr.reserve(n);
+        self.pivots.entries.reserve(fill);
+        self.diag.reserve(n);
+    }
+
+    /// Scatters column `(rows, vals)` (the ordered matrix's column `aj`)
+    /// into `x` and closes its pattern over `L`: every reached row that is
+    /// already pivotal injects its `L` column, and processing the pattern
+    /// as a worklist computes the transitive closure. Appends the column's
+    /// candidates, pivots and diagonal flag.
+    fn column<T: Scalar>(
+        &mut self,
+        x: &mut [T],
+        (rows, vals): (&[usize], &[T]),
+        aj: usize,
+        l: &Cols<(usize, T)>,
+        pinv: &[usize],
+    ) {
+        self.stamp += 1;
+        let stamp = self.stamp;
         self.pattern.clear();
-        self.pivots.clear();
-        self.snode_of_step.clear();
-        self.snodes_used = 0;
+        for (&r, &v) in rows.iter().zip(vals) {
+            x[r] = v;
+            self.mark[r] = stamp;
+            self.pattern.push(r);
+        }
+        let mut idx = 0;
+        while idx < self.pattern.len() {
+            let k = pinv[self.pattern[idx]];
+            idx += 1;
+            if k != usize::MAX {
+                for &(r2, _) in l.col(k) {
+                    if self.mark[r2] != stamp {
+                        self.mark[r2] = stamp;
+                        x[r2] = T::ZERO;
+                        self.pattern.push(r2);
+                    }
+                }
+            }
+        }
+        let first = self.pivots.entries.len();
+        for &r in &self.pattern {
+            match pinv[r] {
+                usize::MAX => self.cands.entries.push(r),
+                k => self.pivots.entries.push(k),
+            }
+        }
+        self.pivots.entries[first..].sort_unstable();
+        self.cands.close();
+        self.pivots.close();
+        self.diag
+            .push(self.mark[aj] == stamp && pinv[aj] == usize::MAX);
     }
 }
 
@@ -146,6 +283,21 @@ struct Supernode<T> {
     ncols: usize,
     rows: Vec<usize>,
     vals: Vec<T>,
+}
+
+/// The supernodes of the factorization in progress.
+#[derive(Debug, Clone, Default)]
+struct SnodePool<T> {
+    /// Panel pool: entries `[..used)` belong to the current factorization;
+    /// the rest keep their `rows`/`vals` capacity from earlier calls so
+    /// panel packing allocates nothing per shift.
+    nodes: Vec<Supernode<T>>,
+    /// Entries of `nodes` in use by the current factorization.
+    used: usize,
+    /// pivot step → supernode id ([`NO_SNODE`] for opted-out columns).
+    of_step: Vec<usize>,
+    /// row → position inside the *open* supernode (`usize::MAX` outside).
+    pos: Vec<usize>,
 }
 
 /// One supernode panel retained for blocked forward **and** backward
@@ -291,8 +443,8 @@ impl<'a, T> CscView<'a, T> {
 /// The in-progress factorization state shared by the column loop and the
 /// supernode bookkeeping.
 struct Partial<T> {
-    l_cols: Vec<Vec<(usize, T)>>,
-    u_cols: Vec<Vec<(usize, T)>>,
+    l: Cols<(usize, T)>,
+    u: Cols<(usize, T)>,
     u_diag: Vec<T>,
     prow: Vec<usize>,
     pinv: Vec<usize>,
@@ -309,9 +461,9 @@ pub struct SparseLu<T: Scalar> {
     n: usize,
     /// Below-diagonal entries of each `L` column as `(original row, value)`;
     /// the unit diagonal is implicit.
-    l_cols: Vec<Vec<(usize, T)>>,
+    l: Cols<(usize, T)>,
     /// Above-diagonal entries of each `U` column as `(pivot step k, value)`.
-    u_cols: Vec<Vec<(usize, T)>>,
+    u: Cols<(usize, T)>,
     /// Diagonal of `U`, one pivot per step.
     u_diag: Vec<T>,
     /// `prow[j]` = original row chosen as pivot at step `j`.
@@ -339,9 +491,18 @@ impl<T: Scalar> SparseLu<T> {
     /// memory proxy the `benchmark/` harness reports as
     /// `sparse.factor_nnz`.
     pub fn factor_nnz(&self) -> usize {
-        let l: usize = self.l_cols.iter().map(Vec::len).sum();
-        let u: usize = self.u_cols.iter().map(Vec::len).sum();
-        l + u + 2 * self.n
+        self.l.entries.len() + self.u.entries.len() + 2 * self.n
+    }
+
+    /// Multiply-adds of the elimination as the scalar kernel performs it:
+    /// each stored `U` entry `(k, j)` applies `L` column `k` to column `j`.
+    /// The work model the `lu.factor` span reports as `flops`.
+    fn elimination_madds(&self) -> usize {
+        self.u
+            .entries
+            .iter()
+            .map(|&(k, _)| self.l.ptr[k + 1] - self.l.ptr[k])
+            .sum()
     }
 
     /// Solves `A x = b`: [`solve_multi`](Self::solve_multi) with one
@@ -378,7 +539,7 @@ impl<T: Scalar> SparseLu<T> {
             }
             let (head, tail) = y.split_at_mut((j + 1) * m);
             let yj = &head[j * m..];
-            for &(r, lv) in &self.l_cols[j] {
+            for &(r, lv) in self.l.col(j) {
                 let t = (self.pinv[r] - j - 1) * m;
                 sub_scaled_nonzero(&mut tail[t..t + m], lv, yj);
             }
@@ -401,7 +562,7 @@ impl<T: Scalar> SparseLu<T> {
                 if yjk.is_zero() {
                     continue;
                 }
-                for &(r, lv) in &self.l_cols[j] {
+                for &(r, lv) in self.l.col(j) {
                     y[self.pinv[r] * m + k] -= lv * yjk;
                 }
             }
@@ -441,7 +602,7 @@ impl<T: Scalar> SparseLu<T> {
             for x in xj.iter_mut() {
                 *x = *x / self.u_diag[j];
             }
-            for &(k, uv) in &self.u_cols[j] {
+            for &(k, uv) in self.u.col(j) {
                 sub_scaled_nonzero(&mut head[k * m..k * m + m], uv, xj);
             }
         }
@@ -463,7 +624,7 @@ impl<T: Scalar> SparseLu<T> {
                 if xjk.is_zero() {
                     continue;
                 }
-                for &(kstep, uv) in &self.u_cols[j] {
+                for &(kstep, uv) in self.u.col(j) {
                     y[kstep * m + k] -= uv * xjk;
                 }
             }
@@ -561,82 +722,333 @@ impl<T: Scalar> SparseLu<T> {
     }
 }
 
-/// Factors a matrix given as raw CSC parts in the column order `q` (a
-/// permutation from `order_graph`, which is the only place `q` comes
-/// from). Runs the column loop and — success or failure — leaves the
-/// workspace clean for reuse.
+/// The structure of a pencil's first drop-free factorization: everything
+/// about it that does not depend on the shift. Every later factorization
+/// of the pencil replays it (see the module docs).
+///
+/// Only a factorization that dropped no exact zero is recorded. Against
+/// such a record a column has the recorded structure iff its pivot row is
+/// the recorded one and none of its `L` or `U` values is zero, which is
+/// what the replay checks. A zero that is exact at one shift is nonzero at
+/// almost every other, so a record taken there would send most later
+/// shifts back to the full path.
+///
+/// The record lives as long as the pencil. Its arrays are the ones the
+/// full path reserved before any other scratch of the factorization and
+/// filled as it went, moved here rather than copied: a copy made at the
+/// end would sit above the factorization's freed scratch and keep the
+/// allocator from returning that memory to the system. For the same
+/// reason each supernode's rows and each solve panel's row steps are
+/// derived from the record when replayed, not stored in it.
+#[derive(Debug)]
+struct Replay {
+    /// Each column's pivot candidates in reach order; all but the pivot
+    /// row are the column's `L` rows.
+    cands: Cols<usize>,
+    /// Each column's reached pivot steps, ascending — its `U` steps.
+    pivots: Cols<usize>,
+    /// Whether each column's ordering diagonal is among its candidates.
+    diag: Vec<bool>,
+    /// `prow[j]` = pivot row of step `j`.
+    prow: Vec<usize>,
+    /// pivot step → supernode id (empty under the scalar kernel).
+    snode_of_step: Vec<usize>,
+}
+
+impl Replay {
+    /// The record of `lu`, a full-path factorization just computed through
+    /// `ws`, or `None` when it dropped an exact zero. Takes the workspace's
+    /// reach buffers and the factor's pivot-row array (the factor keeps a
+    /// copy).
+    fn take<T: Scalar>(lu: &mut SparseLu<T>, ws: &mut LuWorkspace<T>) -> Option<Replay> {
+        let reach = &mut ws.reach;
+        if lu.l.entries.len() + lu.n != reach.cands.entries.len()
+            || lu.u.entries.len() != reach.pivots.entries.len()
+        {
+            return None;
+        }
+        let prow = lu.prow.clone();
+        Some(Replay {
+            cands: std::mem::take(&mut reach.cands),
+            pivots: std::mem::take(&mut reach.pivots),
+            diag: std::mem::take(&mut reach.diag),
+            prow: std::mem::replace(&mut lu.prow, prow),
+            snode_of_step: std::mem::take(&mut ws.sn.of_step),
+        })
+    }
+}
+
+/// Factors `pencil` with the shifted values `values` (aligned with its
+/// union pattern): a replay of the pencil's record when it holds one and
+/// every column passes the check, the full path otherwise. A successful
+/// drop-free full path fills an empty record.
 fn factor_parts<T: Scalar>(
-    n: usize,
-    a: CscView<'_, T>,
-    q: &[usize],
-    kernel: NumericKernel,
+    pencil: &ShiftedPencil,
+    values: &[T],
     ws: &mut LuWorkspace<T>,
 ) -> Result<SparseLu<T>> {
-    let mut span = bdsm_obs::span!("lu.factor", n = n);
+    let mut span = bdsm_obs::span!("lu.factor", n = pencil.n);
+    let a = CscView {
+        col_ptr: &pencil.col_ptr,
+        row_idx: &pencil.row_idx,
+        values,
+    };
+    let record = &*pencil.replay;
+    let mut replay = record.get();
+    let mut lu = loop {
+        if let Some(lu) = factor_pass(pencil, &a, ws, replay)? {
+            break lu;
+        }
+        // A column left the record: refactor on the full path, which
+        // follows no record and so always completes.
+        replay = None;
+    };
+    if record.get().is_none() {
+        if let Some(rec) = Replay::take(&mut lu, ws) {
+            // Another thread's first factorization may have won the cell;
+            // both records describe the same structure.
+            let _ = record.set(rec);
+        }
+    }
+    bdsm_obs::metrics().lu_factorizations.inc();
+    if span.is_recording() {
+        span.attr("nnz", lu.factor_nnz());
+        span.attr("panels", lu.panels.len());
+        span.attr("replayed", replay.is_some());
+        span.attr("flops", lu.elimination_madds());
+    }
+    Ok(lu)
+}
+
+/// One pass of the column loop over a clean workspace, leaving it clean for
+/// reuse whatever the outcome. `Ok(None)` means the replay of `replay` met
+/// a column with another structure.
+fn factor_pass<T: Scalar>(
+    pencil: &ShiftedPencil,
+    a: &CscView<'_, T>,
+    ws: &mut LuWorkspace<T>,
+    replay: Option<&Replay>,
+) -> Result<Option<SparseLu<T>>> {
+    let n = pencil.n;
     ws.ensure(n);
+    // A replay knows its sizes. The full path takes the ordering's
+    // symbolic fill as its estimate, and reserves the reach buffers a
+    // record is made of first, ahead of the factor's own arrays.
+    let (l_nnz, u_nnz) = match replay {
+        Some(rec) => (rec.cands.entries.len() - n, rec.pivots.entries.len()),
+        None => {
+            ws.reach.reserve(n, pencil.fill);
+            ws.sn.of_step.reserve(n);
+            (pencil.fill, pencil.fill)
+        }
+    };
     let mut st = Partial {
-        l_cols: Vec::with_capacity(n),
-        u_cols: Vec::with_capacity(n),
+        l: Cols::with_capacity(n, l_nnz),
+        u: Cols::with_capacity(n, u_nnz),
         u_diag: Vec::with_capacity(n),
         prow: vec![usize::MAX; n],
         pinv: vec![usize::MAX; n],
     };
-    let res = factor_columns(n, &a, q, kernel, ws, &mut st);
+    let res = factor_columns(pencil, a, ws, &mut st, replay);
     // The open supernode's row→position scratch must be cleared on *every*
     // exit path (including Singular), or the next factorization through
     // this workspace would read stale positions.
-    if ws.snodes_used > 0 {
-        for &r in &ws.snodes[ws.snodes_used - 1].rows {
-            ws.snode_pos[r] = usize::MAX;
+    ws.sn.close_open();
+    if !res? {
+        return Ok(None);
+    }
+    let panels = solve_panels(&ws.sn, &st);
+    Ok(Some(SparseLu {
+        n,
+        l: st.l,
+        u: st.u,
+        u_diag: st.u_diag,
+        prow: st.prow,
+        pinv: st.pinv,
+        q: pencil.q.clone(),
+        panels,
+    }))
+}
+
+/// The column loop: numeric elimination (scalar or supernodal), threshold
+/// pivoting, and supernode maintenance. Without a record each column first
+/// runs the reach and supernodes are detected as columns complete; with
+/// one, both come from the record, and the loop returns `Ok(false)` at the
+/// first column whose pivot row or stored entries differ from it.
+fn factor_columns<T: Scalar>(
+    pencil: &ShiftedPencil,
+    a: &CscView<'_, T>,
+    ws: &mut LuWorkspace<T>,
+    st: &mut Partial<T>,
+    replay: Option<&Replay>,
+) -> Result<bool> {
+    let kernel = pencil.kernel;
+    let LuWorkspace {
+        x,
+        reach,
+        dwork,
+        sn,
+        ..
+    } = ws;
+    if let Some(rec) = replay {
+        sn.of_step.clone_from(&rec.snode_of_step);
+    }
+    for (j, &aj) in pencil.q.iter().enumerate() {
+        let (cands, pivots, has_diag) = match replay {
+            Some(rec) => {
+                // Scatter A[:, q[j]] over the recorded reach.
+                let (cands, pivots) = (rec.cands.col(j), rec.pivots.col(j));
+                for &r in cands {
+                    x[r] = T::ZERO;
+                }
+                for &k in pivots {
+                    x[st.prow[k]] = T::ZERO;
+                }
+                let (rows, vals) = a.col(aj);
+                for (&r, &v) in rows.iter().zip(vals) {
+                    x[r] = v;
+                }
+                (cands, pivots, rec.diag[j])
+            }
+            None => {
+                reach.column(x, a.col(aj), aj, &st.l, &st.pinv);
+                (reach.cands.col(j), reach.pivots.col(j), reach.diag[j])
+            }
+        };
+
+        // Numeric: eliminate reached pivots in increasing step order.
+        match kernel {
+            NumericKernel::Scalar => eliminate_scalar(x, &st.l, &st.prow, pivots),
+            NumericKernel::Supernodal => {
+                eliminate_supernodal(x, dwork, sn, &st.l, &st.prow, pivots);
+            }
+        }
+
+        let piv_row = choose_pivot(cands, x, has_diag.then_some(aj))
+            .ok_or(LinalgError::Singular { at: j })?;
+        let piv_val = x[piv_row];
+        st.u.entries.extend(pivots.iter().filter_map(|&k| {
+            let v = x[st.prow[k]];
+            (!v.is_zero()).then_some((k, v))
+        }));
+        st.u.close();
+        st.l.entries.extend(cands.iter().filter_map(|&r| {
+            let v = x[r];
+            (r != piv_row && !v.is_zero()).then_some((r, v / piv_val))
+        }));
+        st.l.close();
+        st.u_diag.push(piv_val);
+        st.prow[j] = piv_row;
+        st.pinv[piv_row] = j;
+        let l_col = st.l.col(j);
+        match replay {
+            Some(rec) => {
+                // The record dropped nothing, so the column has its
+                // structure iff the pivot agrees and nothing was dropped.
+                if piv_row != rec.prow[j]
+                    || st.u.col(j).len() != pivots.len()
+                    || l_col.len() + 1 != cands.len()
+                {
+                    return Ok(false);
+                }
+                if kernel == NumericKernel::Supernodal {
+                    sn.replay(j, l_col, rec);
+                }
+            }
+            None if kernel == NumericKernel::Supernodal => sn.absorb(j, piv_row, l_col),
+            None => {}
         }
     }
-    res?;
-    // Retain the supernodes (width ≥ 2) as solve panels: the `L` diagonal
-    // block verbatim, the below block transposed into the row-contiguous
-    // layout the forward pass's panel GEMM reads, the below rows mapped to
-    // their (now final) pivot steps — and the matching `U` panel (packed
-    // upper-triangular block plus the gathered above rows) so the backward
-    // pass runs blocked over the same pivot steps.
-    let mut panels = Vec::new();
-    for sn in &ws.snodes[..ws.snodes_used] {
-        if sn.ncols < 2 {
-            continue;
+    Ok(true)
+}
+
+/// The pivot rule: the first candidate of largest magnitude, unless the
+/// ordering's diagonal `diag` is within [`PIVOT_THRESHOLD`] of it. The
+/// magnitude is |x|²; only when every candidate's |x|² underflows
+/// (|x| ≲ 1.5e-162) is it max(|re|, |im|), so a column of tiny entries is
+/// not mistaken for a zero one. `None` (a singular column) when every
+/// candidate is exactly zero or NaN.
+fn choose_pivot<T: Scalar>(cands: &[usize], x: &[T], diag: Option<usize>) -> Option<usize> {
+    let largest = |mag: fn(T) -> f64| {
+        let (mut best, mut best_mag) = (None, 0.0f64);
+        for &r in cands {
+            let m = mag(x[r]);
+            if m > best_mag {
+                (best, best_mag) = (Some(r), m);
+            }
         }
+        (best, best_mag)
+    };
+    let (mut mag, mut threshold): (fn(T) -> f64, f64) =
+        (T::abs_sq, PIVOT_THRESHOLD * PIVOT_THRESHOLD);
+    let (mut best, mut best_mag) = largest(mag);
+    if best.is_none() {
+        (mag, threshold) = (T::norm_inf, PIVOT_THRESHOLD);
+        (best, best_mag) = largest(mag);
+    }
+    let best = best?;
+    Some(match diag {
+        Some(d) if mag(x[d]) >= threshold * best_mag => d,
+        _ => best,
+    })
+}
+
+/// The retained solve panels: every supernode of width ≥ 2, with its `L`
+/// diagonal block verbatim, its below block transposed into the
+/// row-contiguous layout the forward pass's panel GEMM reads, and the
+/// matching `U` panel (packed upper-triangular block plus the gathered
+/// above rows) so the backward pass runs blocked over the same pivot
+/// steps.
+fn solve_panels<T: Scalar>(sn: &SnodePool<T>, st: &Partial<T>) -> Vec<SolvePanel<T>> {
+    sn.nodes[..sn.used]
+        .iter()
+        .filter(|s| s.ncols >= 2)
+        .map(|s| SolvePanel::gather(s, st))
+        .collect()
+}
+
+/// A panel's below rows as (now final) pivot steps, and the union of its
+/// columns' above-panel `U` steps, ascending.
+fn panel_steps<T: Scalar>(sn: &Supernode<T>, st: &Partial<T>) -> (Vec<usize>, Vec<usize>) {
+    let below_steps = sn.rows[sn.ncols..].iter().map(|&r| st.pinv[r]).collect();
+    let mut above_steps: Vec<usize> = (sn.start..sn.start + sn.ncols)
+        .flat_map(|j| st.u.col(j))
+        .map(|&(k, _)| k)
+        .filter(|&k| k < sn.start)
+        .collect();
+    above_steps.sort_unstable();
+    above_steps.dedup();
+    (below_steps, above_steps)
+}
+
+impl<T: Scalar> SolvePanel<T> {
+    /// Packs supernode `sn`'s `L` values and its columns' `U` values into a
+    /// panel.
+    fn gather(sn: &Supernode<T>, st: &Partial<T>) -> SolvePanel<T> {
+        let (below_steps, above_steps) = panel_steps(sn, st);
         let (w, nr) = (sn.ncols, sn.rows.len());
         let below = nr - w;
         let mut diag = vec![T::ZERO; w * w];
         for t in 0..w {
             diag[t * w + t..(t + 1) * w].copy_from_slice(&sn.vals[t * nr + t..t * nr + w]);
         }
-        let mut below_steps = Vec::with_capacity(below);
         let mut below_t = vec![T::ZERO; w * below];
         for i in 0..below {
-            below_steps.push(st.pinv[sn.rows[w + i]]);
             for t in 0..w {
                 below_t[i * w + t] = sn.vals[t * nr + w + i];
             }
         }
-        // Upper side: `u_cols` already stores targets as pivot steps, so
-        // the panel's U structure splits by step against `sn.start`.
+        // Upper side: `U` stores targets as pivot steps, so the panel's
+        // `U` structure splits by step against `sn.start`.
         let mut udiag = vec![T::ZERO; w * w];
-        let mut above_steps: Vec<usize> = Vec::new();
+        let mut above_t = vec![T::ZERO; w * above_steps.len()];
         for t in 0..w {
             let j = sn.start + t;
             udiag[t * w + t] = st.u_diag[j];
-            for &(k, uv) in &st.u_cols[j] {
+            for &(k, uv) in st.u.col(j) {
                 if k >= sn.start {
                     udiag[t * w + (k - sn.start)] = uv;
                 } else {
-                    above_steps.push(k);
-                }
-            }
-        }
-        above_steps.sort_unstable();
-        above_steps.dedup();
-        let mut above_t = vec![T::ZERO; w * above_steps.len()];
-        for t in 0..w {
-            for &(k, uv) in &st.u_cols[sn.start + t] {
-                if k < sn.start {
                     let i = above_steps
                         .binary_search(&k)
                         .expect("above step collected above");
@@ -644,7 +1056,7 @@ fn factor_parts<T: Scalar>(
                 }
             }
         }
-        panels.push(SolvePanel {
+        SolvePanel {
             start: sn.start,
             ncols: w,
             diag,
@@ -653,162 +1065,14 @@ fn factor_parts<T: Scalar>(
             udiag,
             above_steps,
             above_t,
-        });
-    }
-    let lu = SparseLu {
-        n,
-        l_cols: st.l_cols,
-        u_cols: st.u_cols,
-        u_diag: st.u_diag,
-        prow: st.prow,
-        pinv: st.pinv,
-        q: q.to_vec(),
-        panels,
-    };
-    bdsm_obs::metrics().lu_factorizations.inc();
-    if span.is_recording() {
-        span.attr("nnz", lu.factor_nnz());
-        span.attr("panels", lu.panels.len());
-    }
-    Ok(lu)
-}
-
-/// The Gilbert–Peierls column loop: symbolic reach, numeric elimination
-/// (scalar or supernodal), threshold pivoting, and supernode maintenance.
-fn factor_columns<T: Scalar>(
-    n: usize,
-    a: &CscView<'_, T>,
-    q: &[usize],
-    kernel: NumericKernel,
-    ws: &mut LuWorkspace<T>,
-    st: &mut Partial<T>,
-) -> Result<()> {
-    for j in 0..n {
-        let aj = q[j];
-        ws.stamp += 1;
-        let stamp = ws.stamp;
-        // Symbolic: scatter A[:, q[j]] and close the pattern over L.
-        // Every reached row that is already pivotal injects its L column
-        // (the classic reach-in-the-graph-of-L step); processing the
-        // pattern as a worklist computes the transitive closure.
-        ws.pattern.clear();
-        let (rows, vals) = a.col(aj);
-        for (&r, &v) in rows.iter().zip(vals) {
-            ws.x[r] = v;
-            ws.mark[r] = stamp;
-            ws.pattern.push(r);
-        }
-        let mut idx = 0;
-        while idx < ws.pattern.len() {
-            let r = ws.pattern[idx];
-            idx += 1;
-            let k = st.pinv[r];
-            if k != usize::MAX {
-                for &(r2, _) in &st.l_cols[k] {
-                    if ws.mark[r2] != stamp {
-                        ws.mark[r2] = stamp;
-                        ws.x[r2] = T::ZERO;
-                        ws.pattern.push(r2);
-                    }
-                }
-            }
-        }
-
-        // Numeric: eliminate reached pivots in increasing step order.
-        ws.pivots.clear();
-        for &r in &ws.pattern {
-            if st.pinv[r] != usize::MAX {
-                ws.pivots.push(st.pinv[r]);
-            }
-        }
-        ws.pivots.sort_unstable();
-        match kernel {
-            NumericKernel::Scalar => {
-                eliminate_scalar(&mut ws.x, &st.l_cols, &st.prow, &ws.pivots);
-            }
-            NumericKernel::Supernodal => {
-                eliminate_supernodal(ws, &st.l_cols, &st.prow);
-            }
-        }
-
-        // Pivot: largest magnitude among unpivoted rows, but keep the
-        // ordering's diagonal when it is within PIVOT_THRESHOLD of it. The
-        // magnitude is |x|²; only when every candidate's |x|² underflows
-        // (|x| ≲ 1.5e-162) is it max(|re|, |im|), so a column of tiny
-        // entries is not mistaken for a zero one. The column is singular
-        // when every candidate is exactly zero or NaN.
-        let (mut best, mut best_mag) = largest_unpivoted(&ws.pattern, &st.pinv, &ws.x, T::abs_sq);
-        let mut mag: fn(T) -> f64 = T::abs_sq;
-        let mut threshold = PIVOT_THRESHOLD * PIVOT_THRESHOLD;
-        if best == usize::MAX {
-            (best, best_mag) = largest_unpivoted(&ws.pattern, &st.pinv, &ws.x, T::norm_inf);
-            (mag, threshold) = (T::norm_inf, PIVOT_THRESHOLD);
-        }
-        if best == usize::MAX {
-            return Err(LinalgError::Singular { at: j });
-        }
-        let diag_ok = ws.mark[aj] == stamp
-            && st.pinv[aj] == usize::MAX
-            && mag(ws.x[aj]) >= threshold * best_mag;
-        let piv_row = if diag_ok { aj } else { best };
-        let piv_val = ws.x[piv_row];
-
-        st.u_cols.push(
-            ws.pivots
-                .iter()
-                .filter_map(|&k| {
-                    let v = ws.x[st.prow[k]];
-                    (!v.is_zero()).then_some((k, v))
-                })
-                .collect(),
-        );
-        st.u_diag.push(piv_val);
-        st.prow[j] = piv_row;
-        st.pinv[piv_row] = j;
-        let l_col: Vec<(usize, T)> = ws
-            .pattern
-            .iter()
-            .filter_map(|&r| {
-                if r == piv_row || st.pinv[r] != usize::MAX {
-                    return None;
-                }
-                let v = ws.x[r];
-                (!v.is_zero()).then_some((r, v / piv_val))
-            })
-            .collect();
-        if kernel == NumericKernel::Supernodal {
-            absorb_column(j, piv_row, &l_col, ws);
-        }
-        st.l_cols.push(l_col);
-    }
-    Ok(())
-}
-
-/// The first unpivoted row of `pattern` with the largest `mag` of its
-/// value in `x`, and that magnitude; `(usize::MAX, 0.0)` when every
-/// candidate's `mag` is zero or NaN.
-fn largest_unpivoted<T: Scalar>(
-    pattern: &[usize],
-    pinv: &[usize],
-    x: &[T],
-    mag: impl Fn(T) -> f64,
-) -> (usize, f64) {
-    let (mut best, mut best_mag) = (usize::MAX, 0.0f64);
-    for &r in pattern {
-        if pinv[r] == usize::MAX {
-            let m = mag(x[r]);
-            if m > best_mag {
-                (best, best_mag) = (r, m);
-            }
         }
     }
-    (best, best_mag)
 }
 
 /// Oracle elimination: one scattered axpy per reached pivot.
 fn eliminate_scalar<T: Scalar>(
     x: &mut [T],
-    l_cols: &[Vec<(usize, T)>],
+    l: &Cols<(usize, T)>,
     prow: &[usize],
     pivots: &[usize],
 ) {
@@ -817,7 +1081,7 @@ fn eliminate_scalar<T: Scalar>(
         if ukj.is_zero() {
             continue;
         }
-        for &(r2, lv) in &l_cols[k] {
+        for &(r2, lv) in l.col(k) {
             x[r2] -= lv * ukj;
         }
     }
@@ -829,36 +1093,28 @@ fn eliminate_scalar<T: Scalar>(
 /// multiply-subtract. Runs that fail the structural invariant (or are too
 /// narrow to benefit) fall back to the scalar axpys.
 fn eliminate_supernodal<T: Scalar>(
-    ws: &mut LuWorkspace<T>,
-    l_cols: &[Vec<(usize, T)>],
+    x: &mut [T],
+    dwork: &mut [T],
+    sn: &SnodePool<T>,
+    l: &Cols<(usize, T)>,
     prow: &[usize],
+    pivots: &[usize],
 ) {
-    // Field-level split of the workspace: the panel pool and step map are
-    // read while the scatter vector and dense panel are written.
-    let LuWorkspace {
-        x,
-        pivots,
-        dwork,
-        snodes,
-        snode_of_step,
-        ..
-    } = ws;
-    let pivots: &[usize] = pivots;
     let mut idx = 0;
     while idx < pivots.len() {
-        let sid = snode_of_step[pivots[idx]];
+        let sid = sn.of_step[pivots[idx]];
         let mut end = idx + 1;
-        while end < pivots.len() && snode_of_step[pivots[end]] == sid {
+        while end < pivots.len() && sn.of_step[pivots[end]] == sid {
             end += 1;
         }
         let run = &pivots[idx..end];
         if sid == NO_SNODE {
             // Columns that opted out of packing eliminate the scalar way.
-            eliminate_scalar(x, l_cols, prow, run);
+            eliminate_scalar(x, l, prow, run);
             idx = end;
             continue;
         }
-        let sn = &snodes[sid];
+        let sn = &sn.nodes[sid];
         let wr = run.len();
         // Structure guarantees the run is the supernode's trailing columns:
         // any reached column scatters the pivot rows of all later columns
@@ -885,7 +1141,9 @@ fn eliminate_supernodal<T: Scalar>(
                 for (i, yi) in y.iter_mut().enumerate() {
                     *yi = x[sn.rows[sn.ncols + i]];
                 }
-                // Panel update: x(below) -= L(below, S) · u.
+                // Panel update: x(below) -= L(below, S) · u. Each below
+                // row's update is the same sequence of operations wherever
+                // the row sits in the panel.
                 gemm_sub(
                     below,
                     wr,
@@ -902,106 +1160,149 @@ fn eliminate_supernodal<T: Scalar>(
                 }
             }
         } else {
-            eliminate_scalar(x, l_cols, prow, run);
+            eliminate_scalar(x, l, prow, run);
         }
         idx = end;
     }
 }
 
-/// Supernode maintenance after column `j` pivots: the column joins the
-/// open supernode when its below-diagonal row set equals the supernode's
-/// remaining below set (the packed panel then grows by one column, with a
-/// row swap keeping pivot rows in step order); otherwise it opens a new
-/// supernode of its own.
-fn absorb_column<T: Scalar>(
-    j: usize,
-    piv_row: usize,
-    l_col: &[(usize, T)],
-    ws: &mut LuWorkspace<T>,
-) {
-    let LuWorkspace {
-        snodes,
-        snodes_used,
-        snode_of_step,
-        snode_pos,
-        ..
-    } = ws;
-    let joins = match (*snodes_used > 0).then(|| &snodes[*snodes_used - 1]) {
-        Some(open) => {
-            let nr = open.rows.len();
-            open.ncols < SNODE_MAX_COLS
-                && snode_pos[piv_row] != usize::MAX
-                && snode_pos[piv_row] >= open.ncols
-                && l_col.len() + 1 == nr - open.ncols
-                && l_col
-                    .iter()
-                    .all(|&(r, _)| snode_pos[r] != usize::MAX && snode_pos[r] >= open.ncols)
-        }
-        None => false,
-    };
-    if joins {
-        let open = &mut snodes[*snodes_used - 1];
-        let nr = open.rows.len();
-        let c = open.ncols;
-        let p = snode_pos[piv_row];
-        if p != c {
-            // Keep invariant rows[c] == pivot row of the supernode's
-            // (c+1)-th column: swap the row slots in every packed column.
-            let displaced = open.rows[c];
-            open.rows.swap(p, c);
-            snode_pos[piv_row] = c;
-            snode_pos[displaced] = p;
-            for t in 0..c {
-                open.vals.swap(t * nr + p, t * nr + c);
+impl<T: Scalar> SnodePool<T> {
+    /// Closes the open supernode: clears its row → position scratch.
+    /// Clearing an already-closed supernode again is an idempotent no-op.
+    fn close_open(&mut self) {
+        if self.used > 0 {
+            for &r in &self.nodes[self.used - 1].rows {
+                self.pos[r] = usize::MAX;
             }
         }
-        let base = open.vals.len();
-        open.vals.resize(base + nr, T::ZERO);
-        open.vals[base + c] = T::ONE;
+    }
+
+    /// Supernode maintenance after column `j` pivots: the column joins the
+    /// open supernode when its below-diagonal row set equals the
+    /// supernode's remaining below set (the packed panel then grows by one
+    /// column, with a row swap keeping pivot rows in step order); otherwise
+    /// it opens a new supernode of its own.
+    fn absorb(&mut self, j: usize, piv_row: usize, l_col: &[(usize, T)]) {
+        let pos = &mut self.pos;
+        let joins = match (self.used > 0).then(|| &self.nodes[self.used - 1]) {
+            Some(open) => {
+                let nr = open.rows.len();
+                open.ncols < SNODE_MAX_COLS
+                    && pos[piv_row] != usize::MAX
+                    && pos[piv_row] >= open.ncols
+                    && l_col.len() + 1 == nr - open.ncols
+                    && l_col
+                        .iter()
+                        .all(|&(r, _)| pos[r] != usize::MAX && pos[r] >= open.ncols)
+            }
+            None => false,
+        };
+        if joins {
+            let open = &mut self.nodes[self.used - 1];
+            let nr = open.rows.len();
+            let c = open.ncols;
+            let p = pos[piv_row];
+            if p != c {
+                // Keep invariant rows[c] == pivot row of the supernode's
+                // (c+1)-th column: swap the row slots in every packed column.
+                let displaced = open.rows[c];
+                open.rows.swap(p, c);
+                pos[piv_row] = c;
+                pos[displaced] = p;
+                for t in 0..c {
+                    open.vals.swap(t * nr + p, t * nr + c);
+                }
+            }
+            let base = open.vals.len();
+            open.vals.resize(base + nr, T::ZERO);
+            open.vals[base + c] = T::ONE;
+            for &(r, v) in l_col {
+                open.vals[base + pos[r]] = v;
+            }
+            open.ncols += 1;
+            self.of_step.push(self.used - 1);
+            return;
+        }
+        // Close the open supernode; then either stay scalar (skinny column)
+        // or open a fresh supernode seeded by this column.
+        self.close_open();
+        if l_col.len() < SNODE_MIN_BELOW {
+            self.of_step.push(NO_SNODE);
+            return;
+        }
+        let sn = self.acquire(j);
+        sn.ncols = 1;
+        sn.rows.push(piv_row);
+        sn.rows.extend(l_col.iter().map(|&(r, _)| r));
+        sn.vals.resize(sn.rows.len(), T::ZERO);
+        sn.vals[0] = T::ONE;
+        for (i, &(_, v)) in l_col.iter().enumerate() {
+            sn.vals[1 + i] = v;
+        }
+        self.mark_open();
+        self.of_step.push(self.used - 1);
+    }
+
+    /// Supernode maintenance of a replay after column `j` pivots, from the
+    /// record's partition: the column opens its supernode or joins the
+    /// open one, its `L` values written at their rows' positions. No search
+    /// and no row swaps. An opened supernode's rows are its columns' pivot
+    /// rows, in step order, then its last column's `L` rows — the shared
+    /// below set, in that column's reach order rather than the order the
+    /// full path's swaps leave. Each packed column holds the same value per
+    /// row either way, and the supernodal elimination and both blocked
+    /// solve passes compute each below row alike wherever it sits, so the
+    /// order moves no bit.
+    fn replay(&mut self, j: usize, l_col: &[(usize, T)], rec: &Replay) {
+        let sid = self.of_step[j];
+        if sid == NO_SNODE {
+            return;
+        }
+        if j == 0 || self.of_step[j - 1] != sid {
+            self.close_open();
+            let end = j + self.of_step[j..].iter().take_while(|&&s| s == sid).count();
+            let last = end - 1;
+            let sn = self.acquire(j);
+            sn.rows.extend_from_slice(&rec.prow[j..end]);
+            let below = rec.cands.col(last).iter().filter(|&&r| r != rec.prow[last]);
+            sn.rows.extend(below);
+            sn.vals.reserve(sn.rows.len() * (end - j));
+            debug_assert_eq!(self.used, sid + 1, "supernodes open in id order");
+            self.mark_open();
+        }
+        let sn = &mut self.nodes[sid];
+        let (nr, c, base) = (sn.rows.len(), sn.ncols, sn.vals.len());
+        sn.vals.resize(base + nr, T::ZERO);
+        sn.vals[base + c] = T::ONE;
         for &(r, v) in l_col {
-            open.vals[base + snode_pos[r]] = v;
+            sn.vals[base + self.pos[r]] = v;
         }
-        open.ncols += 1;
-        snode_of_step.push(*snodes_used - 1);
-        return;
+        sn.ncols += 1;
     }
-    // Close the open supernode (clearing its scratch positions); then
-    // either stay scalar (skinny column) or open a fresh supernode seeded
-    // by this column.
-    if *snodes_used > 0 {
-        for &r in &snodes[*snodes_used - 1].rows {
-            snode_pos[r] = usize::MAX;
+
+    /// Points each row of the open supernode at its panel position.
+    fn mark_open(&mut self) {
+        for (p, &r) in self.nodes[self.used - 1].rows.iter().enumerate() {
+            self.pos[r] = p;
         }
     }
-    if l_col.len() < SNODE_MIN_BELOW {
-        // Re-clearing an already-closed supernode later is an idempotent
-        // no-op, so no placeholder is needed for the skipped step.
-        snode_of_step.push(NO_SNODE);
-        return;
+
+    /// Opens the next supernode at step `j`, empty: reuses a prior call's
+    /// panel buffers when one is available (this is what keeps
+    /// refactorization allocation-free after the first factorization
+    /// through a workspace).
+    fn acquire(&mut self, j: usize) -> &mut Supernode<T> {
+        if self.used == self.nodes.len() {
+            self.nodes.push(Supernode::default());
+        }
+        self.used += 1;
+        let sn = &mut self.nodes[self.used - 1];
+        sn.start = j;
+        sn.ncols = 0;
+        sn.rows.clear();
+        sn.vals.clear();
+        sn
     }
-    // Acquire a pool entry: reuse a prior call's panel buffers when one is
-    // available (this is what keeps refactorization allocation-free after
-    // the first factorization through a workspace).
-    if *snodes_used == snodes.len() {
-        snodes.push(Supernode::default());
-    }
-    let sn = &mut snodes[*snodes_used];
-    sn.start = j;
-    sn.ncols = 1;
-    sn.rows.clear();
-    sn.rows.push(piv_row);
-    sn.rows.extend(l_col.iter().map(|&(r, _)| r));
-    sn.vals.clear();
-    sn.vals.resize(sn.rows.len(), T::ZERO);
-    sn.vals[0] = T::ONE;
-    for (i, &(_, v)) in l_col.iter().enumerate() {
-        sn.vals[1 + i] = v;
-    }
-    for (p, &r) in sn.rows.iter().enumerate() {
-        snode_pos[r] = p;
-    }
-    snode_of_step.push(*snodes_used);
-    *snodes_used += 1;
 }
 
 /// A shift with an infinite or NaN component: `G + sC` would carry
@@ -1014,13 +1315,18 @@ const NON_FINITE_SHIFT: LinalgError = LinalgError::InvalidArgument {
 /// The shifted pencil `A(s) = G + sC` with shared symbolic structure.
 ///
 /// Construction computes the pattern union of `G` and `C` and a
-/// fill-reducing ordering of it **once**; every
-/// [`factor_real`](Self::factor_real) / [`factor_complex`](Self::factor_complex)
-/// call is then a numeric-only refactorization at a new shift — the shape
-/// of the Krylov multi-point loop, the `jω` frequency sweep, and the
-/// transient left-hand side `G + C/h`. The `_with` variants reuse a
-/// caller-owned [`LuWorkspace`] so shift sweeps also skip all scratch
-/// allocation; the plain variants allocate a throwaway workspace.
+/// fill-reducing ordering of it **once** — the shape of the Krylov
+/// multi-point loop, the `jω` frequency sweep, and the transient
+/// left-hand side `G + C/h`. The first drop-free
+/// [`factor_real`](Self::factor_real) /
+/// [`factor_complex`](Self::factor_complex) records the factor's
+/// structure, and every later one, at any shift, replays it unless a
+/// column's pivot or stored entries leave it (see the module docs); either
+/// way the factor is bitwise the one the full path computes. Clones share
+/// the record; [`with_numeric_kernel`](Self::with_numeric_kernel) starts a
+/// fresh one. The `_with` variants reuse a caller-owned [`LuWorkspace`] so
+/// shift sweeps also skip all scratch allocation; the plain variants
+/// allocate a throwaway workspace.
 #[derive(Debug, Clone)]
 pub struct ShiftedPencil {
     n: usize,
@@ -1032,8 +1338,15 @@ pub struct ShiftedPencil {
     cv: Vec<f64>,
     /// Fill-reducing column ordering shared by every factorization.
     q: Vec<usize>,
+    /// Symbolic fill of `q` ([`symbolic_fill`]): the below-diagonal size
+    /// of `L` under diagonal pivoting, which the full path sizes its
+    /// arrays by.
+    fill: usize,
     /// Numeric kernel every refactorization runs.
     kernel: NumericKernel,
+    /// The structure of the first drop-free factorization, which later
+    /// ones replay; empty until one succeeds.
+    replay: Arc<OnceLock<Replay>>,
 }
 
 impl ShiftedPencil {
@@ -1116,6 +1429,11 @@ impl ShiftedPencil {
             span.attr("kept", choice.kept.name());
         }
         drop(span);
+        let fill = match choice.kept {
+            FillOrdering::Amd if kind == FillOrdering::MinFill => choice.fill_amd,
+            FillOrdering::NestedDissection if kind == FillOrdering::MinFill => choice.fill_nd,
+            _ => symbolic_fill(&adj, &choice.perm),
+        };
         let q = choice.perm;
         Ok(ShiftedPencil {
             n,
@@ -1124,15 +1442,20 @@ impl ShiftedPencil {
             gv,
             cv,
             q,
+            fill,
             kernel: NumericKernel::default(),
+            replay: Arc::default(),
         })
     }
 
     /// Selects the numeric kernel every refactorization will run
-    /// (builder-style; the default is [`NumericKernel::Supernodal`]).
+    /// (builder-style; the default is [`NumericKernel::Supernodal`]). The
+    /// returned pencil records its own structure: a record of the other
+    /// kernel would not hold its supernode partition.
     #[must_use]
     pub fn with_numeric_kernel(mut self, kernel: NumericKernel) -> Self {
         self.kernel = kernel;
+        self.replay = Arc::default();
         self
     }
 
@@ -1155,9 +1478,10 @@ impl ShiftedPencil {
     }
 
     /// Assembles `G + sC` into the workspace and factors it — the shared
-    /// engine of the real and complex paths. The only per-shift work is
-    /// the value map and the numeric factorization; pattern, ordering, and
-    /// all scratch buffers are reused.
+    /// engine of the real and complex paths. The per-shift work is the
+    /// value map and the factorization, a replay of the recorded structure
+    /// when it holds; pattern, ordering, and all scratch buffers are
+    /// reused.
     fn factor_shift_with<T: Scalar>(&self, s: T, ws: &mut LuWorkspace<T>) -> Result<SparseLu<T>> {
         let mut avals = std::mem::take(&mut ws.avals);
         avals.clear();
@@ -1167,22 +1491,12 @@ impl ShiftedPencil {
                 .zip(&self.cv)
                 .map(|(&g, &c)| T::from_real(g) + s * T::from_real(c)),
         );
-        let res = factor_parts(
-            self.n,
-            CscView {
-                col_ptr: &self.col_ptr,
-                row_idx: &self.row_idx,
-                values: &avals,
-            },
-            &self.q,
-            self.kernel,
-            ws,
-        );
+        let res = factor_parts(self, &avals, ws);
         ws.avals = avals;
         res
     }
 
-    /// Numeric refactorization at a real shift `s`.
+    /// Factorization at a real shift `s`.
     ///
     /// # Errors
     ///
@@ -1191,7 +1505,7 @@ impl ShiftedPencil {
         self.factor_real_with(s, &mut LuWorkspace::new())
     }
 
-    /// Numeric refactorization at a real shift `s`, reusing `ws` for all
+    /// Factorization at a real shift `s`, reusing `ws` for all
     /// scratch (and the assembled shifted values).
     ///
     /// # Errors
@@ -1205,7 +1519,7 @@ impl ShiftedPencil {
         self.factor_shift_with(s, ws)
     }
 
-    /// Numeric refactorization at a complex shift `s` (e.g. `jω`).
+    /// Factorization at a complex shift `s` (e.g. `jω`).
     ///
     /// # Errors
     ///
@@ -1214,7 +1528,7 @@ impl ShiftedPencil {
         self.factor_complex_with(s, &mut LuWorkspace::new())
     }
 
-    /// Numeric refactorization at a complex shift, reusing `ws`.
+    /// Factorization at a complex shift, reusing `ws`.
     ///
     /// # Errors
     ///
@@ -1344,8 +1658,7 @@ mod tests {
                 let pencil = ShiftedPencil::with_ordering(a, &zero, kind).unwrap();
                 let adj = csc_pattern_adjacency(&pencil.col_ptr, &pencil.row_idx);
                 let lu = pencil.factor_real(0.0).unwrap();
-                let stored_l: usize = lu.l_cols.iter().map(Vec::len).sum();
-                let stored_u: usize = lu.u_cols.iter().map(Vec::len).sum();
+                let (stored_l, stored_u) = (lu.l.entries.len(), lu.u.entries.len());
                 let fill = symbolic_fill(&adj, &pencil.q);
                 assert_eq!((stored_l, stored_u), (fill, fill), "{name} {kind:?}");
             }
@@ -1644,7 +1957,7 @@ mod tests {
             if yj.is_zero() {
                 continue;
             }
-            for &(r, lv) in &lu.l_cols[j] {
+            for &(r, lv) in lu.l.col(j) {
                 y[lu.pinv[r]] -= lv * yj;
             }
         }
@@ -1655,7 +1968,7 @@ mod tests {
             if xj.is_zero() {
                 continue;
             }
-            for &(k, uv) in &lu.u_cols[j] {
+            for &(k, uv) in lu.u.col(j) {
                 y[k] -= uv * xj;
             }
         }
