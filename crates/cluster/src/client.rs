@@ -411,22 +411,18 @@ impl ClusterClient {
         })
     }
 
-    /// Runs one RPC per (shard, request), shards in parallel on scoped
-    /// threads, results in input order.
-    fn fan_out(&self, work: Vec<(u32, Request)>) -> Vec<Result<Response, ClusterError>> {
-        if work.len() <= 1 {
-            return work
-                .into_iter()
-                .map(|(shard, req)| {
-                    bdsm_obs::faultpoint!("cluster.router.worker");
-                    self.rpc(shard, &req)
-                })
-                .collect();
-        }
+    /// Runs one RPC per (shard, request), shards in parallel, results in
+    /// input order. The last one runs on the calling thread; only the
+    /// others get a scoped thread, so a one-shard batch spawns none.
+    fn fan_out(&self, mut work: Vec<(u32, Request)>) -> Vec<Result<Response, ClusterError>> {
+        let Some((last_shard, last_req)) = work.pop() else {
+            return Vec::new();
+        };
         let mut out: Vec<Option<Result<Response, ClusterError>>> =
-            (0..work.len()).map(|_| None).collect();
+            (0..=work.len()).map(|_| None).collect();
+        let (last_slot, slots) = out.split_last_mut().expect("one slot per request");
         std::thread::scope(|scope| {
-            for ((shard, req), slot) in work.into_iter().zip(out.iter_mut()) {
+            for ((shard, req), slot) in work.into_iter().zip(slots) {
                 scope.spawn(move || {
                     // Armed fault panics this worker; the scope propagates
                     // it on join and `contained` surfaces it as
@@ -435,6 +431,10 @@ impl ClusterClient {
                     *slot = Some(self.rpc(shard, &req));
                 });
             }
+            // A panic here unwinds out of the scope after it has joined
+            // the spawned workers; `contained` catches it the same way.
+            bdsm_obs::faultpoint!("cluster.router.worker");
+            *last_slot = Some(self.rpc(last_shard, &last_req));
         });
         out.into_iter()
             .map(|r| r.expect("scope joined every worker"))

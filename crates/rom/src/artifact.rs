@@ -8,7 +8,8 @@
 //!
 //! The binary format is deliberately boring — a magic tag, a format
 //! version, length-prefixed sections, every `f64` stored as its IEEE-754
-//! bit pattern (`to_bits`), and a trailing word-wise checksum — and is
+//! bit pattern (`to_bits`), each reduced matrix dense or compressed-row,
+//! whichever is smaller, and a trailing word-wise checksum — and is
 //! written and read through the shared [`crate::codec`]. Round-trips
 //! are **bitwise-exact** — `save` → `load` reproduces every float bit for
 //! bit, which is what lets a served artifact answer queries with exactly
@@ -46,10 +47,14 @@ pub const MAGIC: [u8; 8] = *b"BDSMROM\0";
 /// no eigenvalue, and its verdict is the stability outcome; v7 — the
 /// per-sample eigenvalues of the passivity section went: the same test
 /// decides each positive-real sample, and `violations` localises the
-/// failures. Only the current version loads: artifacts are
+/// failures; v8 — each reduced matrix is tagged dense or compressed-row
+/// and stored in whichever is smaller, losslessly (every entry whose bits
+/// are not `+0.0` is kept, `−0.0` included): the mesh ROM's `G_r` and
+/// `C_r` are 12 % and 2 % nonzero, and its artifact fell from 2 634 834
+/// to 458 102 bytes. Only the current version loads: artifacts are
 /// deterministic build outputs, so an old file is rebuilt from its
 /// netlist rather than read through a second layout.
-pub const FORMAT_VERSION: u32 = 7;
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Build provenance carried inside an artifact — the audit trail that
 /// makes a loaded ROM explainable: which engine built it, from which
@@ -299,8 +304,9 @@ impl RomArtifact {
             w.u64(row as u64);
             w.u64(col as u64);
         }
+        let n = self.state_order.len();
         for m in [&self.g, &self.c, &self.b, &self.l] {
-            write_matrix(&mut w, m);
+            write_matrix(&mut w, m, n);
         }
         w.u64(self.provenance.shifts.len() as u64);
         for s in &self.provenance.shifts {
@@ -348,10 +354,11 @@ impl RomArtifact {
             let col = r.u64("interface map")? as usize;
             interface_map.push((row, col));
         }
-        let g = read_matrix(&mut r, "G")?;
-        let c = read_matrix(&mut r, "C")?;
-        let b = read_matrix(&mut r, "B")?;
-        let l = read_matrix(&mut r, "L")?;
+        let n = state_order.len();
+        let g = read_matrix(&mut r, "G", n)?;
+        let c = read_matrix(&mut r, "C", n)?;
+        let b = read_matrix(&mut r, "B", n)?;
+        let l = read_matrix(&mut r, "L", n)?;
         let n_shifts = r.count(9, "shifts")?;
         let mut shifts = Vec::with_capacity(n_shifts);
         for _ in 0..n_shifts {
@@ -594,23 +601,153 @@ fn read_certificate(r: &mut ByteReader<'_>) -> Result<Certificate, RomError> {
     })
 }
 
-fn write_matrix(w: &mut ByteWriter, m: &Matrix) {
-    w.u64(m.nrows() as u64);
-    w.u64(m.ncols() as u64);
-    m.as_slice().iter().for_each(|&v| w.f64(v));
+/// Storage tag of a matrix section whose every entry is stored.
+const DENSE: u8 = 0;
+/// Storage tag of a matrix section that stores only the entries whose
+/// bits are not `+0.0`, row by row.
+const COMPRESSED_ROW: u8 = 1;
+
+/// Whether an `nrows × ncols` matrix with `stored` entries not `+0.0` is
+/// written compressed-row: exactly when that section is smaller than the
+/// dense one (in words: the entry count, one end pointer per row, and an
+/// index and a value per stored entry, against one word per entry), and
+/// the matrix holds at most `n²` entries for the artifact's `n` full
+/// states. A compressed section's bytes do not bound its dense size; `n`
+/// is stored as `n` explicit words of the state order, so the cap keeps
+/// a decode's allocation tied to the file (and within what an allocation
+/// can hold). Every reduced matrix of a model with no more ports than
+/// states is under it (`q ≤ n` for any projection). Writer and reader
+/// share this rule, so each matrix has one encoding and
+/// `to_bytes(from_bytes(b)) == b` for every accepted `b`. It takes the
+/// words as read and computes in `u128`, so no value overflows or
+/// truncates before it is checked.
+fn compressed_row_wins(nrows: u64, ncols: u64, stored: u64, n: u64) -> bool {
+    let (nrows, ncols, stored, n) = (nrows as u128, ncols as u128, stored as u128, n as u128);
+    let cap = (n * n).min(isize::MAX as u128 / 8);
+    1 + nrows + 2 * stored < nrows * ncols && nrows * ncols <= cap
 }
 
-fn read_matrix(r: &mut ByteReader<'_>, what: &'static str) -> Result<Matrix, RomError> {
-    let (nrows, ncols) = r.dims(8, what)?;
-    let data: Vec<f64> = r.words(nrows * ncols, what)?.map(f64::from_bits).collect();
-    // The checksum guards against accidents, not against a producer bug,
-    // and a NaN entry would be served as `Ok(NaN)`. `&`, not `all`: without
-    // the early exit the scan vectorises (0.08 vs 0.15 ms on a q = 360 ROM).
-    if !data.iter().fold(true, |ok, v| ok & v.is_finite()) {
-        return Err(RomError::Corrupt("non-finite entry in a reduced matrix"));
+/// Entries stored by a compressed-row section: every one whose bits are
+/// not `+0.0`, so `−0.0` survives the round trip.
+fn is_stored(v: f64) -> bool {
+    v.to_bits() != 0
+}
+
+/// One reduced matrix: a [`DENSE`] or [`COMPRESSED_ROW`] tag, the two
+/// extents, then either every entry row-major or the stored-entry count,
+/// each row's end pointer, the column indices and the values, in the
+/// row-major `Matrix`'s own order.
+fn write_matrix(w: &mut ByteWriter, m: &Matrix, n: usize) {
+    let stored = m.as_slice().iter().filter(|&&v| is_stored(v)).count();
+    let (nrows, ncols) = (m.nrows() as u64, m.ncols() as u64);
+    let compressed = compressed_row_wins(nrows, ncols, stored as u64, n as u64);
+    w.u8(if compressed { COMPRESSED_ROW } else { DENSE });
+    w.u64(nrows);
+    w.u64(ncols);
+    if !compressed {
+        m.as_slice().iter().for_each(|&v| w.f64(v));
+        return;
     }
-    Matrix::from_vec(nrows, ncols, data)
-        .map_err(|_| RomError::Corrupt("matrix extents inconsistent"))
+    w.u64(stored as u64);
+    let mut end = 0;
+    for i in 0..m.nrows() {
+        end += m.row(i).iter().filter(|&&v| is_stored(v)).count();
+        w.u64(end as u64);
+    }
+    for i in 0..m.nrows() {
+        (m.row(i).iter().enumerate())
+            .filter(|&(_, &v)| is_stored(v))
+            .for_each(|(j, _)| w.u64(j as u64));
+    }
+    (m.as_slice().iter())
+        .filter(|&&v| is_stored(v))
+        .for_each(|&v| w.f64(v));
+}
+
+/// Reads one [`write_matrix`] section of an artifact with `n` full
+/// states. The decode allocates one buffer, the returned matrix: a dense
+/// section is collected into it from the exact-size [`ByteReader::words`]
+/// iterator, and a compressed-row one is scattered into it, zero-filled,
+/// straight from the borrowed pointer, index and value lists, so an open
+/// allocates the same sizes in the same order whichever way a matrix was
+/// stored (README, `first_answer_ms`). Only the canonical encoding is
+/// accepted: a section the other storage would beat, a stored `+0.0`, a
+/// decreasing row pointer or one past the entry count, a last pointer
+/// that is not the entry count, and a column index out of range or not
+/// strictly increasing within its row are all [`RomError::Corrupt`].
+fn read_matrix(r: &mut ByteReader<'_>, what: &'static str, n: usize) -> Result<Matrix, RomError> {
+    // The checksum guards against accidents, not against a producer bug,
+    // and a NaN entry would be served as `Ok(NaN)`, so every stored value
+    // is checked. `&`, not `all`: without the early exit the dense scan
+    // vectorises (0.08 vs 0.15 ms on a q = 360 ROM).
+    let non_finite = || RomError::Corrupt("non-finite entry in a reduced matrix");
+    match r.u8(what)? {
+        DENSE => {
+            let (nrows, ncols) = r.dims(8, what)?;
+            let data: Vec<f64> = r.words(nrows * ncols, what)?.map(f64::from_bits).collect();
+            let (finite, stored) = (data.iter()).fold((true, 0), |(ok, k), &v| {
+                (ok & v.is_finite(), k + is_stored(v) as usize)
+            });
+            if !finite {
+                return Err(non_finite());
+            }
+            if compressed_row_wins(nrows as u64, ncols as u64, stored as u64, n as u64) {
+                return Err(RomError::Corrupt(
+                    "dense matrix section that compressed-row storage would beat",
+                ));
+            }
+            Matrix::from_vec(nrows, ncols, data)
+                .map_err(|_| RomError::Corrupt("matrix extents inconsistent"))
+        }
+        COMPRESSED_ROW => {
+            let (nrows, ncols) = (r.u64(what)?, r.u64(what)?);
+            let stored = r.count(16, what)?;
+            if !compressed_row_wins(nrows, ncols, stored as u64, n as u64) {
+                return Err(RomError::Corrupt(
+                    "compressed-row matrix section that dense storage would beat",
+                ));
+            }
+            // Lossless now: the rule capped `nrows × ncols`.
+            let (nrows, ncols) = (nrows as usize, ncols as usize);
+            let ends = r.words(nrows, what)?;
+            let mut entries = r.words(stored, what)?.zip(r.words(stored, what)?);
+            let mut m = Matrix::zeros(nrows, ncols);
+            let (mut start, mut finite) = (0, true);
+            for (i, end) in ends.enumerate() {
+                if end < start as u64 || end > stored as u64 {
+                    return Err(RomError::Corrupt(
+                        "row pointer decreasing or past the entry count",
+                    ));
+                }
+                let (row, mut next) = (m.row_mut(i), 0);
+                for (j, bits) in entries.by_ref().take(end as usize - start) {
+                    if j < next || j >= ncols as u64 {
+                        return Err(RomError::Corrupt(
+                            "column index out of range or not increasing in its row",
+                        ));
+                    }
+                    if bits == 0 {
+                        return Err(RomError::Corrupt(
+                            "stored +0.0 entry in a compressed-row matrix",
+                        ));
+                    }
+                    let v = f64::from_bits(bits);
+                    finite &= v.is_finite();
+                    row[j as usize] = v;
+                    next = j + 1;
+                }
+                start = end as usize;
+            }
+            if start != stored {
+                return Err(RomError::Corrupt("last row pointer is not the entry count"));
+            }
+            if !finite {
+                return Err(non_finite());
+            }
+            Ok(m)
+        }
+        _ => Err(RomError::Corrupt("unknown matrix-storage tag")),
+    }
 }
 
 /// Verifies magic, version and checksum, returning a reader positioned at
@@ -699,17 +836,158 @@ mod tests {
         assert_eq!(back.c[(0, 1)].to_bits(), (-0.0_f64).to_bits());
     }
 
+    /// `tiny_artifact` widened to `q = 6` over `n = 8` states, with
+    /// matrices of every storage case: `G` sparse with a `−0.0`, two
+    /// subnormals and an all-zero row, `C` all zero (both compressed-row),
+    /// `B` fully dense and `L` with one stored entry per row.
+    fn sparse_artifact() -> RomArtifact {
+        let mut g = Matrix::zeros(6, 6);
+        for i in [0, 1, 3, 4, 5] {
+            g[(i, i)] = 2.0 + i as f64;
+        }
+        g[(0, 5)] = -0.0;
+        g[(1, 4)] = f64::from_bits(1);
+        g[(5, 0)] = -f64::from_bits(0x000f_ffff_ffff_ffff);
+        RomArtifact {
+            block_sizes: vec![4, 4],
+            block_dims: vec![3, 3],
+            state_order: (0..8).collect(),
+            interface_states: vec![3, 4],
+            interface_map: vec![],
+            g,
+            c: Matrix::zeros(6, 6),
+            b: Matrix::from_fn(6, 2, |i, j| 1.0 + (i * 2 + j) as f64),
+            l: Matrix::from_fn(2, 6, |i, j| if j == 3 * i { -1.0 } else { 0.0 }),
+            ..tiny_artifact()
+        }
+    }
+
+    /// The storage tag `write_matrix` gives `m` in an artifact of `n` states.
+    fn storage_tag(m: &Matrix, n: usize) -> u8 {
+        let mut w = ByteWriter::new();
+        write_matrix(&mut w, m, n);
+        w.into_bytes()[0]
+    }
+
+    #[test]
+    fn every_storage_case_round_trips_bitwise() {
+        let a = sparse_artifact();
+        let tags = [&a.g, &a.c, &a.b, &a.l].map(|m| storage_tag(m, 8));
+        assert_eq!(
+            tags,
+            [COMPRESSED_ROW, COMPRESSED_ROW, DENSE, COMPRESSED_ROW]
+        );
+        let back = RomArtifact::from_bytes(&a.to_bytes()).unwrap();
+        assert!(a.bitwise_eq(&back));
+        for (m, got) in [
+            (&a.g, &back.g),
+            (&a.c, &back.c),
+            (&a.b, &back.b),
+            (&a.l, &back.l),
+        ] {
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!((got.shape(), bits(got)), (m.shape(), bits(m)));
+        }
+        assert_eq!(back.g[(0, 5)].to_bits(), (-0.0_f64).to_bits());
+        assert_eq!(back.g.row(2), [0.0; 6]);
+        // A matrix past `n²` entries never compresses, however sparse.
+        assert_eq!(storage_tag(&Matrix::zeros(6, 6), 5), DENSE);
+    }
+
+    /// `tiny_artifact`'s bytes with its `G` section replaced by `section`
+    /// and checksummed afresh, so only the structural checks can object.
+    fn with_g_section(section: &[u8]) -> Vec<u8> {
+        let a = tiny_artifact();
+        let clean = a.to_bytes();
+        let body = &clean[..clean.len() - 8];
+        let mut g = ByteWriter::new();
+        write_matrix(&mut g, &a.g, a.state_order.len());
+        let g = g.into_bytes();
+        let at = body.windows(g.len()).position(|w| w == g).unwrap();
+        let mut w = ByteWriter::new();
+        w.bytes(&body[..at]);
+        w.bytes(section);
+        w.bytes(&body[at + g.len()..]);
+        w.into_checksummed()
+    }
+
+    /// A `3 × 3` compressed-row section from its parts.
+    fn compressed_3x3(stored: u64, ends: &[u64], cols: &[u64], vals: &[f64]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u8(COMPRESSED_ROW);
+        [3, 3, stored]
+            .into_iter()
+            .chain(ends.iter().copied())
+            .for_each(|v| w.u64(v));
+        cols.iter().for_each(|&j| w.u64(j));
+        vals.iter().for_each(|&v| w.f64(v));
+        w.into_bytes()
+    }
+
+    #[test]
+    fn non_canonical_matrix_sections_are_corrupt() {
+        // The splice is sound: a canonical section decodes to its matrix.
+        let good = compressed_3x3(2, &[1, 1, 2], &[0, 2], &[1.5, -0.0]);
+        let g = RomArtifact::from_bytes(&with_g_section(&good)).unwrap().g;
+        let bits: Vec<u64> = g.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [1.5_f64.to_bits(), 0, 0, 0, 0, 0, 0, 0, (-0.0_f64).to_bits()]
+        );
+
+        let mut one_entry = ByteWriter::new();
+        one_entry.u8(DENSE);
+        [3, 3].into_iter().for_each(|v| one_entry.u64(v));
+        (0..9).for_each(|k| one_entry.f64(if k == 0 { 1.5 } else { 0.0 }));
+        let mut bad_tag = good.clone();
+        bad_tag[0] = 2;
+        let past = "row pointer decreasing or past the entry count";
+        let column = "column index out of range or not increasing in its row";
+        for (section, want) in [
+            (compressed_3x3(2, &[1, 0, 2], &[0, 2], &[1.5, 2.5]), past),
+            (compressed_3x3(2, &[3, 3, 3], &[0, 2], &[1.5, 2.5]), past),
+            (
+                compressed_3x3(2, &[1, 1, 1], &[0, 2], &[1.5, 2.5]),
+                "last row pointer is not the entry count",
+            ),
+            (compressed_3x3(2, &[1, 1, 2], &[0, 3], &[1.5, 2.5]), column),
+            (compressed_3x3(2, &[0, 0, 2], &[1, 1], &[1.5, 2.5]), column),
+            (compressed_3x3(2, &[0, 0, 2], &[2, 1], &[1.5, 2.5]), column),
+            (
+                compressed_3x3(2, &[1, 1, 2], &[0, 2], &[1.5, 0.0]),
+                "stored +0.0 entry in a compressed-row matrix",
+            ),
+            (
+                compressed_3x3(3, &[1, 2, 3], &[0, 1, 2], &[1.5, 2.5, 3.5]),
+                "compressed-row matrix section that dense storage would beat",
+            ),
+            (
+                one_entry.into_bytes(),
+                "dense matrix section that compressed-row storage would beat",
+            ),
+            (bad_tag, "unknown matrix-storage tag"),
+        ] {
+            let got =
+                std::panic::catch_unwind(|| RomArtifact::from_bytes(&with_g_section(&section)))
+                    .unwrap_or_else(|_| panic!("decode panicked ({want})"));
+            assert!(
+                matches!(got, Err(RomError::Corrupt(w)) if w == want),
+                "{want}: {got:?}"
+            );
+        }
+    }
+
     #[test]
     fn version_mismatch_is_typed() {
-        // Hand-built headers of the five formats before v7 (their bodies
+        // Hand-built headers of the six formats before v8 (their bodies
         // never get read) and of the next one.
-        for found in [2, 3, 4, 5, 6, FORMAT_VERSION + 1] {
+        for found in [2, 3, 4, 5, 6, 7, FORMAT_VERSION + 1] {
             let mut bytes = MAGIC.to_vec();
             bytes.extend(found.to_le_bytes());
             bytes.extend([0; 16]);
             assert!(matches!(
                 RomArtifact::from_bytes(&bytes),
-                Err(RomError::UnsupportedVersion { found: f, supported: 7 }) if f == found
+                Err(RomError::UnsupportedVersion { found: f, supported: 8 }) if f == found
             ));
         }
     }
@@ -792,12 +1070,17 @@ mod tests {
     #[test]
     fn non_finite_reduced_entries_are_corrupt() {
         // Set in memory, so the checksum is valid and only the entry scan
-        // can object.
+        // can object; the sparse artifact stores G, C and L compressed-row.
         let matrices: [fn(&mut RomArtifact) -> &mut Matrix; 4] =
             [|a| &mut a.g, |a| &mut a.c, |a| &mut a.b, |a| &mut a.l];
-        for matrix in matrices {
+        for (matrix, artifact) in (matrices.into_iter()).flat_map(|m| {
+            [
+                (m, tiny_artifact as fn() -> RomArtifact),
+                (m, sparse_artifact),
+            ]
+        }) {
             for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-                let mut a = tiny_artifact();
+                let mut a = artifact();
                 matrix(&mut a)[(0, 0)] = bad;
                 assert!(matches!(
                     RomArtifact::from_bytes(&a.to_bytes()),
@@ -821,7 +1104,7 @@ mod tests {
     fn json_dump_names_the_structure() {
         let j = tiny_artifact().to_json();
         for needle in [
-            "\"format_version\": 7",
+            "\"format_version\": 8",
             "\"certificate\": {\"status\": \"certified\"",
             "\"stability\": \"pass\"",
             "\"reduced_dim\": 3",

@@ -230,12 +230,16 @@ impl<'a> ByteReader<'a> {
             .map_err(|_| CodecError::Corrupt("string not valid UTF-8"))
     }
 
-    /// The next `n` 64-bit words. The iterator knows its length, so a
-    /// `collect` allocates once and exactly; a `Result` collect of
-    /// per-word reads has no size hint and grows by doubling — 2 MiB of
-    /// capacity for a 1.27 MB `G_r`, held as long as the artifact is and
-    /// too big for the holes a build leaves in the heap (README,
-    /// `first_answer_ms`).
+    /// The next `n` 64-bit words, read from the borrowed buffer. The
+    /// iterator knows its length, so a `collect` allocates once and
+    /// exactly; a `Result` collect of per-word reads has no size hint and
+    /// grows by doubling — 2 MiB of capacity for a 1.27 MB dense `G_r`,
+    /// held as long as the artifact is and too big for the holes a build
+    /// leaves in the heap (README, `first_answer_ms`). It borrows the
+    /// buffer, not the reader, so consecutive lists can be walked side by
+    /// side: the artifact's compressed-row decode zips its index and value
+    /// lists and scatters them into the one matrix it allocates, with no
+    /// list of its own.
     pub(crate) fn words(
         &mut self,
         n: usize,

@@ -23,8 +23,10 @@
 //! 2. [`RomArtifact`] — a versioned, self-describing serialization of the
 //!    reduced model: magic + format version, the reduced descriptor, block
 //!    structure, interface map, and provenance (engine version, shifts
-//!    chosen, residual trajectory). Round-trips are bitwise-exact (every
-//!    `f64` via its bit pattern) and guarded by a checksum.
+//!    chosen, residual trajectory). Each reduced matrix is stored dense or
+//!    compressed-row, whichever is smaller (format v8). Round-trips are
+//!    bitwise-exact (every `f64` via its bit pattern, `−0.0` included)
+//!    and guarded by a checksum.
 //!
 //! 3. [`RomServer`] — a thread-safe handle over loaded artifacts that
 //!    caches per-shift ROM factorizations and serves batched

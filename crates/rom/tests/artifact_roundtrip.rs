@@ -100,13 +100,16 @@ fn version_mismatch_and_truncation_fail_typed() {
         .unwrap();
     let bytes = artifact.to_bytes();
 
-    let mut future = bytes.clone();
-    future[8] = (FORMAT_VERSION + 7) as u8;
-    assert!(matches!(
-        RomArtifact::from_bytes(&future),
-        Err(RomError::UnsupportedVersion { found, supported })
-            if found == FORMAT_VERSION + 7 && supported == FORMAT_VERSION
-    ));
+    // v7, the last dense-only format, and a future version.
+    assert_eq!(FORMAT_VERSION, 8);
+    for version in [7, FORMAT_VERSION + 7] {
+        let mut other = bytes.clone();
+        other[8] = version as u8;
+        assert!(matches!(
+            RomArtifact::from_bytes(&other),
+            Err(RomError::UnsupportedVersion { found, supported: 8 }) if found == version
+        ));
+    }
 
     // Every prefix is rejected without panicking: header cuts report
     // truncation/magic, payload cuts trip the checksum.

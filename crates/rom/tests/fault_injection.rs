@@ -8,6 +8,7 @@
 //! `BDSM_THREADS`; everything in this file serializes on one lock.
 
 use bdsm_linalg::Complex64;
+use bdsm_rom::codec::ByteWriter;
 use bdsm_rom::{QueryError, Reducer, RomArtifact, RomError, RomServer};
 use std::sync::Mutex;
 
@@ -204,13 +205,25 @@ fn artifact_corruption_fuzz_yields_typed_errors_never_panics() {
     let _g = locked();
     let net = bdsm_core::synth::rc_grid(5, 5, 1.0, 1e-3, 2.0);
     let reducer = Reducer::builder()
-        .blocks(2)
+        .blocks(3)
         .jomega_shifts(&[8.0e2])
         .build()
         .expect("valid reducer");
     let artifact = reducer.reduce_to_artifact(&net).expect("reduce");
     let bytes = artifact.to_bytes();
     assert!(RomArtifact::from_bytes(&bytes).is_ok(), "baseline decodes");
+    // The sweep must reach the compressed-row decode (three blocks leave
+    // the reduced matrices sparse enough; two did not): with every entry
+    // nonzero all four matrices are stored dense, so a shorter file means
+    // at least one section is compressed.
+    let mut dense = artifact.clone();
+    for m in [&mut dense.g, &mut dense.c, &mut dense.b, &mut dense.l] {
+        m.as_mut_slice().fill(1.0);
+    }
+    assert!(
+        bytes.len() < dense.to_bytes().len(),
+        "no matrix of the fuzzed artifact is stored compressed-row"
+    );
 
     let decode = |mutated: Vec<u8>, what: String| {
         let out = std::panic::catch_unwind(|| RomArtifact::from_bytes(&mutated));
@@ -244,6 +257,27 @@ fn artifact_corruption_fuzz_yields_typed_errors_never_panics() {
         let flip = 1u8 << (rng.next() % 8) as u8;
         let mut mutated = bytes.clone();
         mutated[pos] ^= flip;
+        // With the checksum recomputed the same flip reaches the
+        // structural decode. A flipped value bit is a different but
+        // well-formed model, so it may decode; it must never panic, and
+        // a refusal must be typed.
+        let mut w = ByteWriter::new();
+        w.bytes(&mutated[..bytes.len() - 8]);
+        let restamped = w.into_checksummed();
+        let out = std::panic::catch_unwind(|| RomArtifact::from_bytes(&restamped));
+        let res = out.unwrap_or_else(|_| panic!("from_bytes panicked on restamped flip at {pos}"));
+        if let Err(err) = res {
+            assert!(
+                matches!(
+                    err,
+                    RomError::BadMagic
+                        | RomError::UnsupportedVersion { .. }
+                        | RomError::Truncated { .. }
+                        | RomError::Corrupt(_)
+                ),
+                "restamped flip at {pos}: unexpected error class {err:?}"
+            );
+        }
         decode(mutated, format!("flip bit {flip:#04x} at byte {pos}"));
     }
 

@@ -8,7 +8,7 @@
 //! | step | type | what it does |
 //! |------|------|--------------|
 //! | *build* | [`rom::Reducer`] | typed builder over the staged engine; configuration validated at `build()` time ([`rom::BuildError`]) |
-//! | *save/load* | [`rom::RomArtifact`] | versioned binary serialization (magic + format version + checksum), **bitwise-exact** round-trips, JSON debug dump, provenance (engine version, shifts, residual trajectory, and the [`rom::Certificate`]; format v7; older versions are `UnsupportedVersion`) |
+//! | *save/load* | [`rom::RomArtifact`] | versioned binary serialization (magic + format version + checksum), **bitwise-exact** round-trips, JSON debug dump, provenance (engine version, shifts, residual trajectory, and the [`rom::Certificate`]; format v8, each reduced matrix dense or compressed-row, whichever is smaller; older versions are `UnsupportedVersion`) |
 //! | *serve* | [`rom::RomServer`] | thread-safe multi-model handle; caches per-shift factorizations in a sharded-lock, optionally capacity-bounded LRU cache ([`rom::RomServer::with_cache_capacity`]); batched `transfer_sweep` / `port_response` / `transient` queries fan out over [`core::par`], bitwise-deterministic for any `BDSM_THREADS`; validates query inputs ([`rom::QueryError`]), enforces the certified envelope per [`rom::EnvelopePolicy`], and contains panics as [`rom::RomError::Internal`] |
 //! | *scale out* | [`cluster::ClusterClient`] | distributed serving over multiple [`cluster::ShardNode`] processes: shard-by-model or shard-by-frequency-band placement ([`cluster::ShardPlan`]), a std-only length-prefixed TCP wire protocol ([`cluster::wire`]), request batching with admission control, retry-with-backoff, and a deterministic ω-order merge — replies **bitwise-equal** to a single local `RomServer` |
 //!
